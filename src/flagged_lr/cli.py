@@ -15,7 +15,9 @@ from .core import (
     all_flags,
     as_partition,
     parse_int_tuple,
+    partitions_up_to,
     scale,
+    subpartitions,
     validate_flag,
     weight,
 )
@@ -44,42 +46,9 @@ from .burge import insertion_decomposition
 DEFAULT_LIMIT = 10**6
 
 
-def _partitions_up_to(n, max_weight):
-    """All partitions of ambient n with weight at most max_weight."""
-    out = []
-
-    def rec(prefix, remaining, cap):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for p in range(min(cap, remaining), -1, -1):
-            rec(prefix + [p], remaining - p, p)
-
-    rec([], max_weight, max_weight)
-    return out
-
-
-def _subpartitions(mu):
-    out = []
-
-    def rec(prefix):
-        i = len(prefix)
-        if i == len(mu):
-            out.append(tuple(prefix))
-            return
-        hi = mu[i]
-        if i > 0:
-            hi = min(hi, prefix[i - 1])
-        for p in range(hi, -1, -1):
-            rec(prefix + [p])
-
-    rec([])
-    return out
-
-
 def _nu_candidates(lam, mu, gam, n):
     total = weight(lam) + weight(mu) - weight(gam)
-    return [nu for nu in _partitions_up_to(n, total) if weight(nu) == total]
+    return [nu for nu in partitions_up_to(n, total) if weight(nu) == total]
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +56,10 @@ def _nu_candidates(lam, mu, gam, n):
 # ---------------------------------------------------------------------------
 
 def hive_count(lam, mu, gam, nu, phi, limit=None) -> int:
+    """Lattice points of the flagged skew hive polytope; 0 when the weights
+    of the boundary do not match, as on the other two routes."""
+    if weight(lam) + weight(mu) != weight(gam) + weight(nu):
+        return 0
     return len(enumerate_skew_hive_points(lam, mu, gam, nu, phi, limit=limit))
 
 
@@ -121,8 +94,6 @@ def _single_coefficient(lam, mu, gam, nu, phi, method, limit):
     if method == "tableau":
         return coefficient_by_tableaux(lam, mu, gam, nu, phi)
     if method == "hive":
-        if weight(lam) + weight(mu) != weight(gam) + weight(nu):
-            return 0
         return hive_count(lam, mu, gam, nu, phi, limit)
     if method == "demazure":
         return coefficient_table_by_demazure(lam, mu, gam, phi).get(tuple(nu), 0)
@@ -198,11 +169,7 @@ def decomposition_report(mu, gam, phi):
                 "beta_sorts_to_highest_weight": betas_match,
             }
         )
-    char_sum = sum(
-        (key_polynomial(c.key_weight) for c in components),
-        start=flagged_skew_schur(mu, gam, phi) * 0,
-    )
-    char_ok = char_sum == flagged_skew_schur(mu, gam, phi)
+    char_ok = _character_sum_matches(components, mu, gam, phi)
     return {
         "mu": list(mu),
         "gam": list(gam),
@@ -211,6 +178,14 @@ def decomposition_report(mu, gam, phi):
         "character_sum_matches": char_ok,
         "ok": agree and char_ok,
     }
+
+
+def _character_sum_matches(components, mu, gam, phi) -> bool:
+    """The key polynomials of the Demazure components sum to the flagged
+    skew Schur polynomial of mu/gam."""
+    target = flagged_skew_schur(mu, gam, phi)
+    keys = (key_polynomial(c.key_weight) for c in components)
+    return sum(keys, start=target * 0) == target
 
 
 def hive_iso_report(lam, mu, gam, nu, phi, limit=None):
@@ -236,23 +211,18 @@ def hive_iso_report(lam, mu, gam, nu, phi, limit=None):
     }
 
 
-def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, verbose=False, echo=None):
+def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     """Grid harness: three-way counts, the hive isomorphism and the
     decomposition character identity over every tuple at desk scale.
 
     Stops at the first failing tuple and returns its reproduction data."""
     flags = [validate_flag(f, n) for f in (flags or all_flags(n))]
     checked = {"tuples": 0, "decompositions": 0}
-    for mu in _partitions_up_to(n, max_mu):
-        for gam in _subpartitions(mu):
+    for mu in partitions_up_to(n, max_mu):
+        for gam in subpartitions(mu):
             for phi in flags:
-                words = tableau_word_set(mu, gam, phi)
-                components = decompose(words, n)
-                char_sum = sum(
-                    (key_polynomial(c.key_weight) for c in components),
-                    start=flagged_skew_schur(mu, gam, phi) * 0,
-                )
-                if char_sum != flagged_skew_schur(mu, gam, phi):
+                components = decompose(tableau_word_set(mu, gam, phi), n)
+                if not _character_sum_matches(components, mu, gam, phi):
                     return {
                         "ok": False,
                         "failure": "decomposition character sum",
@@ -260,7 +230,7 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, verbose=False, echo=
                         "checked": checked,
                     }
                 checked["decompositions"] += 1
-                for lam in _subpartitions(mu):
+                for lam in subpartitions(mu):
                     demazure_table = coefficient_table_by_demazure(lam, mu, gam, phi)
                     for nu in _nu_candidates(lam, mu, gam, n):
                         got = {
@@ -361,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=int,
         default=argparse.SUPPRESS,
-        help="enumeration ceiling per polytope (visited nodes)",
+        help="enumeration ceiling per polytope (labels placed at free nodes)",
     )
     parser = argparse.ArgumentParser(
         prog="flagged-lr",
@@ -373,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=int,
         default=DEFAULT_LIMIT,
-        help="enumeration ceiling per polytope (visited nodes)",
+        help="enumeration ceiling per polytope (labels placed at free nodes)",
     )
     sub_parsers = parser.add_subparsers(dest="command", required=True)
 

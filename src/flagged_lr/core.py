@@ -24,6 +24,8 @@ __all__ = [
     "scale",
     "sort_descending",
     "partial_sums",
+    "partitions_up_to",
+    "subpartitions",
     "sort_to_partition",
     "permutation_act",
     "inverse",
@@ -114,6 +116,41 @@ def partial_sums(lam):
     for p in lam:
         out.append(out[-1] + p)
     return tuple(out)
+
+
+def partitions_up_to(n, max_weight):
+    """All partitions of ambient n with weight at most max_weight, in
+    lexicographically decreasing order."""
+    out = []
+
+    def rec(prefix, remaining, cap):
+        if len(prefix) == n:
+            out.append(tuple(prefix))
+            return
+        for p in range(min(cap, remaining), -1, -1):
+            rec(prefix + [p], remaining - p, p)
+
+    rec([], max_weight, max_weight)
+    return out
+
+
+def subpartitions(mu):
+    """All partitions contained in mu, in lexicographically decreasing order."""
+    out = []
+
+    def rec(prefix):
+        i = len(prefix)
+        if i == len(mu):
+            out.append(tuple(prefix))
+            return
+        hi = mu[i]
+        if i > 0:
+            hi = min(hi, prefix[i - 1])
+        for p in range(hi, -1, -1):
+            rec(prefix + [p])
+
+    rec([])
+    return out
 
 
 # ---------------------------------------------------------------------------

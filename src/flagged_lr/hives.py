@@ -4,6 +4,12 @@ Lattice points of these polytopes count the coefficients; the maps between
 them (Upsilon, the row-difference map, the doubling embedding into a
 triangular hive) are implemented exactly as affine maps on integer labels.
 
+One engine enumerates all three polytopes.  Each states its inequalities
+once, as ``(plus nodes, minus nodes)`` pairs meaning ``sum(plus) >=
+sum(minus)``; a compile step, cached per grid size and flag, turns the table
+into bounds on each free node, and the engine places labels row-major in
+lexicographic order.  ``limit`` counts the labels placed at free nodes.
+
 Node indexing: row i counts from the top.  A parallelogram hive has rows
 0..n each with nodes 0..n; a triangular hive has rows 0..N where row i has
 nodes 0..i.  Rhombus contents are the sum of labels at the obtuse corners
@@ -14,7 +20,11 @@ anchored against a worked example and are test-gated.
 from __future__ import annotations
 
 import json
+import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 from .core import as_partition, contains, partial_sums, validate_flag, weight
 from .tableaux import SkewShape, SkewTableau
@@ -56,21 +66,120 @@ class HiveValidationError(ValueError):
 
 
 class ScaleExceededError(RuntimeError):
-    """Enumeration visited more nodes than the configured ceiling."""
+    """Enumeration placed more labels at free nodes than its limit."""
 
 
-class _Budget:
-    __slots__ = ("left",)
+# ---------------------------------------------------------------------------
+# the lattice-point engine
+# ---------------------------------------------------------------------------
 
-    def __init__(self, limit):
-        self.left = limit
+_Polytope = namedtuple("_Polytope", "index free lows highs checks spans")
 
-    def spend(self):
-        if self.left is None:
+
+def _compile(grid, boundary, table) -> _Polytope:
+    """Fold every inequality of ``table`` onto its last-placed free node.
+
+    ``grid`` lists the nodes row by row.  The ``boundary`` nodes are placed
+    first, then the free nodes row-major.  Nodes are numbered row-major and
+    one extra node holds 0.  ``lows[k]``/``highs[k]`` bound ``free[k]`` by
+    triples (a, b, c) standing for ``v[a] + v[b] - v[c]``; ``checks`` are
+    the inequalities among boundary nodes, ``spans`` the rows' extents."""
+    nodes = [node for row in grid for node in row]
+    index = {node: k for k, node in enumerate(nodes)}
+    zero = len(nodes)
+    free = [node for node in nodes if node not in boundary]
+    rank = {node: k for k, node in enumerate(free)}
+    lows, highs = [set() for _ in free], [set() for _ in free]
+    checks = []
+    for plus, minus in table:
+        placed = [node for node in plus + minus if node in rank]
+        if not placed:
+            checks.append((tuple(index[p] for p in plus), tuple(index[q] for q in minus)))
+            continue
+        last = max(placed, key=rank.get)
+        if last in plus:
+            pos, neg, bounds = minus, [p for p in plus if p != last], lows
+        else:
+            pos, neg, bounds = plus, [q for q in minus if q != last], highs
+        a, b = sorted(index[p] for p in pos) + [zero] * (2 - len(pos))
+        (c,) = [index[q] for q in neg] or [zero]
+        bounds[rank[last]].add((a, b, c))
+    ends = list(accumulate(len(row) for row in grid))
+    return _Polytope(
+        index, tuple(index[node] for node in free),
+        tuple(tuple(sorted(b)) for b in lows), tuple(tuple(sorted(b)) for b in highs),
+        tuple(checks), tuple(zip([0] + ends, ends)),
+    )
+
+
+def _lattice_points(poly: _Polytope, fixed, limit):
+    """Yield the rows of labels of every lattice point, in lexicographic
+    order of the free labels; ``fixed`` maps each boundary node to its label.
+
+    Raises ScaleExceededError once more than ``limit`` labels have been
+    placed at free nodes."""
+    v = [0] * (len(poly.index) + 1)
+    for node, x in fixed.items():
+        v[poly.index[node]] = x
+    if any(sum(v[p] for p in plus) < sum(v[q] for q in minus) for plus, minus in poly.checks):
+        return
+    free, lows, highs, spans = poly.free, poly.lows, poly.highs, poly.spans
+    depth = len(free)
+    left = math.inf if limit is None else limit
+    tops = [0] * depth
+    k = 0
+    while True:
+        if k == depth:
+            labels = tuple(v)
+            yield tuple([labels[s:e] for s, e in spans])
+            k -= 1
+        else:
+            v[free[k]] = max([v[a] + v[b] - v[c] for a, b, c in lows[k]]) - 1
+            tops[k] = min([v[a] + v[b] - v[c] for a, b, c in highs[k]])
+        while k >= 0 and v[free[k]] >= tops[k]:
+            k -= 1
+        if k < 0:
             return
-        self.left -= 1
-        if self.left < 0:
+        v[free[k]] += 1
+        left -= 1
+        if left < 0:
             raise ScaleExceededError("enumeration ceiling exceeded")
+        k += 1
+
+
+def _contents(rows, rhombi):
+    for kind, ij, ((a, b), (c, d)), ((e, f), (g, h)) in rhombi:
+        yield kind, ij, rows[a][b] + rows[c][d] - rows[e][f] - rows[g][h]
+
+
+def _hive_table(rhombi, flat):
+    """Every rhombus content nonnegative, and those of the NE rhombi in
+    ``flat`` also nonpositive."""
+    return [(plus, minus) for _, _, plus, minus in rhombi] + [
+        (minus, plus) for kind, ij, plus, minus in rhombi if kind == "NE" and ij in flat
+    ]
+
+
+def _label_violations(rows, fixed, contents, flat):
+    violations = [f"boundary node ({i},{j}) is {rows[i][j]}, expected {v}"
+                  for (i, j), v in fixed.items() if rows[i][j] != v]
+    for kind, (i, j), c in contents:
+        if c < 0:
+            violations.append(f"{kind} rhombus ({i},{j}) has negative content {c}")
+        elif kind == "NE" and (i, j) in flat and c != 0:
+            violations.append(f"NE rhombus ({i},{j}) must be flat but has content {c}")
+    return violations
+
+
+def _render(rows, upward):
+    """One line per row, each shifted half a label width from the next:
+    the last row flush left when ``upward``, else the first."""
+    width = max(len(str(v)) for r in rows for v in r)
+    return "\n".join(
+        " " * ((len(rows) - 1 - i if upward else i) * (width + 1) // 2)
+        + " ".join(str(v).rjust(width) for v in r)
+        for i, r in enumerate(rows)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +223,7 @@ class SkewGTPattern:
         return self.rows[-1]
 
     def render(self) -> str:
-        width = max(len(str(v)) for r in self.rows for v in r)
-        lines = []
-        for i, r in enumerate(self.rows):
-            pad = " " * ((len(self.rows) - 1 - i) * (width + 1) // 2)
-            lines.append(pad + " ".join(str(v).rjust(width) for v in r))
-        return "\n".join(lines)
+        return _render(self.rows, upward=True)
 
     def to_json(self) -> str:
         return json.dumps([list(r) for r in self.rows])
@@ -157,6 +261,25 @@ def upsilon_inverse(t: SkewTableau, m=None) -> SkewGTPattern:
     return SkewGTPattern(tuple(rows))
 
 
+@lru_cache(maxsize=256)
+def _gt_polytope(n, phi) -> _Polytope:
+    """Rows 0 (gam) and n (mu) are the boundary; interlacing, the implied
+    column bound x_{ij} <= mu_j, and the flag equalities as x_{ij} >= mu_j
+    for the rows i >= Phi_j."""
+    table = []
+    for i in range(1, n + 1):
+        for j in range(n):
+            table.append((((i, j),), ((i - 1, j),)))
+            if j + 1 < n:
+                table.append((((i - 1, j),), ((i, j + 1),)))
+            if i < n:
+                table.append((((n, j),), ((i, j),)))
+                if i >= phi[j]:
+                    table.append((((i, j),), ((n, j),)))
+    grid = [[(i, j) for j in range(n)] for i in range(n + 1)]
+    return _compile(grid, {(i, j) for i in (0, n) for j in range(n)}, table)
+
+
 def enumerate_flagged_gt_points(mu, gam, phi, limit=None):
     """Integral skew GT patterns with top gam, bottom mu and the flag
     equalities x_{nj} = ... = x_{Phi_j, j}."""
@@ -167,40 +290,9 @@ def enumerate_flagged_gt_points(mu, gam, phi, limit=None):
         raise ValueError("flag length must match ambient")
     if not contains(mu, gam):
         return []
-    budget = _Budget(limit)
-    rows = [list(gam)] + [[0] * n for _ in range(n)]
-    rows[n] = list(mu)
-    out = []
-
-    def fill(i, j):
-        if i == n:
-            out.append(SkewGTPattern(tuple(tuple(r) for r in rows)))
-            return
-        if j == n:
-            fill(i + 1, 0)
-            return
-        # interlacing with the row above, the column chain down to mu, and
-        # (on the second-to-last row) interlacing with the fixed bottom row
-        lo = rows[i - 1][j]
-        if i == n - 1 and j + 1 < n:
-            lo = max(lo, mu[j + 1])
-        hi = mu[j]
-        if j >= 1:
-            hi = min(hi, rows[i - 1][j - 1])
-        if i >= phi[j]:
-            choices = (mu[j],) if lo <= mu[j] <= hi else ()
-        else:
-            choices = range(lo, hi + 1)
-        for v in choices:
-            budget.spend()
-            rows[i][j] = v
-            fill(i, j + 1)
-        rows[i][j] = 0
-
-    if n == 0:
-        return [SkewGTPattern((gam,))]
-    fill(1, 0)
-    return out
+    fixed = {(i, j): row[j] for i, row in ((0, gam), (n, mu)) for j in range(n)}
+    points = _lattice_points(_gt_polytope(n, tuple(phi)), fixed, limit)
+    return [SkewGTPattern(rows) for rows in points]
 
 
 # ---------------------------------------------------------------------------
@@ -238,34 +330,32 @@ class SkewHive:
         return lam, mu, gam, nu
 
     def render(self) -> str:
-        width = max(len(str(v)) for r in self.rows for v in r)
-        lines = []
-        for i, r in enumerate(self.rows):
-            pad = " " * (i * (width + 1) // 2)
-            lines.append(pad + " ".join(str(v).rjust(width) for v in r))
-        return "\n".join(lines)
+        return _render(self.rows, upward=False)
 
     def to_json(self) -> str:
         return json.dumps([list(r) for r in self.rows])
 
 
-def skew_hive_contents(rows):
-    """Yield (kind, (i, j), content) for every small rhombus.
+def _skew_rhombi(n):
+    """(kind, (i, j), obtuse corners, acute corners) of every small rhombus.
 
     NE_{ij} (1<=i,j<=n) has acute corners (i-1,j) and (i,j-1);
     SE_{ij} (1<=i<=n, 1<=j<=n-1) acute (i-1,j-1) and (i,j+1);
     V_{ik} (1<=i<=n-1, 0<=k<=n-1) acute (i-1,k) and (i+1,k+1).
     """
-    n = len(rows) - 1
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            yield "NE", (i, j), rows[i][j] + rows[i - 1][j - 1] - rows[i - 1][j] - rows[i][j - 1]
-    for i in range(1, n + 1):
-        for j in range(1, n):
-            yield "SE", (i, j), rows[i - 1][j] + rows[i][j] - rows[i - 1][j - 1] - rows[i][j + 1]
-    for i in range(1, n):
-        for k in range(n):
-            yield "V", (i, k), rows[i][k] + rows[i][k + 1] - rows[i - 1][k] - rows[i + 1][k + 1]
+    ne = [("NE", (i, j), ((i, j), (i - 1, j - 1)), ((i - 1, j), (i, j - 1)))
+          for i in range(1, n + 1) for j in range(1, n + 1)]
+    se = [("SE", (i, j), ((i - 1, j), (i, j)), ((i - 1, j - 1), (i, j + 1)))
+          for i in range(1, n + 1) for j in range(1, n)]
+    v = [("V", (i, k), ((i, k), (i, k + 1)), ((i - 1, k), (i + 1, k + 1)))
+         for i in range(1, n) for k in range(n)]
+    return ne + se + v
+
+
+def skew_hive_contents(rows):
+    """Yield (kind, (i, j), content) for every small rhombus, in the order
+    and with the corners of ``_skew_rhombi``."""
+    return _contents(rows, _skew_rhombi(len(rows) - 1))
 
 
 def skew_hive_boundary(lam, mu, gam, nu):
@@ -284,27 +374,18 @@ def skew_hive_boundary(lam, mu, gam, nu):
 
 def check_skew_hive(rows, lam, mu, gam, nu, phi=None):
     """Every violated condition, as human-readable strings; empty means valid."""
-    violations = []
     n = len(lam)
     if weight(lam) + weight(mu) != weight(gam) + weight(nu):
-        violations.append(
+        return [
             f"weight mismatch: |lam|+|mu|={weight(lam) + weight(mu)} "
             f"but |gam|+|nu|={weight(gam) + weight(nu)}"
-        )
-        return violations
+        ]
     if len(rows) != n + 1 or any(len(r) != n + 1 for r in rows):
-        violations.append(f"grid is not ({n + 1})x({n + 1})")
-        return violations
-    for (i, j), v in skew_hive_boundary(lam, mu, gam, nu).items():
-        if rows[i][j] != v:
-            violations.append(f"boundary node ({i},{j}) is {rows[i][j]}, expected {v}")
-    flat = skew_flat_region(phi) if phi is not None else set()
-    for kind, (i, j), c in skew_hive_contents(rows):
-        if c < 0:
-            violations.append(f"{kind} rhombus ({i},{j}) has negative content {c}")
-        elif kind == "NE" and (i, j) in flat and c != 0:
-            violations.append(f"NE rhombus ({i},{j}) must be flat but has content {c}")
-    return violations
+        return [f"grid is not ({n + 1})x({n + 1})"]
+    flat = skew_flat_region(phi) if phi is not None else ()
+    return _label_violations(
+        rows, skew_hive_boundary(lam, mu, gam, nu), skew_hive_contents(rows), flat
+    )
 
 
 def validate_skew_hive(rows, lam, mu, gam, nu, phi=None) -> SkewHive:
@@ -347,66 +428,32 @@ def gt_from_hive(rows) -> SkewGTPattern:
     )
 
 
+@lru_cache(maxsize=256)
+def _skew_polytope(n, phi) -> _Polytope:
+    """The rhombus table with the flat region, and the implied column bound:
+    a row difference never exceeds the bottom boundary's."""
+    table = _hive_table(_skew_rhombi(n), skew_flat_region(phi) if phi is not None else ())
+    for i in range(1, n):
+        for j in range(1, n + 1):
+            table.append((((n, j), (i, j - 1)), ((n, j - 1), (i, j))))
+    grid = [[(i, j) for j in range(n + 1)] for i in range(n + 1)]
+    zeros = (0,) * n
+    return _compile(grid, skew_hive_boundary(zeros, zeros, zeros, zeros), table)
+
+
 def enumerate_skew_hive_points(lam, mu, gam, nu, phi=None, limit=None):
     """All integral skew hives with the given boundary, optionally restricted
-    to the flag face (every NE rhombus in the flat region has content zero).
-
-    Backtracks node by node in row-major order; bounds for a free node come
-    from the rhombus constraints among already-placed nodes plus the implied
-    column bound (row differences never exceed the bottom boundary's)."""
+    to the flag face (every NE rhombus in the flat region has content zero)."""
     n = len(lam)
     if not len(mu) == len(gam) == len(nu) == n:
         raise ValueError("ambient lengths differ")
     if weight(lam) + weight(mu) != weight(gam) + weight(nu):
         raise ValueError("weight mismatch: |lam|+|mu| != |gam|+|nu|")
     if phi is not None:
-        validate_flag(phi, n)
+        phi = validate_flag(phi, n)
     fixed = skew_hive_boundary(lam, mu, gam, nu)
-    flat = skew_flat_region(phi) if phi is not None else set()
-    budget = _Budget(limit)
-    grid = [[0] * (n + 1) for _ in range(n + 1)]
-    out = []
-
-    def checks_ok(i, j):
-        if i >= 1 and j >= 1:
-            c = grid[i][j] + grid[i - 1][j - 1] - grid[i - 1][j] - grid[i][j - 1]
-            if c < 0 or ((i, j) in flat and c != 0):
-                return False
-        if i >= 1 and 1 <= j - 1 <= n - 1:
-            if grid[i - 1][j - 1] + grid[i][j - 1] - grid[i - 1][j - 2] - grid[i][j] < 0:
-                return False
-        if 1 <= i - 1 <= n - 1 and 0 <= j - 1 <= n - 1:
-            if grid[i - 1][j - 1] + grid[i - 1][j] - grid[i - 2][j - 1] - grid[i][j] < 0:
-                return False
-        return True
-
-    def fill(k):
-        if k == (n + 1) * (n + 1):
-            out.append(SkewHive(tuple(tuple(r) for r in grid)))
-            return
-        i, j = divmod(k, n + 1)
-        if (i, j) in fixed:
-            choices = (fixed[(i, j)],)
-        else:
-            lo = grid[i - 1][j] + grid[i][j - 1] - grid[i - 1][j - 1]
-            hi = grid[i][j - 1] + mu[j - 1]
-            if j >= 2:
-                hi = min(hi, grid[i - 1][j - 1] + grid[i][j - 1] - grid[i - 1][j - 2])
-            if i >= 2:
-                hi = min(hi, grid[i - 1][j - 1] + grid[i - 1][j] - grid[i - 2][j - 1])
-            if (i, j) in flat:
-                choices = (lo,) if lo <= hi else ()
-            else:
-                choices = range(lo, hi + 1)
-        for v in choices:
-            budget.spend()
-            grid[i][j] = v
-            if checks_ok(i, j):
-                fill(k + 1)
-        grid[i][j] = 0
-
-    fill(0)
-    return out
+    points = _lattice_points(_skew_polytope(n, phi), fixed, limit)
+    return [SkewHive(rows) for rows in points]
 
 
 # ---------------------------------------------------------------------------
@@ -441,34 +488,32 @@ class TriHive:
         return alpha, beta, gam
 
     def render(self) -> str:
-        width = max(len(str(v)) for r in self.rows for v in r)
-        lines = []
-        for i, r in enumerate(self.rows):
-            pad = " " * ((self.size - i) * (width + 1) // 2)
-            lines.append(pad + " ".join(str(v).rjust(width) for v in r))
-        return "\n".join(lines)
+        return _render(self.rows, upward=True)
 
     def to_json(self) -> str:
         return json.dumps([list(r) for r in self.rows])
 
 
-def tri_hive_contents(rows):
-    """Yield (kind, (i, j), content) for the triangular array.
+def _tri_rhombi(big_n):
+    """(kind, (i, j), obtuse corners, acute corners) for the triangular array.
 
     NE R_{ij} (1<=j<=i<=N-1) uses rows i, i+1 with acute corners (i,j) and
     (i+1,j-1); SE_{ij} (1<=j<=i<=N-1) acute (i,j-1) and (i+1,j+1);
     V_{ik} (0<=k<=i<=N-2) acute (i,k) and (i+2,k+1).
     """
-    big_n = len(rows) - 1
-    for i in range(1, big_n):
-        for j in range(1, i + 1):
-            yield "NE", (i, j), rows[i][j - 1] + rows[i + 1][j] - rows[i][j] - rows[i + 1][j - 1]
-    for i in range(1, big_n):
-        for j in range(1, i + 1):
-            yield "SE", (i, j), rows[i][j] + rows[i + 1][j] - rows[i][j - 1] - rows[i + 1][j + 1]
-    for i in range(big_n - 1):
-        for k in range(i + 1):
-            yield "V", (i, k), rows[i + 1][k] + rows[i + 1][k + 1] - rows[i][k] - rows[i + 2][k + 1]
+    ne = [("NE", (i, j), ((i, j - 1), (i + 1, j)), ((i, j), (i + 1, j - 1)))
+          for i in range(1, big_n) for j in range(1, i + 1)]
+    se = [("SE", (i, j), ((i, j), (i + 1, j)), ((i, j - 1), (i + 1, j + 1)))
+          for i in range(1, big_n) for j in range(1, i + 1)]
+    v = [("V", (i, k), ((i + 1, k), (i + 1, k + 1)), ((i, k), (i + 2, k + 1)))
+         for i in range(big_n - 1) for k in range(i + 1)]
+    return ne + se + v
+
+
+def tri_hive_contents(rows):
+    """Yield (kind, (i, j), content) for the triangular array, in the order
+    and with the corners of ``_tri_rhombi``."""
+    return _contents(rows, _tri_rhombi(len(rows) - 1))
 
 
 def tri_hive_boundary(alpha, beta, gam):
@@ -487,35 +532,22 @@ def tri_kogan_region(phi, big_n):
     """Kogan face: NE rhombi R_{ij} with Phi_j <= i <= N-1.
 
     Entries of phi beyond its length impose nothing (treated as N)."""
-    region = set()
-    for j in range(1, len(phi) + 1):
-        for i in range(max(phi[j - 1], j), big_n):
-            region.add((i, j))
-    return region
+    return {(i, j) for j in range(1, len(phi) + 1) for i in range(max(phi[j - 1], j), big_n)}
 
 
 def check_tri_hive(rows, alpha, beta, gam, phi=None):
-    violations = []
     nn = len(alpha)
     if weight(alpha) + weight(beta) != weight(gam):
-        violations.append(
+        return [
             f"weight mismatch: |alpha|+|beta|={weight(alpha) + weight(beta)}"
             f" but |gamma|={weight(gam)}"
-        )
-        return violations
+        ]
     if len(rows) != nn + 1 or any(len(r) != i + 1 for i, r in enumerate(rows)):
-        violations.append(f"array is not triangular of size {nn}")
-        return violations
-    for (i, j), v in tri_hive_boundary(alpha, beta, gam).items():
-        if rows[i][j] != v:
-            violations.append(f"boundary node ({i},{j}) is {rows[i][j]}, expected {v}")
-    region = tri_kogan_region(phi, nn) if phi is not None else set()
-    for kind, (i, j), c in tri_hive_contents(rows):
-        if c < 0:
-            violations.append(f"{kind} rhombus ({i},{j}) has negative content {c}")
-        elif kind == "NE" and (i, j) in region and c != 0:
-            violations.append(f"NE rhombus ({i},{j}) must be flat but has content {c}")
-    return violations
+        return [f"array is not triangular of size {nn}"]
+    region = tri_kogan_region(phi, nn) if phi is not None else ()
+    return _label_violations(
+        rows, tri_hive_boundary(alpha, beta, gam), tri_hive_contents(rows), region
+    )
 
 
 def validate_tri_hive(rows, alpha, beta, gam, phi=None) -> TriHive:
@@ -523,6 +555,15 @@ def validate_tri_hive(rows, alpha, beta, gam, phi=None) -> TriHive:
     if violations:
         raise HiveValidationError(violations)
     return TriHive(tuple(tuple(r) for r in rows))
+
+
+@lru_cache(maxsize=256)
+def _tri_polytope(big_n, phi) -> _Polytope:
+    """The rhombus table with the Kogan face as flat region."""
+    table = _hive_table(_tri_rhombi(big_n), tri_kogan_region(phi, big_n) if phi is not None else ())
+    grid = [[(i, j) for j in range(i + 1)] for i in range(big_n + 1)]
+    zeros = (0,) * big_n
+    return _compile(grid, tri_hive_boundary(zeros, zeros, zeros), table)
 
 
 def enumerate_tri_hive_points(alpha, beta, gam, phi=None, limit=None):
@@ -535,51 +576,9 @@ def enumerate_tri_hive_points(alpha, beta, gam, phi=None, limit=None):
     gam = as_partition(gam, nn)
     if weight(alpha) + weight(beta) != weight(gam):
         raise ValueError("weight mismatch: |alpha|+|beta| != |gamma|")
-    fixed = tri_hive_boundary(alpha, beta, gam)
-    region = tri_kogan_region(phi, nn) if phi is not None else set()
-    budget = _Budget(limit)
-    grid = [[0] * (i + 1) for i in range(nn + 1)]
-    cells = [(i, j) for i in range(nn + 1) for j in range(i + 1)]
-    out = []
-
-    def checks_ok(i, j):
-        if 1 <= j <= i - 1:
-            c = grid[i - 1][j - 1] + grid[i][j] - grid[i - 1][j] - grid[i][j - 1]
-            if c < 0 or ((i - 1, j) in region and c != 0):
-                return False
-        if 2 <= j <= i:
-            if grid[i - 1][j - 1] + grid[i][j - 1] - grid[i - 1][j - 2] - grid[i][j] < 0:
-                return False
-        if i >= 2 and 1 <= j <= i - 1:
-            if grid[i - 1][j - 1] + grid[i - 1][j] - grid[i - 2][j - 1] - grid[i][j] < 0:
-                return False
-        return True
-
-    def fill(k):
-        if k == len(cells):
-            out.append(TriHive(tuple(tuple(r) for r in grid)))
-            return
-        i, j = cells[k]
-        if (i, j) in fixed:
-            choices = (fixed[(i, j)],)
-        else:
-            lo = grid[i - 1][j] + grid[i][j - 1] - grid[i - 1][j - 1]
-            hi = grid[i - 1][j - 1] + grid[i - 1][j] - grid[i - 2][j - 1]
-            if j >= 2:
-                hi = min(hi, grid[i - 1][j - 1] + grid[i][j - 1] - grid[i - 1][j - 2])
-            if (i - 1, j) in region:
-                choices = (lo,) if lo <= hi else ()
-            else:
-                choices = range(lo, hi + 1)
-        for v in choices:
-            budget.spend()
-            grid[i][j] = v
-            if checks_ok(i, j):
-                fill(k + 1)
-        grid[i][j] = 0
-
-    fill(0)
-    return out
+    poly = _tri_polytope(nn, None if phi is None else tuple(phi))
+    points = _lattice_points(poly, tri_hive_boundary(alpha, beta, gam), limit)
+    return [TriHive(rows) for rows in points]
 
 
 def lift_tilde(lam, mu, gam, nu, phi):

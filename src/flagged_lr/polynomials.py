@@ -203,13 +203,7 @@ def key_polynomial(alpha) -> IntPolynomial:
 
 def schur(lam, n: int) -> IntPolynomial:
     """Sum of weight monomials over semistandard tableaux with entries <= n."""
-    lam = as_partition(lam, n)
-    shape = SkewShape(lam, (0,) * n)
-    terms = {}
-    for t in enumerate_tableaux(shape, (n,) * n):
-        e = word_weight(reading_word(t), n)
-        terms[e] = terms.get(e, 0) + 1
-    return IntPolynomial(n, terms)
+    return flagged_skew_schur(as_partition(lam, n), (0,) * n, (n,) * n)
 
 
 def flagged_skew_schur(mu, gam, row_bounds) -> IntPolynomial:

@@ -1,6 +1,6 @@
 import pytest
 
-from flagged_lr.core import contains
+from flagged_lr.core import partitions_up_to, subpartitions
 
 
 WORKED_HIVE_LABELS = (
@@ -12,25 +12,6 @@ WORKED_HIVE_LABELS = (
 )
 WORKED_HIVE_BOUNDARY = ((3, 1, 1, 0), (5, 4, 2, 1), (2, 1, 0, 0), (7, 4, 2, 1))
 WORKED_HIVE_FLAG = (2, 2, 3, 4)
-
-
-def partitions_up_to(n, max_weight):
-    """All partitions of ambient n and weight at most max_weight."""
-    out = []
-
-    def rec(prefix, remaining, cap):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for p in range(min(cap, remaining), -1, -1):
-            rec(prefix + [p], remaining - p, p)
-
-    rec([], max_weight, max_weight)
-    return out
-
-
-def subpartitions(mu):
-    return [g for g in partitions_up_to(len(mu), sum(mu)) if contains(mu, g)]
 
 
 def skew_pairs(n, max_mu):

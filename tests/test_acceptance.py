@@ -8,7 +8,7 @@ import random
 import time
 from itertools import permutations, product
 
-from conftest import WORKED_HIVE_BOUNDARY, WORKED_HIVE_FLAG, WORKED_HIVE_LABELS, partitions_up_to, skew_pairs
+from conftest import WORKED_HIVE_BOUNDARY, WORKED_HIVE_FLAG, WORKED_HIVE_LABELS, skew_pairs
 from flagged_lr.burge import (
     insertion_decomposition,
     biword_from_matrix,
@@ -20,6 +20,7 @@ from flagged_lr.core import (
     all_flags,
     contains,
     longest_element,
+    partitions_up_to,
     permutation_act,
     reduced_word,
     scale,

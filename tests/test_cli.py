@@ -115,6 +115,17 @@ def test_hive_count_and_iso(capsys):
     assert report["roundtrip_identity"]
 
 
+def test_hive_count_weight_mismatch_is_zero(capsys):
+    # the tableau and Demazure routes count 0 here too
+    code, out = run(
+        capsys,
+        "--n", "2", "--json", "hive-count",
+        "--lam", "0,0", "--mu", "1,0", "--gam", "0,0", "--nu", "2,0", "--phi", "2,2",
+    )
+    assert code == 0
+    assert json.loads(out)["count"] == 0
+
+
 def test_verify_small_grid(capsys):
     code, out = run(capsys, "--n", "2", "--json", "verify", "--max-mu", "2")
     assert code == 0

@@ -1,9 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import WORKED_HIVE_LABELS, skew_pairs
-from flagged_lr.core import all_flags, scale
+from flagged_lr.core import all_flags, contains, partitions_up_to, scale, subpartitions
 from flagged_lr.crystal import coefficient_by_tableaux, is_lambda_dominant
 from flagged_lr.hives import (
     HiveValidationError,
@@ -203,6 +204,39 @@ def test_scale_ceiling_raises():
             (3, 1, 1, 0), (5, 4, 2, 1), (2, 1, 0, 0), (7, 4, 2, 1), (2, 2, 3, 4),
             limit=3,
         )
+    with pytest.raises(ScaleExceededError):
+        enumerate_flagged_gt_points((4, 3, 2, 1), (2, 1, 0, 0), (2, 2, 3, 4), limit=3)
+    # one free node, labelled once per point: the limit counts exactly those
+    assert len(enumerate_tri_hive_points((2, 1, 0), (2, 1, 0), (3, 2, 1), limit=2)) == 2
+    with pytest.raises(ScaleExceededError):
+        enumerate_tri_hive_points((2, 1, 0), (2, 1, 0), (3, 2, 1), limit=1)
+
+
+@st.composite
+def skew_hive_inputs(draw):
+    """Random n <= 3 boundaries of matching weight, nu containing lam when
+    some candidate does, and any flag."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    parts = st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n)
+    lam = tuple(sorted(draw(parts), reverse=True))
+    mu = tuple(sorted(draw(parts), reverse=True))
+    gam = draw(st.sampled_from(subpartitions(mu)))
+    total = sum(lam) + sum(mu) - sum(gam)
+    nus = [nu for nu in partitions_up_to(n, total) if sum(nu) == total]
+    nu = draw(st.sampled_from([nu for nu in nus if contains(nu, lam)] or nus))
+    return lam, mu, gam, nu, draw(st.sampled_from(all_flags(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(skew_hive_inputs())
+def test_engine_agrees_with_independent_oracles(args):
+    lam, mu, gam, nu, phi = args
+    points = enumerate_skew_hive_points(lam, mu, gam, nu, phi)
+    assert len(points) == coefficient_by_tableaux(lam, mu, gam, nu, phi)
+    assert all(not check_skew_hive(h.rows, lam, mu, gam, nu, phi) for h in points)
+    if contains(nu, lam):
+        lifted = lift_tilde(lam, mu, gam, nu, phi)
+        assert len(enumerate_tri_hive_points(*lifted)) == len(points)
 
 
 def test_lift_tilde_examples(worked_hive):
@@ -271,8 +305,6 @@ def test_tri_hive_classical_lr_spot_value():
 
 def test_tri_hive_singleton_when_one_side_constant():
     # with one side constant the polytope is a point iff gamma = alpha + beta
-    from conftest import partitions_up_to
-
     for n in (2, 3):
         for alpha in partitions_up_to(n, 6):
             if max(alpha, default=0) > 3:
