@@ -12,6 +12,7 @@ import json
 import sys
 
 from .core import (
+    ScaleExceededError,
     all_flags,
     as_partition,
     parse_int_tuple,
@@ -28,7 +29,7 @@ from .crystal import (
     tableau_word_set,
 )
 from .hives import (
-    ScaleExceededError,
+    _skew_hive_rows,
     enumerate_skew_hive_points,
     enumerate_tri_hive_points,
     lift_tilde,
@@ -60,7 +61,7 @@ def hive_count(lam, mu, gam, nu, phi, limit=None) -> int:
     of the boundary do not match, as on the other two routes."""
     if weight(lam) + weight(mu) != weight(gam) + weight(nu):
         return 0
-    return len(enumerate_skew_hive_points(lam, mu, gam, nu, phi, limit=limit))
+    return sum(1 for _ in _skew_hive_rows(lam, mu, gam, nu, phi, limit))
 
 
 def run_coefficient(lam, mu, gam, nu, phi, method="all", limit=None):
@@ -92,7 +93,7 @@ def run_coefficient(lam, mu, gam, nu, phi, method="all", limit=None):
 
 def _single_coefficient(lam, mu, gam, nu, phi, method, limit):
     if method == "tableau":
-        return coefficient_by_tableaux(lam, mu, gam, nu, phi)
+        return coefficient_by_tableaux(lam, mu, gam, nu, phi, limit)
     if method == "hive":
         return hive_count(lam, mu, gam, nu, phi, limit)
     if method == "demazure":
@@ -234,7 +235,7 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
                     demazure_table = coefficient_table_by_demazure(lam, mu, gam, phi)
                     for nu in _nu_candidates(lam, mu, gam, n):
                         got = {
-                            "tableau": coefficient_by_tableaux(lam, mu, gam, nu, phi),
+                            "tableau": coefficient_by_tableaux(lam, mu, gam, nu, phi, limit),
                             "hive": hive_count(lam, mu, gam, nu, phi, limit),
                             "demazure": demazure_table.get(nu, 0),
                         }
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=int,
         default=argparse.SUPPRESS,
-        help="enumeration ceiling per polytope (labels placed at free nodes)",
+        help="enumeration ceiling per call (hive labels or tableau letters placed)",
     )
     parser = argparse.ArgumentParser(
         prog="flagged-lr",
@@ -343,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=int,
         default=DEFAULT_LIMIT,
-        help="enumeration ceiling per polytope (labels placed at free nodes)",
+        help="enumeration ceiling per call (hive labels or tableau letters placed)",
     )
     sub_parsers = parser.add_subparsers(dest="command", required=True)
 

@@ -9,10 +9,9 @@ the value itself.  Permutations are tuples in one-line notation over
 
 from __future__ import annotations
 
-from itertools import permutations as _all_perms
-
 __all__ = [
     "FlagError",
+    "ScaleExceededError",
     "as_partition",
     "as_composition",
     "is_partition",
@@ -45,6 +44,10 @@ __all__ = [
 
 class FlagError(ValueError):
     """Raised when a sequence fails the flag conditions."""
+
+
+class ScaleExceededError(RuntimeError):
+    """An enumeration placed more labels or letters than its limit."""
 
 
 def as_composition(parts, n=None):
@@ -236,17 +239,6 @@ def sort_to_partition(alpha):
         winv[j] = rank + 1
     w = inverse(tuple(winv))
     return sort_descending(alpha), w
-
-
-def minimal_sorting_permutation_bruteforce(alpha):
-    """Exhaustive-search oracle for sort_to_partition's minimality claim."""
-    target = sort_descending(alpha)
-    best = None
-    for w in _all_perms(range(1, len(alpha) + 1)):
-        if permutation_act(w, target) == tuple(alpha):
-            if best is None or inversions(w) < inversions(best):
-                best = w
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -2,24 +2,35 @@
 
 Words carry the crystal structure of tensor powers of the standard crystal
 through the reverse-row reading embedding.  The raising/lowering operators
-are implemented twice: ``tensor_raising``/``tensor_lowering`` unroll the
-defining tensor-product recursion and serve as the reference; ``raising``/
-``lowering`` use the matched-bracket signature rule and are the fast path.
-Their agreement is enforced by the test suite over a word census.
+use the matched-bracket signature rule; the test suite checks them against
+the defining tensor-product recursion over a word census.
+
+The tableau route counts lambda-dominant flagged tableaux by a search over
+the cells in reading order that applies the lattice condition one letter
+at a time, so it builds no tableau and no word.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
-from .core import is_partition, sort_descending, sub, contains, validate_flag
+from .core import (
+    ScaleExceededError,
+    as_partition,
+    contains,
+    is_partition,
+    sort_descending,
+    validate_flag,
+    weight,
+)
 from .tableaux import (
     SkewShape,
     SkewTableau,
+    _reading_word,
+    _tableau_rows,
     dominant_tableau,
-    enumerate_tableaux,
     reading_word,
     word_weight,
 )
@@ -28,11 +39,8 @@ __all__ = [
     "raising",
     "lowering",
     "apply_operator",
-    "tensor_raising",
-    "tensor_lowering",
     "epsilon_phi",
     "is_dominant",
-    "prefix_dominant",
     "is_lambda_dominant",
     "flagged_word_set",
     "tableau_word_set",
@@ -112,78 +120,12 @@ def epsilon_phi(word, i: int, n=None):
 
 
 # ---------------------------------------------------------------------------
-# tensor-product recursion (reference implementation)
-# ---------------------------------------------------------------------------
-
-def _letter_lower(v, i):
-    return i + 1 if v == i else None
-
-
-def _letter_raise(v, i):
-    return i if v == i + 1 else None
-
-
-@lru_cache(maxsize=1 << 20)
-def _tensor_phi(word, i):
-    """phi_i by literally counting lowering applications."""
-    count = 0
-    w = word
-    while True:
-        w = tensor_lowering(w, i)
-        if w is None:
-            return count
-        count += 1
-
-
-def tensor_lowering(word, i: int):
-    """f_i on w1 (x) ... (x) wk via the left-associated tensor recursion."""
-    if not word:
-        return None
-    if len(word) == 1:
-        v = _letter_lower(word[0], i)
-        return None if v is None else (v,)
-    x, y = word[:-1], word[-1]
-    eps_y = 1 if y == i + 1 else 0
-    if eps_y < _tensor_phi(x, i):
-        fx = tensor_lowering(x, i)
-        return None if fx is None else fx + (y,)
-    v = _letter_lower(y, i)
-    return None if v is None else x + (v,)
-
-
-def tensor_raising(word, i: int):
-    """e_i on w1 (x) ... (x) wk via the left-associated tensor recursion."""
-    if not word:
-        return None
-    if len(word) == 1:
-        v = _letter_raise(word[0], i)
-        return None if v is None else (v,)
-    x, y = word[:-1], word[-1]
-    eps_y = 1 if y == i + 1 else 0
-    if eps_y <= _tensor_phi(x, i):
-        ex = tensor_raising(x, i)
-        return None if ex is None else ex + (y,)
-    v = _letter_raise(y, i)
-    return None if v is None else x + (v,)
-
-
-# ---------------------------------------------------------------------------
 # dominance
 # ---------------------------------------------------------------------------
 
 def is_dominant(word, n: int) -> bool:
     """True iff every raising operator kills the word."""
     return all(raising(word, i) is None for i in range(1, n))
-
-
-def prefix_dominant(word, n: int) -> bool:
-    """Prefix characterization: every prefix has at least as many i as i+1."""
-    counts = [0] * (n + 1)
-    for v in word:
-        counts[v] += 1
-        if any(counts[i] < counts[i + 1] for i in range(1, n)):
-            return False
-    return True
 
 
 def is_lambda_dominant(t: SkewTableau, lam, n: int) -> bool:
@@ -210,7 +152,7 @@ def flagged_word_set(phi, rho):
 
 def tableau_word_set(mu, gam, row_bounds):
     """Reading words of the flagged skew tableaux of shape mu/gam."""
-    return {reading_word(t) for t in enumerate_tableaux(SkewShape(mu, gam), row_bounds)}
+    return {_reading_word(rows) for rows in _tableau_rows(SkewShape(mu, gam), row_bounds)}
 
 
 def generate_demazure(b, reduced, n: int):
@@ -340,24 +282,69 @@ def character(words, n: int):
 # coefficients, route one
 # ---------------------------------------------------------------------------
 
-def coefficient_by_tableaux(lam, mu, gam, nu, phi) -> int:
-    """Count lambda-dominant flagged skew tableaux of weight nu - lam."""
+def coefficient_by_tableaux(lam, mu, gam, nu, phi, limit=None) -> int:
+    """Count lambda-dominant flagged skew tableaux of weight nu - lam.
+
+    The cells of mu/gam are filled in reading order (top row first, right
+    to left within a row) with the letter counts starting at lam, the
+    weight of the dominant head.  A letter v goes in only while its count
+    stays below nu_v and, for v > 1, below the count of v - 1: the reading
+    word after the head stays a lattice word, which is what every raising
+    operator killing it means.  Raises ScaleExceededError once more than
+    ``limit`` letters have been placed."""
     n = len(mu)
     if not len(lam) == len(gam) == len(nu) == n:
         raise ValueError("ambient lengths differ")
-    validate_flag(phi, n)
+    phi = validate_flag(phi, n)
     if not contains(mu, gam) or not contains(nu, lam):
         return 0
-    target = sub(nu, lam)
-    head = reading_word(dominant_tableau(lam))
-    count = 0
-    for t in enumerate_tableaux(SkewShape(mu, gam), phi):
-        word = reading_word(t)
-        if word_weight(word, n) != target:
-            continue
-        if is_dominant(head + word, n):
-            count += 1
-    return count
+    lam = as_partition(lam)
+    shape = SkewShape(mu, gam)
+    if weight(nu) - weight(lam) != shape.size:
+        return 0
+    cells = [(i, c) for i in range(n) for c in range(mu[i] - 1, gam[i] - 1, -1)]
+    depth = len(cells)
+    pos = {cell: k for k, cell in enumerate(cells)}
+    # past the last cell, a slot holding 0 stands in for a missing upper
+    # neighbour and one holding n for a missing right neighbour
+    above = [pos.get((i - 1, c), depth) for i, c in cells]
+    right = [pos.get((i, c + 1), depth + 1) for i, c in cells]
+    flag = [phi[i] for i, _ in cells]
+    v = [0] * depth + [0, n]
+    tops = [0] * depth
+    # counts[x] and caps[x] belong to the letter x; counts[0] = nu_1 never
+    # holds the letter 1 below its cap
+    caps = (0,) + tuple(nu)
+    counts = [nu[0] if n else 0] + list(lam)
+    left = math.inf if limit is None else limit
+    found = 0
+    k = 0
+    while True:
+        if k == depth:
+            found += 1
+            k -= 1
+        else:
+            v[k] = v[above[k]]
+            tops[k] = min(v[right[k]], flag[k])
+        while k >= 0:
+            x = v[k]
+            if x > v[above[k]]:
+                counts[x] -= 1
+            top = tops[k]
+            x += 1
+            while x <= top and (counts[x] >= caps[x] or counts[x] >= counts[x - 1]):
+                x += 1
+            if x <= top:
+                break
+            k -= 1
+        if k < 0:
+            return found
+        v[k] = x
+        counts[x] += 1
+        left -= 1
+        if left < 0:
+            raise ScaleExceededError("enumeration ceiling exceeded")
+        k += 1
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-from .core import as_partition, contains, partial_sums, validate_flag, weight
+from .core import (
+    ScaleExceededError,
+    as_partition,
+    contains,
+    partial_sums,
+    validate_flag,
+    weight,
+)
 from .tableaux import SkewShape, SkewTableau
 
 __all__ = [
@@ -63,10 +70,6 @@ class HiveValidationError(ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(str(v) for v in self.violations))
-
-
-class ScaleExceededError(RuntimeError):
-    """Enumeration placed more labels at free nodes than its limit."""
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +444,9 @@ def _skew_polytope(n, phi) -> _Polytope:
     return _compile(grid, skew_hive_boundary(zeros, zeros, zeros, zeros), table)
 
 
-def enumerate_skew_hive_points(lam, mu, gam, nu, phi=None, limit=None):
-    """All integral skew hives with the given boundary, optionally restricted
-    to the flag face (every NE rhombus in the flat region has content zero)."""
+def _skew_hive_rows(lam, mu, gam, nu, phi, limit):
+    """The rows of labels of every integral skew hive with the given
+    boundary, as a generator; the input checks run on the call."""
     n = len(lam)
     if not len(mu) == len(gam) == len(nu) == n:
         raise ValueError("ambient lengths differ")
@@ -452,8 +455,13 @@ def enumerate_skew_hive_points(lam, mu, gam, nu, phi=None, limit=None):
     if phi is not None:
         phi = validate_flag(phi, n)
     fixed = skew_hive_boundary(lam, mu, gam, nu)
-    points = _lattice_points(_skew_polytope(n, phi), fixed, limit)
-    return [SkewHive(rows) for rows in points]
+    return _lattice_points(_skew_polytope(n, phi), fixed, limit)
+
+
+def enumerate_skew_hive_points(lam, mu, gam, nu, phi=None, limit=None):
+    """All integral skew hives with the given boundary, optionally restricted
+    to the flag face (every NE rhombus in the flat region has content zero)."""
+    return [SkewHive(rows) for rows in _skew_hive_rows(lam, mu, gam, nu, phi, limit)]
 
 
 # ---------------------------------------------------------------------------

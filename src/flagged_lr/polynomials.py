@@ -8,6 +8,7 @@ the geometric-series division, so no rational arithmetic appears anywhere.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .core import (
     as_partition,
@@ -17,12 +18,11 @@ from .core import (
     sort_to_partition,
     validate_flag,
 )
-from .tableaux import SkewShape, enumerate_tableaux, reading_word, word_weight
+from .tableaux import SkewShape, _tableau_rows, word_weight
 
 __all__ = [
     "IntPolynomial",
     "demazure_Ti",
-    "demazure_Ti_by_division",
     "demazure_Tw",
     "key_polynomial",
     "schur",
@@ -165,29 +165,6 @@ def demazure_Ti(f: IntPolynomial, i: int) -> IntPolynomial:
     return IntPolynomial(f.n, out)
 
 
-def demazure_Ti_by_division(f: IntPolynomial, i: int) -> IntPolynomial:
-    """Oracle: literally divide x_i f - x_{i+1} s_i f by x_i - x_{i+1}."""
-    if not 1 <= i <= f.n - 1:
-        raise IndexError(f"operator index {i} out of range for ambient {f.n}")
-    n = f.n
-    num = IntPolynomial.variable(n, i) * f - IntPolynomial.variable(n, i + 1) * f.swap(i)
-    quotient = {}
-    divisor_hi = IntPolynomial.variable(n, i)
-    divisor_lo = IntPolynomial.variable(n, i + 1)
-    while not num.is_zero():
-        lead = max(num.terms, key=lambda e: (e[i - 1], e))
-        if lead[i - 1] == 0:
-            raise ArithmeticError("division left a remainder")
-        c = num.terms[lead]
-        q = list(lead)
-        q[i - 1] -= 1
-        q = tuple(q)
-        quotient[q] = quotient.get(q, 0) + c
-        mono = IntPolynomial.monomial(q, c)
-        num = num - mono * divisor_hi + mono * divisor_lo
-    return IntPolynomial(n, quotient)
-
-
 def demazure_Tw(f: IntPolynomial, w) -> IntPolynomial:
     """Composition T_{i_1} ... T_{i_k} along a reduced word for w."""
     for i in reversed(reduced_word(w)):
@@ -218,8 +195,8 @@ def flagged_skew_schur(mu, gam, row_bounds) -> IntPolynomial:
         raise ValueError("ambient lengths differ")
     n = max(len(mu), max(row_bounds, default=0))
     terms = {}
-    for t in enumerate_tableaux(SkewShape(mu, gam), row_bounds):
-        e = word_weight(reading_word(t), n)
+    for rows in _tableau_rows(SkewShape(mu, gam), row_bounds):
+        e = word_weight(chain.from_iterable(rows), n)
         terms[e] = terms.get(e, 0) + 1
     return IntPolynomial(n, terms)
 

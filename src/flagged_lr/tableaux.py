@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import as_partition, contains
 
@@ -18,8 +19,6 @@ __all__ = [
     "dominant_tableau",
     "rectify",
     "row_insert",
-    "insertion_tableau",
-    "naive_tableau_count",
 ]
 
 
@@ -117,6 +116,45 @@ class SkewTableau:
         )
 
 
+def _tableau_rows(shape: SkewShape, bounds):
+    """Yield the rows of every semistandard filling of ``shape`` with row i
+    entries at most bounds[i], as a tuple of row tuples, without building
+    or validating a tableau.
+
+    Fillings come in lexicographic order of the row-major entry sequence.
+    An invalid shape yields nothing."""
+    if not shape.is_valid:
+        return
+    bounds = tuple(bounds)
+    if len(bounds) < shape.n_rows:
+        raise ValueError("row_bounds shorter than the shape")
+    spans = [shape.row_span(i) for i in range(shape.n_rows)]
+    cells = [(i, c) for i, (lo, hi) in enumerate(spans) for c in range(lo, hi)]
+    depth = len(cells)
+    pos = {cell: k for k, cell in enumerate(cells)}
+    # the slot past the last cell holds 0 and stands in for a missing
+    # left or upper neighbour
+    left = [pos.get((i, c - 1), depth) for i, c in cells]
+    above = [pos.get((i - 1, c), depth) for i, c in cells]
+    tops = [bounds[i] for i, _ in cells]
+    ends = list(accumulate(hi - lo for lo, hi in spans))
+    row_slices = list(zip([0] + ends, ends))
+    v = [0] * (depth + 1)
+    k = 0
+    while True:
+        if k == depth:
+            yield tuple([tuple(v[s:e]) for s, e in row_slices])
+            k -= 1
+        else:
+            v[k] = max(v[left[k]], v[above[k]] + 1) - 1
+        while k >= 0 and v[k] >= tops[k]:
+            k -= 1
+        if k < 0:
+            return
+        v[k] += 1
+        k += 1
+
+
 def enumerate_tableaux(shape: SkewShape, row_bounds):
     """All semistandard fillings with row i entries at most row_bounds[i].
 
@@ -124,44 +162,17 @@ def enumerate_tableaux(shape: SkewShape, row_bounds):
     flag.  Fillings are produced in lexicographic order of the row-major
     entry sequence.  An invalid shape yields the empty list.
     """
-    if not shape.is_valid:
-        return []
-    bounds = tuple(row_bounds)
-    if len(bounds) < shape.n_rows:
-        raise ValueError("row_bounds shorter than the shape")
-    spans = [shape.row_span(i) for i in range(shape.n_rows)]
-    rows = [[0] * (hi - lo) for lo, hi in spans]
-    cells = [(i, c) for i, (lo, hi) in enumerate(spans) for c in range(lo, hi)]
-    out = []
+    return [SkewTableau(shape, rows) for rows in _tableau_rows(shape, row_bounds)]
 
-    def fill(k: int):
-        if k == len(cells):
-            out.append(SkewTableau(shape, tuple(tuple(r) for r in rows)))
-            return
-        i, c = cells[k]
-        lo, _ = spans[i]
-        least = 1
-        if c > lo:
-            least = max(least, rows[i][c - lo - 1])
-        if i > 0:
-            plo, phi = spans[i - 1]
-            if plo <= c < phi:
-                least = max(least, rows[i - 1][c - plo] + 1)
-        for v in range(least, bounds[i] + 1):
-            rows[i][c - lo] = v
-            fill(k + 1)
-        rows[i][c - lo] = 0
 
-    fill(0)
-    return out
+def _reading_word(rows):
+    """Reverse-row reading word of raw rows."""
+    return tuple([v for row in rows for v in reversed(row)])
 
 
 def reading_word(t: SkewTableau):
     """Reverse-row reading word: right to left within rows, top row first."""
-    out = []
-    for row in t.rows:
-        out.extend(reversed(row))
-    return tuple(out)
+    return _reading_word(t.rows)
 
 
 def word_weight(word, n: int):
@@ -261,49 +272,3 @@ def row_insert(rows, x: int):
             row.append(x)
             return [tuple(r) for r in rows], (i, len(row) - 1)
         i += 1
-
-
-def insertion_tableau(word) -> SkewTableau:
-    """Row-insert the letters of word in order; the oracle behind rectify."""
-    rows = []
-    for x in word:
-        rows, _ = row_insert(rows, x)
-    outer = tuple(len(r) for r in rows) or (0,)
-    return SkewTableau(SkewShape(outer, (0,) * len(outer)), tuple(rows) or ((),))
-
-
-def naive_tableau_count(shape: SkewShape, row_bounds) -> int:
-    """Count fillings by filtering all candidate row combinations.
-
-    Deliberately independent of enumerate_tableaux's backtracking: builds
-    each row from all weakly increasing words below its bound and checks
-    columns afterwards.
-    """
-    if not shape.is_valid:
-        return 0
-
-    def rows_for(i):
-        lo, hi = shape.row_span(i)
-        length = hi - lo
-        bound = row_bounds[i]
-        words = [()]
-        for _ in range(length):
-            words = [w + (v,) for w in words for v in range(w[-1] if w else 1, bound + 1)]
-        return words
-
-    stack = [()]
-    for i in range(shape.n_rows):
-        options = rows_for(i)
-        new_stack = []
-        for chosen in stack:
-            for row in options:
-                try:
-                    SkewTableau(
-                        SkewShape(shape.outer[: i + 1], shape.inner[: i + 1]),
-                        chosen + (row,),
-                    )
-                except ValueError:
-                    continue
-                new_stack.append(chosen + (row,))
-        stack = new_stack
-    return len(stack)

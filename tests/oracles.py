@@ -1,0 +1,208 @@
+"""Slow reference implementations that the tests compare the library to.
+
+Each one computes something the library computes faster, by a method that
+shares as little as possible with the fast path.
+"""
+
+from functools import lru_cache
+from itertools import permutations
+
+from flagged_lr.core import (
+    contains,
+    inversions,
+    permutation_act,
+    sort_descending,
+    sub,
+    validate_flag,
+)
+from flagged_lr.crystal import is_dominant
+from flagged_lr.polynomials import IntPolynomial
+from flagged_lr.tableaux import (
+    SkewShape,
+    SkewTableau,
+    dominant_tableau,
+    enumerate_tableaux,
+    reading_word,
+    row_insert,
+    word_weight,
+)
+
+
+# ---------------------------------------------------------------------------
+# core
+# ---------------------------------------------------------------------------
+
+def minimal_sorting_permutation_bruteforce(alpha):
+    """Exhaustive-search oracle for sort_to_partition's minimality claim."""
+    target = sort_descending(alpha)
+    best = None
+    for w in permutations(range(1, len(alpha) + 1)):
+        if permutation_act(w, target) == tuple(alpha):
+            if best is None or inversions(w) < inversions(best):
+                best = w
+    return best
+
+
+# ---------------------------------------------------------------------------
+# tableaux
+# ---------------------------------------------------------------------------
+
+def insertion_tableau(word) -> SkewTableau:
+    """Row-insert the letters of word in order; the oracle behind rectify."""
+    rows = []
+    for x in word:
+        rows, _ = row_insert(rows, x)
+    outer = tuple(len(r) for r in rows) or (0,)
+    return SkewTableau(SkewShape(outer, (0,) * len(outer)), tuple(rows) or ((),))
+
+
+def naive_tableau_count(shape: SkewShape, row_bounds) -> int:
+    """Count fillings by filtering all candidate row combinations.
+
+    Deliberately independent of enumerate_tableaux's backtracking: builds
+    each row from all weakly increasing words below its bound and checks
+    columns afterwards.
+    """
+    if not shape.is_valid:
+        return 0
+
+    def rows_for(i):
+        lo, hi = shape.row_span(i)
+        length = hi - lo
+        bound = row_bounds[i]
+        words = [()]
+        for _ in range(length):
+            words = [w + (v,) for w in words for v in range(w[-1] if w else 1, bound + 1)]
+        return words
+
+    stack = [()]
+    for i in range(shape.n_rows):
+        options = rows_for(i)
+        new_stack = []
+        for chosen in stack:
+            for row in options:
+                try:
+                    SkewTableau(
+                        SkewShape(shape.outer[: i + 1], shape.inner[: i + 1]),
+                        chosen + (row,),
+                    )
+                except ValueError:
+                    continue
+                new_stack.append(chosen + (row,))
+        stack = new_stack
+    return len(stack)
+
+
+# ---------------------------------------------------------------------------
+# crystal: the tensor-product recursion and the prefix test for dominance
+# ---------------------------------------------------------------------------
+
+def _letter_lower(v, i):
+    return i + 1 if v == i else None
+
+
+def _letter_raise(v, i):
+    return i if v == i + 1 else None
+
+
+@lru_cache(maxsize=1 << 20)
+def _tensor_phi(word, i):
+    """phi_i by literally counting lowering applications."""
+    count = 0
+    w = word
+    while True:
+        w = tensor_lowering(w, i)
+        if w is None:
+            return count
+        count += 1
+
+
+def tensor_lowering(word, i: int):
+    """f_i on w1 (x) ... (x) wk via the left-associated tensor recursion."""
+    if not word:
+        return None
+    if len(word) == 1:
+        v = _letter_lower(word[0], i)
+        return None if v is None else (v,)
+    x, y = word[:-1], word[-1]
+    eps_y = 1 if y == i + 1 else 0
+    if eps_y < _tensor_phi(x, i):
+        fx = tensor_lowering(x, i)
+        return None if fx is None else fx + (y,)
+    v = _letter_lower(y, i)
+    return None if v is None else x + (v,)
+
+
+def tensor_raising(word, i: int):
+    """e_i on w1 (x) ... (x) wk via the left-associated tensor recursion."""
+    if not word:
+        return None
+    if len(word) == 1:
+        v = _letter_raise(word[0], i)
+        return None if v is None else (v,)
+    x, y = word[:-1], word[-1]
+    eps_y = 1 if y == i + 1 else 0
+    if eps_y <= _tensor_phi(x, i):
+        ex = tensor_raising(x, i)
+        return None if ex is None else ex + (y,)
+    v = _letter_raise(y, i)
+    return None if v is None else x + (v,)
+
+
+def prefix_dominant(word, n: int) -> bool:
+    """Prefix characterization: every prefix has at least as many i as i+1."""
+    counts = [0] * (n + 1)
+    for v in word:
+        counts[v] += 1
+        if any(counts[i] < counts[i + 1] for i in range(1, n)):
+            return False
+    return True
+
+
+def coefficient_by_enumeration(lam, mu, gam, nu, phi) -> int:
+    """Count lambda-dominant flagged skew tableaux of weight nu - lam by
+    enumerating every flagged tableau of shape mu/gam, filtering by weight
+    and testing dominance with the raising operators."""
+    n = len(mu)
+    if not len(lam) == len(gam) == len(nu) == n:
+        raise ValueError("ambient lengths differ")
+    validate_flag(phi, n)
+    if not contains(mu, gam) or not contains(nu, lam):
+        return 0
+    target = sub(nu, lam)
+    head = reading_word(dominant_tableau(lam))
+    count = 0
+    for t in enumerate_tableaux(SkewShape(mu, gam), phi):
+        word = reading_word(t)
+        if word_weight(word, n) != target:
+            continue
+        if is_dominant(head + word, n):
+            count += 1
+    return count
+
+
+# ---------------------------------------------------------------------------
+# polynomials
+# ---------------------------------------------------------------------------
+
+def demazure_Ti_by_division(f: IntPolynomial, i: int) -> IntPolynomial:
+    """Oracle: literally divide x_i f - x_{i+1} s_i f by x_i - x_{i+1}."""
+    if not 1 <= i <= f.n - 1:
+        raise IndexError(f"operator index {i} out of range for ambient {f.n}")
+    n = f.n
+    num = IntPolynomial.variable(n, i) * f - IntPolynomial.variable(n, i + 1) * f.swap(i)
+    quotient = {}
+    divisor_hi = IntPolynomial.variable(n, i)
+    divisor_lo = IntPolynomial.variable(n, i + 1)
+    while not num.is_zero():
+        lead = max(num.terms, key=lambda e: (e[i - 1], e))
+        if lead[i - 1] == 0:
+            raise ArithmeticError("division left a remainder")
+        c = num.terms[lead]
+        q = list(lead)
+        q[i - 1] -= 1
+        q = tuple(q)
+        quotient[q] = quotient.get(q, 0) + c
+        mono = IntPolynomial.monomial(q, c)
+        num = num - mono * divisor_hi + mono * divisor_lo
+    return IntPolynomial(n, quotient)

@@ -36,8 +36,6 @@ from flagged_lr.crystal import (
     raising,
     string_property_witness,
     tableau_word_set,
-    tensor_lowering,
-    tensor_raising,
 )
 from flagged_lr.hives import (
     SkewGTPattern,
@@ -71,6 +69,7 @@ from flagged_lr.tableaux import (
     rectify,
     word_weight,
 )
+from oracles import tensor_lowering, tensor_raising
 
 
 def report(name, ok, detail=""):

@@ -152,13 +152,12 @@ def test_invalid_flag_is_an_error(capsys):
 
 
 def test_scale_ceiling_diagnostic(capsys):
-    code = main(
-        ["--n", "4", "--limit", "3", "hive-count",
-         "--lam", "3,1,1,0", "--mu", "5,4,2,1", "--gam", "2,1,0,0",
-         "--nu", "7,4,2,1", "--phi", "2,2,3,4"]
-    )
-    assert code == 2
-    assert "ceiling" in capsys.readouterr().err
+    boundary = ["--lam", "3,1,1,0", "--mu", "5,4,2,1", "--gam", "2,1,0,0",
+                "--nu", "7,4,2,1", "--phi", "2,2,3,4"]
+    for command in (["hive-count"], ["coeff", "--method", "tableau"]):
+        code = main(["--n", "4", "--limit", "3", *command, *boundary])
+        assert code == 2
+        assert "ceiling" in capsys.readouterr().err
 
 
 def test_reports_are_deterministic(capsys):
@@ -176,8 +175,8 @@ def test_cross_check_reports_failures_with_bundle(monkeypatch):
 
     real = cli_mod.coefficient_by_tableaux
 
-    def corrupted(lam, mu, gam, nu, phi):
-        return real(lam, mu, gam, nu, phi) + 1
+    def corrupted(lam, mu, gam, nu, phi, limit=None):
+        return real(lam, mu, gam, nu, phi, limit) + 1
 
     monkeypatch.setattr(cli_mod, "coefficient_by_tableaux", corrupted)
     report = cross_check(2, 1)

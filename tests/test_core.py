@@ -9,7 +9,6 @@ from flagged_lr.core import (
     as_partition,
     inversions,
     longest_element,
-    minimal_sorting_permutation_bruteforce,
     parse_int_tuple,
     partial_sums,
     permutation_act,
@@ -19,6 +18,7 @@ from flagged_lr.core import (
     standard_flag,
     validate_flag,
 )
+from oracles import minimal_sorting_permutation_bruteforce
 
 
 def test_partial_sums_examples():

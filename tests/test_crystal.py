@@ -1,8 +1,18 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flagged_lr.core import permutation_act, reduced_word
+from flagged_lr.core import (
+    FlagError,
+    ScaleExceededError,
+    all_flags,
+    contains,
+    partitions_up_to,
+    permutation_act,
+    reduced_word,
+    subpartitions,
+)
 from flagged_lr.crystal import (
     StringPropertyError,
     apply_operator,
@@ -17,12 +27,9 @@ from flagged_lr.crystal import (
     is_dominant,
     is_lambda_dominant,
     lowering,
-    prefix_dominant,
     raising,
     string_property_witness,
     tableau_word_set,
-    tensor_lowering,
-    tensor_raising,
 )
 from flagged_lr.polynomials import key_polynomial
 from flagged_lr.tableaux import (
@@ -31,6 +38,12 @@ from flagged_lr.tableaux import (
     dominant_tableau,
     reading_word,
     word_weight,
+)
+from oracles import (
+    coefficient_by_enumeration,
+    prefix_dominant,
+    tensor_lowering,
+    tensor_raising,
 )
 
 
@@ -216,6 +229,77 @@ def test_coefficient_by_tableaux_examples():
 def test_coefficient_zero_outside_containments():
     assert coefficient_by_tableaux((1, 0), (1, 0), (2, 0), (2, 0), (2, 2)) == 0
     assert coefficient_by_tableaux((2, 2), (1, 0), (0, 0), (2, 1), (2, 2)) == 0
+
+
+def test_tableau_search_census_matches_enumeration():
+    """Every n <= 3 tuple with |mu|, |lam| <= 4, every gam inside mu, every
+    flag and every nu up to the balanced weight, so that mismatched weights
+    are in the grid too."""
+    checked = 0
+    for n in (1, 2, 3):
+        flags = all_flags(n)
+        for mu in partitions_up_to(n, 4):
+            for gam in subpartitions(mu):
+                for lam in partitions_up_to(n, 4):
+                    for nu in partitions_up_to(n, sum(lam) + sum(mu) - sum(gam)):
+                        for phi in flags:
+                            args = (lam, mu, gam, nu, phi)
+                            want = coefficient_by_enumeration(*args)
+                            assert coefficient_by_tableaux(*args) == want, args
+                            checked += 1
+    assert checked == 51507
+
+
+@st.composite
+def tableau_route_inputs(draw):
+    """n = 4 inputs: nu is either a partition of the balanced weight that
+    contains lam, or any composition (mismatched weights, non-partitions)."""
+    n = 4
+    parts = st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n)
+    lam = tuple(sorted(draw(parts), reverse=True))
+    mu = tuple(sorted(draw(parts), reverse=True))
+    gam = draw(st.sampled_from(subpartitions(mu)))
+    total = sum(lam) + sum(mu) - sum(gam)
+    balanced = [
+        nu for nu in partitions_up_to(n, total) if sum(nu) == total and contains(nu, lam)
+    ]
+    any_nu = st.lists(st.integers(min_value=0, max_value=6), min_size=n, max_size=n)
+    nu = tuple(draw(st.sampled_from(balanced) | any_nu if balanced else any_nu))
+    return lam, mu, gam, nu, draw(st.sampled_from(all_flags(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tableau_route_inputs())
+def test_tableau_search_matches_enumeration_n4(args):
+    assert coefficient_by_tableaux(*args) == coefficient_by_enumeration(*args)
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (((1, 0), (1, 0, 0), (0, 0), (1, 1), (2, 2)), ValueError),  # lengths differ
+        (((1, 0), (1, 0), (0, 0), (1, 1), (2, 1)), FlagError),
+        (((0, 1), (1, 1), (0, 0), (1, 2), (2, 2)), ValueError),  # lam not a partition
+        (((1, 0), (1, 2), (0, 0), (2, 2), (2, 2)), ValueError),  # mu not a partition
+    ],
+)
+def test_tableau_search_errors_match_enumeration(args, error):
+    with pytest.raises(ValueError) as fast:
+        coefficient_by_tableaux(*args)
+    with pytest.raises(ValueError) as slow:
+        coefficient_by_enumeration(*args)
+    assert type(fast.value) is type(slow.value) is error
+
+
+def test_tableau_search_limit_counts_letters_placed():
+    # one cell, and the letter 2 is the only one placed
+    args = ((1, 0), (1, 0), (0, 0), (1, 1), (2, 2))
+    assert coefficient_by_tableaux(*args, limit=1) == 1
+    with pytest.raises(ScaleExceededError):
+        coefficient_by_tableaux(*args, limit=0)
+    worked = ((3, 1, 1, 0), (5, 4, 2, 1), (2, 1, 0, 0), (7, 4, 2, 1), (2, 2, 3, 4))
+    with pytest.raises(ScaleExceededError):
+        coefficient_by_tableaux(*worked, limit=3)
 
 
 def test_crystal_graph_dot():

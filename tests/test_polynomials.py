@@ -10,7 +10,6 @@ from flagged_lr.polynomials import (
     coefficient_by_demazure,
     coefficient_table_by_demazure,
     demazure_Ti,
-    demazure_Ti_by_division,
     demazure_Tw,
     expand_in_key,
     expand_in_schur,
@@ -18,6 +17,7 @@ from flagged_lr.polynomials import (
     key_polynomial,
     schur,
 )
+from oracles import demazure_Ti_by_division
 
 
 def mono(*exps):

@@ -1,20 +1,22 @@
 import json
 import random
+from itertools import chain
 
 import pytest
 
 from conftest import skew_pairs
+from flagged_lr.core import all_flags
 from flagged_lr.tableaux import (
     SkewShape,
     SkewTableau,
+    _tableau_rows,
     dominant_tableau,
     enumerate_tableaux,
-    insertion_tableau,
-    naive_tableau_count,
     reading_word,
     reading_word_and_weight,
     rectify,
 )
+from oracles import insertion_tableau, naive_tableau_count
 
 
 def trimmed(t):
@@ -53,6 +55,19 @@ def test_counts_match_naive_filler():
             assert len(enumerate_tableaux(shape, bounds)) == naive_tableau_count(
                 shape, bounds
             )
+
+
+def test_raw_rows_are_the_tableaux_in_lexicographic_order():
+    """On the criterion-2 shapes and flags: the raw rows are distinct, in
+    lexicographic order of the row-major entries, as many as the naive
+    filler finds, and the rows of enumerate_tableaux in the same order."""
+    for mu, gam in skew_pairs(2, 4):
+        shape = SkewShape(mu, gam)
+        for phi in all_flags(2):
+            rows = list(_tableau_rows(shape, phi))
+            assert rows == sorted(set(rows), key=lambda r: tuple(chain(*r)))
+            assert len(rows) == naive_tableau_count(shape, phi)
+            assert [t.rows for t in enumerate_tableaux(shape, phi)] == rows
 
 
 def test_reading_word_worked_example():
