@@ -10,7 +10,6 @@ insertion processing the display-rightmost biword column first passes both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import as_partition, sub, validate_flag
 from .tableaux import (
@@ -18,6 +17,7 @@ from .tableaux import (
     SkewTableau,
     enumerate_tableaux,
     reading_word,
+    rectify,
     word_weight,
 )
 
@@ -330,57 +330,28 @@ def knuth_class(word):
     return frozenset(seen)
 
 
-def _parses_into_columns(word, lengths):
-    """Can word split into strictly decreasing blocks of the given lengths
-    (in some order)?"""
-
-    @lru_cache(maxsize=None)
-    def rec(w, ls):
-        if not w:
-            return not ls
-        for length in set(ls):
-            block = w[:length]
-            if len(block) == length and all(
-                block[i] > block[i + 1] for i in range(length - 1)
-            ):
-                rest = list(ls)
-                rest.remove(length)
-                if rec(w[length:], tuple(sorted(rest))):
-                    return True
-        return False
-
-    return rec(tuple(word), tuple(sorted(lengths)))
-
-
 def left_key(t: SkewTableau) -> SkewTableau:
-    """Left key tableau, computed from the definition via column-rearranged
-    words: the length-L column of the key collects the letters of the first
-    block in any Knuth-equivalent word that factors into strictly decreasing
-    blocks whose lengths rearrange the column lengths, starting with L.
+    """Left key of a straight tableau by column rearrangement
+    (Lascoux-Schuetzenberger; Fulton, Young Tableaux, App. A.5).
 
-    Words in a plactic class are finite in number, so for the desk-scale
-    tableaux this library handles the search is exact."""
+    Column j of the key is the first column of the anti-normal tableau
+    Knuth-equivalent to the first j columns of t.  Turning those columns by
+    180 degrees and replacing each letter x by top - x maps Knuth classes to
+    Knuth classes, so that column is the complement of the last column of
+    the rectified turned tableau: one rectification per column."""
+    if any(t.shape.inner):
+        raise ValueError("left keys are defined for straight tableaux only")
     cols = _columns_of(t)
     if not cols or not cols[0]:
         return t
-    lengths = [len(c) for c in cols]
-    word = tuple(reversed(reading_word(t)))
-    cls = sorted(knuth_class(word))
-    letter_sets = {}
-    for length in sorted(set(lengths)):
-        found = None
-        rest = list(lengths)
-        rest.remove(length)
-        for w in cls:
-            head = w[:length]
-            if all(head[i] > head[i + 1] for i in range(length - 1)):
-                if _parses_into_columns(w[length:], rest):
-                    found = frozenset(head)
-                    break
-        if found is None:
-            raise ValueError(f"no column-rearranged word with first block {length}")
-        letter_sets[length] = found
-    key_cols = [sorted(letter_sets[len(c)]) for c in cols]
+    rows = t.rows[: len(cols[0])]
+    top = max(row[-1] for row in rows) + 1
+    key_cols = []
+    for j in range(1, len(cols) + 1):
+        turned = [tuple(top - x for x in reversed(row[:j])) for row in reversed(rows)]
+        inner = tuple(j - len(row) for row in turned)
+        rect = rectify(SkewTableau(SkewShape((j,) * len(turned), inner), turned))
+        key_cols.append([top - row[-1] for row in reversed(rect.rows) if len(row) == j])
     key = _straight_tableau(_rows_from_columns(key_cols))
     if not is_key(key):
         raise ValueError(f"left key extraction produced a non-key {key.rows}")

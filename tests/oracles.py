@@ -7,6 +7,13 @@ shares as little as possible with the fast path.
 from functools import lru_cache
 from itertools import permutations
 
+from flagged_lr.burge import (
+    _columns_of,
+    _rows_from_columns,
+    _straight_tableau,
+    is_key,
+    knuth_class,
+)
 from flagged_lr.core import (
     contains,
     inversions,
@@ -206,3 +213,64 @@ def demazure_Ti_by_division(f: IntPolynomial, i: int) -> IntPolynomial:
         mono = IntPolynomial.monomial(q, c)
         num = num - mono * divisor_hi + mono * divisor_lo
     return IntPolynomial(n, quotient)
+
+
+# ---------------------------------------------------------------------------
+# burge
+# ---------------------------------------------------------------------------
+
+def _parses_into_columns(word, lengths):
+    """Can word split into strictly decreasing blocks of the given lengths
+    (in some order)?"""
+
+    @lru_cache(maxsize=None)
+    def rec(w, ls):
+        if not w:
+            return not ls
+        for length in set(ls):
+            block = w[:length]
+            if len(block) == length and all(
+                block[i] > block[i + 1] for i in range(length - 1)
+            ):
+                rest = list(ls)
+                rest.remove(length)
+                if rec(w[length:], tuple(sorted(rest))):
+                    return True
+        return False
+
+    return rec(tuple(word), tuple(sorted(lengths)))
+
+
+def left_key_by_knuth_class(t: SkewTableau) -> SkewTableau:
+    """Left key tableau, computed from the definition via column-rearranged
+    words: the length-L column of the key collects the letters of the first
+    block in any Knuth-equivalent word that factors into strictly decreasing
+    blocks whose lengths rearrange the column lengths, starting with L.
+
+    Words in a plactic class are finite in number, so for the desk-scale
+    tableaux this library handles the search is exact."""
+    cols = _columns_of(t)
+    if not cols or not cols[0]:
+        return t
+    lengths = [len(c) for c in cols]
+    word = tuple(reversed(reading_word(t)))
+    cls = sorted(knuth_class(word))
+    letter_sets = {}
+    for length in sorted(set(lengths)):
+        found = None
+        rest = list(lengths)
+        rest.remove(length)
+        for w in cls:
+            head = w[:length]
+            if all(head[i] > head[i + 1] for i in range(length - 1)):
+                if _parses_into_columns(w[length:], rest):
+                    found = frozenset(head)
+                    break
+        if found is None:
+            raise ValueError(f"no column-rearranged word with first block {length}")
+        letter_sets[length] = found
+    key_cols = [sorted(letter_sets[len(c)]) for c in cols]
+    key = _straight_tableau(_rows_from_columns(key_cols))
+    if not is_key(key):
+        raise ValueError(f"left key extraction produced a non-key {key.rows}")
+    return key

@@ -1,8 +1,10 @@
+import random
 from itertools import combinations_with_replacement, product
 
 import pytest
 
 from conftest import skew_pairs
+from oracles import insertion_tableau, left_key_by_knuth_class
 from flagged_lr.burge import (
     Biword,
     insertion_decomposition,
@@ -22,7 +24,7 @@ from flagged_lr.burge import (
     reverse_filling,
     standardize,
 )
-from flagged_lr.core import all_flags, sub
+from flagged_lr.core import all_flags, partitions_up_to, sub
 from flagged_lr.crystal import decompose, tableau_word_set
 from flagged_lr.hives import enumerate_tri_hive_points
 from flagged_lr.tableaux import (
@@ -172,6 +174,45 @@ def test_left_key_shape_preserved_and_is_key():
             assert is_key(lk)
             beta = word_weight(reading_word(lk), 3)
             assert tuple(sorted((b for b in beta if b), reverse=True)) == nonzero
+
+
+def test_left_key_equals_knuth_class_oracle_census():
+    # straight tableaux: (n, most boxes, largest entry)
+    tableaux = [
+        t
+        for n, max_boxes, max_entry in [(1, 8, 2), (2, 8, 3), (3, 8, 4), (4, 7, 4)]
+        for lam in partitions_up_to(n, max_boxes)
+        for t in enumerate_tableaux(SkewShape(lam, (0,) * n), (max_entry,) * n)
+    ]
+    # recording tableaux over the criterion-9 class grid
+    tableaux += [
+        cls.recording
+        for mu, gam in skew_pairs(2, 5)
+        for phi in all_flags(2)
+        for cls in insertion_decomposition(mu, gam, phi)
+    ]
+    assert len(tableaux) > 6_700
+    for t in tableaux:
+        assert left_key(t).rows == left_key_by_knuth_class(t).rows, t.rows
+
+
+def test_left_key_of_large_tableaux_is_a_key_below_the_tableau():
+    rng = random.Random(4)
+    for _ in range(10):
+        word = tuple(rng.randint(1, 5) for _ in range(rng.randint(16, 20)))
+        t = insertion_tableau(word)
+        lk = left_key(t)
+        assert tuple(map(len, lk.rows)) == tuple(map(len, t.rows))
+        assert is_key(lk)
+        assert all(
+            a <= b for k_row, t_row in zip(lk.rows, t.rows) for a, b in zip(k_row, t_row)
+        )
+
+
+def test_left_key_rejects_skew_tableaux():
+    t = SkewTableau(SkewShape((2, 1), (1, 0)), ((1,), (1,)))
+    with pytest.raises(ValueError, match="straight"):
+        left_key(t)
 
 
 def test_knuth_class_small():

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from flagged_lr.cli import (
+    _single_coefficient,
     cross_check,
     hive_iso_report,
     main,
@@ -183,6 +186,30 @@ def test_cross_check_reports_failures_with_bundle(monkeypatch):
     assert not report["ok"]
     assert report["failure"] == "three-way coefficient mismatch"
     assert "counts" in report and "tuple" in report
+
+
+def test_cross_check_counts_hives_once_and_reports_the_mismatch(monkeypatch):
+    # with lam inside nu the hive count is the isomorphism report's skew count,
+    # so one hive too many shows as a three-way mismatch, not an iso failure
+    import flagged_lr.cli as cli_mod
+
+    real = cli_mod.enumerate_skew_hive_points
+
+    def one_extra(*args, **kwargs):
+        points = real(*args, **kwargs)
+        return points + points[:1]
+
+    monkeypatch.setattr(cli_mod, "enumerate_skew_hive_points", one_extra)
+    report = cross_check(2, 1)
+    assert not report["ok"]
+    assert report["failure"] == "three-way coefficient mismatch"
+    assert report["counts"]["hive"] == report["counts"]["tableau"] + 1
+
+
+@pytest.mark.parametrize("method", ["tableau", "hive", "demazure"])
+def test_every_route_rejects_a_length_mismatch(method):
+    with pytest.raises(ValueError, match="ambient lengths differ"):
+        _single_coefficient((1, 0), (1, 0), (0, 0), (1, 1, 0), (2, 2), method, None)
 
 
 def test_python_level_reports():
