@@ -47,6 +47,7 @@ from .hives import (
     SkewGTPattern,
     SkewHive,
     TriHive,
+    count_skew_hive_points,
     enumerate_flagged_gt_points,
     enumerate_skew_hive_points,
     enumerate_tri_hive_points,

@@ -29,7 +29,7 @@ from .crystal import (
     tableau_word_set,
 )
 from .hives import (
-    _skew_hive_rows,
+    count_skew_hive_points,
     enumerate_skew_hive_points,
     enumerate_tri_hive_points,
     lift_tilde,
@@ -62,7 +62,7 @@ def hive_count(lam, mu, gam, nu, phi, limit=None) -> int:
     of the boundary do not match, as on the other two routes."""
     if weight(lam) + weight(mu) != weight(gam) + weight(nu):
         return 0
-    return sum(1 for _ in _skew_hive_rows(lam, mu, gam, nu, phi, limit))
+    return count_skew_hive_points(lam, mu, gam, nu, phi, limit)
 
 
 def run_coefficient(lam, mu, gam, nu, phi, method="all", limit=None):

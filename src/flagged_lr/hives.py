@@ -10,6 +10,11 @@ sum(minus)``; a compile step, cached per grid size and flag, turns the table
 into bounds on each free node, and the engine places labels row-major in
 lexicographic order.  ``limit`` counts the labels placed at free nodes.
 
+The hive route counts instead of enumerating: a memoized pass goes over the
+free nodes in the same order and merges the partial points that agree on
+the labels later bounds still read.  There ``limit`` counts the labels the
+pass tries, the range of each merged state it expands.
+
 Node indexing: row i counts from the top.  A parallelogram hive has rows
 0..n each with nodes 0..n; a triangular hive has rows 0..N where row i has
 nodes 0..i.  Rhombus contents are the sum of labels at the obtuse corners
@@ -51,6 +56,7 @@ __all__ = [
     "hive_from_gt",
     "gt_from_hive",
     "enumerate_skew_hive_points",
+    "count_skew_hive_points",
     "lift_tilde",
     "TriHive",
     "tri_hive_contents",
@@ -76,7 +82,7 @@ class HiveValidationError(ValueError):
 # the lattice-point engine
 # ---------------------------------------------------------------------------
 
-_Polytope = namedtuple("_Polytope", "index free lows highs checks spans")
+_Polytope = namedtuple("_Polytope", "index free lows highs checks spans live reads keeps")
 
 
 def _compile(grid, boundary, table) -> _Polytope:
@@ -86,7 +92,13 @@ def _compile(grid, boundary, table) -> _Polytope:
     first, then the free nodes row-major.  Nodes are numbered row-major and
     one extra node holds 0.  ``lows[k]``/``highs[k]`` bound ``free[k]`` by
     triples (a, b, c) standing for ``v[a] + v[b] - v[c]``; ``checks`` are
-    the inequalities among boundary nodes, ``spans`` the rows' extents."""
+    the inequalities among boundary nodes, ``spans`` the rows' extents.
+
+    ``live[k]`` lists the free nodes placed before depth k that a bound at
+    depth k or later still reads, in placement order.  ``reads[k]`` pairs
+    each of them that a bound at depth k reads with its position in
+    ``live[k]``; ``keeps[k]`` gives the positions in ``live[k]`` of the
+    nodes that stay in ``live[k + 1]``."""
     nodes = [node for row in grid for node in row]
     index = {node: k for k, node in enumerate(nodes)}
     zero = len(nodes)
@@ -108,11 +120,31 @@ def _compile(grid, boundary, table) -> _Polytope:
         (c,) = [index[q] for q in neg] or [zero]
         bounds[rank[last]].add((a, b, c))
     ends = list(accumulate(len(row) for row in grid))
+    slots = [index[node] for node in free]
+    read_at = [{p for triple in lows[k] | highs[k] for p in triple} for k in range(len(free))]
+    live = [tuple(p for p in slots[:k] if any(p in read for read in read_at[k:]))
+            for k in range(len(free) + 1)]
+    reads = [tuple((p, i) for i, p in enumerate(live[k]) if p in read_at[k])
+             for k in range(len(free))]
+    keeps = [tuple(live[k].index(p) for p in live[k + 1] if p != slot)
+             for k, slot in enumerate(slots)]
     return _Polytope(
-        index, tuple(index[node] for node in free),
+        index, tuple(slots),
         tuple(tuple(sorted(b)) for b in lows), tuple(tuple(sorted(b)) for b in highs),
         tuple(checks), tuple(zip([0] + ends, ends)),
+        tuple(live), tuple(reads), tuple(keeps),
     )
+
+
+def _boundary_labels(poly: _Polytope, fixed):
+    """The label array with ``fixed`` (boundary node -> label) placed, or
+    None when the boundary breaks an inequality among its own nodes."""
+    v = [0] * (len(poly.index) + 1)
+    for node, x in fixed.items():
+        v[poly.index[node]] = x
+    if any(sum(v[p] for p in plus) < sum(v[q] for q in minus) for plus, minus in poly.checks):
+        return None
+    return v
 
 
 def _lattice_points(poly: _Polytope, fixed, limit):
@@ -121,10 +153,8 @@ def _lattice_points(poly: _Polytope, fixed, limit):
 
     Raises ScaleExceededError once more than ``limit`` labels have been
     placed at free nodes."""
-    v = [0] * (len(poly.index) + 1)
-    for node, x in fixed.items():
-        v[poly.index[node]] = x
-    if any(sum(v[p] for p in plus) < sum(v[q] for q in minus) for plus, minus in poly.checks):
+    v = _boundary_labels(poly, fixed)
+    if v is None:
         return
     free, lows, highs, spans = poly.free, poly.lows, poly.highs, poly.spans
     depth = len(free)
@@ -148,6 +178,45 @@ def _lattice_points(poly: _Polytope, fixed, limit):
         if left < 0:
             raise ScaleExceededError("enumeration ceiling exceeded")
         k += 1
+
+
+def _count_points(poly: _Polytope, fixed, limit):
+    """The number of points ``_lattice_points`` yields, without listing them.
+
+    Going forward over the free nodes, the pass keeps a dict from the labels
+    of ``live[k]`` to the number of partial points that carry them; a node
+    no later bound reads adds its whole range to its parent's count at once.
+    Raises ScaleExceededError once more than ``limit`` labels have been
+    tried, hi - lo + 1 for each state expanded."""
+    v = _boundary_labels(poly, fixed)
+    if v is None:
+        return 0
+    left = math.inf if limit is None else limit
+    states = {(): 1}
+    for k, node in enumerate(poly.free):
+        lows, highs, reads, keeps = poly.lows[k], poly.highs[k], poly.reads[k], poly.keeps[k]
+        # ``node`` comes last in live[k + 1] when a later bound reads it
+        read_later = node in poly.live[k + 1]
+        merged = {}
+        for labels, mult in states.items():
+            for p, i in reads:
+                v[p] = labels[i]
+            lo = max([v[a] + v[b] - v[c] for a, b, c in lows])
+            hi = min([v[a] + v[b] - v[c] for a, b, c in highs])
+            if hi < lo:
+                continue
+            left -= hi - lo + 1
+            if left < 0:
+                raise ScaleExceededError("enumeration ceiling exceeded")
+            head = tuple([labels[i] for i in keeps])
+            if not read_later:
+                merged[head] = merged.get(head, 0) + mult * (hi - lo + 1)
+                continue
+            for x in range(lo, hi + 1):
+                key = head + (x,)
+                merged[key] = merged.get(key, 0) + mult
+        states = merged
+    return sum(states.values())
 
 
 def _contents(rows, rhombi):
@@ -444,9 +513,9 @@ def _skew_polytope(n, phi) -> _Polytope:
     return _compile(grid, skew_hive_boundary(zeros, zeros, zeros, zeros), table)
 
 
-def _skew_hive_rows(lam, mu, gam, nu, phi, limit):
-    """The rows of labels of every integral skew hive with the given
-    boundary, as a generator; the input checks run on the call."""
+def _skew_hive_input(lam, mu, gam, nu, phi):
+    """The compiled polytope and the boundary labels of the skew hives with
+    the given boundary, after the input checks."""
     n = len(lam)
     if not len(mu) == len(gam) == len(nu) == n:
         raise ValueError("ambient lengths differ")
@@ -454,14 +523,21 @@ def _skew_hive_rows(lam, mu, gam, nu, phi, limit):
         raise ValueError("weight mismatch: |lam|+|mu| != |gam|+|nu|")
     if phi is not None:
         phi = validate_flag(phi, n)
-    fixed = skew_hive_boundary(lam, mu, gam, nu)
-    return _lattice_points(_skew_polytope(n, phi), fixed, limit)
+    return _skew_polytope(n, phi), skew_hive_boundary(lam, mu, gam, nu)
 
 
 def enumerate_skew_hive_points(lam, mu, gam, nu, phi=None, limit=None):
     """All integral skew hives with the given boundary, optionally restricted
     to the flag face (every NE rhombus in the flat region has content zero)."""
-    return [SkewHive(rows) for rows in _skew_hive_rows(lam, mu, gam, nu, phi, limit)]
+    points = _lattice_points(*_skew_hive_input(lam, mu, gam, nu, phi), limit)
+    return [SkewHive(rows) for rows in points]
+
+
+def count_skew_hive_points(lam, mu, gam, nu, phi=None, limit=None) -> int:
+    """The number of points ``enumerate_skew_hive_points`` returns, counted
+    by the memoized pass without listing them; ``limit`` counts the labels
+    the pass tries."""
+    return _count_points(*_skew_hive_input(lam, mu, gam, nu, phi), limit)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from flagged_lr.cli import (
+    DEFAULT_LIMIT,
     _single_coefficient,
     cross_check,
     hive_iso_report,
@@ -72,6 +73,14 @@ def test_saturate_zero_boundary(capsys):
     )
     assert code == 0
     assert json.loads(out)["values"] == [1, 1, 1]
+
+
+def test_saturation_scan_counts_the_n5_case_to_k5():
+    # k = 5 has 463,652 points, and counting them stays under the default limit
+    rep = saturation_scan((4, 3, 2, 1, 0), (5, 4, 3, 2, 1), (1, 0, 0, 0, 0),
+                          (7, 6, 5, 4, 2), (5,) * 5, 5, DEFAULT_LIMIT)
+    assert rep["values"] == [54, 1182, 13020, 90920, 463652]
+    assert rep["ok"]
 
 
 def test_decompose_command(capsys):

@@ -11,8 +11,14 @@ from flagged_lr.hives import (
     ScaleExceededError,
     SkewGTPattern,
     SkewHive,
+    _count_points,
+    _gt_polytope,
+    _lattice_points,
+    _skew_hive_input,
+    _tri_polytope,
     check_skew_hive,
     check_tri_hive,
+    count_skew_hive_points,
     enumerate_flagged_gt_points,
     enumerate_skew_hive_points,
     enumerate_tri_hive_points,
@@ -24,6 +30,7 @@ from flagged_lr.hives import (
     scale_labels,
     skew_flat_region,
     skew_hive_contents,
+    tri_hive_boundary,
     tri_kogan_region,
     upsilon,
     upsilon_inverse,
@@ -212,6 +219,80 @@ def test_scale_ceiling_raises():
         enumerate_tri_hive_points((2, 1, 0), (2, 1, 0), (3, 2, 1), limit=1)
 
 
+def _weight_matched(n, total):
+    return [nu for nu in partitions_up_to(n, total) if sum(nu) == total]
+
+
+def _skew_census():
+    """Every skew tuple with n <= 3 and |lam|, |mu| <= 4, every flag and none."""
+    for n in (1, 2, 3):
+        for lam in partitions_up_to(n, 4):
+            for mu, gam in skew_pairs(n, 4):
+                for nu in _weight_matched(n, sum(lam) + sum(mu) - sum(gam)):
+                    for phi in all_flags(n) + [None]:
+                        yield (lam, mu, gam, nu, phi), _skew_hive_input(lam, mu, gam, nu, phi)
+
+
+def _tri_census():
+    """Every triangular tuple with n <= 3 and |alpha|, |beta| <= 4, every
+    flag and none."""
+    for n in (1, 2, 3):
+        for alpha in partitions_up_to(n, 4):
+            for beta in partitions_up_to(n, 4):
+                for gam in _weight_matched(n, sum(alpha) + sum(beta)):
+                    for phi in all_flags(n) + [None]:
+                        yield (alpha, beta, gam, phi), (
+                            _tri_polytope(n, phi), tri_hive_boundary(alpha, beta, gam))
+
+
+def _gt_census():
+    """Every skew GT case with n <= 3, |mu| <= 5 and every flag."""
+    for n in (1, 2, 3):
+        for mu, gam in skew_pairs(n, 5):
+            fixed = {(i, j): row[j] for i, row in ((0, gam), (n, mu)) for j in range(n)}
+            for phi in all_flags(n):
+                yield (mu, gam, phi), (_gt_polytope(n, phi), fixed)
+
+
+@pytest.mark.parametrize("census, size", [
+    (_skew_census, 19565), (_tri_census, 6054), (_gt_census, 681),
+], ids=["skew", "tri", "gt"])
+def test_count_points_census(census, size):
+    checked = 0
+    for case, (poly, fixed) in census():
+        listed = sum(1 for _ in _lattice_points(poly, fixed, None))
+        assert _count_points(poly, fixed, None) == listed, case
+        checked += 1
+    assert checked == size
+
+
+def test_count_limit_counts_labels_tried(worked_hive):
+    # n = 2 leaves one free node, so the pass tries one label per point
+    args = ((2, 1), (2, 1), (1, 0), (3, 2), None)
+    assert count_skew_hive_points(*args, limit=2) == 2
+    with pytest.raises(ScaleExceededError):
+        count_skew_hive_points(*args, limit=1)
+    # the worked example: the pass tries 56 labels, one fewer than the
+    # enumerator places, because partial points that agree on the nodes
+    # later bounds read are expanded once
+    args = [worked_hive[k] for k in ("lam", "mu", "gam", "nu", "phi")]
+    assert count_skew_hive_points(*args, limit=56) == 3
+    with pytest.raises(ScaleExceededError):
+        count_skew_hive_points(*args, limit=55)
+    assert len(enumerate_skew_hive_points(*args, limit=57)) == 3
+    with pytest.raises(ScaleExceededError):
+        enumerate_skew_hive_points(*args, limit=56)
+
+
+def test_count_skew_hive_points_shares_the_input_checks():
+    with pytest.raises(ValueError, match="weight mismatch"):
+        count_skew_hive_points((0, 0), (1, 0), (0, 0), (2, 0), (2, 2))
+    with pytest.raises(ValueError, match="ambient lengths differ"):
+        count_skew_hive_points((1, 0), (1, 0), (0, 0), (1, 1, 0))
+    with pytest.raises(ValueError):
+        count_skew_hive_points((1, 0), (1, 0), (0, 0), (1, 1), (2, 1))
+
+
 @st.composite
 def skew_hive_inputs(draw):
     """Random n <= 3 boundaries of matching weight, nu containing lam when
@@ -233,10 +314,14 @@ def test_engine_agrees_with_independent_oracles(args):
     lam, mu, gam, nu, phi = args
     points = enumerate_skew_hive_points(lam, mu, gam, nu, phi)
     assert len(points) == coefficient_by_tableaux(lam, mu, gam, nu, phi)
+    assert count_skew_hive_points(lam, mu, gam, nu, phi) == len(points)
     assert all(not check_skew_hive(h.rows, lam, mu, gam, nu, phi) for h in points)
     if contains(nu, lam):
         lifted = lift_tilde(lam, mu, gam, nu, phi)
         assert len(enumerate_tri_hive_points(*lifted)) == len(points)
+        # the census's triangles have at most one free node; these have many
+        poly = _tri_polytope(2 * len(lam), lifted[3])
+        assert _count_points(poly, tri_hive_boundary(*lifted[:3]), None) == len(points)
 
 
 def test_lift_tilde_examples(worked_hive):
