@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from time import perf_counter
 
 from .core import (
     ScaleExceededError,
@@ -28,14 +29,7 @@ from .crystal import (
     decompose,
     tableau_word_set,
 )
-from .hives import (
-    count_skew_hive_points,
-    enumerate_skew_hive_points,
-    enumerate_tri_hive_points,
-    lift_tilde,
-    psi,
-    psi_inverse,
-)
+from .hives import _check_doubling, count_skew_hive_points
 from .polynomials import (
     coefficient_by_demazure,
     coefficient_table_by_demazure,
@@ -60,8 +54,6 @@ def _nu_candidates(lam, mu, gam, n):
 def hive_count(lam, mu, gam, nu, phi, limit=None) -> int:
     """Lattice points of the flagged skew hive polytope; 0 when the weights
     of the boundary do not match, as on the other two routes."""
-    if weight(lam) + weight(mu) != weight(gam) + weight(nu):
-        return 0
     return count_skew_hive_points(lam, mu, gam, nu, phi, limit)
 
 
@@ -192,12 +184,8 @@ def _character_sum_matches(components, mu, gam, phi) -> bool:
 
 def hive_iso_report(lam, mu, gam, nu, phi, limit=None):
     """Counts on both sides of the doubling map plus the exact roundtrip."""
-    skew_points = enumerate_skew_hive_points(lam, mu, gam, nu, phi, limit=limit)
-    lam_t, mu_t, nu_t, phi_t = lift_tilde(lam, mu, gam, nu, phi)
-    tri_points = enumerate_tri_hive_points(lam_t, mu_t, nu_t, phi_t, limit=limit)
-    roundtrip = all(psi_inverse(psi(h)) == h for h in skew_points)
-    images = {psi(h).rows for h in skew_points}
-    image_ok = images <= {t.rows for t in tri_points}
+    (lam_t, mu_t, nu_t, phi_t), skew_count, tri_count, roundtrip, image_ok = (
+        _check_doubling(lam, mu, gam, nu, phi, limit))
     return {
         "query": _query_dict(lam, mu, gam, nu, phi, "hive"),
         "lifted": {
@@ -206,10 +194,10 @@ def hive_iso_report(lam, mu, gam, nu, phi, limit=None):
             "nu": list(nu_t),
             "phi": list(phi_t),
         },
-        "skew_count": len(skew_points),
-        "tri_count": len(tri_points),
+        "skew_count": skew_count,
+        "tri_count": tri_count,
         "roundtrip_identity": roundtrip,
-        "ok": len(skew_points) == len(tri_points) and roundtrip and image_ok,
+        "ok": skew_count == tri_count and roundtrip and image_ok,
     }
 
 
@@ -219,7 +207,12 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
 
     Stops at the first failing tuple and returns its reproduction data."""
     flags = [validate_flag(f, n) for f in (flags or all_flags(n))]
+    # the candidates for nu by weight; |lam| + |mu| - |gam| <= 2 * max_mu
+    nu_candidates = {}
+    for nu in partitions_up_to(n, 2 * max_mu):
+        nu_candidates.setdefault(weight(nu), []).append(nu)
     checked = {"tuples": 0, "decompositions": 0}
+    start = perf_counter()
     for mu in partitions_up_to(n, max_mu):
         for gam in subpartitions(mu):
             for phi in flags:
@@ -234,7 +227,8 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
                 checked["decompositions"] += 1
                 for lam in subpartitions(mu):
                     demazure_table = coefficient_table_by_demazure(lam, mu, gam, phi)
-                    for nu in _nu_candidates(lam, mu, gam, n):
+                    total = weight(lam) + weight(mu) - weight(gam)
+                    for nu in nu_candidates[total]:
                         # the isomorphism report enumerates the skew hives
                         # anyway, so its count stands in for hive_count
                         iso = None
@@ -266,7 +260,10 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
                             }
                         checked["tuples"] += 1
                         if echo is not None and checked["tuples"] % 200 == 0:
-                            print(f"... {checked['tuples']} tuples", file=echo)
+                            rate = checked["tuples"] / (perf_counter() - start)
+                            at = _fmt_args(lam=lam, mu=mu, gam=gam, nu=nu, phi=phi)
+                            print(f"... {checked['tuples']} tuples, {rate:.0f} tuples/s, at {at}",
+                                  file=echo)
     return {"ok": True, "checked": checked}
 
 
@@ -276,6 +273,11 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
 
 def _fmt(t):
     return ",".join(map(str, t))
+
+
+def _fmt_args(**parts):
+    """The parts as CLI arguments, so a printed tuple can be pasted back."""
+    return " ".join(f"--{name} {_fmt(t)}" for name, t in parts.items())
 
 
 def _query_dict(lam, mu, gam, nu, phi, method):

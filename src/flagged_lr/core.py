@@ -17,7 +17,6 @@ __all__ = [
     "is_partition",
     "contains",
     "weight",
-    "part_length",
     "add",
     "sub",
     "scale",
@@ -85,15 +84,6 @@ def contains(outer, inner) -> bool:
 
 def weight(parts) -> int:
     return sum(parts)
-
-
-def part_length(parts) -> int:
-    """Index of the last nonzero part."""
-    last = 0
-    for i, p in enumerate(parts):
-        if p:
-            last = i + 1
-    return last
 
 
 def add(a, b):

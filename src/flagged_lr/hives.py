@@ -15,6 +15,12 @@ free nodes in the same order and merges the partial points that agree on
 the labels later bounds still read.  There ``limit`` counts the labels the
 pass tries, the range of each merged state it expands.
 
+The doubling map psi and its inverse work on rows of labels; the public
+``psi``/``psi_inverse`` wrap them in hive objects.  The isomorphism check
+behind ``flagged-lr hive-iso`` and ``verify`` checks the partitions once, takes
+the points of both polytopes as the engine's raw label rows, and maps each
+skew point once, with the top n rows of the image built once per boundary.
+
 Node indexing: row i counts from the top.  A parallelogram hive has rows
 0..n each with nodes 0..n; a triangular hive has rows 0..N where row i has
 nodes 0..i.  Rhombus contents are the sum of labels at the obtuse corners
@@ -138,7 +144,10 @@ def _compile(grid, boundary, table) -> _Polytope:
 
 def _boundary_labels(poly: _Polytope, fixed):
     """The label array with ``fixed`` (boundary node -> label) placed, or
-    None when the boundary breaks an inequality among its own nodes."""
+    None when ``fixed`` is None (no labelling fits the boundary data) or
+    the boundary breaks an inequality among its own nodes."""
+    if fixed is None:
+        return None
     v = [0] * (len(poly.index) + 1)
     for node, x in fixed.items():
         v[poly.index[node]] = x
@@ -515,22 +524,29 @@ def _skew_polytope(n, phi) -> _Polytope:
 
 def _skew_hive_input(lam, mu, gam, nu, phi):
     """The compiled polytope and the boundary labels of the skew hives with
-    the given boundary, after the input checks."""
+    the given boundary, after the input checks.  The labels are None when
+    the weights differ: both sums label the corner (n, n), so no hive fits."""
     n = len(lam)
     if not len(mu) == len(gam) == len(nu) == n:
         raise ValueError("ambient lengths differ")
-    if weight(lam) + weight(mu) != weight(gam) + weight(nu):
-        raise ValueError("weight mismatch: |lam|+|mu| != |gam|+|nu|")
     if phi is not None:
         phi = validate_flag(phi, n)
+    if weight(lam) + weight(mu) != weight(gam) + weight(nu):
+        return _skew_polytope(n, phi), None
     return _skew_polytope(n, phi), skew_hive_boundary(lam, mu, gam, nu)
+
+
+def _skew_hive_rows(lam, mu, gam, nu, phi, limit):
+    """The label rows of every skew hive with the given boundary, as
+    ``_lattice_points`` yields them; the input checks run at the call."""
+    return _lattice_points(*_skew_hive_input(lam, mu, gam, nu, phi), limit)
 
 
 def enumerate_skew_hive_points(lam, mu, gam, nu, phi=None, limit=None):
     """All integral skew hives with the given boundary, optionally restricted
-    to the flag face (every NE rhombus in the flat region has content zero)."""
-    points = _lattice_points(*_skew_hive_input(lam, mu, gam, nu, phi), limit)
-    return [SkewHive(rows) for rows in points]
+    to the flag face (every NE rhombus in the flat region has content zero);
+    none when the weights of the boundary do not match."""
+    return [SkewHive(rows) for rows in _skew_hive_rows(lam, mu, gam, nu, phi, limit)]
 
 
 def count_skew_hive_points(lam, mu, gam, nu, phi=None, limit=None) -> int:
@@ -665,26 +681,62 @@ def enumerate_tri_hive_points(alpha, beta, gam, phi=None, limit=None):
     return [TriHive(rows) for rows in points]
 
 
+def _lift_input(lam, mu, gam, nu, phi):
+    """The partitions and the flag of a doubling, after its input checks."""
+    n = len(lam)
+    if not len(mu) == len(gam) == len(nu) == n:
+        raise ValueError("ambient lengths differ")
+    lam, mu, gam, nu = (as_partition(p) for p in (lam, mu, gam, nu))
+    if not contains(mu, gam) or not contains(nu, lam):
+        raise ValueError("need gam inside mu and lam inside nu")
+    if weight(lam) + weight(mu) != weight(gam) + weight(nu):
+        raise ValueError("weight mismatch: |lam|+|mu| != |gam|+|nu|")
+    return lam, mu, gam, nu, validate_flag(phi, n)
+
+
+def _lift(lam, mu, gam, nu, phi):
+    """``lift_tilde`` on checked input."""
+    n = len(lam)
+    nu1 = nu[0] if nu else 0
+    lam_t = (nu1,) * n + lam
+    mu_t = mu + (0,) * n
+    nu_t = tuple(nu1 + g for g in gam) + nu
+    phi_t = tuple(p + n for p in phi) + (2 * n,) * n
+    return lam_t, mu_t, nu_t, phi_t
+
+
 def lift_tilde(lam, mu, gam, nu, phi):
     """Boundary data of the doubled triangular hive.
 
     Returns (lam~, mu~, nu~, phi~) in ambient 2n; the flag is padded with n
     copies of 2n, which imposes no flatness beyond the image of the skew
     flat region."""
-    n = len(lam)
-    if not len(mu) == len(gam) == len(nu) == n:
-        raise ValueError("ambient lengths differ")
-    if not contains(mu, gam) or not contains(nu, lam):
-        raise ValueError("need gam inside mu and lam inside nu")
-    if weight(lam) + weight(mu) != weight(gam) + weight(nu):
-        raise ValueError("weight mismatch: |lam|+|mu| != |gam|+|nu|")
-    validate_flag(phi, n)
-    nu1 = nu[0] if nu else 0
-    lam_t = as_partition((nu1,) * n + tuple(lam))
-    mu_t = as_partition(tuple(mu) + (0,) * n)
-    nu_t = as_partition(tuple(nu1 + g for g in gam) + tuple(nu))
-    phi_t = tuple(p + n for p in phi) + (2 * n,) * n
-    return lam_t, mu_t, nu_t, phi_t
+    return _lift(*_lift_input(lam, mu, gam, nu, phi))
+
+
+def _psi_head(gam, nu1):
+    """The top n rows of every image under psi: the lifted left boundary is
+    constant nu_1 there, so they depend on gam and nu_1 alone."""
+    bg = partial_sums(gam)
+    return tuple(tuple(i * nu1 + b for b in bg[:i + 1]) for i in range(len(gam)))
+
+
+def _psi_rows(rows, head, nu1):
+    """``psi`` on label rows: below ``head``, row n + i holds skew row i
+    shifted by n*nu_1, its last label repeated i more times."""
+    n = len(rows) - 1
+    shift = n * nu1
+    return head + tuple(
+        tuple([shift + x for x in r] + [shift + r[n]] * i) for i, r in enumerate(rows)
+    )
+
+
+def _psi_inverse_rows(t):
+    """``psi_inverse`` on label rows of even size 2n; the shift n*nu_1 is
+    read off the image, whose node (1, 0) is nu_1."""
+    n = (len(t) - 1) // 2
+    shift = n * t[1][0] if n else 0
+    return tuple(tuple([x - shift for x in r[:n + 1]]) for r in t[n:])
 
 
 def psi(h: SkewHive) -> TriHive:
@@ -693,31 +745,35 @@ def psi(h: SkewHive) -> TriHive:
     The top n rows are forced by the constant head of the lifted left
     boundary, the bottom-left parallelogram carries the labels shifted by
     n*nu_1, and the bottom-right wedge replicates the right column."""
-    n = h.n
     _, _, gam, nu = h.boundary()
     nu1 = nu[0] if nu else 0
-    bg = partial_sums(gam)
-    rows = []
-    for i in range(n):
-        rows.append(tuple(i * nu1 + bg[j] for j in range(i + 1)))
-    for i in range(n, 2 * n + 1):
-        rows.append(
-            tuple(n * nu1 + h.rows[i - n][min(j, n)] for j in range(i + 1))
-        )
-    return TriHive(tuple(rows))
+    return TriHive(_psi_rows(h.rows, _psi_head(gam, nu1), nu1))
 
 
 def psi_inverse(t: TriHive) -> SkewHive:
     """Extract the parallelogram labels back out of the doubled triangle."""
     if t.size % 2:
         raise ValueError("triangle size must be even")
-    n = t.size // 2
-    nu1 = t.rows[1][0] if n else 0
-    rows = tuple(
-        tuple(t.rows[n + i][j] - n * nu1 for j in range(n + 1))
-        for i in range(n + 1)
-    )
-    return SkewHive(rows)
+    return SkewHive(_psi_inverse_rows(t.rows))
+
+
+def _check_doubling(lam, mu, gam, nu, phi, limit):
+    """The lifted boundary, the point counts of both polytopes, and whether
+    psi_inverse undoes psi on every skew point and psi maps every skew point
+    into the triangular points.
+
+    The partitions are checked once, here; the points stay label rows, and
+    each skew point is mapped once."""
+    lam, mu, gam, nu, phi = _lift_input(lam, mu, gam, nu, phi)
+    skew = list(_skew_hive_rows(lam, mu, gam, nu, phi, limit))
+    lifted = lam_t, mu_t, nu_t, phi_t = _lift(lam, mu, gam, nu, phi)
+    tri_poly = _tri_polytope(len(lam_t), phi_t)
+    tri = list(_lattice_points(tri_poly, tri_hive_boundary(lam_t, mu_t, nu_t), limit))
+    nu1 = nu[0] if nu else 0
+    head = _psi_head(gam, nu1)
+    images = [_psi_rows(rows, head, nu1) for rows in skew]
+    roundtrip = all(_psi_inverse_rows(t) == rows for t, rows in zip(images, skew))
+    return lifted, len(skew), len(tri), roundtrip, set(tri).issuperset(images)
 
 
 def scale_labels(rows, k: int):

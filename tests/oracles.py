@@ -14,15 +14,24 @@ from flagged_lr.burge import (
     is_key,
     knuth_class,
 )
+from flagged_lr.cli import _query_dict
 from flagged_lr.core import (
     contains,
     inversions,
+    partial_sums,
     permutation_act,
     sort_descending,
     sub,
     validate_flag,
 )
 from flagged_lr.crystal import is_dominant
+from flagged_lr.hives import (
+    SkewHive,
+    TriHive,
+    enumerate_skew_hive_points,
+    enumerate_tri_hive_points,
+    lift_tilde,
+)
 from flagged_lr.polynomials import IntPolynomial
 from flagged_lr.tableaux import (
     SkewShape,
@@ -186,6 +195,64 @@ def coefficient_by_enumeration(lam, mu, gam, nu, phi) -> int:
         if is_dominant(head + word, n):
             count += 1
     return count
+
+
+# ---------------------------------------------------------------------------
+# hives: the doubling map and its report on hive objects
+# ---------------------------------------------------------------------------
+
+def psi_by_objects(h: SkewHive) -> TriHive:
+    """The doubling map, rebuilding the head rows from the hive's own
+    boundary on every call."""
+    n = h.n
+    _, _, gam, nu = h.boundary()
+    nu1 = nu[0] if nu else 0
+    bg = partial_sums(gam)
+    rows = []
+    for i in range(n):
+        rows.append(tuple(i * nu1 + bg[j] for j in range(i + 1)))
+    for i in range(n, 2 * n + 1):
+        rows.append(
+            tuple(n * nu1 + h.rows[i - n][min(j, n)] for j in range(i + 1))
+        )
+    return TriHive(tuple(rows))
+
+
+def psi_inverse_by_objects(t: TriHive) -> SkewHive:
+    """The parallelogram labels read back out of the doubled triangle."""
+    if t.size % 2:
+        raise ValueError("triangle size must be even")
+    n = t.size // 2
+    nu1 = t.rows[1][0] if n else 0
+    rows = tuple(
+        tuple(t.rows[n + i][j] - n * nu1 for j in range(n + 1))
+        for i in range(n + 1)
+    )
+    return SkewHive(rows)
+
+
+def hive_iso_report_by_objects(lam, mu, gam, nu, phi, limit=None):
+    """``cli.hive_iso_report`` on hive objects through the public
+    enumerators, mapping each skew point twice."""
+    skew_points = enumerate_skew_hive_points(lam, mu, gam, nu, phi, limit=limit)
+    lam_t, mu_t, nu_t, phi_t = lift_tilde(lam, mu, gam, nu, phi)
+    tri_points = enumerate_tri_hive_points(lam_t, mu_t, nu_t, phi_t, limit=limit)
+    roundtrip = all(psi_inverse_by_objects(psi_by_objects(h)) == h for h in skew_points)
+    images = {psi_by_objects(h).rows for h in skew_points}
+    image_ok = images <= {t.rows for t in tri_points}
+    return {
+        "query": _query_dict(lam, mu, gam, nu, phi, "hive"),
+        "lifted": {
+            "lam": list(lam_t),
+            "mu": list(mu_t),
+            "nu": list(nu_t),
+            "phi": list(phi_t),
+        },
+        "skew_count": len(skew_points),
+        "tri_count": len(tri_points),
+        "roundtrip_identity": roundtrip,
+        "ok": len(skew_points) == len(tri_points) and roundtrip and image_ok,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import flagged_lr.hives as hives_mod
 from flagged_lr.cli import (
     DEFAULT_LIMIT,
+    _nu_candidates,
     _single_coefficient,
     cross_check,
     hive_iso_report,
@@ -11,6 +16,15 @@ from flagged_lr.cli import (
     run_coefficient,
     saturation_scan,
 )
+from flagged_lr.core import (
+    ScaleExceededError,
+    all_flags,
+    contains,
+    partitions_up_to,
+    subpartitions,
+)
+from flagged_lr.hives import enumerate_skew_hive_points, psi, psi_inverse
+from oracles import hive_iso_report_by_objects, psi_by_objects, psi_inverse_by_objects
 
 
 def run(capsys, *argv):
@@ -200,19 +214,127 @@ def test_cross_check_reports_failures_with_bundle(monkeypatch):
 def test_cross_check_counts_hives_once_and_reports_the_mismatch(monkeypatch):
     # with lam inside nu the hive count is the isomorphism report's skew count,
     # so one hive too many shows as a three-way mismatch, not an iso failure
-    import flagged_lr.cli as cli_mod
-
-    real = cli_mod.enumerate_skew_hive_points
+    real = hives_mod._skew_hive_rows
 
     def one_extra(*args, **kwargs):
-        points = real(*args, **kwargs)
+        points = list(real(*args, **kwargs))
         return points + points[:1]
 
-    monkeypatch.setattr(cli_mod, "enumerate_skew_hive_points", one_extra)
+    monkeypatch.setattr(hives_mod, "_skew_hive_rows", one_extra)
     report = cross_check(2, 1)
     assert not report["ok"]
     assert report["failure"] == "three-way coefficient mismatch"
     assert report["counts"]["hive"] == report["counts"]["tableau"] + 1
+
+
+def _iso_grid():
+    """The tuples on which ``cross_check(n, 3)``, n <= 3, runs the
+    isomorphism report: those with lam inside nu."""
+    for n in (1, 2, 3):
+        for mu in partitions_up_to(n, 3):
+            for gam in subpartitions(mu):
+                for phi in all_flags(n):
+                    for lam in subpartitions(mu):
+                        for nu in _nu_candidates(lam, mu, gam, n):
+                            if contains(nu, lam):
+                                yield lam, mu, gam, nu, phi
+
+
+def test_iso_report_and_maps_match_the_object_oracle():
+    tuples = points = 0
+    for args in _iso_grid():
+        report = hive_iso_report(*args)
+        assert report == hive_iso_report_by_objects(*args), args
+        assert report["ok"], args
+        for h in enumerate_skew_hive_points(*args):
+            t = psi(h)
+            assert t.rows == psi_by_objects(h).rows
+            assert psi_inverse(t) == psi_inverse_by_objects(t) == h
+            points += 1
+        tuples += 1
+    assert (tuples, points) == (1322, 880)
+
+
+def test_iso_report_limit_counts_labels_placed(worked_hive):
+    # each side may place `limit` labels at free nodes; the worked example's
+    # lifted triangle needs 488 of them (its skew side needs 57)
+    args = [worked_hive[k] for k in ("lam", "mu", "gam", "nu", "phi")]
+    assert hive_iso_report(*args, limit=488) == hive_iso_report_by_objects(*args, limit=488)
+    for report in (hive_iso_report, hive_iso_report_by_objects):
+        with pytest.raises(ScaleExceededError):
+            report(*args, limit=487)
+
+
+def _shift_wedge_corner(real):
+    # the last label of the last row, which psi_inverse does not read back
+    def shifted(rows, head, nu1):
+        image = real(rows, head, nu1)
+        return image[:-1] + (image[-1][:-1] + (image[-1][-1] + 1,),)
+
+    return shifted
+
+
+def _drop_the_shift(real):
+    def unshifted(t):
+        n = (len(t) - 1) // 2
+        return tuple(tuple(r[:n + 1]) for r in t[n:])
+
+    return unshifted
+
+
+@pytest.mark.parametrize("name, corrupt, roundtrip", [
+    ("_psi_rows", _shift_wedge_corner, True),
+    ("_psi_inverse_rows", _drop_the_shift, False),
+])
+def test_a_corrupted_row_map_fails_the_iso_check(monkeypatch, name, corrupt, roundtrip):
+    monkeypatch.setattr(hives_mod, name, corrupt(getattr(hives_mod, name)))
+    # one point, and nu_1 = 1 makes the shift nonzero
+    rep = hive_iso_report((1, 0), (1, 0), (0, 0), (1, 1), (2, 2))
+    assert rep["skew_count"] == rep["tri_count"] == 1
+    assert rep["roundtrip_identity"] is roundtrip
+    assert not rep["ok"]
+    report = cross_check(2, 1)
+    assert not report["ok"]
+    assert report["failure"] == "hive isomorphism mismatch"
+
+
+def test_verify_progress_names_rate_and_tuple():
+    echo = io.StringIO()
+    report = cross_check(2, 3, echo=echo)
+    assert report["ok"] and report["checked"]["tuples"] == 260
+    (line,) = echo.getvalue().splitlines()
+    found = re.fullmatch(r"\.\.\. 200 tuples, (\d+) tuples/s, at (.*)", line)
+    assert found and int(found[1]) > 0
+    # the tuple is printed as CLI arguments that reproduce it
+    argv = found[2].split()
+    assert argv[::2] == ["--lam", "--mu", "--gam", "--nu", "--phi"]
+    assert main(["--n", "2", "coeff", *argv]) == 0
+
+
+@st.composite
+def three_route_inputs(draw):
+    """n = 3..4 with |mu| <= 5; nu is a partition of the balanced weight
+    containing lam, or any partition up to one box more (mismatched weights
+    and nu not containing lam)."""
+    n = draw(st.integers(min_value=3, max_value=4))
+    mu = draw(st.sampled_from(partitions_up_to(n, 5)))
+    gam = draw(st.sampled_from(subpartitions(mu)))
+    parts = st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n)
+    lam = tuple(sorted(draw(parts), reverse=True))
+    total = sum(lam) + sum(mu) - sum(gam)
+    nus = partitions_up_to(n, total + 1)
+    balanced = [nu for nu in nus if sum(nu) == total and contains(nu, lam)]
+    nu = draw(st.sampled_from(balanced) | st.sampled_from(nus) if balanced
+              else st.sampled_from(nus))
+    return lam, mu, gam, nu, draw(st.sampled_from(all_flags(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(three_route_inputs())
+def test_three_routes_agree(args):
+    tableau, hive, demazure = (_single_coefficient(*args, method, None)
+                               for method in ("tableau", "hive", "demazure"))
+    assert tableau == hive == demazure
 
 
 @pytest.mark.parametrize("method", ["tableau", "hive", "demazure"])

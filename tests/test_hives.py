@@ -158,8 +158,8 @@ def test_enumerate_skew_hive_examples(worked_hive):
         worked_hive["lam"], worked_hive["mu"], worked_hive["gam"], worked_hive["nu"], worked_hive["phi"]
     )
     assert worked_hive["labels"] in [p.rows for p in points]
-    with pytest.raises(ValueError, match="weight mismatch"):
-        enumerate_skew_hive_points((0, 0), (1, 0), (0, 0), (2, 0), (2, 2))
+    # no hive fits boundaries of different weights, as the other routes count
+    assert enumerate_skew_hive_points((0, 0), (1, 0), (0, 0), (2, 0), (2, 2)) == []
 
 
 def test_hive_counts_match_tableau_counts_small_grid():
@@ -285,8 +285,7 @@ def test_count_limit_counts_labels_tried(worked_hive):
 
 
 def test_count_skew_hive_points_shares_the_input_checks():
-    with pytest.raises(ValueError, match="weight mismatch"):
-        count_skew_hive_points((0, 0), (1, 0), (0, 0), (2, 0), (2, 2))
+    assert count_skew_hive_points((0, 0), (1, 0), (0, 0), (2, 0), (2, 2)) == 0
     with pytest.raises(ValueError, match="ambient lengths differ"):
         count_skew_hive_points((1, 0), (1, 0), (0, 0), (1, 1, 0))
     with pytest.raises(ValueError):
