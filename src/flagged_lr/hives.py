@@ -6,9 +6,12 @@ triangular hive) are implemented exactly as affine maps on integer labels.
 
 One engine enumerates all three polytopes.  Each states its inequalities
 once, as ``(plus nodes, minus nodes)`` pairs meaning ``sum(plus) >=
-sum(minus)``; a compile step, cached per grid size and flag, turns the table
-into bounds on each free node, and the engine places labels row-major in
-lexicographic order.  ``limit`` counts the labels placed at free nodes.
+sum(minus)``; a compile step, cached per grid size and flag, picks the order
+in which the free nodes are placed from the table alone (always the node
+that completes the most inequalities next), and turns the table into bounds
+on each free node.  The engine places labels in that order, lexicographic
+in the free labels, and yields each point as row-major label rows.
+``limit`` counts the labels placed at free nodes.
 
 The hive route counts instead of enumerating: a memoized pass goes over the
 free nodes in the same order and merges the partial points that agree on
@@ -91,14 +94,47 @@ class HiveValidationError(ValueError):
 _Polytope = namedtuple("_Polytope", "index free lows highs checks spans live reads keeps")
 
 
+def _placement_order(free, table):
+    """The free nodes in the order the engine places them.
+
+    The next node is always the unplaced one that completes the most
+    inequalities of ``table``, those whose other nodes are all placed; ties
+    go to the first in ``free``.  An equality or a tight bound then cuts a
+    partial point as soon as its nodes are known, not at the end of a row.
+    Each inequality keeps the set of its unplaced nodes, so a placement only
+    visits the inequalities it takes part in."""
+    rank = {node: k for k, node in enumerate(free)}
+    unplaced = [{rank[p] for p in plus + minus if p in rank} for plus, minus in table]
+    takes_part = [[] for _ in free]
+    score = [0] * len(free)
+    for i, nodes in enumerate(unplaced):
+        for k in nodes:
+            takes_part[k].append(i)
+            score[k] += len(nodes) == 1
+    rest, order = list(range(len(free))), []
+    while rest:
+        # ``rest`` stays in row-major order, and max keeps the first maximum
+        best = max(rest, key=score.__getitem__)
+        rest.remove(best)
+        order.append(free[best])
+        for i in takes_part[best]:
+            unplaced[i].discard(best)
+            if len(unplaced[i]) == 1:
+                (last,) = unplaced[i]
+                score[last] += 1
+    return order
+
+
 def _compile(grid, boundary, table) -> _Polytope:
     """Fold every inequality of ``table`` onto its last-placed free node.
 
     ``grid`` lists the nodes row by row.  The ``boundary`` nodes are placed
-    first, then the free nodes row-major.  Nodes are numbered row-major and
-    one extra node holds 0.  ``lows[k]``/``highs[k]`` bound ``free[k]`` by
-    triples (a, b, c) standing for ``v[a] + v[b] - v[c]``; ``checks`` are
-    the inequalities among boundary nodes, ``spans`` the rows' extents.
+    first, then the free nodes in the order ``_placement_order`` picks from
+    the table.  Nodes are numbered row-major, whatever the placement order,
+    and one extra node holds 0.  ``free`` lists the free nodes' numbers in
+    placement order; ``lows[k]``/``highs[k]`` bound ``free[k]`` by triples
+    (a, b, c) standing for ``v[a] + v[b] - v[c]``; ``checks`` are the
+    inequalities among boundary nodes, ``spans`` the rows' extents.
 
     ``live[k]`` lists the free nodes placed before depth k that a bound at
     depth k or later still reads, in placement order.  ``reads[k]`` pairs
@@ -108,7 +144,7 @@ def _compile(grid, boundary, table) -> _Polytope:
     nodes = [node for row in grid for node in row]
     index = {node: k for k, node in enumerate(nodes)}
     zero = len(nodes)
-    free = [node for node in nodes if node not in boundary]
+    free = _placement_order([node for node in nodes if node not in boundary], table)
     rank = {node: k for k, node in enumerate(free)}
     lows, highs = [set() for _ in free], [set() for _ in free]
     checks = []
@@ -128,7 +164,8 @@ def _compile(grid, boundary, table) -> _Polytope:
     ends = list(accumulate(len(row) for row in grid))
     slots = [index[node] for node in free]
     read_at = [{p for triple in lows[k] | highs[k] for p in triple} for k in range(len(free))]
-    live = [tuple(p for p in slots[:k] if any(p in read for read in read_at[k:]))
+    last_read = {p: k for k, read in enumerate(read_at) for p in read}
+    live = [tuple(p for p in slots[:k] if last_read.get(p, -1) >= k)
             for k in range(len(free) + 1)]
     reads = [tuple((p, i) for i, p in enumerate(live[k]) if p in read_at[k])
              for k in range(len(free))]
@@ -158,7 +195,8 @@ def _boundary_labels(poly: _Polytope, fixed):
 
 def _lattice_points(poly: _Polytope, fixed, limit):
     """Yield the rows of labels of every lattice point, in lexicographic
-    order of the free labels; ``fixed`` maps each boundary node to its label.
+    order of the free labels taken in placement order (``poly.free``);
+    ``fixed`` maps each boundary node to its label.
 
     Raises ScaleExceededError once more than ``limit`` labels have been
     placed at free nodes."""

@@ -97,6 +97,17 @@ def test_saturation_scan_counts_the_n5_case_to_k5():
     assert rep["ok"]
 
 
+def test_saturation_scan_counts_the_flagged_worked_example_to_k40():
+    # the flat region prunes at once, so k = 40 stays under the default limit
+    args = ((3, 1, 1, 0), (5, 4, 2, 1), (2, 1, 0, 0), (7, 4, 2, 1), (2, 2, 3, 4))
+    rep = saturation_scan(*args, 40, DEFAULT_LIMIT)
+    assert rep["ok"]
+    assert rep["values"] == [(k + 1) * (k + 2) // 2 for k in range(1, 41)]
+    for k in (1, 7, 20):
+        dilated = [tuple(k * x for x in part) for part in args[:4]]
+        assert _single_coefficient(*dilated, args[4], "tableau", DEFAULT_LIMIT) == rep["values"][k - 1]
+
+
 def test_decompose_command(capsys):
     code, out = run(
         capsys,
@@ -257,12 +268,12 @@ def test_iso_report_and_maps_match_the_object_oracle():
 
 def test_iso_report_limit_counts_labels_placed(worked_hive):
     # each side may place `limit` labels at free nodes; the worked example's
-    # lifted triangle needs 488 of them (its skew side needs 57)
+    # lifted triangle needs 70 of them (its skew side needs 12)
     args = [worked_hive[k] for k in ("lam", "mu", "gam", "nu", "phi")]
-    assert hive_iso_report(*args, limit=488) == hive_iso_report_by_objects(*args, limit=488)
+    assert hive_iso_report(*args, limit=70) == hive_iso_report_by_objects(*args, limit=70)
     for report in (hive_iso_report, hive_iso_report_by_objects):
         with pytest.raises(ScaleExceededError):
-            report(*args, limit=487)
+            report(*args, limit=69)
 
 
 def _shift_wedge_corner(real):

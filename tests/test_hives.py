@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flagged_lr.hives as hives_mod
 from conftest import WORKED_HIVE_LABELS, skew_pairs
 from flagged_lr.core import all_flags, contains, partitions_up_to, scale, subpartitions
 from flagged_lr.crystal import coefficient_by_tableaux, is_lambda_dominant
@@ -15,6 +16,7 @@ from flagged_lr.hives import (
     _gt_polytope,
     _lattice_points,
     _skew_hive_input,
+    _skew_polytope,
     _tri_polytope,
     check_skew_hive,
     check_tri_hive,
@@ -230,7 +232,8 @@ def _skew_census():
             for mu, gam in skew_pairs(n, 4):
                 for nu in _weight_matched(n, sum(lam) + sum(mu) - sum(gam)):
                     for phi in all_flags(n) + [None]:
-                        yield (lam, mu, gam, nu, phi), _skew_hive_input(lam, mu, gam, nu, phi)
+                        yield (lam, mu, gam, nu, phi), (_skew_polytope, (n, phi)), (
+                            _skew_hive_input(lam, mu, gam, nu, phi)[1])
 
 
 def _tri_census():
@@ -241,8 +244,8 @@ def _tri_census():
             for beta in partitions_up_to(n, 4):
                 for gam in _weight_matched(n, sum(alpha) + sum(beta)):
                     for phi in all_flags(n) + [None]:
-                        yield (alpha, beta, gam, phi), (
-                            _tri_polytope(n, phi), tri_hive_boundary(alpha, beta, gam))
+                        yield (alpha, beta, gam, phi), (_tri_polytope, (n, phi)), (
+                            tri_hive_boundary(alpha, beta, gam))
 
 
 def _gt_census():
@@ -251,7 +254,7 @@ def _gt_census():
         for mu, gam in skew_pairs(n, 5):
             fixed = {(i, j): row[j] for i, row in ((0, gam), (n, mu)) for j in range(n)}
             for phi in all_flags(n):
-                yield (mu, gam, phi), (_gt_polytope(n, phi), fixed)
+                yield (mu, gam, phi), (_gt_polytope, (n, phi)), fixed
 
 
 @pytest.mark.parametrize("census, size", [
@@ -259,11 +262,32 @@ def _gt_census():
 ], ids=["skew", "tri", "gt"])
 def test_count_points_census(census, size):
     checked = 0
-    for case, (poly, fixed) in census():
+    for case, (build, args), fixed in census():
+        poly = build(*args)
         listed = sum(1 for _ in _lattice_points(poly, fixed, None))
         assert _count_points(poly, fixed, None) == listed, case
         checked += 1
     assert checked == size
+
+
+@pytest.mark.parametrize("census, reordered", [
+    (_skew_census, 7), (_tri_census, 0), (_gt_census, 6),
+], ids=["skew", "tri", "gt"])
+def test_placement_order_census(census, reordered, monkeypatch):
+    # the same table compiled row-major, with the ordering helper swapped
+    # for the identity, must have the same points as the compiled order;
+    # ``reordered`` counts the polytopes whose order differs (a triangle of
+    # size <= 3 has at most one free node)
+    row_major = {}
+    for case, (build, args), fixed in census():
+        if (build, args) not in row_major:
+            with monkeypatch.context() as m:
+                m.setattr(hives_mod, "_placement_order", lambda free, table: free)
+                row_major[build, args] = build.__wrapped__(*args)
+        got = sorted(_lattice_points(build(*args), fixed, None))
+        assert got == sorted(_lattice_points(row_major[build, args], fixed, None)), case
+    assert sum(build(*args).free != poly.free
+               for (build, args), poly in row_major.items()) == reordered
 
 
 def test_count_limit_counts_labels_tried(worked_hive):
@@ -272,16 +296,15 @@ def test_count_limit_counts_labels_tried(worked_hive):
     assert count_skew_hive_points(*args, limit=2) == 2
     with pytest.raises(ScaleExceededError):
         count_skew_hive_points(*args, limit=1)
-    # the worked example: the pass tries 56 labels, one fewer than the
-    # enumerator places, because partial points that agree on the nodes
-    # later bounds read are expanded once
+    # the worked example, placed most-constrained first: the pass tries 12
+    # labels, as many as the enumerator places
     args = [worked_hive[k] for k in ("lam", "mu", "gam", "nu", "phi")]
-    assert count_skew_hive_points(*args, limit=56) == 3
+    assert count_skew_hive_points(*args, limit=12) == 3
     with pytest.raises(ScaleExceededError):
-        count_skew_hive_points(*args, limit=55)
-    assert len(enumerate_skew_hive_points(*args, limit=57)) == 3
+        count_skew_hive_points(*args, limit=11)
+    assert len(enumerate_skew_hive_points(*args, limit=12)) == 3
     with pytest.raises(ScaleExceededError):
-        enumerate_skew_hive_points(*args, limit=56)
+        enumerate_skew_hive_points(*args, limit=11)
 
 
 def test_count_skew_hive_points_shares_the_input_checks():
