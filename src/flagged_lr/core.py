@@ -35,6 +35,7 @@ __all__ = [
     "reduced_word",
     "permutation_from_word",
     "validate_flag",
+    "check_boundary",
     "standard_flag",
     "all_flags",
     "parse_int_tuple",
@@ -247,6 +248,24 @@ def validate_flag(bounds, n: int):
     if t and t[-1] != n:
         raise FlagError(f"flag {t} must end with {n}")
     return t
+
+
+def check_boundary(lam, mu, gam, nu, phi):
+    """The boundary of a coefficient query, checked the same way for every
+    route: equal lengths, then partitions, then the flag.  ``nu`` may be
+    None (a table over nu) and so may ``phi`` (a hive with no flag).
+
+    Returns the checked tuples; raises ValueError on any bad part."""
+    n = len(mu)
+    parts = (lam, mu, gam) if nu is None else (lam, mu, gam, nu)
+    if any(len(p) != n for p in parts):
+        raise ValueError("ambient lengths differ")
+    lam, mu, gam = as_partition(lam), as_partition(mu), as_partition(gam)
+    if nu is not None:
+        nu = as_partition(nu)
+    if phi is not None:
+        phi = validate_flag(phi, n)
+    return lam, mu, gam, nu, phi
 
 
 def standard_flag(n: int):

@@ -7,7 +7,9 @@ the defining tensor-product recursion over a word census.
 
 The tableau route counts lambda-dominant flagged tableaux by a search over
 the cells in reading order that applies the lattice condition one letter
-at a time, so it builds no tableau and no word.
+at a time, so it builds no tableau and no word.  Its public function,
+``coefficient_by_tableaux``, checks the boundary (``core.check_boundary``);
+the search, ``_count_tableaux``, trusts it.
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ from itertools import product
 
 from .core import (
     ScaleExceededError,
-    as_partition,
+    check_boundary,
     contains,
     is_partition,
     sort_descending,
-    validate_flag,
     weight,
 )
 from .tableaux import (
@@ -285,23 +286,26 @@ def character(words, n: int):
 def coefficient_by_tableaux(lam, mu, gam, nu, phi, limit=None) -> int:
     """Count lambda-dominant flagged skew tableaux of weight nu - lam.
 
+    Checks the boundary (``core.check_boundary``) and runs
+    ``_count_tableaux`` on it.  Raises ScaleExceededError once more than
+    ``limit`` letters have been placed."""
+    return _count_tableaux(*check_boundary(lam, mu, gam, nu, phi), limit)
+
+
+def _count_tableaux(lam, mu, gam, nu, phi, limit):
+    """``coefficient_by_tableaux`` on a checked boundary.
+
     The cells of mu/gam are filled in reading order (top row first, right
     to left within a row) with the letter counts starting at lam, the
     weight of the dominant head.  A letter v goes in only while its count
     stays below nu_v and, for v > 1, below the count of v - 1: the reading
     word after the head stays a lattice word, which is what every raising
-    operator killing it means.  Raises ScaleExceededError once more than
-    ``limit`` letters have been placed."""
-    n = len(mu)
-    if not len(lam) == len(gam) == len(nu) == n:
-        raise ValueError("ambient lengths differ")
-    phi = validate_flag(phi, n)
+    operator killing it means."""
     if not contains(mu, gam) or not contains(nu, lam):
         return 0
-    lam = as_partition(lam)
-    shape = SkewShape(mu, gam)
-    if weight(nu) - weight(lam) != shape.size:
+    if weight(nu) - weight(lam) != weight(mu) - weight(gam):
         return 0
+    n = len(mu)
     cells = [(i, c) for i in range(n) for c in range(mu[i] - 1, gam[i] - 1, -1)]
     depth = len(cells)
     pos = {cell: k for k, cell in enumerate(cells)}

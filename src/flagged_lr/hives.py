@@ -20,9 +20,16 @@ pass tries, the range of each merged state it expands.
 
 The doubling map psi and its inverse work on rows of labels; the public
 ``psi``/``psi_inverse`` wrap them in hive objects.  The isomorphism check
-behind ``flagged-lr hive-iso`` and ``verify`` checks the partitions once, takes
-the points of both polytopes as the engine's raw label rows, and maps each
-skew point once, with the top n rows of the image built once per boundary.
+behind ``flagged-lr hive-iso`` and ``verify`` takes the points of both
+polytopes as the engine's raw label rows, and maps each skew point once,
+with the top n rows of the image built once per boundary.
+
+Input is checked at the public functions and trusted below them.
+``count_skew_hive_points`` checks the boundary (``core.check_boundary``)
+and runs ``_count_skew_hives``; ``_check_doubling`` checks it
+(``_lift_input``) and runs ``_doubling``.  Both cores write the skew
+boundary straight into the engine's label array (``_skew_labels``), and the
+engine still checks the inequalities among boundary nodes.
 
 Node indexing: row i counts from the top.  A parallelogram hive has rows
 0..n each with nodes 0..n; a triangular hive has rows 0..N where row i has
@@ -43,9 +50,9 @@ from itertools import accumulate
 from .core import (
     ScaleExceededError,
     as_partition,
+    check_boundary,
     contains,
     partial_sums,
-    validate_flag,
     weight,
 )
 from .tableaux import SkewShape, SkewTableau
@@ -179,6 +186,14 @@ def _compile(grid, boundary, table) -> _Polytope:
     )
 
 
+def _checked_labels(poly: _Polytope, v):
+    """The label array ``v``, with the boundary labels placed, or None when
+    the boundary breaks an inequality among its own nodes."""
+    if any(sum(v[p] for p in plus) < sum(v[q] for q in minus) for plus, minus in poly.checks):
+        return None
+    return v
+
+
 def _boundary_labels(poly: _Polytope, fixed):
     """The label array with ``fixed`` (boundary node -> label) placed, or
     None when ``fixed`` is None (no labelling fits the boundary data) or
@@ -188,19 +203,21 @@ def _boundary_labels(poly: _Polytope, fixed):
     v = [0] * (len(poly.index) + 1)
     for node, x in fixed.items():
         v[poly.index[node]] = x
-    if any(sum(v[p] for p in plus) < sum(v[q] for q in minus) for plus, minus in poly.checks):
-        return None
-    return v
+    return _checked_labels(poly, v)
 
 
 def _lattice_points(poly: _Polytope, fixed, limit):
+    """``_points`` with ``fixed`` mapping each boundary node to its label."""
+    return _points(poly, _boundary_labels(poly, fixed), limit)
+
+
+def _points(poly: _Polytope, v, limit):
     """Yield the rows of labels of every lattice point, in lexicographic
     order of the free labels taken in placement order (``poly.free``);
-    ``fixed`` maps each boundary node to its label.
+    ``v`` is the label array with the boundary placed, None for no points.
 
     Raises ScaleExceededError once more than ``limit`` labels have been
     placed at free nodes."""
-    v = _boundary_labels(poly, fixed)
     if v is None:
         return
     free, lows, highs, spans = poly.free, poly.lows, poly.highs, poly.spans
@@ -228,14 +245,18 @@ def _lattice_points(poly: _Polytope, fixed, limit):
 
 
 def _count_points(poly: _Polytope, fixed, limit):
-    """The number of points ``_lattice_points`` yields, without listing them.
+    """``_count`` with ``fixed`` mapping each boundary node to its label."""
+    return _count(poly, _boundary_labels(poly, fixed), limit)
+
+
+def _count(poly: _Polytope, v, limit):
+    """The number of points ``_points`` yields, without listing them.
 
     Going forward over the free nodes, the pass keeps a dict from the labels
     of ``live[k]`` to the number of partial points that carry them; a node
     no later bound reads adds its whole range to its parent's count at once.
     Raises ScaleExceededError once more than ``limit`` labels have been
     tried, hi - lo + 1 for each state expanded."""
-    v = _boundary_labels(poly, fixed)
     if v is None:
         return 0
     left = math.inf if limit is None else limit
@@ -561,37 +582,61 @@ def _skew_polytope(n, phi) -> _Polytope:
 
 
 def _skew_hive_input(lam, mu, gam, nu, phi):
-    """The compiled polytope and the boundary labels of the skew hives with
-    the given boundary, after the input checks.  The labels are None when
-    the weights differ: both sums label the corner (n, n), so no hive fits."""
-    n = len(lam)
-    if not len(mu) == len(gam) == len(nu) == n:
-        raise ValueError("ambient lengths differ")
-    if phi is not None:
-        phi = validate_flag(phi, n)
+    """The compiled polytope and the boundary labels (node -> label) of the
+    skew hives with the given boundary, after the input checks.  The labels
+    are None when the weights differ: both sums label the corner (n, n), so
+    no hive fits."""
+    lam, mu, gam, nu, phi = check_boundary(lam, mu, gam, nu, phi)
+    poly = _skew_polytope(len(lam), phi)
     if weight(lam) + weight(mu) != weight(gam) + weight(nu):
-        return _skew_polytope(n, phi), None
-    return _skew_polytope(n, phi), skew_hive_boundary(lam, mu, gam, nu)
+        return poly, None
+    return poly, skew_hive_boundary(lam, mu, gam, nu)
 
 
-def _skew_hive_rows(lam, mu, gam, nu, phi, limit):
-    """The label rows of every skew hive with the given boundary, as
-    ``_lattice_points`` yields them; the input checks run at the call."""
-    return _lattice_points(*_skew_hive_input(lam, mu, gam, nu, phi), limit)
+def _skew_labels(poly: _Polytope, lam, mu, gam, nu):
+    """``_boundary_labels(poly, skew_hive_boundary(lam, mu, gam, nu))``,
+    written straight from the partial sums into the label array: None when
+    the weights differ or the boundary breaks an inequality among its own
+    nodes."""
+    if weight(lam) + weight(mu) != weight(gam) + weight(nu):
+        return None
+    w = len(lam) + 1
+    v = [0] * (w * w + 1)
+    # the nodes are numbered row-major, (i, j) as i * w + j
+    v[0:w * w:w] = partial_sums(lam)
+    v[w - 1:w * w:w] = [weight(gam) + b for b in partial_sums(nu)]
+    v[0:w] = partial_sums(gam)
+    v[w * w - w:w * w] = [weight(lam) + b for b in partial_sums(mu)]
+    return _checked_labels(poly, v)
+
+
+def _skew_rows(lam, mu, gam, nu, phi, limit):
+    """The label rows of every skew hive with a checked boundary, as
+    ``_points`` yields them."""
+    poly = _skew_polytope(len(lam), phi)
+    return _points(poly, _skew_labels(poly, lam, mu, gam, nu), limit)
+
+
+def _count_skew_hives(lam, mu, gam, nu, phi, limit):
+    """``count_skew_hive_points`` on a checked boundary."""
+    poly = _skew_polytope(len(lam), phi)
+    return _count(poly, _skew_labels(poly, lam, mu, gam, nu), limit)
 
 
 def enumerate_skew_hive_points(lam, mu, gam, nu, phi=None, limit=None):
     """All integral skew hives with the given boundary, optionally restricted
     to the flag face (every NE rhombus in the flat region has content zero);
     none when the weights of the boundary do not match."""
-    return [SkewHive(rows) for rows in _skew_hive_rows(lam, mu, gam, nu, phi, limit)]
+    points = _lattice_points(*_skew_hive_input(lam, mu, gam, nu, phi), limit)
+    return [SkewHive(rows) for rows in points]
 
 
 def count_skew_hive_points(lam, mu, gam, nu, phi=None, limit=None) -> int:
     """The number of points ``enumerate_skew_hive_points`` returns, counted
     by the memoized pass without listing them; ``limit`` counts the labels
-    the pass tries."""
-    return _count_points(*_skew_hive_input(lam, mu, gam, nu, phi), limit)
+    the pass tries.  Checks the boundary (``core.check_boundary``) and runs
+    ``_count_skew_hives`` on it."""
+    return _count_skew_hives(*check_boundary(lam, mu, gam, nu, phi), limit)
 
 
 # ---------------------------------------------------------------------------
@@ -721,15 +766,12 @@ def enumerate_tri_hive_points(alpha, beta, gam, phi=None, limit=None):
 
 def _lift_input(lam, mu, gam, nu, phi):
     """The partitions and the flag of a doubling, after its input checks."""
-    n = len(lam)
-    if not len(mu) == len(gam) == len(nu) == n:
-        raise ValueError("ambient lengths differ")
-    lam, mu, gam, nu = (as_partition(p) for p in (lam, mu, gam, nu))
+    lam, mu, gam, nu, phi = check_boundary(lam, mu, gam, nu, phi)
     if not contains(mu, gam) or not contains(nu, lam):
         raise ValueError("need gam inside mu and lam inside nu")
     if weight(lam) + weight(mu) != weight(gam) + weight(nu):
         raise ValueError("weight mismatch: |lam|+|mu| != |gam|+|nu|")
-    return lam, mu, gam, nu, validate_flag(phi, n)
+    return lam, mu, gam, nu, phi
 
 
 def _lift(lam, mu, gam, nu, phi):
@@ -796,14 +838,17 @@ def psi_inverse(t: TriHive) -> SkewHive:
 
 
 def _check_doubling(lam, mu, gam, nu, phi, limit):
+    """``_doubling`` after the input checks of ``_lift_input``."""
+    return _doubling(*_lift_input(lam, mu, gam, nu, phi), limit)
+
+
+def _doubling(lam, mu, gam, nu, phi, limit):
     """The lifted boundary, the point counts of both polytopes, and whether
     psi_inverse undoes psi on every skew point and psi maps every skew point
-    into the triangular points.
+    into the triangular points, on a boundary that passed ``_lift_input``.
 
-    The partitions are checked once, here; the points stay label rows, and
-    each skew point is mapped once."""
-    lam, mu, gam, nu, phi = _lift_input(lam, mu, gam, nu, phi)
-    skew = list(_skew_hive_rows(lam, mu, gam, nu, phi, limit))
+    The points stay label rows, and each skew point is mapped once."""
+    skew = list(_skew_rows(lam, mu, gam, nu, phi, limit))
     lifted = lam_t, mu_t, nu_t, phi_t = _lift(lam, mu, gam, nu, phi)
     tri_poly = _tri_polytope(len(lam_t), phi_t)
     tri = list(_lattice_points(tri_poly, tri_hive_boundary(lam_t, mu_t, nu_t), limit))

@@ -3,6 +3,13 @@
 Polynomials are finitely supported maps from exponent vectors to integers.
 The Demazure operator acts monomial-wise through the closed form forced by
 the geometric-series division, so no rational arithmetic appears anywhere.
+
+The ``IntPolynomial`` constructor checks its exponent vectors; arithmetic,
+``swap``, ``demazure_Ti`` and ``flagged_skew_schur`` build their results
+through ``IntPolynomial._from_terms``, which only drops zero coefficients.
+``coefficient_table_by_demazure`` and ``coefficient_by_demazure`` check the
+boundary (``core.check_boundary``) and run ``_schur_table``, which trusts
+lam and takes the flagged skew Schur polynomial as given.
 """
 
 from __future__ import annotations
@@ -12,11 +19,11 @@ from itertools import chain
 
 from .core import (
     as_partition,
+    check_boundary,
     is_partition,
     longest_element,
     reduced_word,
     sort_to_partition,
-    validate_flag,
 )
 from .tableaux import SkewShape, _tableau_rows, word_weight
 
@@ -35,7 +42,10 @@ __all__ = [
 
 
 class IntPolynomial:
-    """A polynomial in n variables with integer coefficients."""
+    """A polynomial in n variables with integer coefficients.
+
+    The constructor checks the length of every exponent vector; results of
+    arithmetic come from ``_from_terms``, which trusts its exponents."""
 
     __slots__ = ("n", "terms")
 
@@ -48,6 +58,15 @@ class IntPolynomial:
             if c:
                 clean[tuple(exps)] = clean.get(tuple(exps), 0) + c
         self.terms = {e: c for e, c in clean.items() if c}
+
+    @classmethod
+    def _from_terms(cls, n: int, terms) -> "IntPolynomial":
+        """The polynomial of ``terms``, a dict from exponent tuples of length
+        n to integers, with its zero coefficients dropped."""
+        f = cls.__new__(cls)
+        f.n = n
+        f.terms = {e: c for e, c in terms.items() if c}
+        return f
 
     @classmethod
     def zero(cls, n: int) -> "IntPolynomial":
@@ -69,27 +88,34 @@ class IntPolynomial:
     def coefficient(self, exps) -> int:
         return self.terms.get(tuple(exps), 0)
 
+    def _same_ambient(self, other):
+        if other.n != self.n:
+            raise ValueError("ambient lengths differ")
+
     def __add__(self, other):
+        self._same_ambient(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return IntPolynomial(self.n, out)
+        return IntPolynomial._from_terms(self.n, out)
 
     def __neg__(self):
-        return IntPolynomial(self.n, {e: -c for e, c in self.terms.items()})
+        return IntPolynomial._from_terms(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntPolynomial(self.n, {e: c * other for e, c in self.terms.items()})
+            return IntPolynomial._from_terms(
+                self.n, {e: c * other for e, c in self.terms.items()})
+        self._same_ambient(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return IntPolynomial(self.n, out)
+        return IntPolynomial._from_terms(self.n, out)
 
     __rmul__ = __mul__
 
@@ -110,7 +136,7 @@ class IntPolynomial:
             f = list(e)
             f[i - 1], f[i] = f[i], f[i - 1]
             out[tuple(f)] = out.get(tuple(f), 0) + c
-        return IntPolynomial(self.n, out)
+        return IntPolynomial._from_terms(self.n, out)
 
     def is_symmetric(self) -> bool:
         return all(self.swap(i) == self for i in range(1, self.n))
@@ -162,7 +188,7 @@ def demazure_Ti(f: IntPolynomial, i: int) -> IntPolynomial:
             g[i - 1], g[i] = t, a + b - t
             g = tuple(g)
             out[g] = out.get(g, 0) + sign * c
-    return IntPolynomial(f.n, out)
+    return IntPolynomial._from_terms(f.n, out)
 
 
 def demazure_Tw(f: IntPolynomial, w) -> IntPolynomial:
@@ -198,7 +224,7 @@ def flagged_skew_schur(mu, gam, row_bounds) -> IntPolynomial:
     for rows in _tableau_rows(SkewShape(mu, gam), row_bounds):
         e = word_weight(chain.from_iterable(rows), n)
         terms[e] = terms.get(e, 0) + 1
-    return IntPolynomial(n, terms)
+    return IntPolynomial._from_terms(n, terms)
 
 
 def expand_in_schur(f: IntPolynomial):
@@ -250,18 +276,23 @@ def expand_in_key(f: IntPolynomial):
 
 
 def coefficient_table_by_demazure(lam, mu, gam, phi):
-    """Full Schur expansion of the symmetrized dominant-monomial product."""
-    n = len(mu)
-    if not len(lam) == len(gam) == n:
-        raise ValueError("ambient lengths differ")
-    validate_flag(phi, n)
-    f = IntPolynomial.monomial(as_partition(lam)) * flagged_skew_schur(mu, gam, phi)
-    g = demazure_Tw(f, longest_element(n))
-    return expand_in_schur(g)
+    """Full Schur expansion of the symmetrized dominant-monomial product.
+
+    Checks the boundary (``core.check_boundary``), builds the flagged skew
+    Schur polynomial of mu/gam and runs ``_schur_table`` on it."""
+    lam, mu, gam, _, phi = check_boundary(lam, mu, gam, None, phi)
+    return _schur_table(lam, flagged_skew_schur(mu, gam, phi))
+
+
+def _schur_table(lam, skew_schur):
+    """``coefficient_table_by_demazure`` on a checked partition lam and the
+    flagged skew Schur polynomial of mu/gam: the Schur expansion of
+    pi_{w0}(x^lam * skew_schur)."""
+    f = IntPolynomial.monomial(lam) * skew_schur
+    return expand_in_schur(demazure_Tw(f, longest_element(len(lam))))
 
 
 def coefficient_by_demazure(lam, mu, gam, nu, phi) -> int:
     """The nu-coefficient in the Schur expansion route."""
-    if len(nu) != len(mu):
-        raise ValueError("ambient lengths differ")
-    return coefficient_table_by_demazure(lam, mu, gam, phi).get(tuple(nu), 0)
+    lam, mu, gam, nu, phi = check_boundary(lam, mu, gam, nu, phi)
+    return _schur_table(lam, flagged_skew_schur(mu, gam, phi)).get(nu, 0)

@@ -16,6 +16,7 @@ from flagged_lr.cli import (
     run_coefficient,
     saturation_scan,
 )
+from flagged_lr.crystal import _count_tableaux, coefficient_by_tableaux
 from flagged_lr.core import (
     ScaleExceededError,
     all_flags,
@@ -23,7 +24,20 @@ from flagged_lr.core import (
     partitions_up_to,
     subpartitions,
 )
-from flagged_lr.hives import enumerate_skew_hive_points, psi, psi_inverse
+from flagged_lr.hives import (
+    _count_skew_hives,
+    _doubling,
+    count_skew_hive_points,
+    enumerate_skew_hive_points,
+    psi,
+    psi_inverse,
+)
+from flagged_lr.polynomials import (
+    IntPolynomial,
+    _schur_table,
+    coefficient_table_by_demazure,
+    flagged_skew_schur,
+)
 from oracles import hive_iso_report_by_objects, psi_by_objects, psi_inverse_by_objects
 
 
@@ -210,12 +224,13 @@ def test_reports_are_deterministic(capsys):
 def test_cross_check_reports_failures_with_bundle(monkeypatch):
     import flagged_lr.cli as cli_mod
 
-    real = cli_mod.coefficient_by_tableaux
+    # cross_check calls the tableau route's trusted core
+    real = cli_mod._count_tableaux
 
-    def corrupted(lam, mu, gam, nu, phi, limit=None):
+    def corrupted(lam, mu, gam, nu, phi, limit):
         return real(lam, mu, gam, nu, phi, limit) + 1
 
-    monkeypatch.setattr(cli_mod, "coefficient_by_tableaux", corrupted)
+    monkeypatch.setattr(cli_mod, "_count_tableaux", corrupted)
     report = cross_check(2, 1)
     assert not report["ok"]
     assert report["failure"] == "three-way coefficient mismatch"
@@ -223,15 +238,16 @@ def test_cross_check_reports_failures_with_bundle(monkeypatch):
 
 
 def test_cross_check_counts_hives_once_and_reports_the_mismatch(monkeypatch):
-    # with lam inside nu the hive count is the isomorphism report's skew count,
-    # so one hive too many shows as a three-way mismatch, not an iso failure
-    real = hives_mod._skew_hive_rows
+    # with lam inside nu the hive count is the doubling core's skew count,
+    # so one hive too many shows as a three-way mismatch, not an iso failure;
+    # the core takes its skew points from ``_skew_rows``
+    real = hives_mod._skew_rows
 
     def one_extra(*args, **kwargs):
         points = list(real(*args, **kwargs))
         return points + points[:1]
 
-    monkeypatch.setattr(hives_mod, "_skew_hive_rows", one_extra)
+    monkeypatch.setattr(hives_mod, "_skew_rows", one_extra)
     report = cross_check(2, 1)
     assert not report["ok"]
     assert report["failure"] == "three-way coefficient mismatch"
@@ -361,3 +377,68 @@ def test_python_level_reports():
     assert rep["ok"]
     rep = hive_iso_report((1, 0), (1, 0), (0, 0), (1, 1), (2, 2))
     assert rep["ok"]
+
+
+@pytest.mark.parametrize("bad", [(0, 1), (1, -1)])
+@pytest.mark.parametrize("part", ["lam", "mu", "gam", "nu"])
+@pytest.mark.parametrize("method", ["tableau", "hive", "demazure"])
+def test_every_route_rejects_a_non_partition(method, part, bad):
+    boundary = {"lam": (1, 0), "mu": (1, 0), "gam": (0, 0), "nu": (1, 1)}
+    boundary[part] = bad
+    with pytest.raises(ValueError, match="not weakly decreasing|negative part"):
+        run_coefficient(*boundary.values(), (2, 2), method=method)
+
+
+def _one_coefficient_up(f):
+    """f with the coefficient of its lexicographically greatest monomial
+    raised by one."""
+    return f + IntPolynomial.monomial(max(f.terms))
+
+
+@pytest.mark.parametrize("name, corrupt, failure", [
+    # the polynomial cross_check builds once per (mu, gam, phi) ...
+    ("flagged_skew_schur", lambda real: lambda *args: _one_coefficient_up(real(*args)),
+     "decomposition character sum"),
+    # ... and the one the Demazure core reads for every lam
+    ("_schur_table", lambda real: lambda lam, f: real(lam, _one_coefficient_up(f)),
+     "three-way coefficient mismatch"),
+])
+def test_cross_check_fails_on_a_corrupted_skew_schur(monkeypatch, name, corrupt, failure):
+    import flagged_lr.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, name, corrupt(getattr(cli_mod, name)))
+    report = cross_check(2, 2)
+    assert not report["ok"]
+    assert report["failure"] == failure
+
+
+def test_trusted_cores_equal_the_public_routes():
+    # every tuple of cross_check(n, 3), n <= 3: the iso grid and the tuples
+    # with lam not inside nu
+    tables = tuples = iso = 0
+    for n in (1, 2, 3):
+        for mu in partitions_up_to(n, 3):
+            for gam in subpartitions(mu):
+                for phi in all_flags(n):
+                    skew_schur = flagged_skew_schur(mu, gam, phi)
+                    for lam in subpartitions(mu):
+                        table = _schur_table(lam, skew_schur)
+                        assert table == coefficient_table_by_demazure(lam, mu, gam, phi)
+                        tables += 1
+                        for nu in _nu_candidates(lam, mu, gam, n):
+                            args = (lam, mu, gam, nu, phi)
+                            assert _count_tableaux(*args, None) == coefficient_by_tableaux(*args)
+                            assert _count_skew_hives(*args, None) == count_skew_hive_points(*args)
+                            tuples += 1
+                            if not contains(nu, lam):
+                                continue
+                            lifted, skew, tri, roundtrip, image_ok = _doubling(*args, None)
+                            report = hive_iso_report(*args)
+                            assert report["lifted"] == dict(zip(("lam", "mu", "nu", "phi"),
+                                                                map(list, lifted)))
+                            assert (skew, tri, roundtrip) == (
+                                report["skew_count"], report["tri_count"],
+                                report["roundtrip_identity"])
+                            assert report["ok"] and image_ok, args
+                            iso += 1
+    assert (tables, tuples, iso) == (638, 1616, 1322)

@@ -12,10 +12,12 @@ from flagged_lr.hives import (
     ScaleExceededError,
     SkewGTPattern,
     SkewHive,
+    _boundary_labels,
     _count_points,
     _gt_polytope,
     _lattice_points,
     _skew_hive_input,
+    _skew_labels,
     _skew_polytope,
     _tri_polytope,
     check_skew_hive,
@@ -288,6 +290,24 @@ def test_placement_order_census(census, reordered, monkeypatch):
         assert got == sorted(_lattice_points(row_major[build, args], fixed, None)), case
     assert sum(build(*args).free != poly.free
                for (build, args), poly in row_major.items()) == reordered
+
+
+def test_skew_labels_equal_the_boundary_dict():
+    # the count and the doubling check write the skew boundary straight into
+    # the label array; it must equal the array placed from the node dict
+    checked = 0
+    for (lam, mu, gam, nu, phi), (build, args), fixed in _skew_census():
+        poly = build(*args)
+        assert _skew_labels(poly, lam, mu, gam, nu) == _boundary_labels(poly, fixed)
+        checked += 1
+    assert checked == 19565
+    # weights that differ; for n = 1 every node is on the boundary, and its
+    # one rhombus reads mu >= gam
+    assert _skew_labels(_skew_polytope(2, None), (0, 0), (1, 0), (0, 0), (2, 0)) is None
+    poly = _skew_polytope(1, None)
+    assert poly.checks and not poly.free
+    assert _skew_labels(poly, (1,), (0,), (1,), (0,)) is None
+    assert _skew_labels(poly, (1,), (1,), (1,), (1,)) == [0, 1, 1, 2, 0]
 
 
 def test_count_limit_counts_labels_tried(worked_hive):

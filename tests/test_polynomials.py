@@ -3,8 +3,9 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flagged_lr.core import longest_element, permutation_from_word
+from flagged_lr.core import all_flags, longest_element, partitions_up_to, permutation_from_word, subpartitions
 from flagged_lr.polynomials import (
     IntPolynomial,
     coefficient_by_demazure,
@@ -176,3 +177,36 @@ def test_polynomial_algebra_and_io():
     assert data == [{"exponents": [1, 1], "coefficient": 2}]
     with pytest.raises(ValueError):
         IntPolynomial(2, {(1, 0, 0): 1})
+
+
+@st.composite
+def polynomials(draw, n):
+    """Small polynomials in n variables, zero and cancelling terms included."""
+    exps = st.tuples(*[st.integers(min_value=0, max_value=3)] * n)
+    return IntPolynomial(n, draw(st.dictionaries(exps, st.integers(-3, 3), max_size=5)))
+
+
+@st.composite
+def polynomial_results(draw):
+    """One result of each operation built by the trusted constructor, on
+    random polynomials with n <= 3."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    f, g = draw(polynomials(n)), draw(polynomials(n))
+    k = draw(st.integers(-2, 2))
+    out = [f + g, f - g, -f, f * g, k * f, f * k, f * 0]
+    for i in range(1, n):
+        out += [f.swap(i), demazure_Ti(f, i)]
+    mu = draw(st.sampled_from(partitions_up_to(n, 4)))
+    gam = draw(st.sampled_from(subpartitions(mu)))
+    out.append(flagged_skew_schur(mu, gam, draw(st.sampled_from(all_flags(n)))))
+    return n, out
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomial_results())
+def test_trusted_results_equal_the_checked_constructor(case):
+    n, results = case
+    for result in results:
+        assert result.n == n
+        assert result == IntPolynomial(n, dict(result.terms))
+        assert all(result.terms.values())
