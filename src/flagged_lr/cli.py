@@ -9,8 +9,9 @@ The subcommands call the routes' public functions, which check their input.
 calls the trusted cores on every tuple: ``crystal._count_tableaux``,
 ``hives._count_skew_hives`` and ``hives._doubling``, and
 ``polynomials._schur_table`` on one flagged skew Schur polynomial per
-(mu, gam, phi).  It builds the full isomorphism report only for a tuple
-that fails.
+(mu, gam, phi).  On the isomorphism path it judges the ``_doubling``
+result by the same rule as ``hive_iso_report`` (``_iso_ok``) and builds
+the full report from that result only for a tuple that fails.
 """
 
 from __future__ import annotations
@@ -194,8 +195,20 @@ def _character_sum_matches(components, skew_schur) -> bool:
 
 def hive_iso_report(lam, mu, gam, nu, phi, limit=None):
     """Counts on both sides of the doubling map plus the exact roundtrip."""
-    (lam_t, mu_t, nu_t, phi_t), skew_count, tri_count, roundtrip, image_ok = (
-        _check_doubling(lam, mu, gam, nu, phi, limit))
+    return _iso_report(lam, mu, gam, nu, phi, _check_doubling(lam, mu, gam, nu, phi, limit))
+
+
+def _iso_ok(doubling):
+    """Whether a ``hives._doubling`` result passes: equal counts, the
+    roundtrip, and every image among the triangular points."""
+    _, skew_count, tri_count, roundtrip, image_ok = doubling
+    return skew_count == tri_count and roundtrip and image_ok
+
+
+def _iso_report(lam, mu, gam, nu, phi, doubling):
+    """``hive_iso_report`` built from the ``hives._doubling`` result of the
+    tuple."""
+    (lam_t, mu_t, nu_t, phi_t), skew_count, tri_count, roundtrip, _ = doubling
     return {
         "query": _query_dict(lam, mu, gam, nu, phi, "hive"),
         "lifted": {
@@ -207,7 +220,7 @@ def hive_iso_report(lam, mu, gam, nu, phi, limit=None):
         "skew_count": skew_count,
         "tri_count": tri_count,
         "roundtrip_identity": roundtrip,
-        "ok": skew_count == tri_count and roundtrip and image_ok,
+        "ok": _iso_ok(doubling),
     }
 
 
@@ -247,11 +260,10 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
                     for nu in nu_candidates[total]:
                         # the isomorphism check enumerates the skew hives
                         # anyway, so its count stands in for the hive count
-                        iso_ok = True
+                        doubling = None
                         if contains(nu, lam):
-                            _, hive, tri, roundtrip, image_ok = _doubling(
-                                lam, mu, gam, nu, phi, limit)
-                            iso_ok = hive == tri and roundtrip and image_ok
+                            doubling = _doubling(lam, mu, gam, nu, phi, limit)
+                            hive = doubling[1]
                         else:
                             hive = _count_skew_hives(lam, mu, gam, nu, phi, limit)
                         got = {
@@ -267,12 +279,12 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
                                 "counts": got,
                                 "checked": checked,
                             }
-                        if not iso_ok:
+                        if doubling is not None and not _iso_ok(doubling):
                             return {
                                 "ok": False,
                                 "failure": "hive isomorphism mismatch",
                                 "tuple": _query_dict(lam, mu, gam, nu, phi, "all"),
-                                "report": hive_iso_report(lam, mu, gam, nu, phi, limit),
+                                "report": _iso_report(lam, mu, gam, nu, phi, doubling),
                                 "checked": checked,
                             }
                         checked["tuples"] += 1

@@ -238,6 +238,8 @@ def sort_to_partition(alpha):
 
 def validate_flag(bounds, n: int):
     """Check the flag conditions: weakly increasing, positive, last entry n."""
+    if bounds is None:
+        raise FlagError("a flag is required")
     t = tuple(int(b) for b in bounds)
     if len(t) != n:
         raise FlagError(f"flag {t} must have length {n}")
@@ -250,10 +252,11 @@ def validate_flag(bounds, n: int):
     return t
 
 
-def check_boundary(lam, mu, gam, nu, phi):
+def check_boundary(lam, mu, gam, nu, phi, optional_flag=False):
     """The boundary of a coefficient query, checked the same way for every
     route: equal lengths, then partitions, then the flag.  ``nu`` may be
-    None (a table over nu) and so may ``phi`` (a hive with no flag).
+    None (a table over nu); ``phi`` may be None only with ``optional_flag``
+    (a skew hive with no flag).
 
     Returns the checked tuples; raises ValueError on any bad part."""
     n = len(mu)
@@ -263,7 +266,7 @@ def check_boundary(lam, mu, gam, nu, phi):
     lam, mu, gam = as_partition(lam), as_partition(mu), as_partition(gam)
     if nu is not None:
         nu = as_partition(nu)
-    if phi is not None:
+    if phi is not None or not optional_flag:
         phi = validate_flag(phi, n)
     return lam, mu, gam, nu, phi
 

@@ -25,11 +25,13 @@ polytopes as the engine's raw label rows, and maps each skew point once,
 with the top n rows of the image built once per boundary.
 
 Input is checked at the public functions and trusted below them.
-``count_skew_hive_points`` checks the boundary (``core.check_boundary``)
-and runs ``_count_skew_hives``; ``_check_doubling`` checks it
-(``_lift_input``) and runs ``_doubling``.  Both cores write the skew
-boundary straight into the engine's label array (``_skew_labels``), and the
-engine still checks the inequalities among boundary nodes.
+``count_skew_hive_points`` and ``enumerate_skew_hive_points`` check the
+boundary (``core.check_boundary``; the flag may be None) and run
+``_count_skew_hives`` and ``_skew_rows``; ``_check_doubling`` checks it
+(``_lift_input``, which needs a flag) and runs ``_doubling``.  The cores
+write the skew boundary straight into the engine's label array
+(``_skew_labels``), and the engine still checks the inequalities among
+boundary nodes.
 
 Node indexing: row i counts from the top.  A parallelogram hive has rows
 0..n each with nodes 0..n; a triangular hive has rows 0..N where row i has
@@ -581,18 +583,6 @@ def _skew_polytope(n, phi) -> _Polytope:
     return _compile(grid, skew_hive_boundary(zeros, zeros, zeros, zeros), table)
 
 
-def _skew_hive_input(lam, mu, gam, nu, phi):
-    """The compiled polytope and the boundary labels (node -> label) of the
-    skew hives with the given boundary, after the input checks.  The labels
-    are None when the weights differ: both sums label the corner (n, n), so
-    no hive fits."""
-    lam, mu, gam, nu, phi = check_boundary(lam, mu, gam, nu, phi)
-    poly = _skew_polytope(len(lam), phi)
-    if weight(lam) + weight(mu) != weight(gam) + weight(nu):
-        return poly, None
-    return poly, skew_hive_boundary(lam, mu, gam, nu)
-
-
 def _skew_labels(poly: _Polytope, lam, mu, gam, nu):
     """``_boundary_labels(poly, skew_hive_boundary(lam, mu, gam, nu))``,
     written straight from the partial sums into the label array: None when
@@ -627,8 +617,8 @@ def enumerate_skew_hive_points(lam, mu, gam, nu, phi=None, limit=None):
     """All integral skew hives with the given boundary, optionally restricted
     to the flag face (every NE rhombus in the flat region has content zero);
     none when the weights of the boundary do not match."""
-    points = _lattice_points(*_skew_hive_input(lam, mu, gam, nu, phi), limit)
-    return [SkewHive(rows) for rows in points]
+    boundary = check_boundary(lam, mu, gam, nu, phi, optional_flag=True)
+    return [SkewHive(rows) for rows in _skew_rows(*boundary, limit)]
 
 
 def count_skew_hive_points(lam, mu, gam, nu, phi=None, limit=None) -> int:
@@ -636,7 +626,8 @@ def count_skew_hive_points(lam, mu, gam, nu, phi=None, limit=None) -> int:
     by the memoized pass without listing them; ``limit`` counts the labels
     the pass tries.  Checks the boundary (``core.check_boundary``) and runs
     ``_count_skew_hives`` on it."""
-    return _count_skew_hives(*check_boundary(lam, mu, gam, nu, phi), limit)
+    boundary = check_boundary(lam, mu, gam, nu, phi, optional_flag=True)
+    return _count_skew_hives(*boundary, limit)
 
 
 # ---------------------------------------------------------------------------

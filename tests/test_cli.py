@@ -29,12 +29,14 @@ from flagged_lr.hives import (
     _doubling,
     count_skew_hive_points,
     enumerate_skew_hive_points,
+    lift_tilde,
     psi,
     psi_inverse,
 )
 from flagged_lr.polynomials import (
     IntPolynomial,
     _schur_table,
+    coefficient_by_demazure,
     coefficient_table_by_demazure,
     flagged_skew_schur,
 )
@@ -387,6 +389,23 @@ def test_every_route_rejects_a_non_partition(method, part, bad):
     boundary[part] = bad
     with pytest.raises(ValueError, match="not weakly decreasing|negative part"):
         run_coefficient(*boundary.values(), (2, 2), method=method)
+
+
+@pytest.mark.parametrize("boundary", [((1, 0), (1, 0), (0, 0), (1, 1)), ((0,),) * 4])
+@pytest.mark.parametrize("name, call", [
+    ("coefficient_by_tableaux", lambda b: coefficient_by_tableaux(*b, None)),
+    ("coefficient_by_demazure", lambda b: coefficient_by_demazure(*b, None)),
+    ("coefficient_table_by_demazure", lambda b: coefficient_table_by_demazure(*b[:3], None)),
+    ("lift_tilde", lambda b: lift_tilde(*b, None)),
+    ("hive_iso_report", lambda b: hive_iso_report(*b, None)),
+    ("run_coefficient", lambda b: run_coefficient(*b, None, method="hive")),
+])
+def test_only_the_skew_hive_takes_no_flag(boundary, name, call):
+    with pytest.raises(ValueError, match="a flag is required"):
+        call(boundary)
+    # the skew hive polytope without the flag face
+    assert count_skew_hive_points(*boundary, None) == len(
+        enumerate_skew_hive_points(*boundary, None)) == 1
 
 
 def _one_coefficient_up(f):

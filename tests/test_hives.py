@@ -16,7 +16,6 @@ from flagged_lr.hives import (
     _count_points,
     _gt_polytope,
     _lattice_points,
-    _skew_hive_input,
     _skew_labels,
     _skew_polytope,
     _tri_polytope,
@@ -33,6 +32,7 @@ from flagged_lr.hives import (
     psi_inverse,
     scale_labels,
     skew_flat_region,
+    skew_hive_boundary,
     skew_hive_contents,
     tri_hive_boundary,
     tri_kogan_region,
@@ -235,7 +235,7 @@ def _skew_census():
                 for nu in _weight_matched(n, sum(lam) + sum(mu) - sum(gam)):
                     for phi in all_flags(n) + [None]:
                         yield (lam, mu, gam, nu, phi), (_skew_polytope, (n, phi)), (
-                            _skew_hive_input(lam, mu, gam, nu, phi)[1])
+                            skew_hive_boundary(lam, mu, gam, nu))
 
 
 def _tri_census():
