@@ -6,7 +6,9 @@ triangular hive) are implemented exactly as affine maps on integer labels.
 
 One engine enumerates all three polytopes.  Each states its inequalities
 once, as ``(plus nodes, minus nodes)`` pairs meaning ``sum(plus) >=
-sum(minus)``; a compile step, cached per grid size and flag, picks the order
+sum(minus)``, and its boundary once, as edges (runs of nodes, such as the
+left column or the bottom row) with a helper that gives the partial sums
+along them; a compile step, cached per grid size and flag, picks the order
 in which the free nodes are placed from the table alone (always the node
 that completes the most inequalities next), and turns the table into bounds
 on each free node.  The engine places labels in that order, lexicographic
@@ -28,10 +30,13 @@ Input is checked at the public functions and trusted below them.
 ``count_skew_hive_points`` and ``enumerate_skew_hive_points`` check the
 boundary (``core.check_boundary``; the flag may be None) and run
 ``_count_skew_hives`` and ``_skew_rows``; ``_check_doubling`` checks it
-(``_lift_input``, which needs a flag) and runs ``_doubling``.  The cores
-write the skew boundary straight into the engine's label array
-(``_skew_labels``), and the engine still checks the inequalities among
-boundary nodes.
+(``_lift_input``, which needs a flag) and runs ``_doubling``.  Every
+polytope's boundary reaches the engine through ``_labels``, which writes
+the runs along the edges into the label array, gives no points when two
+runs disagree where their edges meet (the weights differ), and checks the
+inequalities among boundary nodes.  ``skew_hive_boundary`` and
+``tri_hive_boundary``, which the hive checks read, are the same edges and
+runs as a dict from node to label.
 
 Node indexing: row i counts from the top.  A parallelogram hive has rows
 0..n each with nodes 0..n; a triangular hive has rows 0..N where row i has
@@ -47,7 +52,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .core import (
     ScaleExceededError,
@@ -55,6 +60,7 @@ from .core import (
     check_boundary,
     contains,
     partial_sums,
+    validate_flag,
     weight,
 )
 from .tableaux import SkewShape, SkewTableau
@@ -100,7 +106,7 @@ class HiveValidationError(ValueError):
 # the lattice-point engine
 # ---------------------------------------------------------------------------
 
-_Polytope = namedtuple("_Polytope", "index free lows highs checks spans live reads keeps")
+_Polytope = namedtuple("_Polytope", "edges meets free lows highs checks spans live reads keeps")
 
 
 def _placement_order(free, table):
@@ -134,16 +140,19 @@ def _placement_order(free, table):
     return order
 
 
-def _compile(grid, boundary, table) -> _Polytope:
+def _compile(grid, edges, table) -> _Polytope:
     """Fold every inequality of ``table`` onto its last-placed free node.
 
-    ``grid`` lists the nodes row by row.  The ``boundary`` nodes are placed
-    first, then the free nodes in the order ``_placement_order`` picks from
-    the table.  Nodes are numbered row-major, whatever the placement order,
-    and one extra node holds 0.  ``free`` lists the free nodes' numbers in
-    placement order; ``lows[k]``/``highs[k]`` bound ``free[k]`` by triples
-    (a, b, c) standing for ``v[a] + v[b] - v[c]``; ``checks`` are the
-    inequalities among boundary nodes, ``spans`` the rows' extents.
+    ``grid`` lists the nodes row by row and ``edges`` the boundary as runs
+    of nodes, such as the left column or the bottom row; the nodes on no
+    edge are free.  Nodes are numbered row-major, whatever the placement
+    order, and one extra node holds 0.  ``edges`` keeps each run as node
+    numbers, and ``meets`` has (k, a, l, b) for each node that is place a
+    of edge k and place b of a later edge l.  ``free`` lists the free
+    nodes' numbers in the order ``_placement_order`` picks from the table;
+    ``lows[k]``/``highs[k]`` bound ``free[k]`` by triples (a, b, c) standing
+    for ``v[a] + v[b] - v[c]``; ``checks`` are the inequalities among
+    boundary nodes, ``spans`` the rows' extents.
 
     ``live[k]`` lists the free nodes placed before depth k that a bound at
     depth k or later still reads, in placement order.  ``reads[k]`` pairs
@@ -153,7 +162,14 @@ def _compile(grid, boundary, table) -> _Polytope:
     nodes = [node for row in grid for node in row]
     index = {node: k for k, node in enumerate(nodes)}
     zero = len(nodes)
-    free = _placement_order([node for node in nodes if node not in boundary], table)
+    first, meets = {}, []
+    for k, edge in enumerate(edges):
+        for a, node in enumerate(edge):
+            if node in first:
+                meets.append(first[node] + (k, a))
+            else:
+                first[node] = (k, a)
+    free = _placement_order([node for node in nodes if node not in first], table)
     rank = {node: k for k, node in enumerate(free)}
     lows, highs = [set() for _ in free], [set() for _ in free]
     checks = []
@@ -181,36 +197,29 @@ def _compile(grid, boundary, table) -> _Polytope:
     keeps = [tuple(live[k].index(p) for p in live[k + 1] if p != slot)
              for k, slot in enumerate(slots)]
     return _Polytope(
-        index, tuple(slots),
+        tuple(tuple(index[node] for node in edge) for edge in edges), tuple(meets),
+        tuple(slots),
         tuple(tuple(sorted(b)) for b in lows), tuple(tuple(sorted(b)) for b in highs),
         tuple(checks), tuple(zip([0] + ends, ends)),
         tuple(live), tuple(reads), tuple(keeps),
     )
 
 
-def _checked_labels(poly: _Polytope, v):
-    """The label array ``v``, with the boundary labels placed, or None when
-    the boundary breaks an inequality among its own nodes."""
+def _labels(poly: _Polytope, runs):
+    """The label array with run k of ``runs`` written along edge k of
+    ``poly``, or None when two runs disagree where their edges meet (on the
+    skew and triangular hives, when the weights differ) or the boundary
+    breaks an inequality among its own nodes."""
+    for k, a, l, b in poly.meets:
+        if runs[k][a] != runs[l][b]:
+            return None
+    v = [0] * (poly.spans[-1][1] + 1)
+    for edge, run in zip(poly.edges, runs):
+        for p, x in zip(edge, run):
+            v[p] = x
     if any(sum(v[p] for p in plus) < sum(v[q] for q in minus) for plus, minus in poly.checks):
         return None
     return v
-
-
-def _boundary_labels(poly: _Polytope, fixed):
-    """The label array with ``fixed`` (boundary node -> label) placed, or
-    None when ``fixed`` is None (no labelling fits the boundary data) or
-    the boundary breaks an inequality among its own nodes."""
-    if fixed is None:
-        return None
-    v = [0] * (len(poly.index) + 1)
-    for node, x in fixed.items():
-        v[poly.index[node]] = x
-    return _checked_labels(poly, v)
-
-
-def _lattice_points(poly: _Polytope, fixed, limit):
-    """``_points`` with ``fixed`` mapping each boundary node to its label."""
-    return _points(poly, _boundary_labels(poly, fixed), limit)
 
 
 def _points(poly: _Polytope, v, limit):
@@ -244,11 +253,6 @@ def _points(poly: _Polytope, v, limit):
         if left < 0:
             raise ScaleExceededError("enumeration ceiling exceeded")
         k += 1
-
-
-def _count_points(poly: _Polytope, fixed, limit):
-    """``_count`` with ``fixed`` mapping each boundary node to its label."""
-    return _count(poly, _boundary_labels(poly, fixed), limit)
 
 
 def _count(poly: _Polytope, v, limit):
@@ -419,7 +423,7 @@ def _gt_polytope(n, phi) -> _Polytope:
                 if i >= phi[j]:
                     table.append((((i, j),), ((n, j),)))
     grid = [[(i, j) for j in range(n)] for i in range(n + 1)]
-    return _compile(grid, {(i, j) for i in (0, n) for j in range(n)}, table)
+    return _compile(grid, (grid[0], grid[n]), table)
 
 
 def enumerate_flagged_gt_points(mu, gam, phi, limit=None):
@@ -428,13 +432,11 @@ def enumerate_flagged_gt_points(mu, gam, phi, limit=None):
     mu = as_partition(mu)
     n = len(mu)
     gam = as_partition(gam, n)
-    if len(phi) != n:
-        raise ValueError("flag length must match ambient")
+    phi = validate_flag(phi, n)
     if not contains(mu, gam):
         return []
-    fixed = {(i, j): row[j] for i, row in ((0, gam), (n, mu)) for j in range(n)}
-    points = _lattice_points(_gt_polytope(n, tuple(phi)), fixed, limit)
-    return [SkewGTPattern(rows) for rows in points]
+    poly = _gt_polytope(n, phi)
+    return [SkewGTPattern(rows) for rows in _points(poly, _labels(poly, (gam, mu)), limit)]
 
 
 # ---------------------------------------------------------------------------
@@ -500,18 +502,24 @@ def skew_hive_contents(rows):
     return _contents(rows, _skew_rhombi(len(rows) - 1))
 
 
+def _skew_edges(n):
+    """The left and right columns and the top and bottom rows of the
+    parallelogram, each read top to bottom or left to right."""
+    ends = range(n + 1)
+    return ([(i, 0) for i in ends], [(i, n) for i in ends],
+            [(0, j) for j in ends], [(n, j) for j in ends])
+
+
+def _skew_runs(lam, mu, gam, nu):
+    """The labels along ``_skew_edges``: the partial sums of lam, of nu
+    shifted by |gam|, of gam, and of mu shifted by |lam|."""
+    left, top = list(accumulate(lam, initial=0)), list(accumulate(gam, initial=0))
+    return left, list(accumulate(nu, initial=top[-1])), top, list(accumulate(mu, initial=left[-1]))
+
+
 def skew_hive_boundary(lam, mu, gam, nu):
     """Fixed node values (only the boundary keys are present)."""
-    n = len(lam)
-    bl, bm, bg, bn = partial_sums(lam), partial_sums(mu), partial_sums(gam), partial_sums(nu)
-    fixed = {}
-    for i in range(n + 1):
-        fixed[(i, 0)] = bl[i]
-        fixed[(i, n)] = weight(gam) + bn[i]
-    for j in range(n + 1):
-        fixed[(0, j)] = bg[j]
-        fixed[(n, j)] = weight(lam) + bm[j]
-    return fixed
+    return dict(zip(chain(*_skew_edges(len(lam))), chain(*_skew_runs(lam, mu, gam, nu))))
 
 
 def check_skew_hive(rows, lam, mu, gam, nu, phi=None):
@@ -579,38 +587,20 @@ def _skew_polytope(n, phi) -> _Polytope:
         for j in range(1, n + 1):
             table.append((((n, j), (i, j - 1)), ((n, j - 1), (i, j))))
     grid = [[(i, j) for j in range(n + 1)] for i in range(n + 1)]
-    zeros = (0,) * n
-    return _compile(grid, skew_hive_boundary(zeros, zeros, zeros, zeros), table)
-
-
-def _skew_labels(poly: _Polytope, lam, mu, gam, nu):
-    """``_boundary_labels(poly, skew_hive_boundary(lam, mu, gam, nu))``,
-    written straight from the partial sums into the label array: None when
-    the weights differ or the boundary breaks an inequality among its own
-    nodes."""
-    if weight(lam) + weight(mu) != weight(gam) + weight(nu):
-        return None
-    w = len(lam) + 1
-    v = [0] * (w * w + 1)
-    # the nodes are numbered row-major, (i, j) as i * w + j
-    v[0:w * w:w] = partial_sums(lam)
-    v[w - 1:w * w:w] = [weight(gam) + b for b in partial_sums(nu)]
-    v[0:w] = partial_sums(gam)
-    v[w * w - w:w * w] = [weight(lam) + b for b in partial_sums(mu)]
-    return _checked_labels(poly, v)
+    return _compile(grid, _skew_edges(n), table)
 
 
 def _skew_rows(lam, mu, gam, nu, phi, limit):
     """The label rows of every skew hive with a checked boundary, as
     ``_points`` yields them."""
     poly = _skew_polytope(len(lam), phi)
-    return _points(poly, _skew_labels(poly, lam, mu, gam, nu), limit)
+    return _points(poly, _labels(poly, _skew_runs(lam, mu, gam, nu)), limit)
 
 
 def _count_skew_hives(lam, mu, gam, nu, phi, limit):
     """``count_skew_hive_points`` on a checked boundary."""
     poly = _skew_polytope(len(lam), phi)
-    return _count(poly, _skew_labels(poly, lam, mu, gam, nu), limit)
+    return _count(poly, _labels(poly, _skew_runs(lam, mu, gam, nu)), limit)
 
 
 def enumerate_skew_hive_points(lam, mu, gam, nu, phi=None, limit=None):
@@ -690,16 +680,23 @@ def tri_hive_contents(rows):
     return _contents(rows, _tri_rhombi(len(rows) - 1))
 
 
+def _tri_edges(big_n):
+    """The left and right edges of the triangle, read top to bottom, and
+    its bottom row, read left to right."""
+    ends = range(big_n + 1)
+    return [(i, 0) for i in ends], [(i, i) for i in ends], [(big_n, j) for j in ends]
+
+
+def _tri_runs(alpha, beta, gam):
+    """The labels along ``_tri_edges``: the partial sums of alpha, of gam,
+    and of beta shifted by |alpha|."""
+    left = list(accumulate(alpha, initial=0))
+    return left, list(accumulate(gam, initial=0)), list(accumulate(beta, initial=left[-1]))
+
+
 def tri_hive_boundary(alpha, beta, gam):
-    nn = len(alpha)
-    ba, bb, bg = partial_sums(alpha), partial_sums(beta), partial_sums(gam)
-    fixed = {}
-    for i in range(nn + 1):
-        fixed[(i, 0)] = ba[i]
-        fixed[(i, i)] = bg[i]
-    for j in range(nn + 1):
-        fixed[(nn, j)] = weight(alpha) + bb[j]
-    return fixed
+    """Fixed node values (only the boundary keys are present)."""
+    return dict(zip(chain(*_tri_edges(len(alpha))), chain(*_tri_runs(alpha, beta, gam))))
 
 
 def tri_kogan_region(phi, big_n):
@@ -736,8 +733,7 @@ def _tri_polytope(big_n, phi) -> _Polytope:
     """The rhombus table with the Kogan face as flat region."""
     table = _hive_table(_tri_rhombi(big_n), tri_kogan_region(phi, big_n) if phi is not None else ())
     grid = [[(i, j) for j in range(i + 1)] for i in range(big_n + 1)]
-    zeros = (0,) * big_n
-    return _compile(grid, tri_hive_boundary(zeros, zeros, zeros), table)
+    return _compile(grid, _tri_edges(big_n), table)
 
 
 def enumerate_tri_hive_points(alpha, beta, gam, phi=None, limit=None):
@@ -751,7 +747,7 @@ def enumerate_tri_hive_points(alpha, beta, gam, phi=None, limit=None):
     if weight(alpha) + weight(beta) != weight(gam):
         raise ValueError("weight mismatch: |alpha|+|beta| != |gamma|")
     poly = _tri_polytope(nn, None if phi is None else tuple(phi))
-    points = _lattice_points(poly, tri_hive_boundary(alpha, beta, gam), limit)
+    points = _points(poly, _labels(poly, _tri_runs(alpha, beta, gam)), limit)
     return [TriHive(rows) for rows in points]
 
 
@@ -842,7 +838,7 @@ def _doubling(lam, mu, gam, nu, phi, limit):
     skew = list(_skew_rows(lam, mu, gam, nu, phi, limit))
     lifted = lam_t, mu_t, nu_t, phi_t = _lift(lam, mu, gam, nu, phi)
     tri_poly = _tri_polytope(len(lam_t), phi_t)
-    tri = list(_lattice_points(tri_poly, tri_hive_boundary(lam_t, mu_t, nu_t), limit))
+    tri = list(_points(tri_poly, _labels(tri_poly, _tri_runs(lam_t, mu_t, nu_t)), limit))
     nu1 = nu[0] if nu else 0
     head = _psi_head(gam, nu1)
     images = [_psi_rows(rows, head, nu1) for rows in skew]

@@ -198,6 +198,56 @@ def coefficient_by_enumeration(lam, mu, gam, nu, phi) -> int:
 
 
 # ---------------------------------------------------------------------------
+# hives: boundaries as node dicts, placed node by node
+# ---------------------------------------------------------------------------
+
+def skew_hive_boundary_by_loops(lam, mu, gam, nu):
+    """The skew hive boundary as a dict from node to label, filled column
+    by column and then row by row."""
+    n = len(lam)
+    bl, bm, bg, bn = partial_sums(lam), partial_sums(mu), partial_sums(gam), partial_sums(nu)
+    fixed = {}
+    for i in range(n + 1):
+        fixed[(i, 0)] = bl[i]
+        fixed[(i, n)] = sum(gam) + bn[i]
+    for j in range(n + 1):
+        fixed[(0, j)] = bg[j]
+        fixed[(n, j)] = sum(lam) + bm[j]
+    return fixed
+
+
+def tri_hive_boundary_by_loops(alpha, beta, gam):
+    """The triangular hive boundary as a dict from node to label."""
+    nn = len(alpha)
+    ba, bb, bg = partial_sums(alpha), partial_sums(beta), partial_sums(gam)
+    fixed = {}
+    for i in range(nn + 1):
+        fixed[(i, 0)] = ba[i]
+        fixed[(i, i)] = bg[i]
+    for j in range(nn + 1):
+        fixed[(nn, j)] = sum(alpha) + bb[j]
+    return fixed
+
+
+def gt_boundary_by_rows(mu, gam):
+    """The skew GT boundary as a dict from node to label: row 0 is gam and
+    row n is mu."""
+    n = len(mu)
+    return {(i, j): row[j] for i, row in ((0, gam), (n, mu)) for j in range(n)}
+
+
+def labels_by_nodes(poly, fixed):
+    """The engine's label array for ``fixed``, node (i, j) at the start of
+    row i plus j, or None when the boundary breaks one of ``poly.checks``."""
+    v = [0] * (poly.spans[-1][1] + 1)
+    for (i, j), x in fixed.items():
+        v[poly.spans[i][0] + j] = x
+    if any(sum(v[p] for p in plus) < sum(v[q] for q in minus) for plus, minus in poly.checks):
+        return None
+    return v
+
+
+# ---------------------------------------------------------------------------
 # hives: the doubling map and its report on hive objects
 # ---------------------------------------------------------------------------
 

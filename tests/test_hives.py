@@ -5,20 +5,21 @@ from hypothesis import given, settings, strategies as st
 
 import flagged_lr.hives as hives_mod
 from conftest import WORKED_HIVE_LABELS, skew_pairs
-from flagged_lr.core import all_flags, contains, partitions_up_to, scale, subpartitions
+from flagged_lr.core import FlagError, all_flags, contains, partitions_up_to, scale, subpartitions
 from flagged_lr.crystal import coefficient_by_tableaux, is_lambda_dominant
 from flagged_lr.hives import (
     HiveValidationError,
     ScaleExceededError,
     SkewGTPattern,
     SkewHive,
-    _boundary_labels,
-    _count_points,
+    _count,
     _gt_polytope,
-    _lattice_points,
-    _skew_labels,
+    _labels,
+    _points,
     _skew_polytope,
+    _skew_runs,
     _tri_polytope,
+    _tri_runs,
     check_skew_hive,
     check_tri_hive,
     count_skew_hive_points,
@@ -32,9 +33,7 @@ from flagged_lr.hives import (
     psi_inverse,
     scale_labels,
     skew_flat_region,
-    skew_hive_boundary,
     skew_hive_contents,
-    tri_hive_boundary,
     tri_kogan_region,
     upsilon,
     upsilon_inverse,
@@ -42,6 +41,12 @@ from flagged_lr.hives import (
     validate_tri_hive,
 )
 from flagged_lr.tableaux import SkewShape, enumerate_tableaux, reading_word, word_weight
+from oracles import (
+    gt_boundary_by_rows,
+    labels_by_nodes,
+    skew_hive_boundary_by_loops,
+    tri_hive_boundary_by_loops,
+)
 
 WORKED_PATTERN = ((2, 1, 0, 0), (3, 2, 0, 0), (4, 3, 0, 0), (4, 3, 2, 0), (4, 3, 2, 1))
 
@@ -76,18 +81,27 @@ def test_upsilon_roundtrip_census():
 
 
 def test_flagged_gt_point_counts_match_tableaux():
-    for mu, gam in skew_pairs(2, 4):
-        for phi in all_flags(2):
-            shape = SkewShape(mu, gam)
-            assert len(enumerate_flagged_gt_points(mu, gam, phi)) == len(
-                enumerate_tableaux(shape, phi)
-            )
+    for n in (1, 2, 3):
+        for mu, gam in skew_pairs(n, 4):
+            for phi in all_flags(n):
+                shape = SkewShape(mu, gam)
+                assert len(enumerate_flagged_gt_points(mu, gam, phi)) == len(
+                    enumerate_tableaux(shape, phi)
+                )
 
 
 def test_flagged_gt_examples():
     assert len(enumerate_flagged_gt_points((2, 2), (1, 0), (2, 2))) == 2
     assert len(enumerate_flagged_gt_points((3, 1), (3, 1), (2, 2))) == 1
     assert len(enumerate_flagged_gt_points((1, 0), (0, 0), (1, 2))) == 1
+
+
+@pytest.mark.parametrize("phi", [(3, 2), (0, 2)])
+def test_flagged_gt_points_reject_a_non_flag(phi):
+    # upsilon maps the patterns to flagged tableaux, so a sequence that is
+    # not a flag is refused, as by every other function that takes a flag
+    with pytest.raises(FlagError):
+        enumerate_flagged_gt_points((2, 1), (0, 0), phi)
 
 
 def test_worked_hive_is_valid(worked_hive):
@@ -235,7 +249,7 @@ def _skew_census():
                 for nu in _weight_matched(n, sum(lam) + sum(mu) - sum(gam)):
                     for phi in all_flags(n) + [None]:
                         yield (lam, mu, gam, nu, phi), (_skew_polytope, (n, phi)), (
-                            skew_hive_boundary(lam, mu, gam, nu))
+                            _skew_runs(lam, mu, gam, nu))
 
 
 def _tri_census():
@@ -247,16 +261,15 @@ def _tri_census():
                 for gam in _weight_matched(n, sum(alpha) + sum(beta)):
                     for phi in all_flags(n) + [None]:
                         yield (alpha, beta, gam, phi), (_tri_polytope, (n, phi)), (
-                            tri_hive_boundary(alpha, beta, gam))
+                            _tri_runs(alpha, beta, gam))
 
 
 def _gt_census():
     """Every skew GT case with n <= 3, |mu| <= 5 and every flag."""
     for n in (1, 2, 3):
         for mu, gam in skew_pairs(n, 5):
-            fixed = {(i, j): row[j] for i, row in ((0, gam), (n, mu)) for j in range(n)}
             for phi in all_flags(n):
-                yield (mu, gam, phi), (_gt_polytope, (n, phi)), fixed
+                yield (mu, gam, phi), (_gt_polytope, (n, phi)), (gam, mu)
 
 
 @pytest.mark.parametrize("census, size", [
@@ -264,10 +277,10 @@ def _gt_census():
 ], ids=["skew", "tri", "gt"])
 def test_count_points_census(census, size):
     checked = 0
-    for case, (build, args), fixed in census():
+    for case, (build, args), runs in census():
         poly = build(*args)
-        listed = sum(1 for _ in _lattice_points(poly, fixed, None))
-        assert _count_points(poly, fixed, None) == listed, case
+        listed = sum(1 for _ in _points(poly, _labels(poly, runs), None))
+        assert _count(poly, _labels(poly, runs), None) == listed, case
         checked += 1
     assert checked == size
 
@@ -281,33 +294,45 @@ def test_placement_order_census(census, reordered, monkeypatch):
     # ``reordered`` counts the polytopes whose order differs (a triangle of
     # size <= 3 has at most one free node)
     row_major = {}
-    for case, (build, args), fixed in census():
+    for case, (build, args), runs in census():
         if (build, args) not in row_major:
             with monkeypatch.context() as m:
                 m.setattr(hives_mod, "_placement_order", lambda free, table: free)
                 row_major[build, args] = build.__wrapped__(*args)
-        got = sorted(_lattice_points(build(*args), fixed, None))
-        assert got == sorted(_lattice_points(row_major[build, args], fixed, None)), case
+        poly, other = build(*args), row_major[build, args]
+        got = sorted(_points(poly, _labels(poly, runs), None))
+        assert got == sorted(_points(other, _labels(other, runs), None)), case
     assert sum(build(*args).free != poly.free
                for (build, args), poly in row_major.items()) == reordered
 
 
-def test_skew_labels_equal_the_boundary_dict():
-    # the count and the doubling check write the skew boundary straight into
-    # the label array; it must equal the array placed from the node dict
+@pytest.mark.parametrize("census, boundary, size", [
+    (_skew_census, skew_hive_boundary_by_loops, 19565),
+    (_tri_census, tri_hive_boundary_by_loops, 6054),
+    (_gt_census, gt_boundary_by_rows, 681),
+], ids=["skew", "tri", "gt"])
+def test_labels_equal_the_node_dict_placement(census, boundary, size):
+    # each polytope states its boundary once, as edges and the runs along
+    # them; the label array must equal the one placed node by node from an
+    # independent dict of the boundary (every case's phi comes last)
     checked = 0
-    for (lam, mu, gam, nu, phi), (build, args), fixed in _skew_census():
+    for case, (build, args), runs in census():
         poly = build(*args)
-        assert _skew_labels(poly, lam, mu, gam, nu) == _boundary_labels(poly, fixed)
+        assert _labels(poly, runs) == labels_by_nodes(poly, boundary(*case[:-1])), case
         checked += 1
-    assert checked == 19565
-    # weights that differ; for n = 1 every node is on the boundary, and its
-    # one rhombus reads mu >= gam
-    assert _skew_labels(_skew_polytope(2, None), (0, 0), (1, 0), (0, 0), (2, 0)) is None
+    assert checked == size
+
+
+def test_labels_refuse_a_boundary_that_does_not_fit():
+    # weights that differ make the runs disagree at a corner of the edges
+    assert _labels(_skew_polytope(2, None), _skew_runs((0, 0), (1, 0), (0, 0), (2, 0))) is None
+    assert _labels(_tri_polytope(2, None), _tri_runs((1, 0), (1, 0), (1, 0))) is None
+    # for n = 1 every node is on the boundary, and its one rhombus reads
+    # mu >= gam
     poly = _skew_polytope(1, None)
     assert poly.checks and not poly.free
-    assert _skew_labels(poly, (1,), (0,), (1,), (0,)) is None
-    assert _skew_labels(poly, (1,), (1,), (1,), (1,)) == [0, 1, 1, 2, 0]
+    assert _labels(poly, _skew_runs((1,), (0,), (1,), (0,))) is None
+    assert _labels(poly, _skew_runs((1,), (1,), (1,), (1,))) == [0, 1, 1, 2, 0]
 
 
 def test_count_limit_counts_labels_tried(worked_hive):
@@ -363,7 +388,7 @@ def test_engine_agrees_with_independent_oracles(args):
         assert len(enumerate_tri_hive_points(*lifted)) == len(points)
         # the census's triangles have at most one free node; these have many
         poly = _tri_polytope(2 * len(lam), lifted[3])
-        assert _count_points(poly, tri_hive_boundary(*lifted[:3]), None) == len(points)
+        assert _count(poly, _labels(poly, _tri_runs(*lifted[:3])), None) == len(points)
 
 
 def test_lift_tilde_examples(worked_hive):
