@@ -61,7 +61,6 @@ from .hives import (
 from .burge import (
     Biword,
     insertion_decomposition,
-    burge,
     biword_from_matrix,
     essential_subword,
     is_j_phi_compatible,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import as_partition, sub, validate_flag
+from .core import as_partition, check_boundary, sub
 from .tableaux import (
     SkewShape,
     SkewTableau,
@@ -375,11 +375,10 @@ class InsertionClass:
 
 def insertion_decomposition(mu, gam, phi):
     """Partition the flagged skew tableaux by recording tableau under the
-    insertion of the reversed reading word below the row-block word."""
-    mu = as_partition(mu)
+    insertion of the reversed reading word below the row-block word.
+    Checks mu, gam and the flag with ``core.check_boundary``."""
+    mu, gam, phi = check_boundary((mu, gam), phi)
     n = len(mu)
-    gam = as_partition(gam, n)
-    validate_flag(phi, n)
     shape = SkewShape(mu, gam)
     rho = sub(mu, gam)
     groups = {}

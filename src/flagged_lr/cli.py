@@ -4,7 +4,10 @@ reports, crystal graph export and the cross-check harness.
 All numeric output is exact; every subcommand exits 0 only when the
 assertions it ran all passed, and mirrors its report as JSON on request.
 
-The subcommands call the routes' public functions, which check their input.
+The subcommands parse and pad their arguments and call the library's public
+functions, each of which checks its input with ``core.check_boundary``;
+only ``crystal-graph``, whose word set takes row bounds, checks the flag
+itself.
 ``cross_check`` builds its grid from partitions, checks its flags once and
 calls the trusted cores on every tuple: ``crystal._count_tableaux``,
 ``hives._count_skew_hives`` and ``hives._doubling``, and
@@ -24,7 +27,7 @@ from time import perf_counter
 from .core import (
     ScaleExceededError,
     all_flags,
-    as_partition,
+    check_boundary,
     contains,
     parse_int_tuple,
     partitions_up_to,
@@ -71,8 +74,7 @@ def hive_count(lam, mu, gam, nu, phi, limit=None) -> int:
 
 def run_coefficient(lam, mu, gam, nu, phi, method="all", limit=None):
     """Coefficient (or full table when nu is None) per requested method."""
-    n = len(mu)
-    validate_flag(phi, n)
+    check_boundary((lam, mu, gam) if nu is None else (lam, mu, gam, nu), phi)
     methods = ("tableau", "hive", "demazure") if method == "all" else (method,)
     report = {"query": _query_dict(lam, mu, gam, nu, phi, method), "methods": {}}
     if nu is not None:
@@ -122,6 +124,7 @@ def saturation_scan(lam, mu, gam, nu, phi, k_max, limit=None):
     """Coefficients of the k-fold dilations, with both saturation directions
     asserted: positivity for some k forces k = 1, and positivity at k = 1
     dilates to every k."""
+    check_boundary((lam, mu, gam, nu), phi)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     values = []
@@ -147,7 +150,9 @@ def saturation_scan(lam, mu, gam, nu, phi, k_max, limit=None):
 
 def decomposition_report(mu, gam, phi):
     """Demazure components of the flagged crystal next to the insertion
-    classes; the two partitions of the tableau set must agree."""
+    classes; the two partitions of the tableau set must agree.  Checks mu,
+    gam and the flag (``core.check_boundary``) before any crystal work."""
+    mu, gam, phi = check_boundary((mu, gam), phi)
     n = len(mu)
     words = tableau_word_set(mu, gam, phi)
     components = decompose(words, n)
@@ -339,17 +344,19 @@ def _add_boundary_args(p, with_nu=True, with_lam=True):
     p.add_argument("--phi", default=None, help="flag, comma separated; default n,..,n")
 
 
-def _parse_boundary(args, n, with_nu=True, with_lam=True):
-    lam = as_partition(parse_int_tuple(args.lam, n)) if with_lam else None
-    mu = as_partition(parse_int_tuple(args.mu, n))
-    gam = as_partition(parse_int_tuple(args.gam, n))
-    nu = None
-    if with_nu and args.nu is not None:
-        nu = as_partition(parse_int_tuple(args.nu, n))
-    phi = validate_flag(
-        parse_int_tuple(args.phi) if args.phi else (n,) * n, n
+def _parse_boundary(args, n):
+    """lam, mu, gam, nu and the flag as given, the partitions padded to n;
+    None for --lam or --nu where the subcommand has none or --nu is left
+    out, and the full flag n,..,n for a missing --phi.  Nothing is checked:
+    the functions they go to check them."""
+    lam, nu = getattr(args, "lam", None), getattr(args, "nu", None)
+    return (
+        None if lam is None else parse_int_tuple(lam, n),
+        parse_int_tuple(args.mu, n),
+        parse_int_tuple(args.gam, n),
+        None if nu is None else parse_int_tuple(nu, n),
+        parse_int_tuple(args.phi) if args.phi else (n,) * n,
     )
-    return lam, mu, gam, nu, phi
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -472,7 +479,7 @@ def main(argv=None) -> int:
             report = run_coefficient(lam, mu, gam, nu, phi, args.method, args.limit)
             ok = report["agree"]
         elif args.command == "table":
-            lam, mu, gam, _, phi = _parse_boundary(args, n, with_nu=False)
+            lam, mu, gam, _, phi = _parse_boundary(args, n)
             report = run_coefficient(lam, mu, gam, None, phi, args.method, args.limit)
             ok = report["agree"]
         elif args.command == "saturate":
@@ -482,11 +489,13 @@ def main(argv=None) -> int:
             report = saturation_scan(lam, mu, gam, nu, phi, args.k_max, args.limit)
             ok = report["ok"]
         elif args.command == "decompose":
-            _, mu, gam, _, phi = _parse_boundary(args, n, with_nu=False, with_lam=False)
+            _, mu, gam, _, phi = _parse_boundary(args, n)
             report = decomposition_report(mu, gam, phi)
             ok = report["ok"]
         elif args.command == "crystal-graph":
-            _, mu, gam, _, phi = _parse_boundary(args, n, with_nu=False, with_lam=False)
+            _, mu, gam, _, phi = _parse_boundary(args, n)
+            # tableau_word_set takes row bounds, so the flag is checked here
+            mu, gam, phi = check_boundary((mu, gam), phi)
             dot = crystal_graph_dot(tableau_word_set(mu, gam, phi), n)
             if args.out == "-":
                 print(dot)

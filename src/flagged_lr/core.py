@@ -252,23 +252,20 @@ def validate_flag(bounds, n: int):
     return t
 
 
-def check_boundary(lam, mu, gam, nu, phi, optional_flag=False):
-    """The boundary of a coefficient query, checked the same way for every
-    route: equal lengths, then partitions, then the flag.  ``nu`` may be
-    None (a table over nu); ``phi`` may be None only with ``optional_flag``
-    (a skew hive with no flag).
+def check_boundary(parts, phi):
+    """The boundary of a query, checked the same way by every public
+    function that takes a flag: ``parts`` (the partitions the function
+    takes, such as (lam, mu, gam, nu) or (mu, gam)) have equal lengths n,
+    with no padding, and are partitions, and ``phi`` is a flag of length n.
+    A function whose flag may be left out passes the full flag (n, ..., n)
+    in its place.
 
-    Returns the checked tuples; raises ValueError on any bad part."""
-    n = len(mu)
-    parts = (lam, mu, gam) if nu is None else (lam, mu, gam, nu)
+    Returns the checked parts followed by the flag; raises ValueError on
+    any bad part, FlagError on a bad or missing flag."""
+    n = len(parts[0])
     if any(len(p) != n for p in parts):
         raise ValueError("ambient lengths differ")
-    lam, mu, gam = as_partition(lam), as_partition(mu), as_partition(gam)
-    if nu is not None:
-        nu = as_partition(nu)
-    if phi is not None or not optional_flag:
-        phi = validate_flag(phi, n)
-    return lam, mu, gam, nu, phi
+    return (*map(as_partition, parts), validate_flag(phi, n))
 
 
 def standard_flag(n: int):

@@ -289,7 +289,7 @@ def coefficient_by_tableaux(lam, mu, gam, nu, phi, limit=None) -> int:
     Checks the boundary (``core.check_boundary``) and runs
     ``_count_tableaux`` on it.  Raises ScaleExceededError once more than
     ``limit`` letters have been placed."""
-    return _count_tableaux(*check_boundary(lam, mu, gam, nu, phi), limit)
+    return _count_tableaux(*check_boundary((lam, mu, gam, nu), phi), limit)
 
 
 def _count_tableaux(lam, mu, gam, nu, phi, limit):

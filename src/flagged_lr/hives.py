@@ -26,17 +26,22 @@ behind ``flagged-lr hive-iso`` and ``verify`` takes the points of both
 polytopes as the engine's raw label rows, and maps each skew point once,
 with the top n rows of the image built once per boundary.
 
-Input is checked at the public functions and trusted below them.
-``count_skew_hive_points`` and ``enumerate_skew_hive_points`` check the
-boundary (``core.check_boundary``; the flag may be None) and run
-``_count_skew_hives`` and ``_skew_rows``; ``_check_doubling`` checks it
-(``_lift_input``, which needs a flag) and runs ``_doubling``.  Every
-polytope's boundary reaches the engine through ``_labels``, which writes
-the runs along the edges into the label array, gives no points when two
-runs disagree where their edges meet (the weights differ), and checks the
-inequalities among boundary nodes.  ``skew_hive_boundary`` and
-``tri_hive_boundary``, which the hive checks read, are the same edges and
-runs as a dict from node to label.
+Input is checked at the public functions and trusted below them.  Every
+public function that takes a flag checks its partitions and the flag with
+``core.check_boundary`` before anything else: unequal lengths, a part that
+is not a partition and a bad flag raise.  The skew and triangular hive
+functions and the two hive checks may be given no flag, which means the
+full flag (n, ..., n): its flat region and Kogan face are empty, so it
+compiles to the unflagged polytope.  ``count_skew_hive_points`` and
+``enumerate_skew_hive_points`` then run ``_count_skew_hives`` and
+``_skew_rows``; ``_check_doubling`` checks the boundary (``_lift_input``,
+which also needs gam inside mu, lam inside nu and equal weights) and runs
+``_doubling``.  Every polytope's boundary reaches the engine through
+``_labels``, which writes the runs along the edges into the label array,
+gives no points when two runs disagree where their edges meet (the weights
+differ), and checks the inequalities among boundary nodes.
+``skew_hive_boundary`` and ``tri_hive_boundary``, which the hive checks
+read, are the same edges and runs as a dict from node to label.
 
 Node indexing: row i counts from the top.  A parallelogram hive has rows
 0..n each with nodes 0..n; a triangular hive has rows 0..N where row i has
@@ -60,7 +65,6 @@ from .core import (
     check_boundary,
     contains,
     partial_sums,
-    validate_flag,
     weight,
 )
 from .tableaux import SkewShape, SkewTableau
@@ -429,13 +433,10 @@ def _gt_polytope(n, phi) -> _Polytope:
 def enumerate_flagged_gt_points(mu, gam, phi, limit=None):
     """Integral skew GT patterns with top gam, bottom mu and the flag
     equalities x_{nj} = ... = x_{Phi_j, j}."""
-    mu = as_partition(mu)
-    n = len(mu)
-    gam = as_partition(gam, n)
-    phi = validate_flag(phi, n)
+    mu, gam, phi = check_boundary((mu, gam), phi)
     if not contains(mu, gam):
         return []
-    poly = _gt_polytope(n, phi)
+    poly = _gt_polytope(len(mu), phi)
     return [SkewGTPattern(rows) for rows in _points(poly, _labels(poly, (gam, mu)), limit)]
 
 
@@ -523,8 +524,11 @@ def skew_hive_boundary(lam, mu, gam, nu):
 
 
 def check_skew_hive(rows, lam, mu, gam, nu, phi=None):
-    """Every violated condition, as human-readable strings; empty means valid."""
+    """Every violated condition, as human-readable strings; empty means
+    valid.  The boundary and flag must pass ``core.check_boundary``; no
+    flag is the full flag, which forces nothing flat."""
     n = len(lam)
+    lam, mu, gam, nu, phi = check_boundary((lam, mu, gam, nu), (n,) * n if phi is None else phi)
     if weight(lam) + weight(mu) != weight(gam) + weight(nu):
         return [
             f"weight mismatch: |lam|+|mu|={weight(lam) + weight(mu)} "
@@ -532,10 +536,8 @@ def check_skew_hive(rows, lam, mu, gam, nu, phi=None):
         ]
     if len(rows) != n + 1 or any(len(r) != n + 1 for r in rows):
         return [f"grid is not ({n + 1})x({n + 1})"]
-    flat = skew_flat_region(phi) if phi is not None else ()
-    return _label_violations(
-        rows, skew_hive_boundary(lam, mu, gam, nu), skew_hive_contents(rows), flat
-    )
+    return _label_violations(rows, skew_hive_boundary(lam, mu, gam, nu), skew_hive_contents(rows),
+                             skew_flat_region(phi))
 
 
 def validate_skew_hive(rows, lam, mu, gam, nu, phi=None) -> SkewHive:
@@ -582,7 +584,7 @@ def gt_from_hive(rows) -> SkewGTPattern:
 def _skew_polytope(n, phi) -> _Polytope:
     """The rhombus table with the flat region, and the implied column bound:
     a row difference never exceeds the bottom boundary's."""
-    table = _hive_table(_skew_rhombi(n), skew_flat_region(phi) if phi is not None else ())
+    table = _hive_table(_skew_rhombi(n), skew_flat_region(phi))
     for i in range(1, n):
         for j in range(1, n + 1):
             table.append((((n, j), (i, j - 1)), ((n, j - 1), (i, j))))
@@ -604,19 +606,22 @@ def _count_skew_hives(lam, mu, gam, nu, phi, limit):
 
 
 def enumerate_skew_hive_points(lam, mu, gam, nu, phi=None, limit=None):
-    """All integral skew hives with the given boundary, optionally restricted
-    to the flag face (every NE rhombus in the flat region has content zero);
-    none when the weights of the boundary do not match."""
-    boundary = check_boundary(lam, mu, gam, nu, phi, optional_flag=True)
+    """All integral skew hives with the given boundary on the flag face
+    (every NE rhombus in the flat region has content zero); none when the
+    weights of the boundary do not match.  No flag is the full flag, whose
+    flat region is empty."""
+    n = len(lam)
+    boundary = check_boundary((lam, mu, gam, nu), (n,) * n if phi is None else phi)
     return [SkewHive(rows) for rows in _skew_rows(*boundary, limit)]
 
 
 def count_skew_hive_points(lam, mu, gam, nu, phi=None, limit=None) -> int:
     """The number of points ``enumerate_skew_hive_points`` returns, counted
     by the memoized pass without listing them; ``limit`` counts the labels
-    the pass tries.  Checks the boundary (``core.check_boundary``) and runs
-    ``_count_skew_hives`` on it."""
-    boundary = check_boundary(lam, mu, gam, nu, phi, optional_flag=True)
+    the pass tries.  Checks the boundary (``core.check_boundary``, no flag
+    being the full flag) and runs ``_count_skew_hives`` on it."""
+    n = len(lam)
+    boundary = check_boundary((lam, mu, gam, nu), (n,) * n if phi is None else phi)
     return _count_skew_hives(*boundary, limit)
 
 
@@ -700,14 +705,16 @@ def tri_hive_boundary(alpha, beta, gam):
 
 
 def tri_kogan_region(phi, big_n):
-    """Kogan face: NE rhombi R_{ij} with Phi_j <= i <= N-1.
-
-    Entries of phi beyond its length impose nothing (treated as N)."""
+    """Kogan face: NE rhombi R_{ij} with Phi_j <= i <= N-1."""
     return {(i, j) for j in range(1, len(phi) + 1) for i in range(max(phi[j - 1], j), big_n)}
 
 
 def check_tri_hive(rows, alpha, beta, gam, phi=None):
+    """Every violated condition, as human-readable strings; empty means
+    valid.  The boundary and flag must pass ``core.check_boundary``; no
+    flag is the full flag, whose Kogan face is empty."""
     nn = len(alpha)
+    alpha, beta, gam, phi = check_boundary((alpha, beta, gam), (nn,) * nn if phi is None else phi)
     if weight(alpha) + weight(beta) != weight(gam):
         return [
             f"weight mismatch: |alpha|+|beta|={weight(alpha) + weight(beta)}"
@@ -715,10 +722,8 @@ def check_tri_hive(rows, alpha, beta, gam, phi=None):
         ]
     if len(rows) != nn + 1 or any(len(r) != i + 1 for i, r in enumerate(rows)):
         return [f"array is not triangular of size {nn}"]
-    region = tri_kogan_region(phi, nn) if phi is not None else ()
-    return _label_violations(
-        rows, tri_hive_boundary(alpha, beta, gam), tri_hive_contents(rows), region
-    )
+    return _label_violations(rows, tri_hive_boundary(alpha, beta, gam), tri_hive_contents(rows),
+                             tri_kogan_region(phi, nn))
 
 
 def validate_tri_hive(rows, alpha, beta, gam, phi=None) -> TriHive:
@@ -731,29 +736,26 @@ def validate_tri_hive(rows, alpha, beta, gam, phi=None) -> TriHive:
 @lru_cache(maxsize=256)
 def _tri_polytope(big_n, phi) -> _Polytope:
     """The rhombus table with the Kogan face as flat region."""
-    table = _hive_table(_tri_rhombi(big_n), tri_kogan_region(phi, big_n) if phi is not None else ())
+    table = _hive_table(_tri_rhombi(big_n), tri_kogan_region(phi, big_n))
     grid = [[(i, j) for j in range(i + 1)] for i in range(big_n + 1)]
     return _compile(grid, _tri_edges(big_n), table)
 
 
 def enumerate_tri_hive_points(alpha, beta, gam, phi=None, limit=None):
-    """All integral triangular hives with the given boundary, optionally on
-    the Kogan face of a flag.  With no flag this counts the classical
-    Littlewood-Richardson coefficient of (alpha, beta; gamma)."""
-    alpha = as_partition(alpha)
+    """All integral triangular hives with the given boundary on the Kogan
+    face of the flag; none when |alpha| + |beta| != |gamma|.  No flag is the
+    full flag, whose Kogan face is empty: the points then count the
+    classical Littlewood-Richardson coefficient of (alpha, beta; gamma)."""
     nn = len(alpha)
-    beta = as_partition(beta, nn)
-    gam = as_partition(gam, nn)
-    if weight(alpha) + weight(beta) != weight(gam):
-        raise ValueError("weight mismatch: |alpha|+|beta| != |gamma|")
-    poly = _tri_polytope(nn, None if phi is None else tuple(phi))
+    alpha, beta, gam, phi = check_boundary((alpha, beta, gam), (nn,) * nn if phi is None else phi)
+    poly = _tri_polytope(nn, phi)
     points = _points(poly, _labels(poly, _tri_runs(alpha, beta, gam)), limit)
     return [TriHive(rows) for rows in points]
 
 
 def _lift_input(lam, mu, gam, nu, phi):
     """The partitions and the flag of a doubling, after its input checks."""
-    lam, mu, gam, nu, phi = check_boundary(lam, mu, gam, nu, phi)
+    lam, mu, gam, nu, phi = check_boundary((lam, mu, gam, nu), phi)
     if not contains(mu, gam) or not contains(nu, lam):
         raise ValueError("need gam inside mu and lam inside nu")
     if weight(lam) + weight(mu) != weight(gam) + weight(nu):

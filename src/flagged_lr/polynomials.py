@@ -18,6 +18,7 @@ import json
 from itertools import chain
 
 from .core import (
+    as_composition,
     as_partition,
     check_boundary,
     is_partition,
@@ -148,7 +149,7 @@ class IntPolynomial:
         for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
             vars_part = " ".join(
-                f"x{i + 1}" + (f"^{a}" if a > 1 else "")
+                f"x{i + 1}" + (f"^{a}" if a != 1 else "")
                 for i, a in enumerate(e)
                 if a
             )
@@ -199,8 +200,10 @@ def demazure_Tw(f: IntPolynomial, w) -> IntPolynomial:
 
 
 def key_polynomial(alpha) -> IntPolynomial:
-    """kappa_alpha: the sorting permutation applied to the dominant monomial."""
-    adag, w = sort_to_partition(alpha)
+    """kappa_alpha: the sorting permutation applied to the dominant monomial.
+
+    Raises ValueError when alpha has a negative part."""
+    adag, w = sort_to_partition(as_composition(alpha))
     return demazure_Tw(IntPolynomial.monomial(adag), w)
 
 
@@ -280,7 +283,7 @@ def coefficient_table_by_demazure(lam, mu, gam, phi):
 
     Checks the boundary (``core.check_boundary``), builds the flagged skew
     Schur polynomial of mu/gam and runs ``_schur_table`` on it."""
-    lam, mu, gam, _, phi = check_boundary(lam, mu, gam, None, phi)
+    lam, mu, gam, phi = check_boundary((lam, mu, gam), phi)
     return _schur_table(lam, flagged_skew_schur(mu, gam, phi))
 
 
@@ -294,5 +297,5 @@ def _schur_table(lam, skew_schur):
 
 def coefficient_by_demazure(lam, mu, gam, nu, phi) -> int:
     """The nu-coefficient in the Schur expansion route."""
-    lam, mu, gam, nu, phi = check_boundary(lam, mu, gam, nu, phi)
+    lam, mu, gam, nu, phi = check_boundary((lam, mu, gam, nu), phi)
     return _schur_table(lam, flagged_skew_schur(mu, gam, phi)).get(nu, 0)

@@ -18,7 +18,6 @@ __all__ = [
     "reading_word_and_weight",
     "dominant_tableau",
     "rectify",
-    "row_insert",
 ]
 
 
@@ -253,22 +252,3 @@ def rectify(t: SkewTableau, rng: random.Random = None) -> SkewTableau:
     if not rows:
         rows = ((),)
     return SkewTableau(shape, rows)
-
-
-def row_insert(rows, x: int):
-    """Schensted row insertion; returns (new rows, cell where the shape grew)."""
-    rows = [list(r) for r in rows]
-    i = 0
-    while True:
-        if i == len(rows):
-            rows.append([x])
-            return [tuple(r) for r in rows], (i, 0)
-        row = rows[i]
-        for j, v in enumerate(row):
-            if v > x:
-                row[j], x = x, v
-                break
-        else:
-            row.append(x)
-            return [tuple(r) for r in rows], (i, len(row) - 1)
-        i += 1

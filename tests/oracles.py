@@ -39,7 +39,6 @@ from flagged_lr.tableaux import (
     dominant_tableau,
     enumerate_tableaux,
     reading_word,
-    row_insert,
     word_weight,
 )
 
@@ -62,6 +61,25 @@ def minimal_sorting_permutation_bruteforce(alpha):
 # ---------------------------------------------------------------------------
 # tableaux
 # ---------------------------------------------------------------------------
+
+def row_insert(rows, x: int):
+    """Schensted row insertion; returns (new rows, cell where the shape grew)."""
+    rows = [list(r) for r in rows]
+    i = 0
+    while True:
+        if i == len(rows):
+            rows.append([x])
+            return [tuple(r) for r in rows], (i, 0)
+        row = rows[i]
+        for j, v in enumerate(row):
+            if v > x:
+                row[j], x = x, v
+                break
+        else:
+            row.append(x)
+            return [tuple(r) for r in rows], (i, len(row) - 1)
+        i += 1
+
 
 def insertion_tableau(word) -> SkewTableau:
     """Row-insert the letters of word in order; the oracle behind rectify."""

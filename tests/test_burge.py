@@ -215,6 +215,13 @@ def test_left_key_rejects_skew_tableaux():
         left_key(t)
 
 
+def test_the_burge_submodule_is_the_module():
+    # the package does not rebind the submodule's name to its function
+    import flagged_lr.burge as m
+
+    assert m.left_key is left_key and m.burge is burge
+
+
 def test_knuth_class_small():
     assert knuth_class((1, 2)) == {(1, 2)}
     assert knuth_class((2, 1, 2)) == {(2, 1, 2), (2, 2, 1)}

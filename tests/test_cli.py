@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flagged_lr.hives as hives_mod
+from flagged_lr.burge import insertion_decomposition
 from flagged_lr.cli import (
     DEFAULT_LIMIT,
     _nu_candidates,
     _single_coefficient,
     cross_check,
+    decomposition_report,
+    hive_count,
     hive_iso_report,
     main,
     run_coefficient,
@@ -18,6 +21,7 @@ from flagged_lr.cli import (
 )
 from flagged_lr.crystal import _count_tableaux, coefficient_by_tableaux
 from flagged_lr.core import (
+    FlagError,
     ScaleExceededError,
     all_flags,
     contains,
@@ -27,11 +31,17 @@ from flagged_lr.core import (
 from flagged_lr.hives import (
     _count_skew_hives,
     _doubling,
+    check_skew_hive,
+    check_tri_hive,
     count_skew_hive_points,
+    enumerate_flagged_gt_points,
     enumerate_skew_hive_points,
+    enumerate_tri_hive_points,
     lift_tilde,
     psi,
     psi_inverse,
+    validate_skew_hive,
+    validate_tri_hive,
 )
 from flagged_lr.polynomials import (
     IntPolynomial,
@@ -406,6 +416,94 @@ def test_only_the_skew_hive_takes_no_flag(boundary, name, call):
     # the skew hive polytope without the flag face
     assert count_skew_hive_points(*boundary, None) == len(
         enumerate_skew_hive_points(*boundary, None)) == 1
+
+
+# n = 2; (lam, gam, nu) is also a triangular boundary of matching weight, and
+# each polytope has one point, SKEW_ROWS and TRI_ROWS
+GOOD_BOUNDARY = {"lam": (1, 0), "mu": (1, 1), "gam": (1, 0), "nu": (1, 1), "phi": (2, 2)}
+SKEW_ROWS = ((0, 1, 1), (1, 2, 2), (1, 2, 3))
+TRI_ROWS = ((0,), (1, 1), (1, 2, 2))
+
+# every public function that takes a flag, called on a boundary dict
+TAKES_A_FLAG = {
+    "coefficient_by_tableaux": lambda b: coefficient_by_tableaux(*b.values()),
+    "count_skew_hive_points": lambda b: count_skew_hive_points(*b.values()),
+    "enumerate_skew_hive_points": lambda b: enumerate_skew_hive_points(*b.values()),
+    "coefficient_by_demazure": lambda b: coefficient_by_demazure(*b.values()),
+    "coefficient_table_by_demazure": lambda b: coefficient_table_by_demazure(
+        b["lam"], b["mu"], b["gam"], b["phi"]),
+    "lift_tilde": lambda b: lift_tilde(*b.values()),
+    "enumerate_flagged_gt_points": lambda b: enumerate_flagged_gt_points(
+        b["mu"], b["gam"], b["phi"]),
+    "enumerate_tri_hive_points": lambda b: enumerate_tri_hive_points(
+        b["lam"], b["gam"], b["nu"], b["phi"]),
+    "check_skew_hive": lambda b: check_skew_hive(SKEW_ROWS, *b.values()),
+    "validate_skew_hive": lambda b: validate_skew_hive(SKEW_ROWS, *b.values()),
+    "check_tri_hive": lambda b: check_tri_hive(TRI_ROWS, b["lam"], b["gam"], b["nu"], b["phi"]),
+    "validate_tri_hive": lambda b: validate_tri_hive(
+        TRI_ROWS, b["lam"], b["gam"], b["nu"], b["phi"]),
+    "insertion_decomposition": lambda b: insertion_decomposition(b["mu"], b["gam"], b["phi"]),
+    "hive_count": lambda b: hive_count(*b.values()),
+    "run_coefficient": lambda b: run_coefficient(*b.values()),
+    "run_coefficient_table": lambda b: run_coefficient(
+        b["lam"], b["mu"], b["gam"], None, b["phi"]),
+    "saturation_scan": lambda b: saturation_scan(*b.values(), 1),
+    "hive_iso_report": lambda b: hive_iso_report(*b.values()),
+    "decomposition_report": lambda b: decomposition_report(b["mu"], b["gam"], b["phi"]),
+}
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    ({"phi": (2, 1)}, FlagError, "not weakly increasing"),
+    ({"gam": (1,)}, ValueError, "ambient lengths differ"),
+    ({"gam": (0, 1)}, ValueError, "not weakly decreasing"),
+], ids=["non-flag", "length", "non-partition"])
+@pytest.mark.parametrize("name", TAKES_A_FLAG)
+def test_every_function_that_takes_a_flag_checks_its_boundary(name, bad, error, message):
+    # one boundary check (core.check_boundary), before any other work: the
+    # same input gets the same error from every function, and none pads a
+    # short part
+    TAKES_A_FLAG[name](GOOD_BOUNDARY)
+    with pytest.raises(error, match=message):
+        TAKES_A_FLAG[name]({**GOOD_BOUNDARY, **bad})
+
+
+# the functions that read a missing flag as the full flag (2, 2)
+NO_FLAG_IS_THE_FULL_FLAG = {
+    "count_skew_hive_points", "enumerate_skew_hive_points", "enumerate_tri_hive_points",
+    "check_skew_hive", "validate_skew_hive", "check_tri_hive", "validate_tri_hive", "hive_count",
+}
+
+
+@pytest.mark.parametrize("name", TAKES_A_FLAG)
+def test_a_missing_flag_is_the_full_flag_on_the_hives_only(name):
+    call = TAKES_A_FLAG[name]
+    missing = {**GOOD_BOUNDARY, "phi": None}
+    if name in NO_FLAG_IS_THE_FULL_FLAG:
+        assert call(missing) == call(GOOD_BOUNDARY)
+    else:
+        with pytest.raises(FlagError, match="a flag is required"):
+            call(missing)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (["--phi", "2,1"], "not weakly increasing"),
+    (["--gam", "0,1"], "not weakly decreasing"),
+], ids=["non-flag", "non-partition"])
+@pytest.mark.parametrize("command", [
+    "coeff", "table", "saturate", "decompose", "crystal-graph", "hive-count", "hive-iso",
+])
+def test_every_subcommand_refuses_a_bad_boundary(capsys, command, bad, message):
+    # the CLI only parses and pads; the library functions check
+    args = {"--lam": "1,0", "--mu": "1,1", "--gam": "1,0", "--nu": "1,1", "--phi": "2,2"}
+    if command in ("decompose", "crystal-graph"):
+        del args["--lam"], args["--nu"]
+    elif command == "table":
+        del args["--nu"]
+    argv = ["--n", "2", command, *(x for kv in args.items() for x in kv)]
+    assert main(argv) in (0, 1)
+    assert main(argv + bad) == 2
+    assert message in capsys.readouterr().err
 
 
 def _one_coefficient_up(f):

@@ -90,6 +90,13 @@ def test_key_polynomial_examples():
     assert key_polynomial((1, 2)) == mono(2, 1) + mono(1, 2)
 
 
+def test_key_polynomial_rejects_a_negative_part():
+    with pytest.raises(ValueError, match="negative part"):
+        key_polynomial((-1, 2))
+    # a negative exponent is printed with its sign
+    assert repr(mono(0, -1)) == "1 * x2^-1"
+
+
 def test_schur_examples():
     assert schur((1, 0), 2) == mono(1, 0) + mono(0, 1)
     assert schur((1, 1), 2) == mono(1, 1)
