@@ -10,7 +10,6 @@ from .core import (
     partial_sums,
     reduced_word,
     sort_to_partition,
-    standard_flag,
     validate_flag,
 )
 from .tableaux import (
@@ -28,7 +27,6 @@ from .crystal import (
     epsilon_phi,
     flagged_word_set,
     generate_demazure,
-    has_string_property,
     is_dominant,
     is_lambda_dominant,
 )

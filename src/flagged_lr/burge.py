@@ -5,17 +5,28 @@ test suite requires the transpose-symmetry property on a matrix census and
 the identity that inserting a tableau's reversed reading word under its
 row-block word reproduces the jeu-de-taquin rectification.  Column
 insertion processing the display-rightmost biword column first passes both.
+
+``insertion_decomposition`` checks its boundary (``core.check_boundary``)
+and runs ``_insertion_classes``, which trusts it.  That core reads each
+flagged filling as raw rows and column-inserts its reading word into plain
+lists, keeping only the recording tableau, so it builds no biword, no P
+tableau and no tableau per member until the classes are formed.  It and
+``burge`` share one insertion, ``_insertion_columns``.  The
+straight tableaux built here (``burge``'s P and Q, recordings, their
+standardizations, key tableaux and left keys) go through the trusted
+``SkewTableau._from_rows``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import as_partition, check_boundary, sub
 from .tableaux import (
     SkewShape,
     SkewTableau,
-    enumerate_tableaux,
+    _tableau_rows,
     reading_word,
     rectify,
     word_weight,
@@ -129,22 +140,31 @@ def block_word(alpha):
 def _column_insert(columns, x):
     """Insert x, bumping the topmost entry >= x into the next column.
 
-    Returns the (row, column) index of the cell where the shape grew.
+    Columns strictly increase downwards, so that entry is found by
+    bisection.  Returns the index of the column that grew.
     """
-    c = 0
-    while True:
-        if c == len(columns):
-            columns.append([x])
-            return 0, c
-        col = columns[c]
-        for r, v in enumerate(col):
-            if v >= x:
-                col[r], x = x, v
-                break
-        else:
+    for c, col in enumerate(columns):
+        r = bisect_left(col, x)
+        if r == len(col):
             col.append(x)
-            return len(col) - 1, c
-        c += 1
+            return c
+        col[r], x = x, col[r]
+    columns.append([x])
+    return len(columns) - 1
+
+
+def _insertion_columns(pairs):
+    """The columns of the insertion pair (P, Q) of (top, bottom) letter
+    pairs read from k = 1: each bottom letter is column-inserted into P,
+    and its top letter goes to the foot of the column of Q where P grew."""
+    p_cols, q_cols = [], []
+    for i, x in pairs:
+        c = _column_insert(p_cols, x)
+        if c == len(q_cols):
+            q_cols.append([i])
+        else:
+            q_cols[c].append(i)
+    return p_cols, q_cols
 
 
 def _rows_from_columns(columns):
@@ -157,24 +177,19 @@ def _rows_from_columns(columns):
 
 
 def _straight_tableau(rows) -> SkewTableau:
+    """The straight tableau of rows that already form one, empty rows
+    dropped; nothing is checked."""
     outer = tuple(len(r) for r in rows if r) or (0,)
     rows = tuple(r for r in rows if r) or ((),)
-    return SkewTableau(SkewShape(outer, (0,) * len(outer)), rows)
+    return SkewTableau._from_rows(SkewShape(outer, (0,) * len(outer)), rows)
 
 
 def burge(w: Biword):
     """Insertion pair (P, Q): column-insert the bottom letters for k = 1..t,
     recording each top letter in the cell where P grows."""
-    columns = []
-    record = {}
-    for i, j in w.columns:
-        r, c = _column_insert(columns, j)
-        record[(r, c)] = i
-    p_rows = _rows_from_columns(columns)
-    q_rows = tuple(
-        tuple(record[(r, c)] for c in range(len(row))) for r, row in enumerate(p_rows)
-    ) or ((),)
-    return _straight_tableau(p_rows), _straight_tableau(q_rows)
+    p_cols, q_cols = _insertion_columns(w.columns)
+    return (_straight_tableau(_rows_from_columns(p_cols)),
+            _straight_tableau(_rows_from_columns(q_cols)))
 
 
 def is_j_phi_compatible(w: Biword, phi) -> bool:
@@ -303,7 +318,7 @@ def standardize(t: SkewTableau) -> SkewTableau:
     for i in range(t.shape.n_rows):
         lo, _ = t.shape.row_span(i)
         rows.append(tuple(relabel[(i, lo + k)] for k in range(len(t.rows[i]))))
-    return SkewTableau(t.shape, tuple(rows))
+    return SkewTableau._from_rows(t.shape, tuple(rows))
 
 
 def _knuth_moves(word):
@@ -348,9 +363,9 @@ def left_key(t: SkewTableau) -> SkewTableau:
     top = max(row[-1] for row in rows) + 1
     key_cols = []
     for j in range(1, len(cols) + 1):
-        turned = [tuple(top - x for x in reversed(row[:j])) for row in reversed(rows)]
+        turned = tuple(tuple(top - x for x in reversed(row[:j])) for row in reversed(rows))
         inner = tuple(j - len(row) for row in turned)
-        rect = rectify(SkewTableau(SkewShape((j,) * len(turned), inner), turned))
+        rect = rectify(SkewTableau._from_rows(SkewShape((j,) * len(turned), inner), turned))
         key_cols.append([top - row[-1] for row in reversed(rect.rows) if len(row) == j])
     key = _straight_tableau(_rows_from_columns(key_cols))
     if not is_key(key):
@@ -376,27 +391,42 @@ class InsertionClass:
 def insertion_decomposition(mu, gam, phi):
     """Partition the flagged skew tableaux by recording tableau under the
     insertion of the reversed reading word below the row-block word.
-    Checks mu, gam and the flag with ``core.check_boundary``."""
+    Checks mu, gam and the flag with ``core.check_boundary`` and runs
+    ``_insertion_classes`` on the flagged fillings."""
     mu, gam, phi = check_boundary((mu, gam), phi)
-    n = len(mu)
     shape = SkewShape(mu, gam)
-    rho = sub(mu, gam)
-    groups = {}
-    for t in enumerate_tableaux(shape, phi):
-        bw = biword_from_words(block_word(rho), tuple(reversed(reading_word(t))))
-        _, rec = burge(bw)
-        groups.setdefault(rec.rows, []).append(t)
+    return _insertion_classes(shape, _tableau_rows(shape, phi))
+
+
+def _insertion_classes(shape, fillings):
+    """``insertion_decomposition`` on a valid shape and the raw rows of its
+    flagged fillings (``tableaux._tableau_rows``).
+
+    The biword of a filling, its reversed reading word below the row-block
+    word, read from k = 1 pairs the reading word's letters in order with
+    the index of the row each one comes from.  So those pairs go straight
+    to the insertion, and only the recording tableau is kept.  Each class
+    is checked against the theorem it stands for: the recording has the row
+    lengths of the shape as its weight, its standardization is compatible
+    with the shape, and its left key is a key."""
+    n = shape.n_rows
+    rho = sub(shape.outer, shape.inner)
+    by_recording = {}
+    for rows in fillings:
+        _, q_cols = _insertion_columns(
+            (i, x) for i, row in enumerate(rows, 1) for x in reversed(row)
+        )
+        by_recording.setdefault(tuple(map(tuple, q_cols)), []).append(rows)
+    groups = {_rows_from_columns(cols): members for cols, members in by_recording.items()}
     out = []
     for rec_rows in sorted(groups):
-        members = groups[rec_rows]
         rec = _straight_tableau(rec_rows)
-        if any(shape.size != m.size for m in members) or (
-            shape.size and word_weight(reading_word(rec), n) != tuple(rho)
-        ):
+        if shape.size and word_weight(reading_word(rec), n) != rho:
             raise ValueError("recording tableau does not partition the set")
         q = standardize(rec)
         if shape.size and not is_shape_compatible(q, shape):
             raise ValueError(f"recording standardization {q.rows} is not compatible")
         beta = word_weight(reading_word(left_key(rec)), n)
-        out.append(InsertionClass(rec, q, beta, tuple(members)))
+        members = tuple(SkewTableau._from_rows(shape, rows) for rows in groups[rec_rows])
+        out.append(InsertionClass(rec, q, beta, members))
     return out

@@ -8,6 +8,9 @@ The subcommands parse and pad their arguments and call the library's public
 functions, each of which checks its input with ``core.check_boundary``;
 only ``crystal-graph``, whose word set takes row bounds, checks the flag
 itself.
+``decomposition_report`` checks its boundary and then enumerates the
+flagged fillings once, as raw rows, for ``crystal.decompose``, the
+insertion core ``burge._insertion_classes`` and the character check.
 ``cross_check`` builds its grid from partitions, checks its flags once and
 calls the trusted cores on every tuple: ``crystal._count_tableaux``,
 ``hives._count_skew_hives`` and ``hives._doubling``, and
@@ -38,6 +41,7 @@ from .core import (
 )
 from .crystal import (
     _count_tableaux,
+    character,
     coefficient_by_tableaux,
     crystal_graph_dot,
     decompose,
@@ -51,8 +55,8 @@ from .polynomials import (
     flagged_skew_schur,
     key_polynomial,
 )
-from .tableaux import reading_word
-from .burge import insertion_decomposition
+from .tableaux import SkewShape, _reading_word, _tableau_rows, reading_word
+from .burge import _insertion_classes
 
 DEFAULT_LIMIT = 10**6
 
@@ -151,12 +155,19 @@ def saturation_scan(lam, mu, gam, nu, phi, k_max, limit=None):
 def decomposition_report(mu, gam, phi):
     """Demazure components of the flagged crystal next to the insertion
     classes; the two partitions of the tableau set must agree.  Checks mu,
-    gam and the flag (``core.check_boundary``) before any crystal work."""
+    gam and the flag (``core.check_boundary``) before any crystal work.
+
+    The flagged fillings are enumerated once, as raw rows: their reading
+    words give the components and the flagged skew Schur polynomial of the
+    character check, and the rows go to the insertion core
+    (``burge._insertion_classes``)."""
     mu, gam, phi = check_boundary((mu, gam), phi)
     n = len(mu)
-    words = tableau_word_set(mu, gam, phi)
+    shape = SkewShape(mu, gam)
+    fillings = list(_tableau_rows(shape, phi))
+    words = [_reading_word(rows) for rows in fillings]
     components = decompose(words, n)
-    classes = insertion_decomposition(mu, gam, phi)
+    classes = _insertion_classes(shape, fillings)
     class_blocks = {
         frozenset(reading_word(t) for t in cls.members): cls for cls in classes
     }
@@ -180,7 +191,7 @@ def decomposition_report(mu, gam, phi):
                 "beta_sorts_to_highest_weight": betas_match,
             }
         )
-    char_ok = _character_sum_matches(components, flagged_skew_schur(mu, gam, phi))
+    char_ok = _character_sum_matches(components, character(words, n))
     return {
         "mu": list(mu),
         "gam": list(gam),

@@ -25,7 +25,6 @@ __all__ = [
     "partitions_up_to",
     "subpartitions",
     "sort_to_partition",
-    "permutation_act",
     "inverse",
     "compose",
     "inversions",
@@ -33,10 +32,8 @@ __all__ = [
     "longest_element",
     "transposition",
     "reduced_word",
-    "permutation_from_word",
     "validate_flag",
     "check_boundary",
-    "standard_flag",
     "all_flags",
     "parse_int_tuple",
 ]
@@ -178,12 +175,6 @@ def compose(u, v):
     return tuple(u[v[i] - 1] for i in range(len(v)))
 
 
-def permutation_act(w, v):
-    """Left action on tuples: (w.v)_i = v_{w^-1(i)}."""
-    winv = inverse(w)
-    return tuple(v[winv[i] - 1] for i in range(len(v)))
-
-
 def inversions(w) -> int:
     n = len(w)
     return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
@@ -206,14 +197,6 @@ def reduced_word(w):
         else:
             break
     return tuple(reversed(swaps))
-
-
-def permutation_from_word(word, n: int):
-    """Multiply out s_{i_1} ... s_{i_k}."""
-    w = identity(n)
-    for i in word:
-        w = compose(w, transposition(n, i))
-    return w
 
 
 def sort_to_partition(alpha):
@@ -266,10 +249,6 @@ def check_boundary(parts, phi):
     if any(len(p) != n for p in parts):
         raise ValueError("ambient lengths differ")
     return (*map(as_partition, parts), validate_flag(phi, n))
-
-
-def standard_flag(n: int):
-    return tuple(range(1, n + 1))
 
 
 def all_flags(n: int):

@@ -5,6 +5,12 @@ through the reverse-row reading embedding.  The raising/lowering operators
 use the matched-bracket signature rule; the test suite checks them against
 the defining tensor-product recursion over a word census.
 
+``decompose`` makes one signature pass per word and index: it checks the
+string property and records each word's parent, its first non-null
+raising, and the heads of the Demazure components come from following the
+parents, each path walked once.  ``string_property_witness`` is the same
+pass.
+
 The tableau route counts lambda-dominant flagged tableaux by a search over
 the cells in reading order that applies the lattice condition one letter
 at a time, so it builds no tableau and no word.  Its public function,
@@ -47,7 +53,6 @@ __all__ = [
     "tableau_word_set",
     "generate_demazure",
     "string_property_witness",
-    "has_string_property",
     "DemazureComponent",
     "StringPropertyError",
     "decompose",
@@ -183,22 +188,14 @@ def generate_demazure(b, reduced, n: int):
 # ---------------------------------------------------------------------------
 
 def string_property_witness(words, n: int):
-    """None when the set has the string property, else a violating (word, i)."""
-    words = set(words)
-    for w in sorted(words):
-        for i in range(1, n):
-            if raising(w, i) is None:
-                continue
-            if raising(w, i) not in words:
-                return (w, i)
-            f = lowering(w, i)
-            if f is not None and f not in words:
-                return (w, i)
+    """None when the set has the string property, else a violating (word, i):
+    the first, words in sorted order and then i, at which e_i w is not null
+    and e_i w or f_i w lies outside the set."""
+    try:
+        _parents(set(words), n)
+    except StringPropertyError as exc:
+        return exc.witness
     return None
-
-
-def has_string_property(words, n: int) -> bool:
-    return string_property_witness(words, n) is None
 
 
 class StringPropertyError(ValueError):
@@ -221,15 +218,51 @@ class DemazureComponent:
     key_weight: tuple
 
 
-def _raise_to_head(word, n: int):
-    while True:
+def _parents(words, n: int):
+    """The parent of every word of a set: its first non-null raising e_i w
+    (least i), or None when every raising kills it.
+
+    One signature pass per word and index also checks the string property:
+    the first (w, i), words in sorted order, at which e_i w is not null and
+    e_i w or f_i w lies outside the set raises StringPropertyError."""
+    parents = {}
+    for w in sorted(words):
+        parent = None
         for i in range(1, n):
-            up = raising(word, i)
-            if up is not None:
-                word = up
+            opens, closes = _unmatched(w, i)
+            if not closes:
+                continue
+            p = closes[-1]
+            up = w[:p] + (i,) + w[p + 1 :]
+            if up not in words:
+                raise StringPropertyError((w, i))
+            if opens:
+                p = opens[0]
+                if w[:p] + (i + 1,) + w[p + 1 :] not in words:
+                    raise StringPropertyError((w, i))
+            if parent is None:
+                parent = up
+        parents[w] = parent
+    return parents
+
+
+def _heads(parents):
+    """The head of every word: its parents followed up to a word that every
+    raising kills, each path walked once."""
+    heads = {}
+    for w in parents:
+        path = []
+        while w not in heads:
+            up = parents[w]
+            if up is None:
+                heads[w] = w
                 break
-        else:
-            return word
+            path.append(w)
+            w = up
+        head = heads[w]
+        for p in path:
+            heads[p] = head
+    return heads
 
 
 def decompose(words, n: int):
@@ -241,12 +274,9 @@ def decompose(words, n: int):
     """
     from .polynomials import expand_in_key
 
-    witness = string_property_witness(words, n)
-    if witness is not None:
-        raise StringPropertyError(witness)
     groups = {}
-    for w in words:
-        groups.setdefault(_raise_to_head(w, n), set()).add(w)
+    for w, head in _heads(_parents(set(words), n)).items():
+        groups.setdefault(head, set()).add(w)
     components = []
     for head in sorted(groups):
         members = frozenset(groups[head])

@@ -94,7 +94,6 @@ __all__ = [
     "enumerate_tri_hive_points",
     "psi",
     "psi_inverse",
-    "scale_labels",
 ]
 
 
@@ -846,8 +845,3 @@ def _doubling(lam, mu, gam, nu, phi, limit):
     images = [_psi_rows(rows, head, nu1) for rows in skew]
     roundtrip = all(_psi_inverse_rows(t) == rows for t, rows in zip(images, skew))
     return lifted, len(skew), len(tri), roundtrip, set(tri).issuperset(images)
-
-
-def scale_labels(rows, k: int):
-    """Dilate a labelling by the stretch factor k."""
-    return tuple(tuple(k * v for v in r) for r in rows)

@@ -216,15 +216,12 @@ def flagged_skew_schur(mu, gam, row_bounds) -> IntPolynomial:
     """Generating polynomial of the flagged skew tableaux of shape mu/gam.
 
     Equals the ordinary skew Schur polynomial when every bound is the
-    ambient length.
+    ambient length.  mu, gam and the bounds must have one length.
     """
-    mu = as_partition(mu)
-    gam = as_partition(gam, len(mu))
-    if len(row_bounds) != len(mu):
-        raise ValueError("ambient lengths differ")
+    shape = SkewShape(mu, gam)
     n = max(len(mu), max(row_bounds, default=0))
     terms = {}
-    for rows in _tableau_rows(SkewShape(mu, gam), row_bounds):
+    for rows in _tableau_rows(shape, row_bounds):
         e = word_weight(chain.from_iterable(rows), n)
         terms[e] = terms.get(e, 0) + 1
     return IntPolynomial._from_terms(n, terms)

@@ -1,4 +1,13 @@
-"""Skew shapes, semistandard skew tableaux and jeu de taquin."""
+"""Skew shapes, semistandard skew tableaux and jeu de taquin.
+
+A ``SkewShape`` is a pair of partitions of one ambient length, and a
+``SkewTableau`` built by a caller checks its rows.  The library's own
+builders, which hold rows that already form a semistandard filling
+(``enumerate_tableaux``, ``dominant_tableau``, ``rectify`` and the straight
+tableaux of ``burge``), go through ``SkewTableau._from_rows``, which checks
+nothing.  Inside the library a filling travels as its raw rows, a tuple of
+row tuples, as ``_tableau_rows`` yields them.
+"""
 
 from __future__ import annotations
 
@@ -25,16 +34,20 @@ __all__ = [
 class SkewShape:
     """A pair of same-ambient partitions; the diagram is outer minus inner.
 
-    Pairs with inner not contained in outer are representable (the tableau
-    set is then empty, which coefficient-level callers rely on).
+    Partitions of unequal length raise "ambient lengths differ"; nothing
+    pads a short one.  Pairs with inner not contained in outer are
+    representable (the tableau set is then empty, which coefficient-level
+    callers rely on).
     """
 
     outer: tuple
     inner: tuple
 
     def __post_init__(self):
+        if len(self.outer) != len(self.inner):
+            raise ValueError("ambient lengths differ")
         object.__setattr__(self, "outer", as_partition(self.outer))
-        object.__setattr__(self, "inner", as_partition(self.inner, len(self.outer)))
+        object.__setattr__(self, "inner", as_partition(self.inner))
 
     @property
     def n_rows(self) -> int:
@@ -86,6 +99,15 @@ class SkewTableau:
                 if rows[i][c - lo0] >= rows[i + 1][c - lo1]:
                     raise ValueError(f"column {c} is not strictly increasing")
 
+    @classmethod
+    def _from_rows(cls, shape: SkewShape, rows) -> "SkewTableau":
+        """The tableau of ``rows``, a tuple of row tuples that already form a
+        semistandard filling of ``shape``; nothing is checked."""
+        t = cls.__new__(cls)
+        object.__setattr__(t, "shape", shape)
+        object.__setattr__(t, "rows", rows)
+        return t
+
     def entry(self, i: int, c: int):
         """Entry at row i, absolute column c, or None outside the diagram."""
         lo, hi = self.shape.row_span(i)
@@ -121,12 +143,13 @@ def _tableau_rows(shape: SkewShape, bounds):
     or validating a tableau.
 
     Fillings come in lexicographic order of the row-major entry sequence.
-    An invalid shape yields nothing."""
+    An invalid shape yields nothing; bounds of another length than the
+    shape raise "ambient lengths differ"."""
+    bounds = tuple(bounds)
+    if len(bounds) != shape.n_rows:
+        raise ValueError("ambient lengths differ")
     if not shape.is_valid:
         return
-    bounds = tuple(bounds)
-    if len(bounds) < shape.n_rows:
-        raise ValueError("row_bounds shorter than the shape")
     spans = [shape.row_span(i) for i in range(shape.n_rows)]
     cells = [(i, c) for i, (lo, hi) in enumerate(spans) for c in range(lo, hi)]
     depth = len(cells)
@@ -158,10 +181,11 @@ def enumerate_tableaux(shape: SkewShape, row_bounds):
     """All semistandard fillings with row i entries at most row_bounds[i].
 
     The bounds are arbitrary positive integers per row; they need not form a
-    flag.  Fillings are produced in lexicographic order of the row-major
-    entry sequence.  An invalid shape yields the empty list.
+    flag, but there must be one per row of the shape.  Fillings are produced
+    in lexicographic order of the row-major entry sequence.  An invalid
+    shape yields the empty list.
     """
-    return [SkewTableau(shape, rows) for rows in _tableau_rows(shape, row_bounds)]
+    return [SkewTableau._from_rows(shape, rows) for rows in _tableau_rows(shape, row_bounds)]
 
 
 def _reading_word(rows):
@@ -197,7 +221,7 @@ def dominant_tableau(lam) -> SkewTableau:
     """The tableau of straight shape lam with row i filled by the letter i."""
     lam = as_partition(lam)
     shape = SkewShape(lam, (0,) * len(lam))
-    return SkewTableau(shape, tuple((i + 1,) * lam[i] for i in range(len(lam))))
+    return SkewTableau._from_rows(shape, tuple((i + 1,) * lam[i] for i in range(len(lam))))
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +273,4 @@ def rectify(t: SkewTableau, rng: random.Random = None) -> SkewTableau:
         outer.pop()
     shape = SkewShape(tuple(outer) or (0,), (0,) * max(len(outer), 1))
     rows = tuple(tuple(grid[i][c] for c in range(outer[i])) for i in range(len(outer)))
-    if not rows:
-        rows = ((),)
-    return SkewTableau(shape, rows)
+    return SkewTableau._from_rows(shape, rows or ((),))

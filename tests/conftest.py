@@ -1,6 +1,6 @@
 import pytest
 
-from flagged_lr.core import partitions_up_to, subpartitions
+from flagged_lr.core import all_flags, partitions_up_to, subpartitions
 
 
 WORKED_HIVE_LABELS = (
@@ -19,6 +19,23 @@ def skew_pairs(n, max_mu):
         (mu, gam)
         for mu in partitions_up_to(n, max_mu)
         for gam in subpartitions(mu)
+    ]
+
+
+def decomposition_census():
+    """Every (mu, gam, phi) with n <= 3, |mu| <= 5 and every flag, then n = 4
+    shapes of 12-13 boxes like those the decompose benchmark draws."""
+    small = [
+        (mu, gam, phi)
+        for n in (1, 2, 3)
+        for mu, gam in skew_pairs(n, 5)
+        for phi in all_flags(n)
+    ]
+    return small + [
+        ((6, 4, 3, 0), (0, 0, 0, 0), (4, 4, 4, 4)),
+        ((7, 5, 4, 0), (1, 1, 1, 0), (4, 4, 4, 4)),
+        ((8, 4, 3, 0), (2, 1, 0, 0), (1, 4, 4, 4)),
+        ((9, 3, 2, 1), (2, 1, 0, 0), (1, 2, 4, 4)),
     ]
 
 

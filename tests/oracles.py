@@ -8,23 +8,34 @@ from functools import lru_cache
 from itertools import permutations
 
 from flagged_lr.burge import (
+    InsertionClass,
     _columns_of,
     _rows_from_columns,
     _straight_tableau,
+    biword_from_words,
+    block_word,
+    burge,
     is_key,
+    is_shape_compatible,
     knuth_class,
+    left_key,
+    standardize,
 )
 from flagged_lr.cli import _query_dict
 from flagged_lr.core import (
+    check_boundary,
+    compose,
     contains,
+    identity,
+    inverse,
     inversions,
     partial_sums,
-    permutation_act,
     sort_descending,
     sub,
+    transposition,
     validate_flag,
 )
-from flagged_lr.crystal import is_dominant
+from flagged_lr.crystal import is_dominant, lowering, raising
 from flagged_lr.hives import (
     SkewHive,
     TriHive,
@@ -46,6 +57,25 @@ from flagged_lr.tableaux import (
 # ---------------------------------------------------------------------------
 # core
 # ---------------------------------------------------------------------------
+
+def permutation_act(w, v):
+    """Left action on tuples: (w.v)_i = v_{w^-1(i)}."""
+    winv = inverse(w)
+    return tuple(v[winv[i] - 1] for i in range(len(v)))
+
+
+def permutation_from_word(word, n: int):
+    """Multiply out s_{i_1} ... s_{i_k}."""
+    w = identity(n)
+    for i in word:
+        w = compose(w, transposition(n, i))
+    return w
+
+
+def standard_flag(n: int):
+    """The flag (1, 2, ..., n)."""
+    return tuple(range(1, n + 1))
+
 
 def minimal_sorting_permutation_bruteforce(alpha):
     """Exhaustive-search oracle for sort_to_partition's minimality claim."""
@@ -216,6 +246,53 @@ def coefficient_by_enumeration(lam, mu, gam, nu, phi) -> int:
 
 
 # ---------------------------------------------------------------------------
+# crystal: the string property and heads by the operators, one at a time
+# ---------------------------------------------------------------------------
+
+def string_property_witness_by_operators(words, n: int):
+    """The first (word, i), words in sorted order, at which e_i w is not
+    null and e_i w or f_i w lies outside the set, each operator applied on
+    its own; None when the set is string-closed."""
+    words = set(words)
+    for w in sorted(words):
+        for i in range(1, n):
+            if raising(w, i) is None:
+                continue
+            if raising(w, i) not in words:
+                return (w, i)
+            f = lowering(w, i)
+            if f is not None and f not in words:
+                return (w, i)
+    return None
+
+
+def has_string_property(words, n: int) -> bool:
+    return string_property_witness_by_operators(words, n) is None
+
+
+def raise_to_head(word, n: int):
+    """Apply the first non-null raising operator until every one kills the
+    word."""
+    while True:
+        for i in range(1, n):
+            up = raising(word, i)
+            if up is not None:
+                word = up
+                break
+        else:
+            return word
+
+
+def components_by_raising(words, n: int):
+    """The Demazure components of a string-closed word set as a dict from
+    head to members, each word raised to its head on its own."""
+    groups = {}
+    for w in words:
+        groups.setdefault(raise_to_head(w, n), set()).add(w)
+    return {head: frozenset(members) for head, members in groups.items()}
+
+
+# ---------------------------------------------------------------------------
 # hives: boundaries as node dicts, placed node by node
 # ---------------------------------------------------------------------------
 
@@ -323,6 +400,11 @@ def hive_iso_report_by_objects(lam, mu, gam, nu, phi, limit=None):
     }
 
 
+def scale_labels(rows, k: int):
+    """Dilate a labelling by the stretch factor k."""
+    return tuple(tuple(k * v for v in r) for r in rows)
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
@@ -409,3 +491,33 @@ def left_key_by_knuth_class(t: SkewTableau) -> SkewTableau:
     if not is_key(key):
         raise ValueError(f"left key extraction produced a non-key {key.rows}")
     return key
+
+
+def insertion_decomposition_by_burge(mu, gam, phi):
+    """``burge.insertion_decomposition`` through the paper's objects: each
+    validated flagged tableau's biword (the reversed reading word below the
+    row-block word) goes through ``burge``, which builds both P and the
+    recording tableau, and the classes are grouped by recording."""
+    mu, gam, phi = check_boundary((mu, gam), phi)
+    n = len(mu)
+    shape = SkewShape(mu, gam)
+    rho = sub(mu, gam)
+    groups = {}
+    recordings = {}
+    for filling in enumerate_tableaux(shape, phi):
+        t = SkewTableau(shape, filling.rows)
+        bw = biword_from_words(block_word(rho), tuple(reversed(reading_word(t))))
+        _, rec = burge(bw)
+        recordings[rec.rows] = SkewTableau(rec.shape, rec.rows)
+        groups.setdefault(rec.rows, []).append(t)
+    out = []
+    for rec_rows in sorted(groups):
+        rec = recordings[rec_rows]
+        if shape.size and word_weight(reading_word(rec), n) != tuple(rho):
+            raise ValueError("recording tableau does not partition the set")
+        q = standardize(rec)
+        if shape.size and not is_shape_compatible(q, shape):
+            raise ValueError(f"recording standardization {q.rows} is not compatible")
+        beta = word_weight(reading_word(left_key(rec)), n)
+        out.append(InsertionClass(rec, q, beta, tuple(groups[rec_rows])))
+    return out

@@ -21,7 +21,6 @@ from flagged_lr.core import (
     contains,
     longest_element,
     partitions_up_to,
-    permutation_act,
     reduced_word,
     scale,
     sort_descending,
@@ -69,7 +68,7 @@ from flagged_lr.tableaux import (
     rectify,
     word_weight,
 )
-from oracles import tensor_lowering, tensor_raising
+from oracles import permutation_act, tensor_lowering, tensor_raising
 
 
 def report(name, ok, detail=""):

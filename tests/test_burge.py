@@ -3,8 +3,12 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from conftest import skew_pairs
-from oracles import insertion_tableau, left_key_by_knuth_class
+from conftest import decomposition_census, skew_pairs
+from oracles import (
+    insertion_decomposition_by_burge,
+    insertion_tableau,
+    left_key_by_knuth_class,
+)
 from flagged_lr.burge import (
     Biword,
     insertion_decomposition,
@@ -294,3 +298,50 @@ def test_insertion_classes_equal_crystal_components():
             for comp in comps:
                 cls = class_blocks[comp.members]
                 assert tuple(sorted(cls.beta, reverse=True)) == comp.highest_weight
+
+
+def _class_rows(classes):
+    return [
+        (c.recording.rows, c.standard.rows, c.beta, [m.rows for m in c.members])
+        for c in classes
+    ]
+
+
+def test_insertion_classes_equal_the_burge_oracle_census():
+    # column insertion on raw rows, keeping only the recording, against
+    # burge on the biword of each validated tableau
+    for mu, gam, phi in decomposition_census():
+        classes = insertion_decomposition(mu, gam, phi)
+        assert _class_rows(classes) == _class_rows(insertion_decomposition_by_burge(mu, gam, phi))
+        assert all(m.shape == SkewShape(mu, gam) for c in classes for m in c.members)
+
+
+def _validated(t):
+    """t rebuilt by the validating constructor; raises if t is not a
+    semistandard filling of its shape."""
+    return SkewTableau(t.shape, t.rows)
+
+
+def test_trusted_tableaux_pass_the_validating_constructor():
+    # every builder that skips the check: enumerate_tableaux,
+    # dominant_tableau, rectify, and burge's straight tableaux (P and Q,
+    # recordings, standardizations, left keys, key tableaux) and members
+    built = 0
+    for mu, gam, phi in decomposition_census():
+        for t in enumerate_tableaux(SkewShape(mu, gam), phi):
+            made = (t, rectify(t))
+            assert all(_validated(u) == u for u in made)
+            built += len(made)
+        for cls in insertion_decomposition(mu, gam, phi):
+            made = (cls.recording, cls.standard, left_key(cls.recording), *cls.members)
+            assert all(_validated(t) == t for t in made)
+            built += len(made)
+    for m in matrices(2, 3, 2):
+        made = burge(biword_from_matrix(m))
+        assert all(_validated(t) == t for t in made)
+        built += len(made)
+    for alpha in product(range(3), repeat=3):
+        made = (key_tableau(alpha), dominant_tableau(sorted(alpha, reverse=True)))
+        assert all(_validated(t) == t for t in made)
+        built += len(made)
+    assert built == 13_635

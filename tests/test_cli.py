@@ -19,7 +19,7 @@ from flagged_lr.cli import (
     run_coefficient,
     saturation_scan,
 )
-from flagged_lr.crystal import _count_tableaux, coefficient_by_tableaux
+from flagged_lr.crystal import _count_tableaux, coefficient_by_tableaux, tableau_word_set
 from flagged_lr.core import (
     FlagError,
     ScaleExceededError,
@@ -50,6 +50,7 @@ from flagged_lr.polynomials import (
     coefficient_table_by_demazure,
     flagged_skew_schur,
 )
+from flagged_lr.tableaux import SkewShape, enumerate_tableaux
 from oracles import hive_iso_report_by_objects, psi_by_objects, psi_inverse_by_objects
 
 
@@ -380,6 +381,23 @@ def test_three_routes_agree(args):
 def test_every_route_rejects_a_length_mismatch(method):
     with pytest.raises(ValueError, match="ambient lengths differ"):
         _single_coefficient((1, 0), (1, 0), (0, 0), (1, 1, 0), (2, 2), method, None)
+
+
+@pytest.mark.parametrize("mu, gam, bounds", [
+    ((2, 1), (1,), (2, 2)),
+    ((2, 1), (1, 0), (2,)),
+    ((2, 1), (1, 0), (2, 2, 2)),
+], ids=["short-gam", "short-bounds", "long-bounds"])
+@pytest.mark.parametrize("call", [
+    flagged_skew_schur,
+    tableau_word_set,
+    lambda mu, gam, bounds: enumerate_tableaux(SkewShape(mu, gam), bounds),
+], ids=["flagged_skew_schur", "tableau_word_set", "enumerate_tableaux"])
+def test_every_row_bound_function_rejects_a_length_mismatch(call, mu, gam, bounds):
+    # row bounds need not form a flag, but the lengths must agree as on the
+    # routes: nothing pads a short part
+    with pytest.raises(ValueError, match="ambient lengths differ"):
+        call(mu, gam, bounds)
 
 
 def test_python_level_reports():

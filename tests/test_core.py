@@ -11,14 +11,16 @@ from flagged_lr.core import (
     longest_element,
     parse_int_tuple,
     partial_sums,
-    permutation_act,
-    permutation_from_word,
     reduced_word,
     sort_to_partition,
-    standard_flag,
     validate_flag,
 )
-from oracles import minimal_sorting_permutation_bruteforce
+from oracles import (
+    minimal_sorting_permutation_bruteforce,
+    permutation_act,
+    permutation_from_word,
+    standard_flag,
+)
 
 
 def test_partial_sums_examples():

@@ -10,7 +10,6 @@ from flagged_lr.core import (
     contains,
     is_partition,
     partitions_up_to,
-    permutation_act,
     reduced_word,
     subpartitions,
 )
@@ -24,7 +23,6 @@ from flagged_lr.crystal import (
     epsilon_phi,
     flagged_word_set,
     generate_demazure,
-    has_string_property,
     is_dominant,
     is_lambda_dominant,
     lowering,
@@ -40,9 +38,14 @@ from flagged_lr.tableaux import (
     reading_word,
     word_weight,
 )
+from conftest import decomposition_census, skew_pairs
 from oracles import (
     coefficient_by_enumeration,
+    components_by_raising,
+    has_string_property,
+    permutation_act,
     prefix_dominant,
+    string_property_witness_by_operators,
     tensor_lowering,
     tensor_raising,
 )
@@ -196,6 +199,43 @@ def test_decompose_rejects_string_violations():
     with pytest.raises(StringPropertyError) as err:
         decompose(bad, 3)
     assert err.value.witness is not None
+
+
+def test_decompose_equals_the_raising_oracle_census():
+    # one raising pass with heads found by following parents, against
+    # raising each word to its head on its own
+    for mu, gam, phi in decomposition_census():
+        n = len(mu)
+        words = tableau_word_set(mu, gam, phi)
+        comps = decompose(words, n)
+        assert {c.head: c.members for c in comps} == components_by_raising(words, n)
+        assert [c.head for c in comps] == sorted(c.head for c in comps)
+        for c in comps:
+            assert c.highest_weight == word_weight(c.head, n)
+            assert character(c.members, n) == key_polynomial(c.key_weight)
+
+
+def test_string_property_witness_equals_the_operator_oracle():
+    # word sets that are not string-closed: those of row bounds that are not
+    # a flag, and string-closed sets with their middle word taken out
+    candidates = []
+    for mu, gam in skew_pairs(3, 4):
+        for bounds in product(range(1, 4), repeat=3):
+            words = tableau_word_set(mu, gam, bounds)
+            candidates.append(words)
+            if len(words) > 2:
+                candidates.append(words - {sorted(words)[len(words) // 2]})
+    failing = 0
+    for words in candidates:
+        witness = string_property_witness_by_operators(words, 3)
+        assert string_property_witness(words, 3) == witness
+        if witness is None:
+            continue
+        with pytest.raises(StringPropertyError) as err:
+            decompose(words, 3)
+        assert err.value.witness == witness
+        failing += 1
+    assert failing == 442
 
 
 def test_component_multiplicities_count_coefficients():

@@ -37,7 +37,6 @@ from flagged_lr.hives import (
     lift_tilde,
     psi,
     psi_inverse,
-    scale_labels,
     skew_flat_region,
     skew_hive_contents,
     tri_kogan_region,
@@ -50,6 +49,7 @@ from flagged_lr.tableaux import SkewShape, enumerate_tableaux, reading_word, wor
 from oracles import (
     gt_boundary_by_rows,
     labels_by_nodes,
+    scale_labels,
     skew_hive_boundary_by_loops,
     tri_hive_boundary_by_loops,
 )

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagged_lr.core import all_flags, longest_element, partitions_up_to, permutation_from_word, subpartitions
+from flagged_lr.core import all_flags, longest_element, partitions_up_to, subpartitions
 from flagged_lr.polynomials import (
     IntPolynomial,
     coefficient_by_demazure,
@@ -18,7 +18,7 @@ from flagged_lr.polynomials import (
     key_polynomial,
     schur,
 )
-from oracles import demazure_Ti_by_division
+from oracles import demazure_Ti_by_division, permutation_from_word
 
 
 def mono(*exps):
