@@ -10,6 +10,11 @@ through ``IntPolynomial._from_terms``, which only drops zero coefficients.
 ``coefficient_table_by_demazure`` and ``coefficient_by_demazure`` check the
 boundary (``core.check_boundary``) and run ``_schur_table``, which trusts
 lam and takes the flagged skew Schur polynomial as given.
+
+``expand_in_schur`` reads Schur coefficients off the bialternant
+``s_nu = a_{nu+delta} / a_delta`` in one pass over the terms: ``c x^e`` adds
+``sign * c`` to ``nu = sort(e + delta) - delta``, where sign is that of the
+sort, unless ``e + delta`` repeats an entry.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from .core import (
     as_composition,
     as_partition,
     check_boundary,
-    is_partition,
     longest_element,
     reduced_word,
     sort_to_partition,
@@ -79,9 +83,9 @@ class IntPolynomial:
 
     @classmethod
     def variable(cls, n: int, i: int) -> "IntPolynomial":
-        e = [0] * n
-        e[i - 1] = 1
-        return cls(n, {tuple(e): 1})
+        if not 1 <= i <= n:
+            raise IndexError(f"variable index {i} out of range for ambient {n}")
+        return cls(n, {tuple(int(j == i) for j in range(1, n + 1)): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -132,6 +136,8 @@ class IntPolynomial:
 
     def swap(self, i: int) -> "IntPolynomial":
         """The action of the transposition s_i on the variables."""
+        if not 1 <= i <= self.n - 1:
+            raise IndexError(f"swap index {i} out of range for ambient {self.n}")
         out = {}
         for e, c in self.terms.items():
             f = list(e)
@@ -228,24 +234,18 @@ def flagged_skew_schur(mu, gam, row_bounds) -> IntPolynomial:
 
 
 def expand_in_schur(f: IntPolynomial):
-    """Write a symmetric polynomial as a dict partition -> coefficient.
-
-    Greedy elimination on the lexicographically greatest exponent vector;
-    the remainder must reach exactly zero.
-    """
+    """Write a symmetric polynomial as a dict partition -> coefficient,
+    read off the bialternant as the module docstring says."""
     if not f.is_symmetric():
         raise ValueError("polynomial is not symmetric")
-    out = {}
-    prev = None
-    while not f.is_zero():
-        lead = max(e for e in f.terms if is_partition(e))
-        if prev is not None and lead >= prev:
-            raise ArithmeticError("schur elimination failed to make progress")
-        prev = lead
-        c = f.terms[lead]
-        out[lead] = c
-        f = f - c * schur(lead, f.n)
-    return out
+    n, out = f.n, {}
+    for e, c in f.terms.items():
+        v = [a + n - 1 - i for i, a in enumerate(e)]
+        if len(set(v)) == n:
+            inversions = sum(v[i] < v[j] for i in range(n) for j in range(i + 1, n))
+            nu = tuple(a - n + 1 + i for i, a in enumerate(sorted(v, reverse=True)))
+            out[nu] = out.get(nu, 0) + (-c if inversions % 2 else c)
+    return {nu: c for nu, c in out.items() if c}
 
 
 def _key_order(e):

@@ -29,6 +29,7 @@ from flagged_lr.core import (
     identity,
     inverse,
     inversions,
+    is_partition,
     partial_sums,
     sort_descending,
     sub,
@@ -43,7 +44,7 @@ from flagged_lr.hives import (
     enumerate_tri_hive_points,
     lift_tilde,
 )
-from flagged_lr.polynomials import IntPolynomial
+from flagged_lr.polynomials import IntPolynomial, schur
 from flagged_lr.tableaux import (
     SkewShape,
     SkewTableau,
@@ -430,6 +431,25 @@ def demazure_Ti_by_division(f: IntPolynomial, i: int) -> IntPolynomial:
         mono = IntPolynomial.monomial(q, c)
         num = num - mono * divisor_hi + mono * divisor_lo
     return IntPolynomial(n, quotient)
+
+
+def expand_in_schur_greedy(f: IntPolynomial):
+    """Oracle for ``expand_in_schur``: subtract c * s_lead for the
+    lexicographically greatest partition exponent lead until nothing is
+    left, raising if the leading exponent fails to drop."""
+    if not f.is_symmetric():
+        raise ValueError("polynomial is not symmetric")
+    out = {}
+    prev = None
+    while not f.is_zero():
+        lead = max(e for e in f.terms if is_partition(e))
+        if prev is not None and lead >= prev:
+            raise ArithmeticError("schur elimination failed to make progress")
+        prev = lead
+        c = f.terms[lead]
+        out[lead] = c
+        f = f - c * schur(lead, f.n)
+    return out
 
 
 # ---------------------------------------------------------------------------

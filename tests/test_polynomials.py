@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from flagged_lr.core import all_flags, longest_element, partitions_up_to, subpartitions
 from flagged_lr.polynomials import (
     IntPolynomial,
+    _schur_table,
     coefficient_by_demazure,
     coefficient_table_by_demazure,
     demazure_Ti,
@@ -18,7 +19,7 @@ from flagged_lr.polynomials import (
     key_polynomial,
     schur,
 )
-from oracles import demazure_Ti_by_division, permutation_from_word
+from oracles import demazure_Ti_by_division, expand_in_schur_greedy, permutation_from_word
 
 
 def mono(*exps):
@@ -129,6 +130,43 @@ def test_expand_in_schur_rejects_asymmetric():
         expand_in_schur(mono(1, 0))
 
 
+def test_expand_in_schur_equals_the_greedy_oracle_on_every_small_table():
+    # every _schur_table input with n <= 3, |mu| <= 4, |lam| <= 3, every flag
+    checked = 0
+    for n in (1, 2, 3):
+        w0 = longest_element(n)
+        for mu in partitions_up_to(n, 4):
+            for gam in subpartitions(mu):
+                for phi in all_flags(n):
+                    skew_schur = flagged_skew_schur(mu, gam, phi)
+                    for lam in partitions_up_to(n, 3):
+                        f = demazure_Tw(IntPolynomial.monomial(lam) * skew_schur, w0)
+                        assert _schur_table(lam, skew_schur) == expand_in_schur_greedy(f)
+                        checked += 1
+    assert checked == 2466
+
+
+@st.composite
+def schur_combinations(draw):
+    """A dict partition -> nonzero coefficient over at most two degrees in
+    n <= 4 variables, coefficients of either sign, possibly empty."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    degrees = draw(st.lists(st.integers(0, 5), min_size=1, max_size=2, unique=True))
+    shapes = [nu for nu in partitions_up_to(n, 5) if sum(nu) in degrees]
+    return n, draw(st.dictionaries(
+        st.sampled_from(shapes), st.integers(-3, 3).filter(bool), max_size=4))
+
+
+@settings(max_examples=120, deadline=None)
+@given(schur_combinations())
+def test_expand_in_schur_inverts_a_schur_combination(case):
+    n, coefficients = case
+    f = sum((c * schur(nu, n) for nu, c in coefficients.items()),
+            start=IntPolynomial.zero(n))
+    assert expand_in_schur(f) == coefficients
+    assert expand_in_schur_greedy(f) == coefficients
+
+
 def test_expand_in_key_examples():
     assert expand_in_key(mono(2, 0)) == {(2, 0): 1}
     assert expand_in_key(flagged_skew_schur((2, 2), (1, 0), (2, 2))) == {(1, 2): 1}
@@ -184,6 +222,21 @@ def test_polynomial_algebra_and_io():
     assert data == [{"exponents": [1, 1], "coefficient": 2}]
     with pytest.raises(ValueError):
         IntPolynomial(2, {(1, 0, 0): 1})
+
+
+def test_variable_and_swap_reject_an_index_out_of_range():
+    assert IntPolynomial.variable(3, 1) == mono(1, 0, 0)
+    assert IntPolynomial.variable(3, 3) == mono(0, 0, 1)
+    for i in (0, 4, -1):
+        with pytest.raises(IndexError, match="out of range"):
+            IntPolynomial.variable(3, i)
+    f = mono(2, 1, 0)
+    assert f.swap(1) == mono(1, 2, 0) and f.swap(2) == mono(2, 0, 1)
+    for i in (0, 3, -1):
+        with pytest.raises(IndexError, match="out of range"):
+            f.swap(i)
+    with pytest.raises(IndexError, match="out of range"):
+        IntPolynomial.zero(1).swap(1)
 
 
 @st.composite
