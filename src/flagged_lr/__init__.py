@@ -36,10 +36,8 @@ from .polynomials import (
     demazure_Ti,
     demazure_Tw,
     expand_in_key,
-    expand_in_schur,
     flagged_skew_schur,
     key_polynomial,
-    schur,
 )
 from .hives import (
     SkewGTPattern,

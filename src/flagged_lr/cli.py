@@ -10,14 +10,16 @@ only ``crystal-graph``, whose word set takes row bounds, checks the flag
 itself.
 ``decomposition_report`` checks its boundary and then enumerates the
 flagged fillings once, as raw rows, for ``crystal.decompose``, the
-insertion core ``burge._insertion_classes`` and the character check.
+insertion core ``burge._insertion_classes`` and the character check, which
+sums the key polynomials ``crystal.decompose`` built for its components.
 ``cross_check`` builds its grid from partitions, checks its flags once and
 calls the trusted cores on every tuple: ``crystal._count_tableaux``,
-``hives._count_skew_hives`` and ``hives._doubling``, and
-``polynomials._schur_table`` on one flagged skew Schur polynomial per
-(mu, gam, phi).  On the isomorphism path it judges the ``_doubling``
-result by the same rule as ``hive_iso_report`` (``_iso_ok``) and builds
-the full report from that result only for a tuple that fails.
+``hives._count_skew_hives`` and ``hives._doubling``, and the Demazure
+table core ``polynomials._antisymmetrize`` on one flagged skew Schur
+polynomial per (mu, gam, phi).  On the isomorphism path it judges the
+``_doubling`` result by the same rule as ``hive_iso_report``
+(``_iso_ok``) and builds the full report from that result only for a
+tuple that fails.
 """
 
 from __future__ import annotations
@@ -49,11 +51,11 @@ from .crystal import (
 )
 from .hives import _check_doubling, _count_skew_hives, _doubling, count_skew_hive_points
 from .polynomials import (
-    _schur_table,
+    IntPolynomial,
+    _antisymmetrize,
     coefficient_by_demazure,
     coefficient_table_by_demazure,
     flagged_skew_schur,
-    key_polynomial,
 )
 from .tableaux import SkewShape, _reading_word, _tableau_rows, reading_word
 from .burge import _insertion_classes
@@ -108,7 +110,7 @@ def _single_coefficient(lam, mu, gam, nu, phi, method, limit):
     if method == "hive":
         return hive_count(lam, mu, gam, nu, phi, limit)
     if method == "demazure":
-        return coefficient_by_demazure(lam, mu, gam, nu, phi)
+        return coefficient_by_demazure(lam, mu, gam, nu, phi, limit)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -203,10 +205,11 @@ def decomposition_report(mu, gam, phi):
 
 
 def _character_sum_matches(components, skew_schur) -> bool:
-    """The key polynomials of the Demazure components sum to the flagged
-    skew Schur polynomial of their tableau set."""
-    keys = (key_polynomial(c.key_weight) for c in components)
-    return sum(keys, start=skew_schur * 0) == skew_schur
+    """The key polynomials of the Demazure components, built by Demazure
+    operators in ``crystal.decompose``, sum to the flagged skew Schur
+    polynomial of their tableau set."""
+    keys = (c.key for c in components)
+    return sum(keys, start=IntPolynomial.zero(skew_schur.n)) == skew_schur
 
 
 def hive_iso_report(lam, mu, gam, nu, phi, limit=None):
@@ -271,7 +274,7 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
                     }
                 checked["decompositions"] += 1
                 for lam in subpartitions(mu):
-                    demazure_table = _schur_table(lam, skew_schur)
+                    demazure_table = _antisymmetrize(lam, skew_schur)
                     total = weight(lam) + weight(mu) - weight(gam)
                     for nu in nu_candidates[total]:
                         # the isomorphism check enumerates the skew hives
@@ -388,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=int,
         default=argparse.SUPPRESS,
-        help="enumeration ceiling per call (hive labels or tableau letters placed)",
+        help="enumeration ceiling per call (hive labels or tableau letters "
+        "placed, Demazure shapes expanded)",
     )
     parser = argparse.ArgumentParser(
         prog="flagged-lr",
@@ -400,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit",
         type=int,
         default=DEFAULT_LIMIT,
-        help="enumeration ceiling per call (hive labels or tableau letters placed)",
+        help="enumeration ceiling per call (hive labels or tableau letters "
+        "placed, Demazure shapes expanded)",
     )
     sub_parsers = parser.add_subparsers(dest="command", required=True)
 

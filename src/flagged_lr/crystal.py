@@ -21,7 +21,7 @@ the search, ``_count_tableaux``, trusts it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .core import (
@@ -209,13 +209,15 @@ class DemazureComponent:
     """One Demazure crystal inside a decomposition.
 
     head is killed by every raising operator; its weight is the component's
-    highest weight and the character is the key polynomial of key_weight.
+    highest weight and the character is the key polynomial of key_weight,
+    which ``key`` holds as built by Demazure operators.
     """
 
     head: tuple
     members: frozenset
     highest_weight: tuple
     key_weight: tuple
+    key: object = field(compare=False, repr=False)
 
 
 def _parents(words, n: int):
@@ -272,7 +274,7 @@ def decompose(words, n: int):
     ValueError when some component character is not a single key polynomial
     (which would signal an internal inconsistency).
     """
-    from .polynomials import expand_in_key
+    from .polynomials import _key_order, expand_in_key, key_polynomial
 
     groups = {}
     for w, head in _heads(_parents(set(words), n)).items():
@@ -284,17 +286,20 @@ def decompose(words, n: int):
         if not is_partition(hw):
             raise ValueError(f"head {head} has non-partition weight {hw}")
         ch = character(members, n)
-        expansion = expand_in_key(ch)
-        if len(expansion) != 1 or set(expansion.values()) != {1}:
+        # the key elimination of ch stops after one step exactly when ch is
+        # the key polynomial of its leading exponent
+        alpha = max(ch.terms, key=_key_order)
+        key = key_polynomial(alpha)
+        if ch != key:
             raise ValueError(
-                f"component at head {head} is not a single key polynomial: {expansion}"
+                f"component at head {head} is not a single key polynomial: "
+                f"{expand_in_key(ch)}"
             )
-        (alpha,) = expansion
         if sort_descending(alpha) != hw:
             raise ValueError(
                 f"key weight {alpha} does not sort to highest weight {hw}"
             )
-        components.append(DemazureComponent(head, members, hw, alpha))
+        components.append(DemazureComponent(head, members, hw, alpha, key))
     return components
 
 

@@ -1,4 +1,5 @@
-"""Integer polynomials, Demazure operators and key/Schur expansions.
+"""Integer polynomials, Demazure operators, key expansions and the
+Demazure route.
 
 Polynomials are finitely supported maps from exponent vectors to integers.
 The Demazure operator acts monomial-wise through the closed form forced by
@@ -7,28 +8,38 @@ the geometric-series division, so no rational arithmetic appears anywhere.
 The ``IntPolynomial`` constructor checks its exponent vectors; arithmetic,
 ``swap``, ``demazure_Ti`` and ``flagged_skew_schur`` build their results
 through ``IntPolynomial._from_terms``, which only drops zero coefficients.
-``coefficient_table_by_demazure`` and ``coefficient_by_demazure`` check the
-boundary (``core.check_boundary``) and run ``_schur_table``, which trusts
-lam and takes the flagged skew Schur polynomial as given.
 
-``expand_in_schur`` reads Schur coefficients off the bialternant
-``s_nu = a_{nu+delta} / a_delta`` in one pass over the terms: ``c x^e`` adds
-``sign * c`` to ``nu = sort(e + delta) - delta``, where sign is that of the
-sort, unless ``e + delta`` repeats an entry.
+The Demazure route reads the Schur expansion of pi_{w0}(x^lam F), F the
+flagged skew Schur polynomial of mu/gam, without forming the product or
+applying pi_{w0}.  By the Demazure character formula at w0 that
+polynomial is ``A(x^{lam+delta} F) / a_delta``, where A antisymmetrizes
+and ``delta = (n-1, ..., 0)``, and ``s_nu = a_{nu+delta} / a_delta``.
+``coefficient_table_by_demazure`` checks the boundary
+(``core.check_boundary``), builds F and runs ``_antisymmetrize``: one
+pass over the terms of F, in which ``c x^alpha`` adds ``sign * c`` to
+``nu = sort(lam + alpha + delta) - delta``, sign being that of the sort
+into decreasing order, and nothing when ``lam + alpha + delta`` repeats an
+entry.  ``coefficient_by_demazure`` checks the boundary and runs
+``_signed_sum``, which builds no F: it reads ``c_nu`` as the sum over the
+permutations w of ``sgn(w) F[w(nu + delta) - lam - delta]``, and counts
+each F[alpha] by chains of shapes from gam to mu, one horizontal strip of
+alpha_m boxes per letter m (``_strips``).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 
 from .core import (
+    ScaleExceededError,
     as_composition,
-    as_partition,
     check_boundary,
-    longest_element,
+    contains,
     reduced_word,
     sort_to_partition,
+    weight,
 )
 from .tableaux import SkewShape, _tableau_rows, word_weight
 
@@ -37,9 +48,7 @@ __all__ = [
     "demazure_Ti",
     "demazure_Tw",
     "key_polynomial",
-    "schur",
     "flagged_skew_schur",
-    "expand_in_schur",
     "expand_in_key",
     "coefficient_table_by_demazure",
     "coefficient_by_demazure",
@@ -213,11 +222,6 @@ def key_polynomial(alpha) -> IntPolynomial:
     return demazure_Tw(IntPolynomial.monomial(adag), w)
 
 
-def schur(lam, n: int) -> IntPolynomial:
-    """Sum of weight monomials over semistandard tableaux with entries <= n."""
-    return flagged_skew_schur(as_partition(lam, n), (0,) * n, (n,) * n)
-
-
 def flagged_skew_schur(mu, gam, row_bounds) -> IntPolynomial:
     """Generating polynomial of the flagged skew tableaux of shape mu/gam.
 
@@ -231,21 +235,6 @@ def flagged_skew_schur(mu, gam, row_bounds) -> IntPolynomial:
         e = word_weight(chain.from_iterable(rows), n)
         terms[e] = terms.get(e, 0) + 1
     return IntPolynomial._from_terms(n, terms)
-
-
-def expand_in_schur(f: IntPolynomial):
-    """Write a symmetric polynomial as a dict partition -> coefficient,
-    read off the bialternant as the module docstring says."""
-    if not f.is_symmetric():
-        raise ValueError("polynomial is not symmetric")
-    n, out = f.n, {}
-    for e, c in f.terms.items():
-        v = [a + n - 1 - i for i, a in enumerate(e)]
-        if len(set(v)) == n:
-            inversions = sum(v[i] < v[j] for i in range(n) for j in range(i + 1, n))
-            nu = tuple(a - n + 1 + i for i, a in enumerate(sorted(v, reverse=True)))
-            out[nu] = out.get(nu, 0) + (-c if inversions % 2 else c)
-    return {nu: c for nu, c in out.items() if c}
 
 
 def _key_order(e):
@@ -276,23 +265,121 @@ def expand_in_key(f: IntPolynomial):
 
 
 def coefficient_table_by_demazure(lam, mu, gam, phi):
-    """Full Schur expansion of the symmetrized dominant-monomial product.
+    """The Schur expansion of pi_{w0}(x^lam F), F the flagged skew Schur
+    polynomial of mu/gam, as a dict nu -> coefficient.
 
-    Checks the boundary (``core.check_boundary``), builds the flagged skew
-    Schur polynomial of mu/gam and runs ``_schur_table`` on it."""
+    Checks the boundary (``core.check_boundary``), builds F and runs
+    ``_antisymmetrize`` on it."""
     lam, mu, gam, phi = check_boundary((lam, mu, gam), phi)
-    return _schur_table(lam, flagged_skew_schur(mu, gam, phi))
+    return _antisymmetrize(lam, flagged_skew_schur(mu, gam, phi))
 
 
-def _schur_table(lam, skew_schur):
+def _antisymmetrize(lam, skew_schur):
     """``coefficient_table_by_demazure`` on a checked partition lam and the
-    flagged skew Schur polynomial of mu/gam: the Schur expansion of
-    pi_{w0}(x^lam * skew_schur)."""
-    f = IntPolynomial.monomial(lam) * skew_schur
-    return expand_in_schur(demazure_Tw(f, longest_element(len(lam))))
+    flagged skew Schur polynomial of mu/gam, read off
+    ``A(x^{lam+delta} F) / a_delta`` in one pass over the terms of F as the
+    module docstring says."""
+    n = len(lam)
+    shift = [a + n - 1 - i for i, a in enumerate(lam)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    out = {}
+    for alpha, c in skew_schur.terms.items():
+        v = [a + b for a, b in zip(alpha, shift)]
+        if len(set(v)) == n:
+            inversions = sum(v[i] < v[j] for i, j in pairs)
+            v.sort(reverse=True)
+            nu = tuple(a - n + 1 + i for i, a in enumerate(v))
+            out[nu] = out.get(nu, 0) + (-c if inversions % 2 else c)
+    return {nu: c for nu, c in out.items() if c}
 
 
-def coefficient_by_demazure(lam, mu, gam, nu, phi) -> int:
-    """The nu-coefficient in the Schur expansion route."""
-    lam, mu, gam, nu, phi = check_boundary((lam, mu, gam, nu), phi)
-    return _schur_table(lam, flagged_skew_schur(mu, gam, phi)).get(nu, 0)
+def coefficient_by_demazure(lam, mu, gam, nu, phi, limit=None) -> int:
+    """The nu-coefficient of ``coefficient_table_by_demazure``.
+
+    Checks the boundary (``core.check_boundary``) and runs ``_signed_sum``.
+    Raises ScaleExceededError once more than ``limit`` shapes have been
+    expanded."""
+    return _signed_sum(*check_boundary((lam, mu, gam, nu), phi), limit)
+
+
+def _signed_sum(lam, mu, gam, nu, phi, limit):
+    """``coefficient_by_demazure`` on a checked boundary: the sum over the
+    permutations w of sgn(w) F[w(nu + delta) - lam - delta], where F[alpha]
+    is the number of flagged tableaux of shape mu/gam and weight alpha.
+
+    The permutation is chosen one position m at a time, which fixes
+    alpha_m, and each prefix carries the chains gam = s_0 < ... < s_m
+    counted in a dict from s_m; ``_strips`` gives the step from s_{m-1} to
+    s_m.  The prefixes that share their first letters share those steps,
+    and a prefix with no chain left is dropped."""
+    if not contains(mu, gam) or weight(nu) - weight(lam) != weight(mu) - weight(gam):
+        return 0
+    n = len(mu)
+    top = [a + n - 1 - i for i, a in enumerate(nu)]
+    base = [a + n - 1 - i for i, a in enumerate(lam)]
+    left = math.inf if limit is None else limit
+
+    def signed(m, unused, chains):
+        # the signed count of the completions of a prefix of m positions
+        # whose unused entries of nu + delta are top[j], j in unused
+        nonlocal left
+        if m == n:
+            return chains.get(mu, 0)
+        total = 0
+        for k, j in enumerate(unused):
+            size = top[j] - base[m]
+            if size < 0:
+                # top falls along unused, so every later size is negative
+                break
+            grown = {}
+            for shape, c in chains.items():
+                left -= 1
+                if left < 0:
+                    raise ScaleExceededError("enumeration ceiling exceeded")
+                for t in _strips(shape, mu, phi, m + 1, size):
+                    grown[t] = grown.get(t, 0) + c
+            if grown:
+                # the k unused entries above top[j] come later: k inversions
+                rest = signed(m + 1, unused[:k] + unused[k + 1:], grown)
+                total += -rest if k % 2 else rest
+        return total
+
+    return signed(0, tuple(range(n)), {gam: 1})
+
+
+def _strips(shape, mu, phi, letter, size):
+    """The shapes t inside mu such that t / shape is a horizontal strip of
+    ``size`` boxes filled with ``letter``: a row r grows only while
+    phi_r >= letter, and a row with phi_r = letter, its last letter, grows
+    to mu_r or the shape has no such t."""
+    lows, highs = [], []
+    above = math.inf
+    for s, m, f in zip(shape, mu, phi):
+        cap = min(m, above)
+        above = s
+        if f > letter:
+            lows.append(0)
+            highs.append(cap - s)
+        elif f == letter:
+            if cap < m:
+                return []
+            lows.append(m - s)
+            highs.append(m - s)
+        else:
+            # filled to mu_r at the letter phi_r
+            lows.append(0)
+            highs.append(0)
+    rest_lo, rest_hi = sum(lows), sum(highs)
+    if not rest_lo <= size <= rest_hi:
+        return []
+    partial = [((), size)]
+    for s, lo, hi in zip(shape, lows, highs):
+        # the rows after this one take between rest_lo and rest_hi boxes
+        rest_lo -= lo
+        rest_hi -= hi
+        partial = [
+            (t + (s + d,), need - d)
+            for t, need in partial
+            for d in range(max(lo, need - rest_hi), min(hi, need - rest_lo) + 1)
+        ]
+    return [t for t, _ in partial]

@@ -23,6 +23,7 @@ from flagged_lr.burge import (
 )
 from flagged_lr.cli import _query_dict
 from flagged_lr.core import (
+    as_partition,
     check_boundary,
     compose,
     contains,
@@ -30,6 +31,7 @@ from flagged_lr.core import (
     inverse,
     inversions,
     is_partition,
+    longest_element,
     partial_sums,
     sort_descending,
     sub,
@@ -44,7 +46,7 @@ from flagged_lr.hives import (
     enumerate_tri_hive_points,
     lift_tilde,
 )
-from flagged_lr.polynomials import IntPolynomial, schur
+from flagged_lr.polynomials import IntPolynomial, demazure_Tw, flagged_skew_schur
 from flagged_lr.tableaux import (
     SkewShape,
     SkewTableau,
@@ -431,6 +433,38 @@ def demazure_Ti_by_division(f: IntPolynomial, i: int) -> IntPolynomial:
         mono = IntPolynomial.monomial(q, c)
         num = num - mono * divisor_hi + mono * divisor_lo
     return IntPolynomial(n, quotient)
+
+
+def schur(lam, n: int) -> IntPolynomial:
+    """Sum of weight monomials over semistandard tableaux with entries <= n."""
+    return flagged_skew_schur(as_partition(lam, n), (0,) * n, (n,) * n)
+
+
+def expand_in_schur(f: IntPolynomial):
+    """Oracle for the Demazure route's read-off: write a symmetric
+    polynomial as a dict partition -> coefficient, read off the bialternant
+    ``s_nu = a_{nu+delta} / a_delta`` in one pass over the terms.  A term
+    ``c x^e`` adds ``sign * c`` to ``nu = sort(e + delta) - delta``, with the
+    sign of the sort, unless ``e + delta`` repeats an entry."""
+    if not f.is_symmetric():
+        raise ValueError("polynomial is not symmetric")
+    n, out = f.n, {}
+    for e, c in f.terms.items():
+        v = [a + n - 1 - i for i, a in enumerate(e)]
+        if len(set(v)) == n:
+            inversions = sum(v[i] < v[j] for i in range(n) for j in range(i + 1, n))
+            nu = tuple(a - n + 1 + i for i, a in enumerate(sorted(v, reverse=True)))
+            out[nu] = out.get(nu, 0) + (-c if inversions % 2 else c)
+    return {nu: c for nu, c in out.items() if c}
+
+
+def _schur_table(lam, skew_schur):
+    """Oracle for ``coefficient_table_by_demazure`` on a partition lam and
+    the flagged skew Schur polynomial of mu/gam: the product with x^lam,
+    the Demazure operator of the longest element along a reduced word, and
+    the Schur expansion of the symmetric result."""
+    f = IntPolynomial.monomial(lam) * skew_schur
+    return expand_in_schur(demazure_Tw(f, longest_element(len(lam))))
 
 
 def expand_in_schur_greedy(f: IntPolynomial):

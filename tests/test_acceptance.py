@@ -56,7 +56,6 @@ from flagged_lr.polynomials import (
     expand_in_key,
     flagged_skew_schur,
     key_polynomial,
-    schur,
 )
 from flagged_lr.tableaux import (
     SkewShape,
@@ -68,7 +67,7 @@ from flagged_lr.tableaux import (
     rectify,
     word_weight,
 )
-from oracles import permutation_act, tensor_lowering, tensor_raising
+from oracles import permutation_act, schur, tensor_lowering, tensor_raising
 
 
 def report(name, ok, detail=""):

@@ -45,7 +45,8 @@ from flagged_lr.hives import (
 )
 from flagged_lr.polynomials import (
     IntPolynomial,
-    _schur_table,
+    _antisymmetrize,
+    _signed_sum,
     coefficient_by_demazure,
     coefficient_table_by_demazure,
     flagged_skew_schur,
@@ -222,6 +223,17 @@ def test_scale_ceiling_diagnostic(capsys):
         code = main(["--n", "4", "--limit", "3", *command, *boundary])
         assert code == 2
         assert "ceiling" in capsys.readouterr().err
+
+
+def test_demazure_route_stops_at_the_limit_on_the_n5_case(capsys):
+    boundary = ["--lam", "4,3,2,1,0", "--mu", "5,4,3,2,1", "--gam", "1,0,0,0,0",
+                "--nu", "7,6,5,4,2"]
+    code = main(["--n", "5", "--limit", "1", "coeff", "--method", "demazure", *boundary])
+    assert code == 2
+    assert "ceiling" in capsys.readouterr().err
+    code, out = run(capsys, "--n", "5", "--json", "coeff", "--method", "demazure", *boundary)
+    assert code == 0
+    assert json.loads(out)["value"] == 54
 
 
 def test_reports_are_deterministic(capsys):
@@ -534,8 +546,8 @@ def _one_coefficient_up(f):
     # the polynomial cross_check builds once per (mu, gam, phi) ...
     ("flagged_skew_schur", lambda real: lambda *args: _one_coefficient_up(real(*args)),
      "decomposition character sum"),
-    # ... and the one the Demazure core reads for every lam
-    ("_schur_table", lambda real: lambda lam, f: real(lam, _one_coefficient_up(f)),
+    # ... and the one the Demazure table core reads for every lam
+    ("_antisymmetrize", lambda real: lambda lam, f: real(lam, _one_coefficient_up(f)),
      "three-way coefficient mismatch"),
 ])
 def test_cross_check_fails_on_a_corrupted_skew_schur(monkeypatch, name, corrupt, failure):
@@ -557,13 +569,14 @@ def test_trusted_cores_equal_the_public_routes():
                 for phi in all_flags(n):
                     skew_schur = flagged_skew_schur(mu, gam, phi)
                     for lam in subpartitions(mu):
-                        table = _schur_table(lam, skew_schur)
+                        table = _antisymmetrize(lam, skew_schur)
                         assert table == coefficient_table_by_demazure(lam, mu, gam, phi)
                         tables += 1
                         for nu in _nu_candidates(lam, mu, gam, n):
                             args = (lam, mu, gam, nu, phi)
                             assert _count_tableaux(*args, None) == coefficient_by_tableaux(*args)
                             assert _count_skew_hives(*args, None) == count_skew_hive_points(*args)
+                            assert _signed_sum(*args, None) == coefficient_by_demazure(*args)
                             tuples += 1
                             if not contains(nu, lam):
                                 continue

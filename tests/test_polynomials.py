@@ -5,21 +5,36 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagged_lr.core import all_flags, longest_element, partitions_up_to, subpartitions
+from flagged_lr.core import (
+    ScaleExceededError,
+    all_flags,
+    longest_element,
+    partitions_up_to,
+    subpartitions,
+    weight,
+)
 from flagged_lr.polynomials import (
     IntPolynomial,
-    _schur_table,
+    _antisymmetrize,
+    _signed_sum,
     coefficient_by_demazure,
     coefficient_table_by_demazure,
     demazure_Ti,
     demazure_Tw,
     expand_in_key,
-    expand_in_schur,
     flagged_skew_schur,
     key_polynomial,
+)
+from oracles import (
+    _schur_table,
+    demazure_Ti_by_division,
+    expand_in_schur,
+    expand_in_schur_greedy,
+    permutation_from_word,
     schur,
 )
-from oracles import demazure_Ti_by_division, expand_in_schur_greedy, permutation_from_word
+
+N5_CASE = ((4, 3, 2, 1, 0), (5, 4, 3, 2, 1), (1, 0, 0, 0, 0), (7, 6, 5, 4, 2), (5,) * 5)
 
 
 def mono(*exps):
@@ -130,20 +145,77 @@ def test_expand_in_schur_rejects_asymmetric():
         expand_in_schur(mono(1, 0))
 
 
-def test_expand_in_schur_equals_the_greedy_oracle_on_every_small_table():
-    # every _schur_table input with n <= 3, |mu| <= 4, |lam| <= 3, every flag
-    checked = 0
+@pytest.fixture(scope="module")
+def small_tables():
+    """Every (lam, mu, gam, phi) with n <= 3, |mu| <= 4, |lam| <= 3, every
+    gam and every flag, with the flagged skew Schur polynomial F of mu/gam
+    and the oracle's table ``_schur_table(lam, F)``."""
+    out = []
     for n in (1, 2, 3):
-        w0 = longest_element(n)
         for mu in partitions_up_to(n, 4):
             for gam in subpartitions(mu):
                 for phi in all_flags(n):
                     skew_schur = flagged_skew_schur(mu, gam, phi)
                     for lam in partitions_up_to(n, 3):
-                        f = demazure_Tw(IntPolynomial.monomial(lam) * skew_schur, w0)
-                        assert _schur_table(lam, skew_schur) == expand_in_schur_greedy(f)
-                        checked += 1
-    assert checked == 2466
+                        out.append((lam, mu, gam, phi, skew_schur, _schur_table(lam, skew_schur)))
+    assert len(out) == 2466
+    return out
+
+
+def test_expand_in_schur_equals_the_greedy_oracle_on_every_small_table(small_tables):
+    for lam, _, _, _, skew_schur, table in small_tables:
+        f = demazure_Tw(IntPolynomial.monomial(lam) * skew_schur, longest_element(len(lam)))
+        assert table == expand_in_schur_greedy(f)
+
+
+def test_antisymmetrize_equals_the_schur_table_oracle_on_every_small_table(small_tables):
+    for lam, mu, gam, phi, skew_schur, table in small_tables:
+        assert _antisymmetrize(lam, skew_schur) == table, (lam, mu, gam, phi)
+
+
+def test_signed_sum_equals_the_schur_table_oracle_on_every_small_tuple(small_tables):
+    # every nu of the right weight, the zero coefficients included
+    checked = 0
+    for lam, mu, gam, phi, _, table in small_tables:
+        total = weight(lam) + weight(mu) - weight(gam)
+        for nu in partitions_up_to(len(mu), total):
+            if weight(nu) == total:
+                assert _signed_sum(lam, mu, gam, nu, phi, None) == table.get(nu, 0), (
+                    lam, mu, gam, nu, phi)
+                checked += 1
+    assert checked == 8478
+
+
+@st.composite
+def demazure_inputs_n4(draw):
+    """(lam, mu, gam, phi) at n = 4 with |mu| <= 5 and |lam| <= 3."""
+    mu = draw(st.sampled_from(partitions_up_to(4, 5)))
+    gam = draw(st.sampled_from(subpartitions(mu)))
+    lam = draw(st.sampled_from(partitions_up_to(4, 3)))
+    return lam, mu, gam, draw(st.sampled_from(all_flags(4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(demazure_inputs_n4())
+def test_demazure_route_equals_the_schur_table_oracle_at_n4(case):
+    lam, mu, gam, phi = case
+    table = _schur_table(lam, flagged_skew_schur(mu, gam, phi))
+    assert coefficient_table_by_demazure(lam, mu, gam, phi) == table
+    total = weight(lam) + weight(mu) - weight(gam)
+    for nu in partitions_up_to(4, total):
+        if weight(nu) == total:
+            assert coefficient_by_demazure(lam, mu, gam, nu, phi) == table.get(nu, 0)
+
+
+def test_signed_sum_limit_counts_the_shapes_expanded():
+    # the n=5 case expands 177 shapes, and its k = 2 dilation 1,181
+    assert coefficient_by_demazure(*N5_CASE, limit=177) == 54
+    with pytest.raises(ScaleExceededError, match="ceiling"):
+        coefficient_by_demazure(*N5_CASE, limit=176)
+    dilated = [tuple(2 * x for x in part) for part in N5_CASE[:4]] + [N5_CASE[4]]
+    assert coefficient_by_demazure(*dilated, limit=1181) == 1182
+    with pytest.raises(ScaleExceededError, match="ceiling"):
+        coefficient_by_demazure(*dilated, limit=1180)
 
 
 @st.composite
