@@ -16,7 +16,8 @@ sums the key polynomials ``crystal.decompose`` built for its components.
 calls the trusted cores on every tuple: ``crystal._count_tableaux``,
 ``hives._count_skew_hives`` and ``hives._doubling``, and the Demazure
 table core ``polynomials._antisymmetrize`` on one flagged skew Schur
-polynomial per (mu, gam, phi).  On the isomorphism path it judges the
+polynomial per (mu, gam, phi), read off the same enumeration of the
+flagged fillings as its components.  On the isomorphism path it judges the
 ``_doubling`` result by the same rule as ``hive_iso_report``
 (``_iso_ok``) and builds the full report from that result only for a
 tuple that fails.
@@ -55,7 +56,6 @@ from .polynomials import (
     _antisymmetrize,
     coefficient_by_demazure,
     coefficient_table_by_demazure,
-    flagged_skew_schur,
 )
 from .tableaux import SkewShape, _reading_word, _tableau_rows, reading_word
 from .burge import _insertion_classes
@@ -248,9 +248,10 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     decomposition character identity over every tuple at desk scale.
 
     The grid is made of partitions, so only the flags are checked, once;
-    the tuples go to the routes' trusted cores.  The flagged skew Schur
-    polynomial of each (mu, gam, phi) serves both the character identity
-    and the Demazure table of every lam.
+    the tuples go to the routes' trusted cores.  The flagged fillings of
+    each (mu, gam, phi) are enumerated once, as reading words, for its
+    components and its flagged skew Schur polynomial, which serves both the
+    character identity and the Demazure table of every lam.
 
     Stops at the first failing tuple and returns its reproduction data."""
     flags = [validate_flag(f, n) for f in (flags or all_flags(n))]
@@ -263,8 +264,9 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     for mu in partitions_up_to(n, max_mu):
         for gam in subpartitions(mu):
             for phi in flags:
-                skew_schur = flagged_skew_schur(mu, gam, phi)
-                components = decompose(tableau_word_set(mu, gam, phi), n)
+                words = [_reading_word(rows) for rows in _tableau_rows(SkewShape(mu, gam), phi)]
+                skew_schur = character(words, n)
+                components = decompose(words, n)
                 if not _character_sum_matches(components, skew_schur):
                     return {
                         "ok": False,

@@ -8,23 +8,35 @@ One engine enumerates all three polytopes.  Each states its inequalities
 once, as ``(plus nodes, minus nodes)`` pairs meaning ``sum(plus) >=
 sum(minus)``, and its boundary once, as edges (runs of nodes, such as the
 left column or the bottom row) with a helper that gives the partial sums
-along them; a compile step, cached per grid size and flag, picks the order
+along them.  A compile step, cached per grid size and flag, picks the order
 in which the free nodes are placed from the table alone (always the node
-that completes the most inequalities next), and turns the table into bounds
-on each free node.  The engine places labels in that order, lexicographic
-in the free labels, and yields each point as row-major label rows.
-``limit`` counts the labels placed at free nodes.
+that completes the most inequalities next) and folds the table into bounds
+on each free node.  Each compiled polytope then generates, on first use,
+two Python functions that take the runs along the edges: an enumerator and
+a counter.  Both open with the same prologue, which unpacks the runs into
+one local per boundary label and gives no points when two runs disagree
+where their edges meet (the weights differ) or the boundary breaks an
+inequality among its own nodes.
 
-The hive route counts instead of enumerating: a memoized pass goes over the
-free nodes in the same order and merges the partial points that agree on
-the labels later bounds still read.  There ``limit`` counts the labels the
-pass tries, the range of each merged state it expands.
+The enumerator is one ``for`` loop per free node, in placement order, with
+each bound written out over locals; it yields the points lexicographically
+in the free labels taken in that order, as row-major label rows.  CPython
+compiles at most 20 nested loops in one function, so each further run of
+up to 15 loops moves into a nested generator.  ``limit`` counts the labels
+placed at free nodes, one per loop turn.  The hive route counts instead of
+enumerating: the counter is a memoized pass over the free nodes in the same
+order, unrolled per node, that merges the partial points which agree on the
+labels later bounds still read.  There ``limit`` counts the labels the pass
+tries, the range of each merged state it expands.  Both raise
+ScaleExceededError once the labels exceed ``limit``.  The generic engine
+that runs a compiled table directly, without generated code, lives in
+``tests/oracles.py``, which gates the kernels against it.
 
 The doubling map psi and its inverse work on rows of labels; the public
 ``psi``/``psi_inverse`` wrap them in hive objects.  The isomorphism check
 behind ``flagged-lr hive-iso`` and ``verify`` takes the points of both
-polytopes as the engine's raw label rows, and maps each skew point once,
-with the top n rows of the image built once per boundary.
+polytopes as the enumerators' raw label rows, and maps each skew point
+once, with the top n rows of the image built once per boundary.
 
 Input is checked at the public functions and trusted below them.  Every
 public function that takes a flag checks its partitions and the flag with
@@ -36,12 +48,8 @@ compiles to the unflagged polytope.  ``count_skew_hive_points`` and
 ``enumerate_skew_hive_points`` then run ``_count_skew_hives`` and
 ``_skew_rows``; ``_check_doubling`` checks the boundary (``_lift_input``,
 which also needs gam inside mu, lam inside nu and equal weights) and runs
-``_doubling``.  Every polytope's boundary reaches the engine through
-``_labels``, which writes the runs along the edges into the label array,
-gives no points when two runs disagree where their edges meet (the weights
-differ), and checks the inequalities among boundary nodes.
-``skew_hive_boundary`` and ``tri_hive_boundary``, which the hive checks
-read, are the same edges and runs as a dict from node to label.
+``_doubling``.  ``skew_hive_boundary`` and ``tri_hive_boundary``, which the
+hive checks read, are the same edges and runs as a dict from node to label.
 
 Node indexing: row i counts from the top.  A parallelogram hive has rows
 0..n each with nodes 0..n; a triangular hive has rows 0..N where row i has
@@ -56,7 +64,7 @@ import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 
 from .core import (
@@ -109,7 +117,19 @@ class HiveValidationError(ValueError):
 # the lattice-point engine
 # ---------------------------------------------------------------------------
 
-_Polytope = namedtuple("_Polytope", "edges meets free lows highs checks spans live reads keeps")
+class _Polytope(namedtuple("_Polytope", "edges meets free lows highs checks spans live keeps")):
+    """A compiled polytope (see ``_compile``) and its two kernels, each
+    generated by ``_kernel`` on first use: ``enumerator(runs, limit)``
+    yields the label rows of every point, and ``counter(runs, limit)``
+    counts them."""
+
+    @cached_property
+    def enumerator(self):
+        return _kernel(self, counting=False)
+
+    @cached_property
+    def counter(self):
+        return _kernel(self, counting=True)
 
 
 def _placement_order(free, table):
@@ -158,10 +178,12 @@ def _compile(grid, edges, table) -> _Polytope:
     boundary nodes, ``spans`` the rows' extents.
 
     ``live[k]`` lists the free nodes placed before depth k that a bound at
-    depth k or later still reads, in placement order.  ``reads[k]`` pairs
-    each of them that a bound at depth k reads with its position in
-    ``live[k]``; ``keeps[k]`` gives the positions in ``live[k]`` of the
-    nodes that stay in ``live[k + 1]``."""
+    depth k or later still reads, in placement order, and ``keeps[k]``
+    gives the positions in ``live[k]`` of the nodes that stay in
+    ``live[k + 1]``: the counter keys its states by them.
+
+    ``_kernel`` writes this table out as code; the generic engine in
+    ``tests/oracles.py`` runs it as data."""
     nodes = [node for row in grid for node in row]
     index = {node: k for k, node in enumerate(nodes)}
     zero = len(nodes)
@@ -195,8 +217,6 @@ def _compile(grid, edges, table) -> _Polytope:
     last_read = {p: k for k, read in enumerate(read_at) for p in read}
     live = [tuple(p for p in slots[:k] if last_read.get(p, -1) >= k)
             for k in range(len(free) + 1)]
-    reads = [tuple((p, i) for i, p in enumerate(live[k]) if p in read_at[k])
-             for k in range(len(free))]
     keeps = [tuple(live[k].index(p) for p in live[k + 1] if p != slot)
              for k, slot in enumerate(slots)]
     return _Polytope(
@@ -204,96 +224,91 @@ def _compile(grid, edges, table) -> _Polytope:
         tuple(slots),
         tuple(tuple(sorted(b)) for b in lows), tuple(tuple(sorted(b)) for b in highs),
         tuple(checks), tuple(zip([0] + ends, ends)),
-        tuple(live), tuple(reads), tuple(keeps),
+        tuple(live), tuple(keeps),
     )
 
 
-def _labels(poly: _Polytope, runs):
-    """The label array with run k of ``runs`` written along edge k of
-    ``poly``, or None when two runs disagree where their edges meet (on the
-    skew and triangular hives, when the weights differ) or the boundary
-    breaks an inequality among its own nodes."""
-    for k, a, l, b in poly.meets:
-        if runs[k][a] != runs[l][b]:
-            return None
-    v = [0] * (poly.spans[-1][1] + 1)
-    for edge, run in zip(poly.edges, runs):
-        for p, x in zip(edge, run):
-            v[p] = x
-    if any(sum(v[p] for p in plus) < sum(v[q] for q in minus) for plus, minus in poly.checks):
-        return None
-    return v
+#: free nodes placed by one function of an enumerator; CPython refuses more
+#: than 20 statically nested loops in one function
+_NEST = 15
 
 
-def _points(poly: _Polytope, v, limit):
-    """Yield the rows of labels of every lattice point, in lexicographic
-    order of the free labels taken in placement order (``poly.free``);
-    ``v`` is the label array with the boundary placed, None for no points.
+def _kernel(poly: _Polytope, counting):
+    """Generate, compile and return ``poly``'s counter or enumerator.
 
-    Raises ScaleExceededError once more than ``limit`` labels have been
-    placed at free nodes."""
-    if v is None:
-        return
-    free, lows, highs, spans = poly.free, poly.lows, poly.highs, poly.spans
-    depth = len(free)
-    left = math.inf if limit is None else limit
-    tops = [0] * depth
-    k = 0
-    while True:
-        if k == depth:
-            labels = tuple(v)
-            yield tuple([labels[s:e] for s, e in spans])
-            k -= 1
-        else:
-            v[free[k]] = max([v[a] + v[b] - v[c] for a, b, c in lows[k]]) - 1
-            tops[k] = min([v[a] + v[b] - v[c] for a, b, c in highs[k]])
-        while k >= 0 and v[free[k]] >= tops[k]:
-            k -= 1
-        if k < 0:
-            return
-        v[free[k]] += 1
-        left -= 1
-        if left < 0:
-            raise ScaleExceededError("enumeration ceiling exceeded")
-        k += 1
+    Each label is a local ``v<node>``.  The prologue unpacks the runs along
+    the edges, and returns no points when two runs disagree where their
+    edges meet (on the skew and triangular hives, when the weights differ)
+    or when the boundary breaks an inequality among its own nodes.  Every
+    bound is written out as a ``max``/``min`` of ``va + vb - vc`` terms.
 
+    The enumerator is one ``for`` loop per free node, in placement order,
+    and charges ``limit`` one label per loop turn; each run of ``_NEST``
+    loops that would nest deeper moves into a nested generator, defined
+    first and entered with ``yield from``.  The counter is the memoized
+    pass unrolled per depth: it unpacks each state's key into the labels of
+    ``live[k]``, bounds the next node, charges ``hi - lo + 1`` and merges the
+    state into the next dict by ``keeps[k]``."""
+    name, zero = "v{}".format, poly.spans[-1][1]
 
-def _count(poly: _Polytope, v, limit):
-    """The number of points ``_points`` yields, without listing them.
+    def bound(triples, pick):
+        terms = [" - ".join([" + ".join(name(p) for p in (a, b) if p != zero) or "0"]
+                            + [name(c)] * (c != zero)) for a, b, c in triples]
+        return terms[0] if len(terms) == 1 else f"{pick}({', '.join(terms)})"
 
-    Going forward over the free nodes, the pass keeps a dict from the labels
-    of ``live[k]`` to the number of partial points that carry them; a node
-    no later bound reads adds its whole range to its parent's count at once.
-    Raises ScaleExceededError once more than ``limit`` labels have been
-    tried, hi - lo + 1 for each state expanded."""
-    if v is None:
-        return 0
-    left = math.inf if limit is None else limit
-    states = {(): 1}
-    for k, node in enumerate(poly.free):
-        lows, highs, reads, keeps = poly.lows[k], poly.highs[k], poly.reads[k], poly.keeps[k]
-        # ``node`` comes last in live[k + 1] when a later bound reads it
-        read_later = node in poly.live[k + 1]
-        merged = {}
-        for labels, mult in states.items():
-            for p, i in reads:
-                v[p] = labels[i]
-            lo = max([v[a] + v[b] - v[c] for a, b, c in lows])
-            hi = min([v[a] + v[b] - v[c] for a, b, c in highs])
-            if hi < lo:
-                continue
-            left -= hi - lo + 1
-            if left < 0:
-                raise ScaleExceededError("enumeration ceiling exceeded")
-            head = tuple([labels[i] for i in keeps])
-            if not read_later:
-                merged[head] = merged.get(head, 0) + mult * (hi - lo + 1)
-                continue
-            for x in range(lo, hi + 1):
-                key = head + (x,)
-                merged[key] = merged.get(key, 0) + mult
-        states = merged
-    return sum(states.values())
+    def labels(nodes):
+        return f"({''.join(name(p) + ', ' for p in nodes)})"
+
+    exceeded = "raise ScaleExceededError('enumeration ceiling exceeded')"
+    fail = "return 0" if counting else "return"
+    tests = [f"r{k}[{a}] != r{l}[{b}]" for k, a, l, b in poly.meets] + [
+        f"{' + '.join(map(name, plus))} < {' + '.join(map(name, minus))}"
+        for plus, minus in poly.checks]
+    body, seen = ["".join(f"r{k}, " for k in range(len(poly.edges))) + "= runs"], set()
+    for k, edge in enumerate(poly.edges):
+        body.append(f"{', '.join('_' if p in seen else name(p) for p in edge)}, = r{k}")
+        seen.update(edge)
+    body += [f"if {' or '.join(tests)}: {fail}"] * bool(tests) + [
+        "left = inf if limit is None else limit"]
+
+    def nest(start):
+        # the loops from depth ``start`` on; past ``_NEST`` of them the rest
+        # is a nested generator, defined first
+        lines, stop = [], min(start + _NEST, len(poly.free))
+        inner = f"yield ({', '.join(labels(range(s, e)) for s, e in poly.spans)},)"
+        if stop < len(poly.free):
+            lines = [f"def part{stop}():", "    nonlocal left"] + ["    " + x for x in nest(stop)]
+            inner = f"yield from part{stop}()"
+        for pad, k in enumerate(range(start, stop)):
+            lo, hi = bound(poly.lows[k], "max"), bound(poly.highs[k], "min")
+            lines += ["    " * pad + line for line in (
+                f"for {name(poly.free[k])} in range({lo}, {hi} + 1):",
+                "    left -= 1", f"    if left < 0: {exceeded}")]
+        return lines + ["    " * (stop - start) + inner]
+
+    if counting:
+        body.append("states = {(): 1}")
+        for k, slot in enumerate(poly.free):
+            kept = [poly.live[k][i] for i in poly.keeps[k]]
+            lo, hi = bound(poly.lows[k], "max"), bound(poly.highs[k], "min")
+            body += ["merged = {}", f"for {labels(poly.live[k])}, m in states.items():",
+                     f"    lo = {lo}", f"    hi = {hi}", "    if hi < lo: continue",
+                     "    left -= hi - lo + 1", f"    if left < 0: {exceeded}"]
+            if slot in poly.live[k + 1]:
+                body += [f"    for {name(slot)} in range(lo, hi + 1):",
+                         f"        key = {labels(kept + [slot])}",
+                         "        merged[key] = merged.get(key, 0) + m"]
+            else:
+                head = labels(kept)
+                body += [f"    merged[{head}] = merged.get({head}, 0) + m * (hi - lo + 1)"]
+            body.append("states = merged")
+        body.append("return sum(states.values())")
+    else:
+        body += nest(0)
+    scope = {"inf": math.inf, "ScaleExceededError": ScaleExceededError}
+    source = "\n    ".join(["def kernel(runs, limit):"] + body)
+    exec(compile(source, "<hive kernel>", "exec"), scope)
+    return scope["kernel"]
 
 
 def _contents(rows, rhombi):
@@ -436,7 +451,7 @@ def enumerate_flagged_gt_points(mu, gam, phi, limit=None):
     if not contains(mu, gam):
         return []
     poly = _gt_polytope(len(mu), phi)
-    return [SkewGTPattern(rows) for rows in _points(poly, _labels(poly, (gam, mu)), limit)]
+    return [SkewGTPattern(rows) for rows in poly.enumerator((gam, mu), limit)]
 
 
 # ---------------------------------------------------------------------------
@@ -595,13 +610,13 @@ def _skew_rows(lam, mu, gam, nu, phi, limit):
     """The label rows of every skew hive with a checked boundary, as
     ``_points`` yields them."""
     poly = _skew_polytope(len(lam), phi)
-    return _points(poly, _labels(poly, _skew_runs(lam, mu, gam, nu)), limit)
+    return poly.enumerator(_skew_runs(lam, mu, gam, nu), limit)
 
 
 def _count_skew_hives(lam, mu, gam, nu, phi, limit):
     """``count_skew_hive_points`` on a checked boundary."""
     poly = _skew_polytope(len(lam), phi)
-    return _count(poly, _labels(poly, _skew_runs(lam, mu, gam, nu)), limit)
+    return poly.counter(_skew_runs(lam, mu, gam, nu), limit)
 
 
 def enumerate_skew_hive_points(lam, mu, gam, nu, phi=None, limit=None):
@@ -748,8 +763,7 @@ def enumerate_tri_hive_points(alpha, beta, gam, phi=None, limit=None):
     nn = len(alpha)
     alpha, beta, gam, phi = check_boundary((alpha, beta, gam), (nn,) * nn if phi is None else phi)
     poly = _tri_polytope(nn, phi)
-    points = _points(poly, _labels(poly, _tri_runs(alpha, beta, gam)), limit)
-    return [TriHive(rows) for rows in points]
+    return [TriHive(rows) for rows in poly.enumerator(_tri_runs(alpha, beta, gam), limit)]
 
 
 def _lift_input(lam, mu, gam, nu, phi):
@@ -839,7 +853,7 @@ def _doubling(lam, mu, gam, nu, phi, limit):
     skew = list(_skew_rows(lam, mu, gam, nu, phi, limit))
     lifted = lam_t, mu_t, nu_t, phi_t = _lift(lam, mu, gam, nu, phi)
     tri_poly = _tri_polytope(len(lam_t), phi_t)
-    tri = list(_points(tri_poly, _labels(tri_poly, _tri_runs(lam_t, mu_t, nu_t)), limit))
+    tri = list(tri_poly.enumerator(_tri_runs(lam_t, mu_t, nu_t), limit))
     nu1 = nu[0] if nu else 0
     head = _psi_head(gam, nu1)
     images = [_psi_rows(rows, head, nu1) for rows in skew]

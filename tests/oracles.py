@@ -4,6 +4,7 @@ Each one computes something the library computes faster, by a method that
 shares as little as possible with the fast path.
 """
 
+import math
 from functools import lru_cache
 from itertools import permutations
 
@@ -23,6 +24,7 @@ from flagged_lr.burge import (
 )
 from flagged_lr.cli import _query_dict
 from flagged_lr.core import (
+    ScaleExceededError,
     as_partition,
     check_boundary,
     compose,
@@ -343,6 +345,103 @@ def labels_by_nodes(poly, fixed):
     if any(sum(v[p] for p in plus) < sum(v[q] for q in minus) for plus, minus in poly.checks):
         return None
     return v
+
+
+# ---------------------------------------------------------------------------
+# hives: the generic lattice-point engine over a compiled table
+# ---------------------------------------------------------------------------
+
+def engine_labels(poly, runs):
+    """The label array with run k of ``runs`` written along edge k of
+    ``poly``, or None when two runs disagree where their edges meet (on the
+    skew and triangular hives, when the weights differ) or the boundary
+    breaks an inequality among its own nodes."""
+    for k, a, l, b in poly.meets:
+        if runs[k][a] != runs[l][b]:
+            return None
+    v = [0] * (poly.spans[-1][1] + 1)
+    for edge, run in zip(poly.edges, runs):
+        for p, x in zip(edge, run):
+            v[p] = x
+    if any(sum(v[p] for p in plus) < sum(v[q] for q in minus) for plus, minus in poly.checks):
+        return None
+    return v
+
+
+def engine_points(poly, runs, limit=None):
+    """Yield the rows of labels of every lattice point, in lexicographic
+    order of the free labels taken in placement order (``poly.free``), by a
+    backtracking loop over the label array of ``engine_labels``.
+
+    Raises ScaleExceededError once more than ``limit`` labels have been
+    placed at free nodes."""
+    v = engine_labels(poly, runs)
+    if v is None:
+        return
+    free, lows, highs, spans = poly.free, poly.lows, poly.highs, poly.spans
+    depth = len(free)
+    left = math.inf if limit is None else limit
+    tops = [0] * depth
+    k = 0
+    while True:
+        if k == depth:
+            labels = tuple(v)
+            yield tuple([labels[s:e] for s, e in spans])
+            k -= 1
+        else:
+            v[free[k]] = max([v[a] + v[b] - v[c] for a, b, c in lows[k]]) - 1
+            tops[k] = min([v[a] + v[b] - v[c] for a, b, c in highs[k]])
+        while k >= 0 and v[free[k]] >= tops[k]:
+            k -= 1
+        if k < 0:
+            return
+        v[free[k]] += 1
+        left -= 1
+        if left < 0:
+            raise ScaleExceededError("enumeration ceiling exceeded")
+        k += 1
+
+
+def engine_count(poly, runs, limit=None):
+    """The number of points ``engine_points`` yields, without listing them.
+
+    Going forward over the free nodes, the pass keeps a dict from the labels
+    of ``live[k]`` to the number of partial points that carry them; a node
+    no later bound reads adds its whole range to its parent's count at once.
+    Raises ScaleExceededError once more than ``limit`` labels have been
+    tried, hi - lo + 1 for each state expanded."""
+    v = engine_labels(poly, runs)
+    if v is None:
+        return 0
+    left = math.inf if limit is None else limit
+    states = {(): 1}
+    for k, node in enumerate(poly.free):
+        lows, highs, keeps = poly.lows[k], poly.highs[k], poly.keeps[k]
+        # the labels of live[k] that a bound at depth k reads
+        reads = [(p, i) for i, p in enumerate(poly.live[k])
+                 if any(p in triple for triple in lows + highs)]
+        # ``node`` comes last in live[k + 1] when a later bound reads it
+        read_later = node in poly.live[k + 1]
+        merged = {}
+        for labels, mult in states.items():
+            for p, i in reads:
+                v[p] = labels[i]
+            lo = max([v[a] + v[b] - v[c] for a, b, c in lows])
+            hi = min([v[a] + v[b] - v[c] for a, b, c in highs])
+            if hi < lo:
+                continue
+            left -= hi - lo + 1
+            if left < 0:
+                raise ScaleExceededError("enumeration ceiling exceeded")
+            head = tuple([labels[i] for i in keeps])
+            if not read_later:
+                merged[head] = merged.get(head, 0) + mult * (hi - lo + 1)
+                continue
+            for x in range(lo, hi + 1):
+                key = head + (x,)
+                merged[key] = merged.get(key, 0) + mult
+        states = merged
+    return sum(states.values())
 
 
 # ---------------------------------------------------------------------------

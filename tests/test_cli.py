@@ -317,6 +317,15 @@ def test_iso_report_limit_counts_labels_placed(worked_hive):
             report(*args, limit=69)
 
 
+def test_iso_report_past_the_nesting_limit():
+    # the n=5 case's lifted triangle has 36 free nodes, so its enumerator
+    # runs in nested parts
+    args = ((4, 3, 2, 1, 0), (5, 4, 3, 2, 1), (1, 0, 0, 0, 0), (7, 6, 5, 4, 2), (5,) * 5)
+    report = hive_iso_report(*args)
+    assert report == hive_iso_report_by_objects(*args)
+    assert report["ok"] and report["skew_count"] == report["tri_count"] == 54
+
+
 def _shift_wedge_corner(real):
     # the last label of the last row, which psi_inverse does not read back
     def shifted(rows, head, nu1):
@@ -543,8 +552,9 @@ def _one_coefficient_up(f):
 
 
 @pytest.mark.parametrize("name, corrupt, failure", [
-    # the polynomial cross_check builds once per (mu, gam, phi) ...
-    ("flagged_skew_schur", lambda real: lambda *args: _one_coefficient_up(real(*args)),
+    # the polynomial cross_check reads once per (mu, gam, phi) off the
+    # reading words of its fillings ...
+    ("character", lambda real: lambda *args: _one_coefficient_up(real(*args)),
      "decomposition character sum"),
     # ... and the one the Demazure table core reads for every lam
     ("_antisymmetrize", lambda real: lambda lam, f: real(lam, _one_coefficient_up(f)),

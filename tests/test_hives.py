@@ -1,4 +1,5 @@
 import json
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,11 +14,8 @@ from flagged_lr.hives import (
     SkewGTPattern,
     SkewHive,
     _compile,
-    _count,
     _gt_polytope,
     _hive_table,
-    _labels,
-    _points,
     _skew_edges,
     _skew_polytope,
     _skew_rhombi,
@@ -47,6 +45,9 @@ from flagged_lr.hives import (
 )
 from flagged_lr.tableaux import SkewShape, enumerate_tableaux, reading_word, word_weight
 from oracles import (
+    engine_count,
+    engine_labels,
+    engine_points,
     gt_boundary_by_rows,
     labels_by_nodes,
     scale_labels,
@@ -283,11 +284,14 @@ def _gt_census():
     (_skew_census, 16197), (_tri_census, 5017), (_gt_census, 681),
 ], ids=["skew", "tri", "gt"])
 def test_count_points_census(census, size):
+    # the generated kernels against the generic engine of ``oracles``: the
+    # same points in the same order, and the same count
     checked = 0
     for case, (build, args), runs in census():
         poly = build(*args)
-        listed = sum(1 for _ in _points(poly, _labels(poly, runs), None))
-        assert _count(poly, _labels(poly, runs), None) == listed, case
+        want = list(engine_points(poly, runs))
+        assert list(poly.enumerator(runs, None)) == want, case
+        assert poly.counter(runs, None) == engine_count(poly, runs) == len(want), case
         checked += 1
     assert checked == size
 
@@ -307,8 +311,8 @@ def test_placement_order_census(census, reordered, monkeypatch):
                 m.setattr(hives_mod, "_placement_order", lambda free, table: free)
                 row_major[build, args] = build.__wrapped__(*args)
         poly, other = build(*args), row_major[build, args]
-        got = sorted(_points(poly, _labels(poly, runs), None))
-        assert got == sorted(_points(other, _labels(other, runs), None)), case
+        got = sorted(poly.enumerator(runs, None))
+        assert got == sorted(engine_points(other, runs)), case
     assert sum(build(*args).free != poly.free
                for (build, args), poly in row_major.items()) == reordered
 
@@ -325,21 +329,114 @@ def test_labels_equal_the_node_dict_placement(census, boundary, size):
     checked = 0
     for case, (build, args), runs in census():
         poly = build(*args)
-        assert _labels(poly, runs) == labels_by_nodes(poly, boundary(*case[:-1])), case
+        assert engine_labels(poly, runs) == labels_by_nodes(poly, boundary(*case[:-1])), case
         checked += 1
     assert checked == size
 
 
+def _threshold(run):
+    """The smallest limit at which ``run(limit)`` raises no
+    ScaleExceededError: doubled until it passes, then bisected."""
+    def passes(limit):
+        try:
+            run(limit)
+        except ScaleExceededError:
+            return False
+        return True
+
+    lo, hi = -1, 1
+    while not passes(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("census, step, size", [
+    (_skew_census, 23, 705), (_tri_census, 7, 717), (_gt_census, 1, 681),
+], ids=["skew", "tri", "gt"])
+def test_kernels_share_the_limit_threshold_of_the_oracle_engine(census, step, size):
+    # enumeration and counting each pass at the oracle engine's smallest
+    # limit and raise one below it; every step-th census case
+    checked = 0
+    for case, (build, args), runs in islice(census(), 0, None, step):
+        poly = build(*args)
+        for kernel, oracle in (
+            (lambda limit: list(poly.enumerator(runs, limit)),
+             lambda limit: list(engine_points(poly, runs, limit))),
+            (lambda limit: poly.counter(runs, limit),
+             lambda limit: engine_count(poly, runs, limit)),
+        ):
+            threshold = _threshold(oracle)
+            assert kernel(threshold) == oracle(threshold), case
+            if threshold:
+                with pytest.raises(ScaleExceededError):
+                    kernel(threshold - 1)
+        checked += 1
+    assert checked == size
+
+
+N5_CASE = ((4, 3, 2, 1, 0), (5, 4, 3, 2, 1), (1, 0, 0, 0, 0), (7, 6, 5, 4, 2), (5,) * 5)
+
+
+def test_enumerator_past_the_nesting_limit():
+    # the n=5 case's lifted triangle has 36 free nodes, more nested loops
+    # than CPython compiles in one function, so its enumerator runs in
+    # nested parts; it must still place the oracle engine's points, in the
+    # same order and within the same limit
+    lifted = lift_tilde(*N5_CASE)
+    poly, runs = _tri_polytope(10, lifted[3]), _tri_runs(*lifted[:3])
+    assert len(poly.free) == 36
+    want = list(engine_points(poly, runs))
+    assert len(want) == 54 and list(poly.enumerator(runs, None)) == want
+    threshold = _threshold(lambda limit: list(engine_points(poly, runs, limit)))
+    assert list(poly.enumerator(runs, threshold)) == want
+    with pytest.raises(ScaleExceededError):
+        list(poly.enumerator(runs, threshold - 1))
+
+
+@pytest.mark.parametrize("census, step, size", [
+    (_skew_census, 23, 705), (_gt_census, 1, 681),
+], ids=["skew", "gt"])
+def test_enumerators_split_one_loop_per_part(census, step, size, monkeypatch):
+    # with one free node per part, every loop of a polytope with two or more
+    # free nodes runs in its own nested generator
+    monkeypatch.setattr(hives_mod, "_NEST", 1)
+    split, checked = {}, 0
+    for case, (build, args), runs in islice(census(), 0, None, step):
+        if (build, args) not in split:
+            split[build, args] = build.__wrapped__(*args)
+        poly = split[build, args]
+        want = list(engine_points(poly, runs))
+        assert list(poly.enumerator(runs, None)) == want, case
+        threshold = _threshold(lambda limit: list(engine_points(poly, runs, limit)))
+        if threshold:
+            with pytest.raises(ScaleExceededError):
+                list(poly.enumerator(runs, threshold - 1))
+        checked += 1
+    assert checked == size
+
+
+def _refused(poly, runs):
+    # the kernels' prologue and the oracle engine's placement both refuse
+    return (engine_labels(poly, runs) is None and poly.counter(runs, None) == 0
+            and list(poly.enumerator(runs, None)) == [])
+
+
 def test_labels_refuse_a_boundary_that_does_not_fit():
     # weights that differ make the runs disagree at a corner of the edges
-    assert _labels(_skew_polytope(2, (2, 2)), _skew_runs((0, 0), (1, 0), (0, 0), (2, 0))) is None
-    assert _labels(_tri_polytope(2, (2, 2)), _tri_runs((1, 0), (1, 0), (1, 0))) is None
+    assert _refused(_skew_polytope(2, (2, 2)), _skew_runs((0, 0), (1, 0), (0, 0), (2, 0)))
+    assert _refused(_tri_polytope(2, (2, 2)), _tri_runs((1, 0), (1, 0), (1, 0)))
     # for n = 1 every node is on the boundary, and its one rhombus reads
     # mu >= gam
     poly = _skew_polytope(1, (1,))
     assert poly.checks and not poly.free
-    assert _labels(poly, _skew_runs((1,), (0,), (1,), (0,))) is None
-    assert _labels(poly, _skew_runs((1,), (1,), (1,), (1,))) == [0, 1, 1, 2, 0]
+    assert _refused(poly, _skew_runs((1,), (0,), (1,), (0,)))
+    runs = _skew_runs((1,), (1,), (1,), (1,))
+    assert engine_labels(poly, runs) == [0, 1, 1, 2, 0]
+    assert list(poly.enumerator(runs, None)) == [((0, 1), (1, 2))]
+    assert poly.counter(runs, None) == 1
 
 
 def _unflagged(grid, edges, rhombi):
@@ -361,7 +458,7 @@ def test_no_flag_is_the_full_flag():
             for mu, gam in skew_pairs(n, 4):
                 for nu in _weight_matched(n, sum(lam) + sum(mu) - sum(gam)):
                     args = (lam, mu, gam, nu)
-                    want = sorted(_points(poly, _labels(poly, _skew_runs(*args)), None))
+                    want = sorted(engine_points(poly, _skew_runs(*args)))
                     for phi in (None, full):
                         assert sorted(h.rows for h in enumerate_skew_hive_points(*args, phi)) \
                             == want, (args, phi)
@@ -375,7 +472,7 @@ def test_no_flag_is_the_full_flag():
             for beta in partitions_up_to(big_n, 3):
                 for gam in _weight_matched(big_n, sum(alpha) + sum(beta)):
                     args = (alpha, beta, gam)
-                    want = sorted(_points(poly, _labels(poly, _tri_runs(*args)), None))
+                    want = sorted(engine_points(poly, _tri_runs(*args)))
                     for phi in (None, full):
                         assert sorted(t.rows for t in enumerate_tri_hive_points(*args, phi)) \
                             == want, (args, phi)
@@ -435,8 +532,8 @@ def test_engine_agrees_with_independent_oracles(args):
         lifted = lift_tilde(lam, mu, gam, nu, phi)
         assert len(enumerate_tri_hive_points(*lifted)) == len(points)
         # the census's triangles have at most one free node; these have many
-        poly = _tri_polytope(2 * len(lam), lifted[3])
-        assert _count(poly, _labels(poly, _tri_runs(*lifted[:3])), None) == len(points)
+        poly, runs = _tri_polytope(2 * len(lam), lifted[3]), _tri_runs(*lifted[:3])
+        assert poly.counter(runs, None) == engine_count(poly, runs) == len(points)
 
 
 def test_lift_tilde_examples(worked_hive):
