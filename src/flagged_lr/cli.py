@@ -4,10 +4,14 @@ reports, crystal graph export and the cross-check harness.
 All numeric output is exact; every subcommand exits 0 only when the
 assertions it ran all passed, and mirrors its report as JSON on request.
 
-The subcommands parse and pad their arguments and call the library's public
-functions, each of which checks its input with ``core.check_boundary``;
-only ``crystal-graph``, whose word set takes row bounds, checks the flag
-itself.
+The subcommands parse and pad their arguments; every query is checked once,
+with ``core.check_boundary``, by the library function or report it goes to.
+``run_coefficient`` and ``saturation_scan`` check their boundary first,
+build the report from the checked values and call the trusted cores in
+``ROUTES``, once per candidate nu or dilation k; ``hive_iso_report`` checks
+its boundary with ``hives._lift_input`` and runs ``hives._doubling``.  Only
+``crystal-graph``, whose word set takes row bounds, checks the flag in
+``main``.
 ``decomposition_report`` checks its boundary and then enumerates the
 flagged fillings once, as raw rows, for ``crystal.decompose``, the
 insertion core ``burge._insertion_classes`` and the character check, which
@@ -45,22 +49,20 @@ from .core import (
 from .crystal import (
     _count_tableaux,
     character,
-    coefficient_by_tableaux,
     crystal_graph_dot,
     decompose,
     tableau_word_set,
 )
-from .hives import _check_doubling, _count_skew_hives, _doubling, count_skew_hive_points
-from .polynomials import (
-    IntPolynomial,
-    _antisymmetrize,
-    coefficient_by_demazure,
-    coefficient_table_by_demazure,
-)
+from .hives import _count_skew_hives, _doubling, _lift_input, count_skew_hive_points
+from .polynomials import IntPolynomial, _antisymmetrize, _signed_sum, flagged_skew_schur
 from .tableaux import SkewShape, _reading_word, _tableau_rows, reading_word
 from .burge import _insertion_classes
 
 DEFAULT_LIMIT = 10**6
+
+#: the trusted core of each route, called on a checked boundary as
+#: ``core(lam, mu, gam, nu, phi, limit)``
+ROUTES = {"tableau": _count_tableaux, "hive": _count_skew_hives, "demazure": _signed_sum}
 
 
 def _nu_candidates(lam, mu, gam, n):
@@ -80,12 +82,17 @@ def hive_count(lam, mu, gam, nu, phi, limit=None) -> int:
 
 def run_coefficient(lam, mu, gam, nu, phi, method="all", limit=None):
     """Coefficient (or full table when nu is None) per requested method."""
-    check_boundary((lam, mu, gam) if nu is None else (lam, mu, gam, nu), phi)
-    methods = ("tableau", "hive", "demazure") if method == "all" else (method,)
+    if nu is None:
+        lam, mu, gam, phi = check_boundary((lam, mu, gam), phi)
+    else:
+        lam, mu, gam, nu, phi = check_boundary((lam, mu, gam, nu), phi)
+    if method != "all" and method not in ROUTES:
+        raise ValueError(f"unknown method {method!r}")
+    methods = tuple(ROUTES) if method == "all" else (method,)
     report = {"query": _query_dict(lam, mu, gam, nu, phi, method), "methods": {}}
     if nu is not None:
         for m in methods:
-            report["methods"][m] = _single_coefficient(lam, mu, gam, nu, phi, m, limit)
+            report["methods"][m] = ROUTES[m](lam, mu, gam, nu, phi, limit)
         values = set(report["methods"].values())
         report["agree"] = len(values) == 1
         if report["agree"]:
@@ -104,23 +111,16 @@ def run_coefficient(lam, mu, gam, nu, phi, method="all", limit=None):
     return report
 
 
-def _single_coefficient(lam, mu, gam, nu, phi, method, limit):
-    if method == "tableau":
-        return coefficient_by_tableaux(lam, mu, gam, nu, phi, limit)
-    if method == "hive":
-        return hive_count(lam, mu, gam, nu, phi, limit)
-    if method == "demazure":
-        return coefficient_by_demazure(lam, mu, gam, nu, phi, limit)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _coefficient_table(lam, mu, gam, phi, method, limit):
-    n = len(mu)
+    """The nonzero coefficients over nu of a checked boundary by one route;
+    the Demazure route reads them all off one flagged skew Schur
+    polynomial."""
     if method == "demazure":
-        return coefficient_table_by_demazure(lam, mu, gam, phi)
+        return _antisymmetrize(lam, flagged_skew_schur(mu, gam, phi))
+    route = ROUTES[method]
     table = {}
-    for nu in _nu_candidates(lam, mu, gam, n):
-        c = _single_coefficient(lam, mu, gam, nu, phi, method, limit)
+    for nu in _nu_candidates(lam, mu, gam, len(mu)):
+        c = route(lam, mu, gam, nu, phi, limit)
         if c:
             table[nu] = c
     return table
@@ -130,17 +130,13 @@ def saturation_scan(lam, mu, gam, nu, phi, k_max, limit=None):
     """Coefficients of the k-fold dilations, with both saturation directions
     asserted: positivity for some k forces k = 1, and positivity at k = 1
     dilates to every k."""
-    check_boundary((lam, mu, gam, nu), phi)
+    lam, mu, gam, nu, phi = check_boundary((lam, mu, gam, nu), phi)
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    values = []
-    for k in range(1, k_max + 1):
-        values.append(
-            _single_coefficient(
-                scale(k, lam), scale(k, mu), scale(k, gam), scale(k, nu), phi,
-                "hive", limit,
-            )
-        )
+    values = [
+        _count_skew_hives(scale(k, lam), scale(k, mu), scale(k, gam), scale(k, nu), phi, limit)
+        for k in range(1, k_max + 1)
+    ]
     positive = [v > 0 for v in values]
     saturation_ok = any(positive) == positive[0]
     dilation_ok = (not positive[0]) or all(positive)
@@ -214,7 +210,8 @@ def _character_sum_matches(components, skew_schur) -> bool:
 
 def hive_iso_report(lam, mu, gam, nu, phi, limit=None):
     """Counts on both sides of the doubling map plus the exact roundtrip."""
-    return _iso_report(lam, mu, gam, nu, phi, _check_doubling(lam, mu, gam, nu, phi, limit))
+    boundary = _lift_input(lam, mu, gam, nu, phi)
+    return _iso_report(*boundary, _doubling(*boundary, limit))
 
 
 def _iso_ok(doubling):
@@ -356,15 +353,15 @@ def _add_boundary_args(p, with_nu=True, with_lam=True):
     p.add_argument("--mu", default="", help="partition, comma separated")
     p.add_argument("--gam", default="", help="partition, comma separated")
     if with_nu:
-        p.add_argument("--nu", default=None, help="partition, comma separated")
+        p.add_argument("--nu", required=True, help="partition, comma separated")
     p.add_argument("--phi", default=None, help="flag, comma separated; default n,..,n")
 
 
 def _parse_boundary(args, n):
     """lam, mu, gam, nu and the flag as given, the partitions padded to n;
-    None for --lam or --nu where the subcommand has none or --nu is left
-    out, and the full flag n,..,n for a missing --phi.  Nothing is checked:
-    the functions they go to check them."""
+    None for --lam or --nu where the subcommand has none, and the full flag
+    n,..,n for a missing --phi.  Nothing is checked: the functions they go
+    to check them."""
     lam, nu = getattr(args, "lam", None), getattr(args, "nu", None)
     return (
         None if lam is None else parse_int_tuple(lam, n),
@@ -502,8 +499,6 @@ def main(argv=None) -> int:
             ok = report["agree"]
         elif args.command == "saturate":
             lam, mu, gam, nu, phi = _parse_boundary(args, n)
-            if nu is None:
-                raise ValueError("saturate requires --nu")
             report = saturation_scan(lam, mu, gam, nu, phi, args.k_max, args.limit)
             ok = report["ok"]
         elif args.command == "decompose":
@@ -523,8 +518,6 @@ def main(argv=None) -> int:
             return 0
         elif args.command == "hive-count":
             lam, mu, gam, nu, phi = _parse_boundary(args, n)
-            if nu is None:
-                raise ValueError("hive-count requires --nu")
             report = {
                 "query": _query_dict(lam, mu, gam, nu, phi, "hive"),
                 "count": hive_count(lam, mu, gam, nu, phi, args.limit),
@@ -532,8 +525,6 @@ def main(argv=None) -> int:
             ok = True
         elif args.command == "hive-iso":
             lam, mu, gam, nu, phi = _parse_boundary(args, n)
-            if nu is None:
-                raise ValueError("hive-iso requires --nu")
             report = hive_iso_report(lam, mu, gam, nu, phi, args.limit)
             ok = report["ok"]
         else:

@@ -26,11 +26,7 @@ __all__ = [
     "subpartitions",
     "sort_to_partition",
     "inverse",
-    "compose",
-    "inversions",
-    "identity",
     "longest_element",
-    "transposition",
     "reduced_word",
     "validate_flag",
     "check_boundary",
@@ -148,19 +144,8 @@ def subpartitions(mu):
 # permutations (one-line notation over {1..n})
 # ---------------------------------------------------------------------------
 
-def identity(n: int):
-    return tuple(range(1, n + 1))
-
-
 def longest_element(n: int):
     return tuple(range(n, 0, -1))
-
-
-def transposition(n: int, i: int):
-    """Simple transposition s_i in S_n."""
-    w = list(range(1, n + 1))
-    w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
 
 
 def inverse(w):
@@ -170,21 +155,11 @@ def inverse(w):
     return tuple(inv)
 
 
-def compose(u, v):
-    """(u o v)(i) = u(v(i))."""
-    return tuple(u[v[i] - 1] for i in range(len(v)))
-
-
-def inversions(w) -> int:
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-
-
 def reduced_word(w):
     """A reduced expression (i_1, ..., i_k) with w = s_{i_1} ... s_{i_k}.
 
     Produced by bubble sort: repeatedly clear the leftmost descent, which is
-    deterministic and yields exactly inversions(w) letters.
+    deterministic and yields one letter per inversion of w.
     """
     cur = list(w)
     swaps = []
@@ -240,8 +215,6 @@ def check_boundary(parts, phi):
     function that takes a flag: ``parts`` (the partitions the function
     takes, such as (lam, mu, gam, nu) or (mu, gam)) have equal lengths n,
     with no padding, and are partitions, and ``phi`` is a flag of length n.
-    A function whose flag may be left out passes the full flag (n, ..., n)
-    in its place.
 
     Returns the checked parts followed by the flag; raises ValueError on
     any bad part, FlagError on a bad or missing flag."""

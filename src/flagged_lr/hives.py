@@ -39,17 +39,16 @@ polytopes as the enumerators' raw label rows, and maps each skew point
 once, with the top n rows of the image built once per boundary.
 
 Input is checked at the public functions and trusted below them.  Every
-public function that takes a flag checks its partitions and the flag with
-``core.check_boundary`` before anything else: unequal lengths, a part that
-is not a partition and a bad flag raise.  The skew and triangular hive
-functions and the two hive checks may be given no flag, which means the
-full flag (n, ..., n): its flat region and Kogan face are empty, so it
+public function that takes a flag requires one and checks its partitions
+and the flag with ``core.check_boundary`` before anything else: unequal
+lengths, a part that is not a partition and a bad or missing flag raise.
+The full flag (n, ..., n) has an empty flat region and Kogan face, so it
 compiles to the unflagged polytope.  ``count_skew_hive_points`` and
 ``enumerate_skew_hive_points`` then run ``_count_skew_hives`` and
-``_skew_rows``; ``_check_doubling`` checks the boundary (``_lift_input``,
-which also needs gam inside mu, lam inside nu and equal weights) and runs
-``_doubling``.  ``skew_hive_boundary`` and ``tri_hive_boundary``, which the
-hive checks read, are the same edges and runs as a dict from node to label.
+``_skew_rows``; ``_doubling`` runs on a boundary that passed
+``_lift_input``, which also needs gam inside mu, lam inside nu and equal
+weights.  ``skew_hive_boundary`` and ``tri_hive_boundary``, which the hive
+checks read, are the same edges and runs as a dict from node to label.
 
 Node indexing: row i counts from the top.  A parallelogram hive has rows
 0..n each with nodes 0..n; a triangular hive has rows 0..N where row i has
@@ -537,12 +536,11 @@ def skew_hive_boundary(lam, mu, gam, nu):
     return dict(zip(chain(*_skew_edges(len(lam))), chain(*_skew_runs(lam, mu, gam, nu))))
 
 
-def check_skew_hive(rows, lam, mu, gam, nu, phi=None):
+def check_skew_hive(rows, lam, mu, gam, nu, phi):
     """Every violated condition, as human-readable strings; empty means
-    valid.  The boundary and flag must pass ``core.check_boundary``; no
-    flag is the full flag, which forces nothing flat."""
+    valid.  The boundary and flag must pass ``core.check_boundary``."""
+    lam, mu, gam, nu, phi = check_boundary((lam, mu, gam, nu), phi)
     n = len(lam)
-    lam, mu, gam, nu, phi = check_boundary((lam, mu, gam, nu), (n,) * n if phi is None else phi)
     if weight(lam) + weight(mu) != weight(gam) + weight(nu):
         return [
             f"weight mismatch: |lam|+|mu|={weight(lam) + weight(mu)} "
@@ -554,7 +552,7 @@ def check_skew_hive(rows, lam, mu, gam, nu, phi=None):
                              skew_flat_region(phi))
 
 
-def validate_skew_hive(rows, lam, mu, gam, nu, phi=None) -> SkewHive:
+def validate_skew_hive(rows, lam, mu, gam, nu, phi) -> SkewHive:
     violations = check_skew_hive(rows, lam, mu, gam, nu, phi)
     if violations:
         raise HiveValidationError(violations)
@@ -619,24 +617,20 @@ def _count_skew_hives(lam, mu, gam, nu, phi, limit):
     return poly.counter(_skew_runs(lam, mu, gam, nu), limit)
 
 
-def enumerate_skew_hive_points(lam, mu, gam, nu, phi=None, limit=None):
+def enumerate_skew_hive_points(lam, mu, gam, nu, phi, limit=None):
     """All integral skew hives with the given boundary on the flag face
     (every NE rhombus in the flat region has content zero); none when the
-    weights of the boundary do not match.  No flag is the full flag, whose
-    flat region is empty."""
-    n = len(lam)
-    boundary = check_boundary((lam, mu, gam, nu), (n,) * n if phi is None else phi)
+    weights of the boundary do not match."""
+    boundary = check_boundary((lam, mu, gam, nu), phi)
     return [SkewHive(rows) for rows in _skew_rows(*boundary, limit)]
 
 
-def count_skew_hive_points(lam, mu, gam, nu, phi=None, limit=None) -> int:
+def count_skew_hive_points(lam, mu, gam, nu, phi, limit=None) -> int:
     """The number of points ``enumerate_skew_hive_points`` returns, counted
     by the memoized pass without listing them; ``limit`` counts the labels
-    the pass tries.  Checks the boundary (``core.check_boundary``, no flag
-    being the full flag) and runs ``_count_skew_hives`` on it."""
-    n = len(lam)
-    boundary = check_boundary((lam, mu, gam, nu), (n,) * n if phi is None else phi)
-    return _count_skew_hives(*boundary, limit)
+    the pass tries.  Checks the boundary (``core.check_boundary``) and runs
+    ``_count_skew_hives`` on it."""
+    return _count_skew_hives(*check_boundary((lam, mu, gam, nu), phi), limit)
 
 
 # ---------------------------------------------------------------------------
@@ -723,12 +717,11 @@ def tri_kogan_region(phi, big_n):
     return {(i, j) for j in range(1, len(phi) + 1) for i in range(max(phi[j - 1], j), big_n)}
 
 
-def check_tri_hive(rows, alpha, beta, gam, phi=None):
+def check_tri_hive(rows, alpha, beta, gam, phi):
     """Every violated condition, as human-readable strings; empty means
-    valid.  The boundary and flag must pass ``core.check_boundary``; no
-    flag is the full flag, whose Kogan face is empty."""
+    valid.  The boundary and flag must pass ``core.check_boundary``."""
+    alpha, beta, gam, phi = check_boundary((alpha, beta, gam), phi)
     nn = len(alpha)
-    alpha, beta, gam, phi = check_boundary((alpha, beta, gam), (nn,) * nn if phi is None else phi)
     if weight(alpha) + weight(beta) != weight(gam):
         return [
             f"weight mismatch: |alpha|+|beta|={weight(alpha) + weight(beta)}"
@@ -740,7 +733,7 @@ def check_tri_hive(rows, alpha, beta, gam, phi=None):
                              tri_kogan_region(phi, nn))
 
 
-def validate_tri_hive(rows, alpha, beta, gam, phi=None) -> TriHive:
+def validate_tri_hive(rows, alpha, beta, gam, phi) -> TriHive:
     violations = check_tri_hive(rows, alpha, beta, gam, phi)
     if violations:
         raise HiveValidationError(violations)
@@ -755,14 +748,13 @@ def _tri_polytope(big_n, phi) -> _Polytope:
     return _compile(grid, _tri_edges(big_n), table)
 
 
-def enumerate_tri_hive_points(alpha, beta, gam, phi=None, limit=None):
+def enumerate_tri_hive_points(alpha, beta, gam, phi, limit=None):
     """All integral triangular hives with the given boundary on the Kogan
-    face of the flag; none when |alpha| + |beta| != |gamma|.  No flag is the
-    full flag, whose Kogan face is empty: the points then count the
-    classical Littlewood-Richardson coefficient of (alpha, beta; gamma)."""
-    nn = len(alpha)
-    alpha, beta, gam, phi = check_boundary((alpha, beta, gam), (nn,) * nn if phi is None else phi)
-    poly = _tri_polytope(nn, phi)
+    face of the flag; none when |alpha| + |beta| != |gamma|.  On the full
+    flag, whose Kogan face is empty, the points count the classical
+    Littlewood-Richardson coefficient of (alpha, beta; gamma)."""
+    alpha, beta, gam, phi = check_boundary((alpha, beta, gam), phi)
+    poly = _tri_polytope(len(alpha), phi)
     return [TriHive(rows) for rows in poly.enumerator(_tri_runs(alpha, beta, gam), limit)]
 
 
@@ -839,23 +831,21 @@ def psi_inverse(t: TriHive) -> SkewHive:
     return SkewHive(_psi_inverse_rows(t.rows))
 
 
-def _check_doubling(lam, mu, gam, nu, phi, limit):
-    """``_doubling`` after the input checks of ``_lift_input``."""
-    return _doubling(*_lift_input(lam, mu, gam, nu, phi), limit)
-
-
 def _doubling(lam, mu, gam, nu, phi, limit):
     """The lifted boundary, the point counts of both polytopes, and whether
     psi_inverse undoes psi on every skew point and psi maps every skew point
     into the triangular points, on a boundary that passed ``_lift_input``.
 
-    The points stay label rows, and each skew point is mapped once."""
+    The points stay label rows, and each skew point is mapped once; the
+    head of the images is built only when there is a skew point."""
     skew = list(_skew_rows(lam, mu, gam, nu, phi, limit))
     lifted = lam_t, mu_t, nu_t, phi_t = _lift(lam, mu, gam, nu, phi)
     tri_poly = _tri_polytope(len(lam_t), phi_t)
     tri = list(tri_poly.enumerator(_tri_runs(lam_t, mu_t, nu_t), limit))
-    nu1 = nu[0] if nu else 0
-    head = _psi_head(gam, nu1)
-    images = [_psi_rows(rows, head, nu1) for rows in skew]
+    images = []
+    if skew:
+        nu1 = nu[0] if nu else 0
+        head = _psi_head(gam, nu1)
+        images = [_psi_rows(rows, head, nu1) for rows in skew]
     roundtrip = all(_psi_inverse_rows(t) == rows for t, rows in zip(images, skew))
     return lifted, len(skew), len(tri), roundtrip, set(tri).issuperset(images)

@@ -90,12 +90,6 @@ class IntPolynomial:
     def monomial(cls, exps, coeff: int = 1) -> "IntPolynomial":
         return cls(len(exps), {tuple(exps): coeff})
 
-    @classmethod
-    def variable(cls, n: int, i: int) -> "IntPolynomial":
-        if not 1 <= i <= n:
-            raise IndexError(f"variable index {i} out of range for ambient {n}")
-        return cls(n, {tuple(int(j == i) for j in range(1, n + 1)): 1})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -153,9 +147,6 @@ class IntPolynomial:
             f[i - 1], f[i] = f[i], f[i - 1]
             out[tuple(f)] = out.get(tuple(f), 0) + c
         return IntPolynomial._from_terms(self.n, out)
-
-    def is_symmetric(self) -> bool:
-        return all(self.swap(i) == self for i in range(1, self.n))
 
     def __repr__(self):
         if not self.terms:

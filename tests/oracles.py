@@ -27,25 +27,23 @@ from flagged_lr.core import (
     ScaleExceededError,
     as_partition,
     check_boundary,
-    compose,
     contains,
-    identity,
     inverse,
-    inversions,
     is_partition,
     longest_element,
     partial_sums,
     sort_descending,
     sub,
-    transposition,
     validate_flag,
 )
 from flagged_lr.crystal import is_dominant, lowering, raising
 from flagged_lr.hives import (
     SkewHive,
     TriHive,
-    enumerate_skew_hive_points,
-    enumerate_tri_hive_points,
+    _skew_polytope,
+    _skew_runs,
+    _tri_polytope,
+    _tri_runs,
     lift_tilde,
 )
 from flagged_lr.polynomials import IntPolynomial, demazure_Tw, flagged_skew_schur
@@ -62,6 +60,27 @@ from flagged_lr.tableaux import (
 # ---------------------------------------------------------------------------
 # core
 # ---------------------------------------------------------------------------
+
+def identity(n: int):
+    return tuple(range(1, n + 1))
+
+
+def transposition(n: int, i: int):
+    """Simple transposition s_i in S_n."""
+    w = list(range(1, n + 1))
+    w[i - 1], w[i] = w[i], w[i - 1]
+    return tuple(w)
+
+
+def compose(u, v):
+    """(u o v)(i) = u(v(i))."""
+    return tuple(u[v[i] - 1] for i in range(len(v)))
+
+
+def inversions(w) -> int:
+    n = len(w)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+
 
 def permutation_act(w, v):
     """Left action on tuples: (w.v)_i = v_{w^-1(i)}."""
@@ -479,11 +498,16 @@ def psi_inverse_by_objects(t: TriHive) -> SkewHive:
 
 
 def hive_iso_report_by_objects(lam, mu, gam, nu, phi, limit=None):
-    """``cli.hive_iso_report`` on hive objects through the public
-    enumerators, mapping each skew point twice."""
-    skew_points = enumerate_skew_hive_points(lam, mu, gam, nu, phi, limit=limit)
+    """``cli.hive_iso_report`` on hive objects enumerated by the generic
+    engine (``engine_points``), not the generated kernels, mapping each skew
+    point twice."""
     lam_t, mu_t, nu_t, phi_t = lift_tilde(lam, mu, gam, nu, phi)
-    tri_points = enumerate_tri_hive_points(lam_t, mu_t, nu_t, phi_t, limit=limit)
+    skew_poly = _skew_polytope(len(lam), tuple(phi))
+    skew_points = [SkewHive(rows)
+                   for rows in engine_points(skew_poly, _skew_runs(lam, mu, gam, nu), limit)]
+    tri_poly = _tri_polytope(len(lam_t), phi_t)
+    tri_points = [TriHive(rows)
+                  for rows in engine_points(tri_poly, _tri_runs(lam_t, mu_t, nu_t), limit)]
     roundtrip = all(psi_inverse_by_objects(psi_by_objects(h)) == h for h in skew_points)
     images = {psi_by_objects(h).rows for h in skew_points}
     image_ok = images <= {t.rows for t in tri_points}
@@ -511,15 +535,26 @@ def scale_labels(rows, k: int):
 # polynomials
 # ---------------------------------------------------------------------------
 
+def variable(n: int, i: int) -> IntPolynomial:
+    """The polynomial x_i in n variables."""
+    if not 1 <= i <= n:
+        raise IndexError(f"variable index {i} out of range for ambient {n}")
+    return IntPolynomial(n, {tuple(int(j == i) for j in range(1, n + 1)): 1})
+
+
+def is_symmetric(f: IntPolynomial) -> bool:
+    return all(f.swap(i) == f for i in range(1, f.n))
+
+
 def demazure_Ti_by_division(f: IntPolynomial, i: int) -> IntPolynomial:
     """Oracle: literally divide x_i f - x_{i+1} s_i f by x_i - x_{i+1}."""
     if not 1 <= i <= f.n - 1:
         raise IndexError(f"operator index {i} out of range for ambient {f.n}")
     n = f.n
-    num = IntPolynomial.variable(n, i) * f - IntPolynomial.variable(n, i + 1) * f.swap(i)
+    num = variable(n, i) * f - variable(n, i + 1) * f.swap(i)
     quotient = {}
-    divisor_hi = IntPolynomial.variable(n, i)
-    divisor_lo = IntPolynomial.variable(n, i + 1)
+    divisor_hi = variable(n, i)
+    divisor_lo = variable(n, i + 1)
     while not num.is_zero():
         lead = max(num.terms, key=lambda e: (e[i - 1], e))
         if lead[i - 1] == 0:
@@ -545,7 +580,7 @@ def expand_in_schur(f: IntPolynomial):
     ``s_nu = a_{nu+delta} / a_delta`` in one pass over the terms.  A term
     ``c x^e`` adds ``sign * c`` to ``nu = sort(e + delta) - delta``, with the
     sign of the sort, unless ``e + delta`` repeats an entry."""
-    if not f.is_symmetric():
+    if not is_symmetric(f):
         raise ValueError("polynomial is not symmetric")
     n, out = f.n, {}
     for e, c in f.terms.items():
@@ -570,7 +605,7 @@ def expand_in_schur_greedy(f: IntPolynomial):
     """Oracle for ``expand_in_schur``: subtract c * s_lead for the
     lexicographically greatest partition exponent lead until nothing is
     left, raising if the leading exponent fails to drop."""
-    if not f.is_symmetric():
+    if not is_symmetric(f):
         raise ValueError("polynomial is not symmetric")
     out = {}
     prev = None

@@ -151,12 +151,12 @@ def test_criterion_3_classical_reduction():
                     if sum(nu) != total:
                         continue
                     flagged = coefficient_by_tableaux(lam, mu, zero, nu, full_flag)
-                    classical = len(enumerate_tri_hive_points(lam, mu, nu))
+                    classical = len(enumerate_tri_hive_points(lam, mu, nu, full_flag))
                     if flagged != classical:
                         ok = False
                         print("CLASSICAL MISMATCH", lam, mu, nu, flagged, classical)
                     checked += 1
-    spot = len(enumerate_tri_hive_points((2, 1, 0), (2, 1, 0), (3, 2, 1)))
+    spot = len(enumerate_tri_hive_points((2, 1, 0), (2, 1, 0), (3, 2, 1), (3,) * 3))
     ok = ok and spot == 2
     ok = (
         ok

@@ -277,7 +277,7 @@ def test_full_flag_classes_count_classical_lr():
             nu = tuple(sorted(cls.beta, reverse=True))
             by_nu[nu] = by_nu.get(nu, 0) + 1
         for nu, count in by_nu.items():
-            lr = len(enumerate_tri_hive_points(nu, (0, 0, 0), nu))
+            lr = len(enumerate_tri_hive_points(nu, (0, 0, 0), nu, (n,) * n))
             # straight shape: each class is one irreducible, multiplicity one
             assert lr == 1
         total = sum(by_nu.values())

@@ -10,7 +10,6 @@ from flagged_lr.burge import insertion_decomposition
 from flagged_lr.cli import (
     DEFAULT_LIMIT,
     _nu_candidates,
-    _single_coefficient,
     cross_check,
     decomposition_report,
     hive_count,
@@ -133,7 +132,7 @@ def test_saturation_scan_counts_the_flagged_worked_example_to_k40():
     assert rep["values"] == [(k + 1) * (k + 2) // 2 for k in range(1, 41)]
     for k in (1, 7, 20):
         dilated = [tuple(k * x for x in part) for part in args[:4]]
-        assert _single_coefficient(*dilated, args[4], "tableau", DEFAULT_LIMIT) == rep["values"][k - 1]
+        assert coefficient_by_tableaux(*dilated, args[4], DEFAULT_LIMIT) == rep["values"][k - 1]
 
 
 def test_decompose_command(capsys):
@@ -393,15 +392,15 @@ def three_route_inputs(draw):
 @settings(max_examples=200, deadline=None)
 @given(three_route_inputs())
 def test_three_routes_agree(args):
-    tableau, hive, demazure = (_single_coefficient(*args, method, None)
-                               for method in ("tableau", "hive", "demazure"))
+    tableau, hive, demazure = (route(*args) for route in (
+        coefficient_by_tableaux, count_skew_hive_points, coefficient_by_demazure))
     assert tableau == hive == demazure
 
 
 @pytest.mark.parametrize("method", ["tableau", "hive", "demazure"])
 def test_every_route_rejects_a_length_mismatch(method):
     with pytest.raises(ValueError, match="ambient lengths differ"):
-        _single_coefficient((1, 0), (1, 0), (0, 0), (1, 1, 0), (2, 2), method, None)
+        run_coefficient((1, 0), (1, 0), (0, 0), (1, 1, 0), (2, 2), method)
 
 
 @pytest.mark.parametrize("mu, gam, bounds", [
@@ -438,23 +437,6 @@ def test_every_route_rejects_a_non_partition(method, part, bad):
     boundary[part] = bad
     with pytest.raises(ValueError, match="not weakly decreasing|negative part"):
         run_coefficient(*boundary.values(), (2, 2), method=method)
-
-
-@pytest.mark.parametrize("boundary", [((1, 0), (1, 0), (0, 0), (1, 1)), ((0,),) * 4])
-@pytest.mark.parametrize("name, call", [
-    ("coefficient_by_tableaux", lambda b: coefficient_by_tableaux(*b, None)),
-    ("coefficient_by_demazure", lambda b: coefficient_by_demazure(*b, None)),
-    ("coefficient_table_by_demazure", lambda b: coefficient_table_by_demazure(*b[:3], None)),
-    ("lift_tilde", lambda b: lift_tilde(*b, None)),
-    ("hive_iso_report", lambda b: hive_iso_report(*b, None)),
-    ("run_coefficient", lambda b: run_coefficient(*b, None, method="hive")),
-])
-def test_only_the_skew_hive_takes_no_flag(boundary, name, call):
-    with pytest.raises(ValueError, match="a flag is required"):
-        call(boundary)
-    # the skew hive polytope without the flag face
-    assert count_skew_hive_points(*boundary, None) == len(
-        enumerate_skew_hive_points(*boundary, None)) == 1
 
 
 # n = 2; (lam, gam, nu) is also a triangular boundary of matching weight, and
@@ -507,22 +489,33 @@ def test_every_function_that_takes_a_flag_checks_its_boundary(name, bad, error, 
         TAKES_A_FLAG[name]({**GOOD_BOUNDARY, **bad})
 
 
-# the functions that read a missing flag as the full flag (2, 2)
-NO_FLAG_IS_THE_FULL_FLAG = {
-    "count_skew_hive_points", "enumerate_skew_hive_points", "enumerate_tri_hive_points",
-    "check_skew_hive", "validate_skew_hive", "check_tri_hive", "validate_tri_hive", "hive_count",
-}
-
-
+@pytest.mark.parametrize("boundary", [((1, 0), (1, 0), (0, 0), (1, 1)), ((0,),) * 4])
 @pytest.mark.parametrize("name", TAKES_A_FLAG)
-def test_a_missing_flag_is_the_full_flag_on_the_hives_only(name):
-    call = TAKES_A_FLAG[name]
-    missing = {**GOOD_BOUNDARY, "phi": None}
-    if name in NO_FLAG_IS_THE_FULL_FLAG:
-        assert call(missing) == call(GOOD_BOUNDARY)
-    else:
-        with pytest.raises(FlagError, match="a flag is required"):
-            call(missing)
+def test_every_function_that_takes_a_flag_requires_one(name, boundary):
+    with pytest.raises(FlagError, match="a flag is required"):
+        TAKES_A_FLAG[name](dict(zip(GOOD_BOUNDARY, boundary + (None,))))
+    # the explicit full flag gives the skew hive polytope without the flag face
+    full = (len(boundary[0]),) * len(boundary[0])
+    assert count_skew_hive_points(*boundary, full) == len(
+        enumerate_skew_hive_points(*boundary, full)) == 1
+
+
+@pytest.mark.parametrize("command", ["coeff", "saturate", "hive-count", "hive-iso"])
+def test_a_subcommand_that_needs_nu_requires_it(capsys, command):
+    argv = ["--n", "2", command, "--lam", "1,0", "--mu", "1,1", "--gam", "1,0", "--phi", "2,2"]
+    assert main(argv + ["--nu", "1,1"]) in (0, 1)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "--nu" in capsys.readouterr().err
+
+
+def test_an_unknown_method_is_an_error_without_candidates():
+    # gam outside mu leaves no candidate nu, so no route is ever called
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        run_coefficient((0, 0), (0, 0), (1, 0), None, (2, 2), "bogus")
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        run_coefficient((1, 0), (1, 0), (0, 0), (1, 1), (2, 2), "bogus")
 
 
 @pytest.mark.parametrize("bad, message", [

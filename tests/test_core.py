@@ -7,7 +7,6 @@ from flagged_lr.core import (
     FlagError,
     all_flags,
     as_partition,
-    inversions,
     longest_element,
     parse_int_tuple,
     partial_sums,
@@ -16,6 +15,7 @@ from flagged_lr.core import (
     validate_flag,
 )
 from oracles import (
+    inversions,
     minimal_sorting_permutation_bruteforce,
     permutation_act,
     permutation_from_word,

@@ -134,17 +134,18 @@ def test_perturbed_interior_label_reports_negative_content(worked_hive):
     rows = [list(r) for r in worked_hive["labels"]]
     rows[2][2] += 1
     violations = check_skew_hive(
-        rows, worked_hive["lam"], worked_hive["mu"], worked_hive["gam"], worked_hive["nu"]
+        rows, worked_hive["lam"], worked_hive["mu"], worked_hive["gam"], worked_hive["nu"], (4,) * 4
     )
     assert any("negative content" in v for v in violations)
 
 
 def test_weight_and_boundary_mismatches(worked_hive):
-    violations = check_skew_hive(worked_hive["labels"], (0, 0, 0, 0), worked_hive["mu"], worked_hive["gam"], worked_hive["nu"])
+    violations = check_skew_hive(worked_hive["labels"], (0, 0, 0, 0), worked_hive["mu"],
+                                 worked_hive["gam"], worked_hive["nu"], (4,) * 4)
     assert violations and "weight mismatch" in violations[0]
     rows = [list(r) for r in worked_hive["labels"]]
     rows[0][1] += 1
-    violations = check_skew_hive(rows, *[worked_hive[k] for k in ("lam", "mu", "gam", "nu")])
+    violations = check_skew_hive(rows, *[worked_hive[k] for k in ("lam", "mu", "gam", "nu")], (4,) * 4)
     assert any("boundary node (0,1)" in v for v in violations)
 
 
@@ -239,9 +240,9 @@ def test_scale_ceiling_raises():
     with pytest.raises(ScaleExceededError):
         enumerate_flagged_gt_points((4, 3, 2, 1), (2, 1, 0, 0), (2, 2, 3, 4), limit=3)
     # one free node, labelled once per point: the limit counts exactly those
-    assert len(enumerate_tri_hive_points((2, 1, 0), (2, 1, 0), (3, 2, 1), limit=2)) == 2
+    assert len(enumerate_tri_hive_points((2, 1, 0), (2, 1, 0), (3, 2, 1), (3,) * 3, limit=2)) == 2
     with pytest.raises(ScaleExceededError):
-        enumerate_tri_hive_points((2, 1, 0), (2, 1, 0), (3, 2, 1), limit=1)
+        enumerate_tri_hive_points((2, 1, 0), (2, 1, 0), (3, 2, 1), (3,) * 3, limit=1)
 
 
 def _weight_matched(n, total):
@@ -250,7 +251,7 @@ def _weight_matched(n, total):
 
 def _skew_census():
     """Every skew tuple with n <= 3 and |lam|, |mu| <= 4 and every flag, the
-    full flag (no flag) among them."""
+    full flag among them."""
     for n in (1, 2, 3):
         for lam in partitions_up_to(n, 4):
             for mu, gam in skew_pairs(n, 4):
@@ -262,7 +263,7 @@ def _skew_census():
 
 def _tri_census():
     """Every triangular tuple with n <= 3 and |alpha|, |beta| <= 4 and every
-    flag, the full flag (no flag) among them."""
+    flag, the full flag among them."""
     for n in (1, 2, 3):
         for alpha in partitions_up_to(n, 4):
             for beta in partitions_up_to(n, 4):
@@ -445,10 +446,9 @@ def _unflagged(grid, edges, rhombi):
     return _compile(grid, edges, _hive_table(rhombi, ()))
 
 
-def test_no_flag_is_the_full_flag():
-    # a missing flag means the full flag (n, ..., n); both must give the
-    # points of the plain hive polytope, which has no flat region and no
-    # implied column bound
+def test_the_full_flag_is_the_unflagged_polytope():
+    # the full flag (n, ..., n) must give the points of the plain hive
+    # polytope, which has no flat region and no implied column bound
     skew = tri = 0
     for n in (1, 2, 3):
         full = (n,) * n
@@ -459,10 +459,9 @@ def test_no_flag_is_the_full_flag():
                 for nu in _weight_matched(n, sum(lam) + sum(mu) - sum(gam)):
                     args = (lam, mu, gam, nu)
                     want = sorted(engine_points(poly, _skew_runs(*args)))
-                    for phi in (None, full):
-                        assert sorted(h.rows for h in enumerate_skew_hive_points(*args, phi)) \
-                            == want, (args, phi)
-                        assert count_skew_hive_points(*args, phi) == len(want), (args, phi)
+                    assert sorted(h.rows for h in enumerate_skew_hive_points(*args, full)) \
+                        == want, args
+                    assert count_skew_hive_points(*args, full) == len(want), args
                     skew += 1
     for big_n in (1, 2, 3, 4):
         full = (big_n,) * big_n
@@ -473,16 +472,15 @@ def test_no_flag_is_the_full_flag():
                 for gam in _weight_matched(big_n, sum(alpha) + sum(beta)):
                     args = (alpha, beta, gam)
                     want = sorted(engine_points(poly, _tri_runs(*args)))
-                    for phi in (None, full):
-                        assert sorted(t.rows for t in enumerate_tri_hive_points(*args, phi)) \
-                            == want, (args, phi)
+                    assert sorted(t.rows for t in enumerate_tri_hive_points(*args, full)) \
+                        == want, args
                     tri += 1
     assert (skew, tri) == (3368, 561)
 
 
 def test_count_limit_counts_labels_tried(worked_hive):
     # n = 2 leaves one free node, so the pass tries one label per point
-    args = ((2, 1), (2, 1), (1, 0), (3, 2), None)
+    args = ((2, 1), (2, 1), (1, 0), (3, 2), (2, 2))
     assert count_skew_hive_points(*args, limit=2) == 2
     with pytest.raises(ScaleExceededError):
         count_skew_hive_points(*args, limit=1)
@@ -500,7 +498,7 @@ def test_count_limit_counts_labels_tried(worked_hive):
 def test_count_skew_hive_points_shares_the_input_checks():
     assert count_skew_hive_points((0, 0), (1, 0), (0, 0), (2, 0), (2, 2)) == 0
     with pytest.raises(ValueError, match="ambient lengths differ"):
-        count_skew_hive_points((1, 0), (1, 0), (0, 0), (1, 1, 0))
+        count_skew_hive_points((1, 0), (1, 0), (0, 0), (1, 1, 0), (2, 2))
     with pytest.raises(ValueError):
         count_skew_hive_points((1, 0), (1, 0), (0, 0), (1, 1), (2, 1))
 
@@ -591,19 +589,19 @@ def test_psi_counts_and_roundtrip_small_grid():
 
 
 def test_tri_hive_examples():
-    assert len(enumerate_tri_hive_points((2, 1), (1, 1), (3, 2))) == 1
-    assert len(enumerate_tri_hive_points((2, 1), (1, 1), (4, 1))) == 0
-    assert len(enumerate_tri_hive_points((1, 0), (1, 0), (2, 0))) == 1
+    assert len(enumerate_tri_hive_points((2, 1), (1, 1), (3, 2), (2, 2))) == 1
+    assert len(enumerate_tri_hive_points((2, 1), (1, 1), (4, 1), (2, 2))) == 0
+    assert len(enumerate_tri_hive_points((1, 0), (1, 0), (2, 0), (2, 2))) == 1
 
 
 def test_tri_hive_weight_mismatch_has_no_points():
     # as on the skew hive: the runs disagree at the bottom-right corner
-    assert enumerate_tri_hive_points((2, 1), (1, 1), (3, 3)) == []
+    assert enumerate_tri_hive_points((2, 1), (1, 1), (3, 3), (2, 2)) == []
     assert enumerate_tri_hive_points((1, 0), (0, 0), (0, 0), (1, 2)) == []
 
 
 def test_tri_hive_classical_lr_spot_value():
-    assert len(enumerate_tri_hive_points((2, 1, 0), (2, 1, 0), (3, 2, 1))) == 2
+    assert len(enumerate_tri_hive_points((2, 1, 0), (2, 1, 0), (3, 2, 1), (3,) * 3)) == 2
 
 
 def test_tri_hive_singleton_when_one_side_constant():
@@ -617,7 +615,7 @@ def test_tri_hive_singleton_when_one_side_constant():
                 for gam in partitions_up_to(n, sum(alpha) + n * b):
                     if sum(gam) != sum(alpha) + n * b:
                         continue
-                    count = len(enumerate_tri_hive_points(alpha, beta, gam))
+                    count = len(enumerate_tri_hive_points(alpha, beta, gam, (n,) * n))
                     expected = 1 if gam == tuple(a + b for a in alpha) else 0
                     assert count == expected
 
@@ -629,7 +627,7 @@ def test_tri_kogan_region():
 
 def test_validate_tri_hive_weight_mismatch():
     with pytest.raises(HiveValidationError, match="weight mismatch"):
-        validate_tri_hive(((0,), (1, 2)), (1,), (0,), (3,))
+        validate_tri_hive(((0,), (1, 2)), (1,), (0,), (3,), (1,))
 
 
 def test_renderers_and_json(worked_hive):
