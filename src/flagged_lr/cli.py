@@ -7,8 +7,11 @@ assertions it ran all passed, and mirrors its report as JSON on request.
 The subcommands parse and pad their arguments; every query is checked once,
 with ``core.check_boundary``, by the library function or report it goes to.
 ``run_coefficient`` and ``saturation_scan`` check their boundary first,
-build the report from the checked values and call the trusted cores in
-``ROUTES``, once per candidate nu or dilation k; ``hive_iso_report`` checks
+build the report from the checked values and call the trusted cores:
+those in ``ROUTES`` for one coefficient; for a table, one search by the
+tableau route (``crystal._table_tableaux``), one pass by the Demazure route
+(``polynomials._antisymmetrize``) and one hive count per candidate nu; for
+a scan, one hive count per dilation k.  ``hive_iso_report`` checks
 its boundary with ``hives._lift_input`` and runs ``hives._doubling``.  Only
 ``crystal-graph``, whose word set takes row bounds, checks the flag in
 ``main``.
@@ -17,11 +20,12 @@ flagged fillings once, as raw rows, for ``crystal.decompose``, the
 insertion core ``burge._insertion_classes`` and the character check, which
 sums the key polynomials ``crystal.decompose`` built for its components.
 ``cross_check`` builds its grid from partitions, checks its flags once and
-calls the trusted cores on every tuple: ``crystal._count_tableaux``,
-``hives._count_skew_hives`` and ``hives._doubling``, and the Demazure
-table core ``polynomials._antisymmetrize`` on one flagged skew Schur
-polynomial per (mu, gam, phi), read off the same enumeration of the
-flagged fillings as its components.  On the isomorphism path it judges the
+calls the trusted cores: ``hives._count_skew_hives`` and
+``hives._doubling`` on every tuple, and once per (lam, mu, gam, phi) the
+tableau route's table search ``crystal._table_tableaux`` and the Demazure
+table core ``polynomials._antisymmetrize``, on one flagged skew Schur
+polynomial per (mu, gam, phi) read off the same enumeration of the flagged
+fillings as its components.  On the isomorphism path it judges the
 ``_doubling`` result by the same rule as ``hive_iso_report``
 (``_iso_ok``) and builds the full report from that result only for a
 tuple that fails.
@@ -48,6 +52,7 @@ from .core import (
 )
 from .crystal import (
     _count_tableaux,
+    _table_tableaux,
     character,
     crystal_graph_dot,
     decompose,
@@ -59,6 +64,11 @@ from .tableaux import SkewShape, _reading_word, _tableau_rows, reading_word
 from .burge import _insertion_classes
 
 DEFAULT_LIMIT = 10**6
+LIMIT_HELP = (
+    "enumeration ceiling per call (hive labels or tableau letters placed, "
+    "Demazure shapes expanded); a table by the tableau route is one call, "
+    "so the ceiling caps the letters placed for every nu together"
+)
 
 #: the trusted core of each route, called on a checked boundary as
 #: ``core(lam, mu, gam, nu, phi, limit)``
@@ -66,8 +76,25 @@ ROUTES = {"tableau": _count_tableaux, "hive": _count_skew_hives, "demazure": _si
 
 
 def _nu_candidates(lam, mu, gam, n):
+    """Every partition of ambient n and weight |lam| + |mu| - |gam|, in
+    lexicographically decreasing order."""
+    out = []
+
+    def rec(prefix, remaining, cap):
+        slots = n - len(prefix)
+        if not slots:
+            if not remaining:
+                out.append(tuple(prefix))
+            return
+        for p in range(min(cap, remaining), -1, -1):
+            # the parts left are at most p each
+            if p * slots < remaining:
+                return
+            rec(prefix + [p], remaining - p, p)
+
     total = weight(lam) + weight(mu) - weight(gam)
-    return [nu for nu in partitions_up_to(n, total) if weight(nu) == total]
+    rec([], total, total)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +139,17 @@ def run_coefficient(lam, mu, gam, nu, phi, method="all", limit=None):
 
 
 def _coefficient_table(lam, mu, gam, phi, method, limit):
-    """The nonzero coefficients over nu of a checked boundary by one route;
-    the Demazure route reads them all off one flagged skew Schur
-    polynomial."""
+    """The nonzero coefficients over nu of a checked boundary by one route.
+    The tableau route finds them all in one search and the Demazure route
+    reads them off one flagged skew Schur polynomial; the hive route counts
+    each candidate nu."""
+    if method == "tableau":
+        return _table_tableaux(lam, mu, gam, phi, limit)
     if method == "demazure":
         return _antisymmetrize(lam, flagged_skew_schur(mu, gam, phi))
-    route = ROUTES[method]
     table = {}
     for nu in _nu_candidates(lam, mu, gam, len(mu)):
-        c = route(lam, mu, gam, nu, phi, limit)
+        c = _count_skew_hives(lam, mu, gam, nu, phi, limit)
         if c:
             table[nu] = c
     return table
@@ -248,7 +277,9 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     the tuples go to the routes' trusted cores.  The flagged fillings of
     each (mu, gam, phi) are enumerated once, as reading words, for its
     components and its flagged skew Schur polynomial, which serves both the
-    character identity and the Demazure table of every lam.
+    character identity and the Demazure table of every lam.  The tableau
+    route is one search per (lam, mu, gam, phi), whose table is read at
+    every candidate nu; the hive route runs per tuple.
 
     Stops at the first failing tuple and returns its reproduction data."""
     flags = [validate_flag(f, n) for f in (flags or all_flags(n))]
@@ -274,6 +305,7 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
                 checked["decompositions"] += 1
                 for lam in subpartitions(mu):
                     demazure_table = _antisymmetrize(lam, skew_schur)
+                    tableau_table = _table_tableaux(lam, mu, gam, phi, limit)
                     total = weight(lam) + weight(mu) - weight(gam)
                     for nu in nu_candidates[total]:
                         # the isomorphism check enumerates the skew hives
@@ -285,7 +317,7 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
                         else:
                             hive = _count_skew_hives(lam, mu, gam, nu, phi, limit)
                         got = {
-                            "tableau": _count_tableaux(lam, mu, gam, nu, phi, limit),
+                            "tableau": tableau_table.get(nu, 0),
                             "hive": hive,
                             "demazure": demazure_table.get(nu, 0),
                         }
@@ -387,11 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit JSON reports",
     )
     common.add_argument(
-        "--limit",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="enumeration ceiling per call (hive labels or tableau letters "
-        "placed, Demazure shapes expanded)",
+        "--limit", type=int, default=argparse.SUPPRESS, help=LIMIT_HELP
     )
     parser = argparse.ArgumentParser(
         prog="flagged-lr",
@@ -399,13 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--n", type=int, default=None, help="ambient length")
     parser.add_argument("--json", action="store_true", help="emit JSON reports")
-    parser.add_argument(
-        "--limit",
-        type=int,
-        default=DEFAULT_LIMIT,
-        help="enumeration ceiling per call (hive labels or tableau letters "
-        "placed, Demazure shapes expanded)",
-    )
+    parser.add_argument("--limit", type=int, default=DEFAULT_LIMIT, help=LIMIT_HELP)
     sub_parsers = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kwargs):

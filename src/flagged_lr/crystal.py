@@ -15,7 +15,14 @@ The tableau route counts lambda-dominant flagged tableaux by a search over
 the cells in reading order that applies the lattice condition one letter
 at a time, so it builds no tableau and no word.  Its public function,
 ``coefficient_by_tableaux``, checks the boundary (``core.check_boundary``);
-the search, ``_count_tableaux``, trusts it.
+its core, ``_count_tableaux``, trusts it.  A whole table over nu is one
+search too, ``_table_tableaux``.  Both run ``_lattice_search``, which
+counts the tableaux per nu, the letter counts each ends with: the count
+caps each letter v at nu_v, and the table only at the weight of nu, which
+no letter reaches.  The search charges ``limit`` one unit per letter
+placed, so the table's ceiling caps the letters placed for every nu
+together; on the worked example with the full flag the table needs 455,
+where its largest one-nu search needs 152.
 """
 
 from __future__ import annotations
@@ -328,18 +335,41 @@ def coefficient_by_tableaux(lam, mu, gam, nu, phi, limit=None) -> int:
 
 
 def _count_tableaux(lam, mu, gam, nu, phi, limit):
-    """``coefficient_by_tableaux`` on a checked boundary.
-
-    The cells of mu/gam are filled in reading order (top row first, right
-    to left within a row) with the letter counts starting at lam, the
-    weight of the dominant head.  A letter v goes in only while its count
-    stays below nu_v and, for v > 1, below the count of v - 1: the reading
-    word after the head stays a lattice word, which is what every raising
-    operator killing it means."""
+    """``coefficient_by_tableaux`` on a checked boundary: the search of
+    ``_lattice_search`` with the letter v capped at nu_v, so that every
+    tableau it finds has weight nu - lam."""
     if not contains(mu, gam) or not contains(nu, lam):
         return 0
     if weight(nu) - weight(lam) != weight(mu) - weight(gam):
         return 0
+    return _lattice_search(lam, mu, gam, phi, nu, limit).get(nu, 0)
+
+
+def _table_tableaux(lam, mu, gam, phi, limit):
+    """The nonzero coefficients over nu of a checked boundary, by one
+    search: ``_lattice_search`` with every cap at |lam| + |mu| - |gam|, the
+    weight of every nu of the table, which no letter count reaches, so only
+    the lattice condition prunes.  Every nu of the table is a partition
+    that contains lam.  Raises ScaleExceededError once more than ``limit``
+    letters have been placed by the whole search, not per nu."""
+    if not contains(mu, gam):
+        return {}
+    total = weight(lam) + weight(mu) - weight(gam)
+    return _lattice_search(lam, mu, gam, phi, (total,) * len(mu), limit)
+
+
+def _lattice_search(lam, mu, gam, phi, caps, limit):
+    """The lambda-dominant flagged tableaux of mu/gam (gam inside mu) in
+    which no letter v occurs more than caps_v - lam_v times, counted per
+    nu, the letter counts each ends with.
+
+    The cells of mu/gam are filled in reading order (top row first, right
+    to left within a row) with the letter counts starting at lam, the
+    weight of the dominant head.  A letter v goes in only while its count
+    stays below caps_v and, for v > 1, below the count of v - 1: the reading
+    word after the head stays a lattice word, which is what every raising
+    operator killing it means.  Raises ScaleExceededError once more than
+    ``limit`` letters have been placed."""
     n = len(mu)
     cells = [(i, c) for i in range(n) for c in range(mu[i] - 1, gam[i] - 1, -1)]
     depth = len(cells)
@@ -351,16 +381,18 @@ def _count_tableaux(lam, mu, gam, nu, phi, limit):
     flag = [phi[i] for i, _ in cells]
     v = [0] * depth + [0, n]
     tops = [0] * depth
-    # counts[x] and caps[x] belong to the letter x; counts[0] = nu_1 never
-    # holds the letter 1 below its cap
-    caps = (0,) + tuple(nu)
-    counts = [nu[0] if n else 0] + list(lam)
+    # counts[x] and caps[x] belong to the letter x; counts[0] = caps[1] never
+    # holds the letter 1 below its cap, and, an int like the counts, keeps
+    # every comparison between ints
+    caps = (0,) + tuple(caps)
+    counts = [caps[1] if n else 0] + list(lam)
     left = math.inf if limit is None else limit
-    found = 0
+    table = {}
     k = 0
     while True:
         if k == depth:
-            found += 1
+            nu = tuple(counts[1:])
+            table[nu] = table.get(nu, 0) + 1
             k -= 1
         else:
             v[k] = v[above[k]]
@@ -377,7 +409,7 @@ def _count_tableaux(lam, mu, gam, nu, phi, limit):
                 break
             k -= 1
         if k < 0:
-            return found
+            return table
         v[k] = x
         counts[x] += 1
         left -= 1

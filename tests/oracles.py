@@ -22,7 +22,7 @@ from flagged_lr.burge import (
     left_key,
     standardize,
 )
-from flagged_lr.cli import _query_dict
+from flagged_lr.cli import _nu_candidates, _query_dict
 from flagged_lr.core import (
     ScaleExceededError,
     as_partition,
@@ -36,7 +36,7 @@ from flagged_lr.core import (
     sub,
     validate_flag,
 )
-from flagged_lr.crystal import is_dominant, lowering, raising
+from flagged_lr.crystal import _count_tableaux, is_dominant, lowering, raising
 from flagged_lr.hives import (
     SkewHive,
     TriHive,
@@ -267,6 +267,20 @@ def coefficient_by_enumeration(lam, mu, gam, nu, phi) -> int:
         if is_dominant(head + word, n):
             count += 1
     return count
+
+
+def coefficient_table_by_tableaux_per_nu(lam, mu, gam, phi, limit=None):
+    """Oracle for ``crystal._table_tableaux``: the nonzero coefficients over
+    nu of a checked boundary, one ``_count_tableaux`` search per candidate
+    nu, each with its own ``limit``.  Each search caps every letter at nu,
+    where the table's caps none; ``_count_tableaux`` itself is gated
+    against ``coefficient_by_enumeration``."""
+    table = {}
+    for nu in _nu_candidates(lam, mu, gam, len(mu)):
+        c = _count_tableaux(lam, mu, gam, nu, phi, limit)
+        if c:
+            table[nu] = c
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,12 @@ from flagged_lr.cli import (
     run_coefficient,
     saturation_scan,
 )
-from flagged_lr.crystal import _count_tableaux, coefficient_by_tableaux, tableau_word_set
+from flagged_lr.crystal import (
+    _count_tableaux,
+    _table_tableaux,
+    coefficient_by_tableaux,
+    tableau_word_set,
+)
 from flagged_lr.core import (
     FlagError,
     ScaleExceededError,
@@ -51,7 +56,12 @@ from flagged_lr.polynomials import (
     flagged_skew_schur,
 )
 from flagged_lr.tableaux import SkewShape, enumerate_tableaux
-from oracles import hive_iso_report_by_objects, psi_by_objects, psi_inverse_by_objects
+from oracles import (
+    coefficient_table_by_tableaux_per_nu,
+    hive_iso_report_by_objects,
+    psi_by_objects,
+    psi_inverse_by_objects,
+)
 
 
 def run(capsys, *argv):
@@ -224,6 +234,28 @@ def test_scale_ceiling_diagnostic(capsys):
         assert "ceiling" in capsys.readouterr().err
 
 
+def test_a_tableau_table_is_one_call_under_the_limit(capsys):
+    # the worked example with the full flag: its one search places 455
+    # letters, more than any per-nu search (at most 152)
+    boundary = ["--lam", "3,1,1,0", "--mu", "5,4,2,1", "--gam", "2,1,0,0",
+                "--phi", "4,4,4,4"]
+    code, out = run(capsys, "--n", "4", "--limit", "455", "--json", "table",
+                    "--method", "tableau", *boundary)
+    assert code == 0
+    assert len(json.loads(out)["table"]) == 29
+    assert main(["--n", "4", "--limit", "454", "table", "--method", "tableau", *boundary]) == 2
+    assert "ceiling" in capsys.readouterr().err
+
+
+def test_nu_candidates_are_the_partitions_of_the_target_weight():
+    for n in range(6):
+        for total in range(12):
+            old = [nu for nu in partitions_up_to(n, total) if sum(nu) == total]
+            # |lam| + |mu| - |gam| = total
+            lam, mu, gam = (total,) + (0,) * n, (1,) * n, (1,) * n
+            assert _nu_candidates(lam, mu, gam, n) == old, (n, total)
+
+
 def test_demazure_route_stops_at_the_limit_on_the_n5_case(capsys):
     boundary = ["--lam", "4,3,2,1,0", "--mu", "5,4,3,2,1", "--gam", "1,0,0,0,0",
                 "--nu", "7,6,5,4,2"]
@@ -248,13 +280,16 @@ def test_reports_are_deterministic(capsys):
 def test_cross_check_reports_failures_with_bundle(monkeypatch):
     import flagged_lr.cli as cli_mod
 
-    # cross_check calls the tableau route's trusted core
-    real = cli_mod._count_tableaux
+    # cross_check calls the tableau route's table search
+    real = cli_mod._table_tableaux
 
-    def corrupted(lam, mu, gam, nu, phi, limit):
-        return real(lam, mu, gam, nu, phi, limit) + 1
+    def corrupted(lam, mu, gam, phi, limit):
+        table = real(lam, mu, gam, phi, limit)
+        if table:
+            table[max(table)] += 1
+        return table
 
-    monkeypatch.setattr(cli_mod, "_count_tableaux", corrupted)
+    monkeypatch.setattr(cli_mod, "_table_tableaux", corrupted)
     report = cross_check(2, 1)
     assert not report["ok"]
     assert report["failure"] == "three-way coefficient mismatch"
@@ -574,6 +609,8 @@ def test_trusted_cores_equal_the_public_routes():
                     for lam in subpartitions(mu):
                         table = _antisymmetrize(lam, skew_schur)
                         assert table == coefficient_table_by_demazure(lam, mu, gam, phi)
+                        assert _table_tableaux(lam, mu, gam, phi, None) == (
+                            coefficient_table_by_tableaux_per_nu(lam, mu, gam, phi))
                         tables += 1
                         for nu in _nu_candidates(lam, mu, gam, n):
                             args = (lam, mu, gam, nu, phi)

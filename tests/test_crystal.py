@@ -15,6 +15,7 @@ from flagged_lr.core import (
 )
 from flagged_lr.crystal import (
     StringPropertyError,
+    _table_tableaux,
     apply_operator,
     character,
     coefficient_by_tableaux,
@@ -41,6 +42,7 @@ from flagged_lr.tableaux import (
 from conftest import decomposition_census, skew_pairs
 from oracles import (
     coefficient_by_enumeration,
+    coefficient_table_by_tableaux_per_nu,
     components_by_raising,
     has_string_property,
     permutation_act,
@@ -320,6 +322,15 @@ def test_tableau_search_matches_enumeration_n4(args):
     assert coefficient_by_tableaux(*args) == coefficient_by_enumeration(*args)
 
 
+@settings(max_examples=100, deadline=None)
+@given(tableau_route_inputs())
+def test_table_search_matches_the_per_nu_oracle_n4(args):
+    # lam need not lie inside mu; the drawn nu plays no part
+    lam, mu, gam, _, phi = args
+    assert _table_tableaux(lam, mu, gam, phi, None) == (
+        coefficient_table_by_tableaux_per_nu(lam, mu, gam, phi))
+
+
 @pytest.mark.parametrize(
     "args, error",
     [
@@ -346,6 +357,19 @@ def test_tableau_search_limit_counts_letters_placed():
     worked = ((3, 1, 1, 0), (5, 4, 2, 1), (2, 1, 0, 0), (7, 4, 2, 1), (2, 2, 3, 4))
     with pytest.raises(ScaleExceededError):
         coefficient_by_tableaux(*worked, limit=3)
+
+
+def test_table_search_limit_counts_the_letters_of_the_whole_table():
+    # the worked example with the full flag: the one search places 455
+    # letters, where the largest of its per-nu searches needs a limit of 152
+    boundary = ((3, 1, 1, 0), (5, 4, 2, 1), (2, 1, 0, 0), (4, 4, 4, 4))
+    table = _table_tableaux(*boundary, 455)
+    assert table == coefficient_table_by_tableaux_per_nu(*boundary)
+    assert table == coefficient_table_by_tableaux_per_nu(*boundary, limit=152)
+    with pytest.raises(ScaleExceededError):
+        _table_tableaux(*boundary, 454)
+    with pytest.raises(ScaleExceededError):
+        coefficient_table_by_tableaux_per_nu(*boundary, limit=151)
 
 
 def test_crystal_graph_dot():
