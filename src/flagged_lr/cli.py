@@ -67,7 +67,8 @@ DEFAULT_LIMIT = 10**6
 LIMIT_HELP = (
     "enumeration ceiling per call (hive labels or tableau letters placed, "
     "Demazure shapes expanded); a table by the tableau route is one call, "
-    "so the ceiling caps the letters placed for every nu together"
+    "so the ceiling caps the letters placed for every nu together, and a "
+    "table by the Demazure route caps the letters placed to build F"
 )
 
 #: the trusted core of each route, called on a checked boundary as
@@ -141,12 +142,13 @@ def run_coefficient(lam, mu, gam, nu, phi, method="all", limit=None):
 def _coefficient_table(lam, mu, gam, phi, method, limit):
     """The nonzero coefficients over nu of a checked boundary by one route.
     The tableau route finds them all in one search and the Demazure route
-    reads them off one flagged skew Schur polynomial; the hive route counts
-    each candidate nu."""
+    reads them off one flagged skew Schur polynomial, whose search charges
+    ``limit`` one unit per letter placed; the hive route counts each
+    candidate nu."""
     if method == "tableau":
         return _table_tableaux(lam, mu, gam, phi, limit)
     if method == "demazure":
-        return _antisymmetrize(lam, flagged_skew_schur(mu, gam, phi))
+        return _antisymmetrize(lam, flagged_skew_schur(mu, gam, phi, limit))
     table = {}
     for nu in _nu_candidates(lam, mu, gam, len(mu)):
         c = _count_skew_hives(lam, mu, gam, nu, phi, limit)

@@ -15,22 +15,25 @@ applying pi_{w0}.  By the Demazure character formula at w0 that
 polynomial is ``A(x^{lam+delta} F) / a_delta``, where A antisymmetrizes
 and ``delta = (n-1, ..., 0)``, and ``s_nu = a_{nu+delta} / a_delta``.
 ``coefficient_table_by_demazure`` checks the boundary
-(``core.check_boundary``), builds F and runs ``_antisymmetrize``: one
-pass over the terms of F, in which ``c x^alpha`` adds ``sign * c`` to
-``nu = sort(lam + alpha + delta) - delta``, sign being that of the sort
-into decreasing order, and nothing when ``lam + alpha + delta`` repeats an
-entry.  ``coefficient_by_demazure`` checks the boundary and runs
-``_signed_sum``, which builds no F: it reads ``c_nu`` as the sum over the
-permutations w of ``sgn(w) F[w(nu + delta) - lam - delta]``, and counts
-each F[alpha] by chains of shapes from gam to mu, one horizontal strip of
-alpha_m boxes per letter m (``_strips``).
+(``core.check_boundary``), builds F and runs ``_antisymmetrize``.
+``flagged_skew_schur`` builds F by one search over the flagged fillings
+(``tableaux._tableau_weights``), which counts them per weight as it places
+their letters and charges ``limit`` one unit per letter placed.
+``_antisymmetrize`` is one pass over the terms of F, in which
+``c x^alpha`` adds ``sign * c`` to ``nu = sort(lam + alpha + delta) -
+delta``, sign being that of the sort into decreasing order, and nothing
+when ``lam + alpha + delta`` repeats an entry.
+``coefficient_by_demazure`` checks the boundary and runs ``_signed_sum``,
+which builds no F: it reads ``c_nu`` as the sum over the permutations w of
+``sgn(w) F[w(nu + delta) - lam - delta]``, and counts each F[alpha] by
+chains of shapes from gam to mu, one horizontal strip of alpha_m boxes per
+letter m (``_strips``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 
 from .core import (
     ScaleExceededError,
@@ -41,7 +44,7 @@ from .core import (
     sort_to_partition,
     weight,
 )
-from .tableaux import SkewShape, _tableau_rows, word_weight
+from .tableaux import SkewShape, _tableau_weights
 
 __all__ = [
     "IntPolynomial",
@@ -213,19 +216,18 @@ def key_polynomial(alpha) -> IntPolynomial:
     return demazure_Tw(IntPolynomial.monomial(adag), w)
 
 
-def flagged_skew_schur(mu, gam, row_bounds) -> IntPolynomial:
+def flagged_skew_schur(mu, gam, row_bounds, limit=None) -> IntPolynomial:
     """Generating polynomial of the flagged skew tableaux of shape mu/gam.
 
     Equals the ordinary skew Schur polynomial when every bound is the
-    ambient length.  mu, gam and the bounds must have one length.
-    """
+    ambient length.  mu, gam and the bounds must have one length.  The
+    terms come from ``tableaux._tableau_weights``, which counts the
+    fillings per weight as it places their letters; raises
+    ScaleExceededError once more than ``limit`` letters have been
+    placed."""
     shape = SkewShape(mu, gam)
     n = max(len(mu), max(row_bounds, default=0))
-    terms = {}
-    for rows in _tableau_rows(shape, row_bounds):
-        e = word_weight(chain.from_iterable(rows), n)
-        terms[e] = terms.get(e, 0) + 1
-    return IntPolynomial._from_terms(n, terms)
+    return IntPolynomial._from_terms(n, _tableau_weights(shape, row_bounds, n, limit))
 
 
 def _key_order(e):

@@ -6,7 +6,10 @@ builders, which hold rows that already form a semistandard filling
 (``enumerate_tableaux``, ``dominant_tableau``, ``rectify`` and the straight
 tableaux of ``burge``), go through ``SkewTableau._from_rows``, which checks
 nothing.  Inside the library a filling travels as its raw rows, a tuple of
-row tuples, as ``_tableau_rows`` yields them.
+row tuples, as ``_tableau_rows`` yields them, or, where only its weight is
+wanted, not at all: ``_tableau_weights`` runs the same search over the
+cells, set up once by ``_cells``, keeps the letter counts as it places
+letters and counts the fillings per weight.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .core import as_partition, contains
+from .core import ScaleExceededError, as_partition, contains
 
 __all__ = [
     "SkewShape",
@@ -137,6 +140,28 @@ class SkewTableau:
         )
 
 
+def _cells(shape: SkewShape, bounds):
+    """The cells of ``shape`` in row-major order, as the searches over its
+    fillings place them: per cell, the positions of its left and its upper
+    neighbour, and its bound, bounds[i] in row i.  A missing neighbour is
+    the slot past the last cell, which holds 0.
+
+    None for an invalid shape; bounds of another length than the shape
+    raise "ambient lengths differ"."""
+    bounds = tuple(bounds)
+    if len(bounds) != shape.n_rows:
+        raise ValueError("ambient lengths differ")
+    if not shape.is_valid:
+        return None
+    cells = [(i, c) for i in range(shape.n_rows) for c in range(*shape.row_span(i))]
+    depth = len(cells)
+    pos = {cell: k for k, cell in enumerate(cells)}
+    left = [pos.get((i, c - 1), depth) for i, c in cells]
+    above = [pos.get((i - 1, c), depth) for i, c in cells]
+    tops = [bounds[i] for i, _ in cells]
+    return left, above, tops
+
+
 def _tableau_rows(shape: SkewShape, bounds):
     """Yield the rows of every semistandard filling of ``shape`` with row i
     entries at most bounds[i], as a tuple of row tuples, without building
@@ -145,21 +170,12 @@ def _tableau_rows(shape: SkewShape, bounds):
     Fillings come in lexicographic order of the row-major entry sequence.
     An invalid shape yields nothing; bounds of another length than the
     shape raise "ambient lengths differ"."""
-    bounds = tuple(bounds)
-    if len(bounds) != shape.n_rows:
-        raise ValueError("ambient lengths differ")
-    if not shape.is_valid:
+    cells = _cells(shape, bounds)
+    if cells is None:
         return
-    spans = [shape.row_span(i) for i in range(shape.n_rows)]
-    cells = [(i, c) for i, (lo, hi) in enumerate(spans) for c in range(lo, hi)]
-    depth = len(cells)
-    pos = {cell: k for k, cell in enumerate(cells)}
-    # the slot past the last cell holds 0 and stands in for a missing
-    # left or upper neighbour
-    left = [pos.get((i, c - 1), depth) for i, c in cells]
-    above = [pos.get((i - 1, c), depth) for i, c in cells]
-    tops = [bounds[i] for i, _ in cells]
-    ends = list(accumulate(hi - lo for lo, hi in spans))
+    left, above, tops = cells
+    depth = len(tops)
+    ends = list(accumulate(o - i for o, i in zip(shape.outer, shape.inner)))
     row_slices = list(zip([0] + ends, ends))
     v = [0] * (depth + 1)
     k = 0
@@ -174,6 +190,64 @@ def _tableau_rows(shape: SkewShape, bounds):
         if k < 0:
             return
         v[k] += 1
+        k += 1
+
+
+def _tableau_weights(shape: SkewShape, bounds, n: int, limit):
+    """The number of semistandard fillings of ``shape`` with row i entries
+    at most bounds[i], per weight: a dict from the letter counts, a tuple
+    of length n (which must cover every bound), to the number of fillings
+    with those counts.
+
+    The search of ``_tableau_rows``, which keeps the letter counts as it
+    places letters and adds 1 to the entry of the counts at each complete
+    filling.  Raises ScaleExceededError once more than ``limit`` letters
+    have been placed.  An invalid shape gives {}."""
+    cells = _cells(shape, bounds)
+    if cells is None:
+        return {}
+    left, above, tops = cells
+    depth = len(tops)
+    v = [0] * (depth + 1)
+    # counts[x] belongs to the letter x
+    counts = [0] * (n + 1)
+    # with no limit a letter costs 0, so the budget, an int like the
+    # counts, never falls below 0
+    cost, budget = (0, 0) if limit is None else (1, limit)
+    terms = {}
+    k = 0
+    while True:
+        if k == depth:
+            e = tuple(counts[1:])
+            terms[e] = terms.get(e, 0) + 1
+            k -= 1
+        else:
+            x = max(v[left[k]], v[above[k]] + 1)
+            if x <= tops[k]:
+                v[k] = x
+                counts[x] += 1
+                budget -= cost
+                if budget < 0:
+                    raise ScaleExceededError("enumeration ceiling exceeded")
+                k += 1
+                continue
+            k -= 1
+        # k holds a letter: take it back and place the next one that fits,
+        # or step back
+        while k >= 0:
+            x = v[k]
+            counts[x] -= 1
+            if x < tops[k]:
+                break
+            k -= 1
+        if k < 0:
+            return terms
+        x += 1
+        v[k] = x
+        counts[x] += 1
+        budget -= cost
+        if budget < 0:
+            raise ScaleExceededError("enumeration ceiling exceeded")
         k += 1
 
 

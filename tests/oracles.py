@@ -6,7 +6,7 @@ shares as little as possible with the fast path.
 
 import math
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 
 from flagged_lr.burge import (
     InsertionClass,
@@ -50,6 +50,7 @@ from flagged_lr.polynomials import IntPolynomial, demazure_Tw, flagged_skew_schu
 from flagged_lr.tableaux import (
     SkewShape,
     SkewTableau,
+    _tableau_rows,
     dominant_tableau,
     enumerate_tableaux,
     reading_word,
@@ -581,6 +582,19 @@ def demazure_Ti_by_division(f: IntPolynomial, i: int) -> IntPolynomial:
         mono = IntPolynomial.monomial(q, c)
         num = num - mono * divisor_hi + mono * divisor_lo
     return IntPolynomial(n, quotient)
+
+
+def flagged_skew_schur_by_rows(mu, gam, row_bounds) -> IntPolynomial:
+    """Oracle for ``flagged_skew_schur``: every filling as the raw rows
+    that ``_tableau_rows`` yields, each adding 1 to the term of its weight,
+    which ``word_weight`` counts from the rows."""
+    shape = SkewShape(mu, gam)
+    n = max(len(mu), max(row_bounds, default=0))
+    terms = {}
+    for rows in _tableau_rows(shape, row_bounds):
+        e = word_weight(chain.from_iterable(rows), n)
+        terms[e] = terms.get(e, 0) + 1
+    return IntPolynomial(n, terms)
 
 
 def schur(lam, n: int) -> IntPolynomial:

@@ -247,6 +247,18 @@ def test_a_tableau_table_is_one_call_under_the_limit(capsys):
     assert "ceiling" in capsys.readouterr().err
 
 
+def test_a_demazure_table_stops_at_the_limit(capsys):
+    # the worked example with the full flag: building F places 4,238 letters
+    boundary = ["--lam", "3,1,1,0", "--mu", "5,4,2,1", "--gam", "2,1,0,0",
+                "--phi", "4,4,4,4"]
+    code, out = run(capsys, "--n", "4", "--limit", "4238", "--json", "table",
+                    "--method", "demazure", *boundary)
+    assert code == 0
+    assert len(json.loads(out)["table"]) == 29
+    assert main(["--n", "4", "--limit", "4237", "table", "--method", "demazure", *boundary]) == 2
+    assert "ceiling" in capsys.readouterr().err
+
+
 def test_nu_candidates_are_the_partitions_of_the_target_weight():
     for n in range(6):
         for total in range(12):

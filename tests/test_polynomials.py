@@ -30,6 +30,7 @@ from oracles import (
     demazure_Ti_by_division,
     expand_in_schur,
     expand_in_schur_greedy,
+    flagged_skew_schur_by_rows,
     is_symmetric,
     permutation_from_word,
     schur,
@@ -133,6 +134,52 @@ def test_flagged_skew_schur_reduces_to_skew_schur():
     # at the full flag this is the ordinary skew Schur: symmetric
     f = flagged_skew_schur((3, 2, 1), (1, 0, 0), (3, 3, 3))
     assert is_symmetric(f)
+
+
+def test_flagged_skew_schur_equals_the_rows_oracle_on_every_small_shape():
+    # every (mu, gam) with n <= 3 and |mu|, |gam| <= 4, gam inside mu or
+    # not, and every list of bounds from 1 to n + 1: every flag, bounds
+    # above n and decreasing bounds
+    checked, nonzero = 0, 0
+    for n in (0, 1, 2, 3):
+        every_bounds = list(product(range(1, n + 2), repeat=n))
+        assert set(all_flags(n)) <= set(every_bounds)
+        for mu in partitions_up_to(n, 4):
+            for gam in partitions_up_to(n, 4):
+                for bounds in every_bounds:
+                    f = flagged_skew_schur(mu, gam, bounds)
+                    assert f == flagged_skew_schur_by_rows(mu, gam, bounds), (mu, gam, bounds)
+                    checked += 1
+                    nonzero += not f.is_zero()
+    assert (checked, nonzero) == (8524, 3121)
+
+
+@st.composite
+def skew_shapes_n4(draw):
+    """(mu, gam, bounds) at n = 4 with |mu|, |gam| <= 6, gam not always
+    inside mu, and bounds from 1 to 5 that need not form a flag."""
+    mu = draw(st.sampled_from(partitions_up_to(4, 6)))
+    gam = draw(st.one_of(st.sampled_from(subpartitions(mu)),
+                         st.sampled_from(partitions_up_to(4, 6))))
+    bounds = draw(st.one_of(st.sampled_from(all_flags(4)),
+                            st.tuples(*[st.integers(1, 5)] * 4)))
+    return mu, gam, bounds
+
+
+@settings(max_examples=100, deadline=None)
+@given(skew_shapes_n4())
+def test_flagged_skew_schur_equals_the_rows_oracle_at_n4(case):
+    assert flagged_skew_schur(*case) == flagged_skew_schur_by_rows(*case)
+
+
+def test_flagged_skew_schur_limit_counts_the_letters_placed():
+    # the worked example's mu/gam places 4,238 letters with the full flag
+    # and 89 with the flag 2,2,3,4
+    for bounds, letters in (((4, 4, 4, 4), 4238), ((2, 2, 3, 4), 89)):
+        f = flagged_skew_schur((5, 4, 2, 1), (2, 1, 0, 0), bounds)
+        assert flagged_skew_schur((5, 4, 2, 1), (2, 1, 0, 0), bounds, letters) == f
+        with pytest.raises(ScaleExceededError, match="ceiling"):
+            flagged_skew_schur((5, 4, 2, 1), (2, 1, 0, 0), bounds, letters - 1)
 
 
 def test_expand_in_schur_examples():
