@@ -11,8 +11,9 @@ and runs ``_insertion_classes``, which trusts it.  That core reads each
 flagged filling as raw rows and column-inserts its reading word into plain
 lists, keeping only the recording tableau, so it builds no biword, no P
 tableau and no tableau per member until the classes are formed.  It and
-``burge`` share one insertion, ``_insertion_columns``.  The
-straight tableaux built here (``burge``'s P and Q, recordings, their
+``burge`` share one insertion, ``_insertion_columns``, and ``left_key``
+rectifies by its column insertion, ``_column_insert``.  The straight
+tableaux built here (``burge``'s P and Q, recordings, their
 standardizations, key tableaux and left keys) go through the trusted
 ``SkewTableau._from_rows``.
 """
@@ -28,7 +29,6 @@ from .tableaux import (
     SkewTableau,
     _tableau_rows,
     reading_word,
-    rectify,
     word_weight,
 )
 
@@ -353,20 +353,20 @@ def left_key(t: SkewTableau) -> SkewTableau:
     Knuth-equivalent to the first j columns of t.  Turning those columns by
     180 degrees and replacing each letter x by top - x maps Knuth classes to
     Knuth classes, so that column is the complement of the last column of
-    the rectified turned tableau: one rectification per column."""
+    the turned tableau, rectified by column-inserting its reading word."""
     if any(t.shape.inner):
         raise ValueError("left keys are defined for straight tableaux only")
-    cols = _columns_of(t)
-    if not cols or not cols[0]:
+    rows = tuple(row for row in t.rows if row)
+    if not rows:
         return t
-    rows = t.rows[: len(cols[0])]
     top = max(row[-1] for row in rows) + 1
     key_cols = []
-    for j in range(1, len(cols) + 1):
-        turned = tuple(tuple(top - x for x in reversed(row[:j])) for row in reversed(rows))
-        inner = tuple(j - len(row) for row in turned)
-        rect = rectify(SkewTableau._from_rows(SkewShape((j,) * len(turned), inner), turned))
-        key_cols.append([top - row[-1] for row in reversed(rect.rows) if len(row) == j])
+    for j in range(1, len(rows[0]) + 1):
+        p_cols = []
+        for row in reversed(rows):
+            for x in row[:j]:
+                _column_insert(p_cols, top - x)
+        key_cols.append([top - x for x in reversed(p_cols[j - 1])])
     key = _straight_tableau(_rows_from_columns(key_cols))
     if not is_key(key):
         raise ValueError(f"left key extraction produced a non-key {key.rows}")

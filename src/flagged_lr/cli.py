@@ -15,20 +15,19 @@ a scan, one hive count per dilation k.  ``hive_iso_report`` checks
 its boundary with ``hives._lift_input`` and runs ``hives._doubling``.  Only
 ``crystal-graph``, whose word set takes row bounds, checks the flag in
 ``main``.
-``decomposition_report`` checks its boundary and then enumerates the
-flagged fillings once, as raw rows, for ``crystal.decompose``, the
-insertion core ``burge._insertion_classes`` and the character check, which
-sums the key polynomials ``crystal.decompose`` built for its components.
-``cross_check`` builds its grid from partitions, checks its flags once and
-calls the trusted cores: ``hives._count_skew_hives`` and
-``hives._doubling`` on every tuple, and once per (lam, mu, gam, phi) the
-tableau route's table search ``crystal._table_tableaux`` and the Demazure
-table core ``polynomials._antisymmetrize``, on one flagged skew Schur
-polynomial per (mu, gam, phi) read off the same enumeration of the flagged
-fillings as its components.  On the isomorphism path it judges the
-``_doubling`` result by the same rule as ``hive_iso_report``
-(``_iso_ok``) and builds the full report from that result only for a
-tuple that fails.
+Every flagged skew Schur polynomial F comes from the weight search
+``tableaux._tableau_weights``, the one behind ``table --method demazure``.
+``decomposition_report`` checks its boundary, builds F and enumerates the
+flagged fillings once, as raw rows, for ``crystal.decompose`` and the
+insertion core ``burge._insertion_classes``.  ``cross_check`` builds its
+grid from partitions, checks its flags once and calls the trusted cores:
+``hives._count_skew_hives`` and ``hives._doubling`` on every tuple, and
+once per (lam, mu, gam, phi) the tableau route's table search
+``crystal._table_tableaux`` and the Demazure table core
+``polynomials._antisymmetrize`` on the F of (mu, gam, phi).  On the
+isomorphism path it judges the ``_doubling`` result by the same rule as
+``hive_iso_report`` (``_iso_ok``) and builds the full report from that
+result only for a tuple that fails.
 """
 
 from __future__ import annotations
@@ -53,22 +52,21 @@ from .core import (
 from .crystal import (
     _count_tableaux,
     _table_tableaux,
-    character,
     crystal_graph_dot,
     decompose,
     tableau_word_set,
 )
 from .hives import _count_skew_hives, _doubling, _lift_input, count_skew_hive_points
 from .polynomials import IntPolynomial, _antisymmetrize, _signed_sum, flagged_skew_schur
-from .tableaux import SkewShape, _reading_word, _tableau_rows, reading_word
+from .tableaux import SkewShape, _reading_word, _tableau_rows, _tableau_weights, reading_word
 from .burge import _insertion_classes
 
 DEFAULT_LIMIT = 10**6
 LIMIT_HELP = (
     "enumeration ceiling per call (hive labels or tableau letters placed, "
     "Demazure shapes expanded); a table by the tableau route is one call, "
-    "so the ceiling caps the letters placed for every nu together, and a "
-    "table by the Demazure route caps the letters placed to build F"
+    "so the ceiling caps the letters placed for every nu together; a table "
+    "by the Demazure route and a decomposition cap the letters placed to build F"
 )
 
 #: the trusted core of each route, called on a checked boundary as
@@ -181,21 +179,23 @@ def saturation_scan(lam, mu, gam, nu, phi, k_max, limit=None):
     }
 
 
-def decomposition_report(mu, gam, phi):
+def decomposition_report(mu, gam, phi, limit=None):
     """Demazure components of the flagged crystal next to the insertion
     classes; the two partitions of the tableau set must agree.  Checks mu,
     gam and the flag (``core.check_boundary``) before any crystal work.
 
-    The flagged fillings are enumerated once, as raw rows: their reading
-    words give the components and the flagged skew Schur polynomial of the
-    character check, and the rows go to the insertion core
+    The flagged skew Schur polynomial F comes first, from
+    ``flagged_skew_schur``, whose search places the letters the enumeration
+    of the fillings places, so ``limit`` caps the report.  The fillings are
+    then enumerated once, as raw rows: their reading words give the
+    components, and the rows go to the insertion core
     (``burge._insertion_classes``)."""
     mu, gam, phi = check_boundary((mu, gam), phi)
     n = len(mu)
+    skew_schur = flagged_skew_schur(mu, gam, phi, limit)
     shape = SkewShape(mu, gam)
     fillings = list(_tableau_rows(shape, phi))
-    words = [_reading_word(rows) for rows in fillings]
-    components = decompose(words, n)
+    components = decompose([_reading_word(rows) for rows in fillings], n)
     classes = _insertion_classes(shape, fillings)
     class_blocks = {
         frozenset(reading_word(t) for t in cls.members): cls for cls in classes
@@ -220,7 +220,7 @@ def decomposition_report(mu, gam, phi):
                 "beta_sorts_to_highest_weight": betas_match,
             }
         )
-    char_ok = _character_sum_matches(components, character(words, n))
+    char_ok = _character_sum_matches(components, skew_schur)
     return {
         "mu": list(mu),
         "gam": list(gam),
@@ -233,8 +233,8 @@ def decomposition_report(mu, gam, phi):
 
 def _character_sum_matches(components, skew_schur) -> bool:
     """The key polynomials of the Demazure components, built by Demazure
-    operators in ``crystal.decompose``, sum to the flagged skew Schur
-    polynomial of their tableau set."""
+    operators in ``crystal.decompose``, sum to F, built apart from them by
+    the weight search ``tableaux._tableau_weights``."""
     keys = (c.key for c in components)
     return sum(keys, start=IntPolynomial.zero(skew_schur.n)) == skew_schur
 
@@ -276,10 +276,10 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     decomposition character identity over every tuple at desk scale.
 
     The grid is made of partitions, so only the flags are checked, once;
-    the tuples go to the routes' trusted cores.  The flagged fillings of
-    each (mu, gam, phi) are enumerated once, as reading words, for its
-    components and its flagged skew Schur polynomial, which serves both the
-    character identity and the Demazure table of every lam.  The tableau
+    the tuples go to the routes' trusted cores.  Each (mu, gam, phi) gets
+    one F by the weight search, for the character identity and the Demazure
+    table of every lam, and one enumeration of its flagged fillings, as
+    reading words, for its components.  The tableau
     route is one search per (lam, mu, gam, phi), whose table is read at
     every candidate nu; the hive route runs per tuple.
 
@@ -294,9 +294,9 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     for mu in partitions_up_to(n, max_mu):
         for gam in subpartitions(mu):
             for phi in flags:
-                words = [_reading_word(rows) for rows in _tableau_rows(SkewShape(mu, gam), phi)]
-                skew_schur = character(words, n)
-                components = decompose(words, n)
+                shape = SkewShape(mu, gam)
+                skew_schur = IntPolynomial._from_terms(n, _tableau_weights(shape, phi, n, limit))
+                components = decompose([_reading_word(r) for r in _tableau_rows(shape, phi)], n)
                 if not _character_sum_matches(components, skew_schur):
                     return {
                         "ok": False,
@@ -527,7 +527,7 @@ def main(argv=None) -> int:
             ok = report["ok"]
         elif args.command == "decompose":
             _, mu, gam, _, phi = _parse_boundary(args, n)
-            report = decomposition_report(mu, gam, phi)
+            report = decomposition_report(mu, gam, phi, args.limit)
             ok = report["ok"]
         elif args.command == "crystal-graph":
             _, mu, gam, _, phi = _parse_boundary(args, n)

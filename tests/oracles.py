@@ -54,6 +54,7 @@ from flagged_lr.tableaux import (
     dominant_tableau,
     enumerate_tableaux,
     reading_word,
+    rectify,
     word_weight,
 )
 
@@ -707,6 +708,28 @@ def left_key_by_knuth_class(t: SkewTableau) -> SkewTableau:
     if not is_key(key):
         raise ValueError(f"left key extraction produced a non-key {key.rows}")
     return key
+
+
+def left_key_by_rectification(t: SkewTableau) -> SkewTableau:
+    """Left key tableau by one jeu-de-taquin rectification per column.
+
+    Column j of the key is the first column of the anti-normal tableau
+    Knuth-equivalent to the first j columns of t.  Turning those columns by
+    180 degrees and replacing each letter x by top - x maps Knuth classes to
+    Knuth classes, so that column is the complement of the last column of
+    the turned tableau slid into a straight shape by ``rectify``."""
+    cols = _columns_of(t)
+    if not cols or not cols[0]:
+        return t
+    rows = t.rows[: len(cols[0])]
+    top = max(row[-1] for row in rows) + 1
+    key_cols = []
+    for j in range(1, len(cols) + 1):
+        turned = tuple(tuple(top - x for x in reversed(row[:j])) for row in reversed(rows))
+        inner = tuple(j - len(row) for row in turned)
+        rect = rectify(SkewTableau._from_rows(SkewShape((j,) * len(turned), inner), turned))
+        key_cols.append([top - row[-1] for row in reversed(rect.rows) if len(row) == j])
+    return _straight_tableau(_rows_from_columns(key_cols))
 
 
 def insertion_decomposition_by_burge(mu, gam, phi):

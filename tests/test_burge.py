@@ -8,6 +8,7 @@ from oracles import (
     insertion_decomposition_by_burge,
     insertion_tableau,
     left_key_by_knuth_class,
+    left_key_by_rectification,
 )
 from flagged_lr.burge import (
     Biword,
@@ -198,6 +199,23 @@ def test_left_key_equals_knuth_class_oracle_census():
     assert len(tableaux) > 6_700
     for t in tableaux:
         assert left_key(t).rows == left_key_by_knuth_class(t).rows, t.rows
+
+
+def test_left_key_equals_the_rectification_oracle_census():
+    # straight tableaux of 12-16 boxes with n = 4, where the Knuth-class
+    # oracle is too slow: the recording tableaux decompose meets, and SSYT
+    # with entries at most 5 (all of 4,4,4,4, every third of 6,4,3,0)
+    tableaux = [
+        cls.recording
+        for mu, gam, phi in decomposition_census()
+        for cls in insertion_decomposition(mu, gam, phi)
+    ]
+    for lam, step in [((4, 4, 4, 4), 1), ((6, 4, 3, 0), 3)]:
+        tableaux += enumerate_tableaux(SkewShape(lam, (0,) * 4), (5,) * 4)[::step]
+    assert len(tableaux) > 2_900
+    assert sum(t.size >= 12 for t in tableaux) > 2_700
+    for t in tableaux:
+        assert left_key(t).rows == left_key_by_rectification(t).rows, t.rows
 
 
 def test_left_key_of_large_tableaux_is_a_key_below_the_tableau():

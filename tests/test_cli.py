@@ -259,6 +259,16 @@ def test_a_demazure_table_stops_at_the_limit(capsys):
     assert "ceiling" in capsys.readouterr().err
 
 
+def test_a_decomposition_stops_at_the_limit(capsys):
+    # building F places 3,830 letters, as many as enumerating the fillings
+    boundary = ["--mu", "6,4,3,0", "--gam", "0,0,0,0", "--phi", "4,4,4,4"]
+    code, out = run(capsys, "--n", "4", "--limit", "3830", "--json", "decompose", *boundary)
+    assert code == 0
+    assert json.loads(out)["ok"]
+    assert main(["--n", "4", "--limit", "3829", "decompose", *boundary]) == 2
+    assert "ceiling" in capsys.readouterr().err
+
+
 def test_nu_candidates_are_the_partitions_of_the_target_weight():
     for n in range(6):
         for total in range(12):
@@ -591,10 +601,16 @@ def _one_coefficient_up(f):
     return f + IntPolynomial.monomial(max(f.terms))
 
 
+def _one_count_up(terms):
+    """The fillings per weight, a dict, with the count of the
+    lexicographically greatest weight raised by one."""
+    return {**terms, max(terms): terms[max(terms)] + 1}
+
+
 @pytest.mark.parametrize("name, corrupt, failure", [
-    # the polynomial cross_check reads once per (mu, gam, phi) off the
-    # reading words of its fillings ...
-    ("character", lambda real: lambda *args: _one_coefficient_up(real(*args)),
+    # the polynomial cross_check builds once per (mu, gam, phi) by the
+    # weight search, apart from the components of its fillings ...
+    ("_tableau_weights", lambda real: lambda *args: _one_count_up(real(*args)),
      "decomposition character sum"),
     # ... and the one the Demazure table core reads for every lam
     ("_antisymmetrize", lambda real: lambda lam, f: real(lam, _one_coefficient_up(f)),
@@ -607,6 +623,19 @@ def test_cross_check_fails_on_a_corrupted_skew_schur(monkeypatch, name, corrupt,
     report = cross_check(2, 2)
     assert not report["ok"]
     assert report["failure"] == failure
+
+
+def test_decomposition_report_fails_on_a_corrupted_skew_schur(monkeypatch):
+    # F is built apart from the components, so the character check can fail
+    import flagged_lr.cli as cli_mod
+
+    real = cli_mod.flagged_skew_schur
+    monkeypatch.setattr(cli_mod, "flagged_skew_schur",
+                        lambda *args: _one_coefficient_up(real(*args)))
+    report = decomposition_report((2, 2), (1, 0), (2, 2))
+    assert all(pair["beta_sorts_to_highest_weight"] for pair in report["components"])
+    assert report["character_sum_matches"] is False
+    assert report["ok"] is False
 
 
 def test_trusted_cores_equal_the_public_routes():
