@@ -10,8 +10,9 @@ with ``core.check_boundary``, by the library function or report it goes to.
 build the report from the checked values and call the trusted cores:
 those in ``ROUTES`` for one coefficient; for a table, one search by the
 tableau route (``crystal._table_tableaux``), one pass by the Demazure route
-(``polynomials._antisymmetrize``) and one hive count per candidate nu; for
-a scan, one hive count per dilation k.  ``hive_iso_report`` checks
+(``polynomials._antisymmetrize``) and one pass of the hive counter whose
+output nodes are the right column (``hives._table_skew_hives``); for a
+scan, one hive count per dilation k.  ``hive_iso_report`` checks
 its boundary with ``hives._lift_input`` and runs ``hives._doubling``.  Only
 ``crystal-graph``, whose word set takes row bounds, checks the flag in
 ``main``.
@@ -56,7 +57,13 @@ from .crystal import (
     decompose,
     tableau_word_set,
 )
-from .hives import _count_skew_hives, _doubling, _lift_input, count_skew_hive_points
+from .hives import (
+    _count_skew_hives,
+    _doubling,
+    _lift_input,
+    _table_skew_hives,
+    count_skew_hive_points,
+)
 from .polynomials import IntPolynomial, _antisymmetrize, _signed_sum, flagged_skew_schur
 from .tableaux import SkewShape, _reading_word, _tableau_rows, _tableau_weights, reading_word
 from .burge import _insertion_classes
@@ -64,36 +71,15 @@ from .burge import _insertion_classes
 DEFAULT_LIMIT = 10**6
 LIMIT_HELP = (
     "enumeration ceiling per call (hive labels or tableau letters placed, "
-    "Demazure shapes expanded); a table by the tableau route is one call, "
-    "so the ceiling caps the letters placed for every nu together; a table "
-    "by the Demazure route and a decomposition cap the letters placed to build F"
+    "Demazure shapes expanded); a table by the tableau or the hive route is "
+    "one call, so the ceiling caps the letters placed or the hive labels "
+    "tried for every nu together; a table by the Demazure route and a "
+    "decomposition cap the letters placed to build F"
 )
 
 #: the trusted core of each route, called on a checked boundary as
 #: ``core(lam, mu, gam, nu, phi, limit)``
 ROUTES = {"tableau": _count_tableaux, "hive": _count_skew_hives, "demazure": _signed_sum}
-
-
-def _nu_candidates(lam, mu, gam, n):
-    """Every partition of ambient n and weight |lam| + |mu| - |gam|, in
-    lexicographically decreasing order."""
-    out = []
-
-    def rec(prefix, remaining, cap):
-        slots = n - len(prefix)
-        if not slots:
-            if not remaining:
-                out.append(tuple(prefix))
-            return
-        for p in range(min(cap, remaining), -1, -1):
-            # the parts left are at most p each
-            if p * slots < remaining:
-                return
-            rec(prefix + [p], remaining - p, p)
-
-    total = weight(lam) + weight(mu) - weight(gam)
-    rec([], total, total)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -138,21 +124,18 @@ def run_coefficient(lam, mu, gam, nu, phi, method="all", limit=None):
 
 
 def _coefficient_table(lam, mu, gam, phi, method, limit):
-    """The nonzero coefficients over nu of a checked boundary by one route.
-    The tableau route finds them all in one search and the Demazure route
-    reads them off one flagged skew Schur polynomial, whose search charges
-    ``limit`` one unit per letter placed; the hive route counts each
-    candidate nu."""
+    """The nonzero coefficients over nu of a checked boundary by one route,
+    each in one call that ``limit`` caps as a whole.  The tableau route
+    finds them all in one search; the hive route counts them in one pass,
+    keyed by the free right column of the hive (``hives._table_skew_hives``),
+    charging one unit per label tried; and the Demazure route reads them off
+    one flagged skew Schur polynomial, whose search charges one unit per
+    letter placed."""
     if method == "tableau":
         return _table_tableaux(lam, mu, gam, phi, limit)
     if method == "demazure":
         return _antisymmetrize(lam, flagged_skew_schur(mu, gam, phi, limit))
-    table = {}
-    for nu in _nu_candidates(lam, mu, gam, len(mu)):
-        c = _count_skew_hives(lam, mu, gam, nu, phi, limit)
-        if c:
-            table[nu] = c
-    return table
+    return _table_skew_hives(lam, mu, gam, phi, limit)
 
 
 def saturation_scan(lam, mu, gam, nu, phi, k_max, limit=None):

@@ -28,9 +28,14 @@ enumerating: the counter is a memoized pass over the free nodes in the same
 order, unrolled per node, that merges the partial points which agree on the
 labels later bounds still read.  There ``limit`` counts the labels the pass
 tries, the range of each merged state it expands.  Both raise
-ScaleExceededError once the labels exceed ``limit``.  The generic engine
-that runs a compiled table directly, without generated code, lives in
-``tests/oracles.py``, which gates the kernels against it.
+ScaleExceededError once the labels exceed ``limit``.  A polytope may name
+free nodes as its output; the counter keeps their labels to the end and
+returns the points per labelling of them.  The hive table uses this: its
+polytope (``_skew_table_polytope``) leaves the right column free as the
+output, so one pass counts the hives of every nu, read off that column
+(``_table_skew_hives``).  The generic engine that runs a compiled table
+directly, without generated code, lives in ``tests/oracles.py``, which
+gates the kernels against it.
 
 The doubling map psi and its inverse work on rows of labels; the public
 ``psi``/``psi_inverse`` wrap them in hive objects.  The isomorphism check
@@ -45,10 +50,12 @@ lengths, a part that is not a partition and a bad or missing flag raise.
 The full flag (n, ..., n) has an empty flat region and Kogan face, so it
 compiles to the unflagged polytope.  ``count_skew_hive_points`` and
 ``enumerate_skew_hive_points`` then run ``_count_skew_hives`` and
-``_skew_rows``; ``_doubling`` runs on a boundary that passed
-``_lift_input``, which also needs gam inside mu, lam inside nu and equal
-weights.  ``skew_hive_boundary`` and ``tri_hive_boundary``, which the hive
-checks read, are the same edges and runs as a dict from node to label.
+``_skew_rows``, and ``table --method hive`` runs ``_table_skew_hives`` on
+the boundary ``cli.run_coefficient`` checked; ``_doubling`` runs on a
+boundary that passed ``_lift_input``, which also needs gam inside mu, lam
+inside nu and equal weights.  ``skew_hive_boundary`` and
+``tri_hive_boundary``, which the hive checks read, are the same edges and
+runs as a dict from node to label.
 
 Node indexing: row i counts from the top.  A parallelogram hive has rows
 0..n each with nodes 0..n; a triangular hive has rows 0..N where row i has
@@ -120,7 +127,7 @@ class _Polytope(namedtuple("_Polytope", "edges meets free lows highs checks span
     """A compiled polytope (see ``_compile``) and its two kernels, each
     generated by ``_kernel`` on first use: ``enumerator(runs, limit)``
     yields the label rows of every point, and ``counter(runs, limit)``
-    counts them."""
+    counts them, per labelling of the output nodes when there are any."""
 
     @cached_property
     def enumerator(self):
@@ -162,12 +169,14 @@ def _placement_order(free, table):
     return order
 
 
-def _compile(grid, edges, table) -> _Polytope:
+def _compile(grid, edges, table, out=()) -> _Polytope:
     """Fold every inequality of ``table`` onto its last-placed free node.
 
     ``grid`` lists the nodes row by row and ``edges`` the boundary as runs
     of nodes, such as the left column or the bottom row; the nodes on no
-    edge are free.  Nodes are numbered row-major, whatever the placement
+    edge are free.  The free nodes in ``out`` are the output: the counter
+    keeps their labels to the end and counts the points per labelling of
+    them.  Nodes are numbered row-major, whatever the placement
     order, and one extra node holds 0.  ``edges`` keeps each run as node
     numbers, and ``meets`` has (k, a, l, b) for each node that is place a
     of edge k and place b of a later edge l.  ``free`` lists the free
@@ -177,9 +186,10 @@ def _compile(grid, edges, table) -> _Polytope:
     boundary nodes, ``spans`` the rows' extents.
 
     ``live[k]`` lists the free nodes placed before depth k that a bound at
-    depth k or later still reads, in placement order, and ``keeps[k]``
-    gives the positions in ``live[k]`` of the nodes that stay in
-    ``live[k + 1]``: the counter keys its states by them.
+    depth k or later still reads, or that are in ``out``, in placement
+    order, and ``keeps[k]`` gives the positions in ``live[k]`` of the nodes
+    that stay in ``live[k + 1]``: the counter keys its states by them.  So
+    the last of them, ``live[-1]``, is ``out`` in placement order.
 
     ``_kernel`` writes this table out as code; the generic engine in
     ``tests/oracles.py`` runs it as data."""
@@ -214,6 +224,7 @@ def _compile(grid, edges, table) -> _Polytope:
     slots = [index[node] for node in free]
     read_at = [{p for triple in lows[k] | highs[k] for p in triple} for k in range(len(free))]
     last_read = {p: k for k, read in enumerate(read_at) for p in read}
+    last_read.update((index[node], len(free)) for node in out)
     live = [tuple(p for p in slots[:k] if last_read.get(p, -1) >= k)
             for k in range(len(free) + 1)]
     keeps = [tuple(live[k].index(p) for p in live[k + 1] if p != slot)
@@ -247,8 +258,12 @@ def _kernel(poly: _Polytope, counting):
     first and entered with ``yield from``.  The counter is the memoized
     pass unrolled per depth: it unpacks each state's key into the labels of
     ``live[k]``, bounds the next node, charges ``hi - lo + 1`` and merges the
-    state into the next dict by ``keeps[k]``."""
+    state into the next dict by ``keeps[k]``.  It returns the sum of the
+    last dict, or, when the polytope has output nodes (``live[-1]``), the
+    dict itself, from their labels to the number of points that carry them
+    ({} when the prologue refuses the boundary)."""
     name, zero = "v{}".format, poly.spans[-1][1]
+    keyed = counting and bool(poly.live[-1])
 
     def bound(triples, pick):
         terms = [" - ".join([" + ".join(name(p) for p in (a, b) if p != zero) or "0"]
@@ -259,7 +274,7 @@ def _kernel(poly: _Polytope, counting):
         return f"({''.join(name(p) + ', ' for p in nodes)})"
 
     exceeded = "raise ScaleExceededError('enumeration ceiling exceeded')"
-    fail = "return 0" if counting else "return"
+    fail = "return {}" if keyed else "return 0" if counting else "return"
     tests = [f"r{k}[{a}] != r{l}[{b}]" for k, a, l, b in poly.meets] + [
         f"{' + '.join(map(name, plus))} < {' + '.join(map(name, minus))}"
         for plus, minus in poly.checks]
@@ -301,7 +316,7 @@ def _kernel(poly: _Polytope, counting):
                 head = labels(kept)
                 body += [f"    merged[{head}] = merged.get({head}, 0) + m * (hi - lo + 1)"]
             body.append("states = merged")
-        body.append("return sum(states.values())")
+        body.append("return states" if keyed else "return sum(states.values())")
     else:
         body += nest(0)
     scope = {"inf": math.inf, "ScaleExceededError": ScaleExceededError}
@@ -531,6 +546,14 @@ def _skew_runs(lam, mu, gam, nu):
     return left, list(accumulate(nu, initial=top[-1])), top, list(accumulate(mu, initial=left[-1]))
 
 
+def _skew_table_runs(lam, mu, gam):
+    """The labels along the edges of ``_skew_table_polytope``: the left
+    column, the top row and the bottom row of ``_skew_runs``."""
+    # with an empty nu the right run is [|gam|], which no edge here takes
+    left, _, top, bottom = _skew_runs(lam, mu, gam, ())
+    return left, top, bottom
+
+
 def skew_hive_boundary(lam, mu, gam, nu):
     """Fixed node values (only the boundary keys are present)."""
     return dict(zip(chain(*_skew_edges(len(lam))), chain(*_skew_runs(lam, mu, gam, nu))))
@@ -592,16 +615,38 @@ def gt_from_hive(rows) -> SkewGTPattern:
     )
 
 
-@lru_cache(maxsize=256)
-def _skew_polytope(n, phi) -> _Polytope:
-    """The rhombus table with the flat region, and the implied column bound:
-    a row difference never exceeds the bottom boundary's."""
+def _skew_hive_table(n, phi):
+    """The node grid, and the rhombus table with the flat region and the
+    implied column bound: a row difference never exceeds the bottom
+    boundary's."""
     table = _hive_table(_skew_rhombi(n), skew_flat_region(phi))
     for i in range(1, n):
         for j in range(1, n + 1):
             table.append((((n, j), (i, j - 1)), ((n, j - 1), (i, j))))
-    grid = [[(i, j) for j in range(n + 1)] for i in range(n + 1)]
+    return [[(i, j) for j in range(n + 1)] for i in range(n + 1)], table
+
+
+@lru_cache(maxsize=256)
+def _skew_polytope(n, phi) -> _Polytope:
+    """``_skew_hive_table`` with all four edges as boundary."""
+    grid, table = _skew_hive_table(n, phi)
     return _compile(grid, _skew_edges(n), table)
+
+
+@lru_cache(maxsize=256)
+def _skew_table_polytope(n, phi) -> _Polytope:
+    """The skew hives of every nu at once: ``_skew_hive_table`` with the left
+    column, the top row and the bottom row as boundary.  The right column's
+    interior nodes (1..n-1, n) are free and are the output.
+
+    Each point's right column reads off a partition nu, with no row added
+    for it: V_{i,n-1} + NE_{i,n} is 2 h(i,n) - h(i-1,n) - h(i+1,n) =
+    nu_i - nu_{i+1} >= 0, the NE rhombi of row n give nu_n >= lam_n >= 0,
+    and the ends fix its weight, |lam| + |mu| - |gam|.  Fixing the right
+    column to that nu gives the points of ``_skew_polytope``."""
+    grid, table = _skew_hive_table(n, phi)
+    left, _, top, bottom = _skew_edges(n)
+    return _compile(grid, (left, top, bottom), table, out=[(i, n) for i in range(1, n)])
 
 
 def _skew_rows(lam, mu, gam, nu, phi, limit):
@@ -615,6 +660,26 @@ def _count_skew_hives(lam, mu, gam, nu, phi, limit):
     """``count_skew_hive_points`` on a checked boundary."""
     poly = _skew_polytope(len(lam), phi)
     return poly.counter(_skew_runs(lam, mu, gam, nu), limit)
+
+
+def _table_skew_hives(lam, mu, gam, phi, limit):
+    """The nonzero hive counts over nu of a checked boundary, in one pass
+    of the counter of ``_skew_table_polytope``; ``limit`` counts the labels
+    the pass tries for every nu together."""
+    n = len(lam)
+    poly = _skew_table_polytope(n, phi)
+    _, top, bottom = runs = _skew_table_runs(lam, mu, gam)
+    counts = poly.counter(runs, limit)
+    if not poly.live[-1]:
+        # n <= 1: the right column is boundary, so nu is (total,) or ()
+        return {(bottom[-1] - top[-1],) * n: counts} if counts else {}
+    # the right column's interior, top to bottom, in the counter's keys
+    at = [poly.live[-1].index(poly.spans[i][0] + n) for i in range(1, n)]
+    table = {}
+    for labels, count in counts.items():
+        column = [top[-1], *[labels[p] for p in at], bottom[-1]]
+        table[tuple(b - a for a, b in zip(column, column[1:]))] = count
+    return table
 
 
 def enumerate_skew_hive_points(lam, mu, gam, nu, phi, limit=None):

@@ -22,7 +22,7 @@ from flagged_lr.burge import (
     left_key,
     standardize,
 )
-from flagged_lr.cli import _nu_candidates, _query_dict
+from flagged_lr.cli import _query_dict
 from flagged_lr.core import (
     ScaleExceededError,
     as_partition,
@@ -35,11 +35,13 @@ from flagged_lr.core import (
     sort_descending,
     sub,
     validate_flag,
+    weight,
 )
 from flagged_lr.crystal import _count_tableaux, is_dominant, lowering, raising
 from flagged_lr.hives import (
     SkewHive,
     TriHive,
+    _count_skew_hives,
     _skew_polytope,
     _skew_runs,
     _tri_polytope,
@@ -271,6 +273,28 @@ def coefficient_by_enumeration(lam, mu, gam, nu, phi) -> int:
     return count
 
 
+def _nu_candidates(lam, mu, gam, n):
+    """Every partition of ambient n and weight |lam| + |mu| - |gam|, in
+    lexicographically decreasing order."""
+    out = []
+
+    def rec(prefix, remaining, cap):
+        slots = n - len(prefix)
+        if not slots:
+            if not remaining:
+                out.append(tuple(prefix))
+            return
+        for p in range(min(cap, remaining), -1, -1):
+            # the parts left are at most p each
+            if p * slots < remaining:
+                return
+            rec(prefix + [p], remaining - p, p)
+
+    total = weight(lam) + weight(mu) - weight(gam)
+    rec([], total, total)
+    return out
+
+
 def coefficient_table_by_tableaux_per_nu(lam, mu, gam, phi, limit=None):
     """Oracle for ``crystal._table_tableaux``: the nonzero coefficients over
     nu of a checked boundary, one ``_count_tableaux`` search per candidate
@@ -443,11 +467,13 @@ def engine_count(poly, runs, limit=None):
     Going forward over the free nodes, the pass keeps a dict from the labels
     of ``live[k]`` to the number of partial points that carry them; a node
     no later bound reads adds its whole range to its parent's count at once.
-    Raises ScaleExceededError once more than ``limit`` labels have been
-    tried, hi - lo + 1 for each state expanded."""
+    When the polytope has output nodes (``live[-1]``), the last dict is the
+    answer: the points per labelling of them.  Raises ScaleExceededError
+    once more than ``limit`` labels have been tried, hi - lo + 1 for each
+    state expanded."""
     v = engine_labels(poly, runs)
     if v is None:
-        return 0
+        return {} if poly.live[-1] else 0
     left = math.inf if limit is None else limit
     states = {(): 1}
     for k, node in enumerate(poly.free):
@@ -476,7 +502,19 @@ def engine_count(poly, runs, limit=None):
                 key = head + (x,)
                 merged[key] = merged.get(key, 0) + mult
         states = merged
-    return sum(states.values())
+    return states if poly.live[-1] else sum(states.values())
+
+
+def coefficient_table_by_hives_per_nu(lam, mu, gam, phi, limit=None):
+    """Oracle for ``hives._table_skew_hives``: the nonzero coefficients over
+    nu of a checked boundary, one ``_count_skew_hives`` count per candidate
+    nu, each with its right column fixed and its own ``limit``."""
+    table = {}
+    for nu in _nu_candidates(lam, mu, gam, len(mu)):
+        c = _count_skew_hives(lam, mu, gam, nu, phi, limit)
+        if c:
+            table[nu] = c
+    return table
 
 
 # ---------------------------------------------------------------------------

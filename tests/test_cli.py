@@ -9,7 +9,6 @@ import flagged_lr.hives as hives_mod
 from flagged_lr.burge import insertion_decomposition
 from flagged_lr.cli import (
     DEFAULT_LIMIT,
-    _nu_candidates,
     cross_check,
     decomposition_report,
     hive_count,
@@ -57,6 +56,8 @@ from flagged_lr.polynomials import (
 )
 from flagged_lr.tableaux import SkewShape, enumerate_tableaux
 from oracles import (
+    _nu_candidates,
+    coefficient_table_by_hives_per_nu,
     coefficient_table_by_tableaux_per_nu,
     hive_iso_report_by_objects,
     psi_by_objects,
@@ -256,6 +257,19 @@ def test_a_demazure_table_stops_at_the_limit(capsys):
     assert code == 0
     assert len(json.loads(out)["table"]) == 29
     assert main(["--n", "4", "--limit", "4237", "table", "--method", "demazure", *boundary]) == 2
+    assert "ceiling" in capsys.readouterr().err
+
+
+def test_a_hive_table_stops_at_the_limit(capsys):
+    # the worked example with the full flag: the one pass tries 627 labels,
+    # where its largest per-nu count tries 85 and all 47 together 1,506
+    boundary = ["--lam", "3,1,1,0", "--mu", "5,4,2,1", "--gam", "2,1,0,0",
+                "--phi", "4,4,4,4"]
+    code, out = run(capsys, "--n", "4", "--limit", "627", "--json", "table",
+                    "--method", "hive", *boundary)
+    assert code == 0
+    assert len(json.loads(out)["table"]) == 29
+    assert main(["--n", "4", "--limit", "626", "table", "--method", "hive", *boundary]) == 2
     assert "ceiling" in capsys.readouterr().err
 
 

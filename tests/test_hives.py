@@ -1,5 +1,6 @@
 import json
-from itertools import islice
+from collections import Counter
+from itertools import chain, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,9 @@ from flagged_lr.hives import (
     _skew_polytope,
     _skew_rhombi,
     _skew_runs,
+    _skew_table_polytope,
+    _skew_table_runs,
+    _table_skew_hives,
     _tri_edges,
     _tri_polytope,
     _tri_rhombi,
@@ -45,6 +49,7 @@ from flagged_lr.hives import (
 )
 from flagged_lr.tableaux import SkewShape, enumerate_tableaux, reading_word, word_weight
 from oracles import (
+    coefficient_table_by_hives_per_nu,
     engine_count,
     engine_labels,
     engine_points,
@@ -281,18 +286,33 @@ def _gt_census():
                 yield (mu, gam, phi), (_gt_polytope, (n, phi)), (gam, mu)
 
 
+def _table_census(max_n):
+    """Every (lam, mu, gam) with n <= max_n and |lam|, |mu|, |gam| <= 3,
+    gam inside mu or not, and every flag; n = 0 has the one flag ()."""
+    for n in range(max_n + 1):
+        parts = partitions_up_to(n, 3)
+        for lam in parts:
+            for mu in parts:
+                for gam in parts:
+                    for phi in all_flags(n) or [()]:
+                        yield (lam, mu, gam, phi), (_skew_table_polytope, (n, phi)), (
+                            _skew_table_runs(lam, mu, gam))
+
+
 @pytest.mark.parametrize("census, size", [
     (_skew_census, 16197), (_tri_census, 5017), (_gt_census, 681),
 ], ids=["skew", "tri", "gt"])
 def test_count_points_census(census, size):
     # the generated kernels against the generic engine of ``oracles``: the
-    # same points in the same order, and the same count
+    # same points in the same order, and the same count, one int, since
+    # these polytopes have no output nodes
     checked = 0
     for case, (build, args), runs in census():
         poly = build(*args)
         want = list(engine_points(poly, runs))
         assert list(poly.enumerator(runs, None)) == want, case
-        assert poly.counter(runs, None) == engine_count(poly, runs) == len(want), case
+        count = poly.counter(runs, None)
+        assert type(count) is int and count == engine_count(poly, runs) == len(want), case
         checked += 1
     assert checked == size
 
@@ -356,10 +376,12 @@ def _threshold(run):
 
 @pytest.mark.parametrize("census, step, size", [
     (_skew_census, 23, 705), (_tri_census, 7, 717), (_gt_census, 1, 681),
-], ids=["skew", "tri", "gt"])
+    (lambda: _table_census(4), 7, 1345),
+], ids=["skew", "tri", "gt", "table"])
 def test_kernels_share_the_limit_threshold_of_the_oracle_engine(census, step, size):
     # enumeration and counting each pass at the oracle engine's smallest
-    # limit and raise one below it; every step-th census case
+    # limit and raise one below it; every step-th census case (the table
+    # polytope's counter is keyed by its output nodes)
     checked = 0
     for case, (build, args), runs in islice(census(), 0, None, step):
         poly = build(*args)
@@ -376,6 +398,64 @@ def test_kernels_share_the_limit_threshold_of_the_oracle_engine(census, step, si
                     kernel(threshold - 1)
         checked += 1
     assert checked == size
+
+
+def _right_column(rows):
+    """nu read down the right column of a skew hive's label rows."""
+    n = len(rows) - 1
+    return tuple(rows[i][n] - rows[i - 1][n] for i in range(1, n + 1))
+
+
+def test_table_counter_equals_the_oracle_engine():
+    # keyed by the labels of the output nodes, the generated counter and
+    # the generic engine give the same dict, and so do the engine's points
+    # grouped by those labels; grouped by right column, the points are the
+    # table of ``_table_skew_hives``
+    checked = keyed = 0
+    for case, (build, args), runs in _table_census(4):
+        poly = build(*args)
+        points = list(engine_points(poly, runs))
+        counts = poly.counter(runs, None)
+        assert counts == engine_count(poly, runs), case
+        if poly.live[-1]:
+            labels = (tuple(chain.from_iterable(rows)) for rows in points)
+            assert counts == Counter(tuple(v[p] for p in poly.live[-1]) for v in labels), case
+            keyed += 1
+        else:
+            assert counts == len(points), case
+        assert _table_skew_hives(*case, None) == Counter(map(_right_column, points)), case
+        checked += 1
+    # n <= 1 has no output node: its right column is boundary
+    assert (checked, keyed) == (9415, 9350)
+
+
+def test_table_equals_the_per_nu_oracle_census():
+    # every n <= 3 table with |lam|, |mu|, |gam| <= 3 and every flag
+    tables = nonzero = outside = empty_skew = 0
+    for (lam, mu, gam, phi), _, _ in _table_census(3):
+        table = _table_skew_hives(lam, mu, gam, phi, None)
+        assert table == coefficient_table_by_hives_per_nu(lam, mu, gam, phi), (lam, mu, gam, phi)
+        tables += 1
+        nonzero += bool(table)
+        outside += not contains(mu, gam)
+        empty_skew += mu == gam
+    assert (tables, nonzero, outside, empty_skew) == (2555, 1160, 1374, 383)
+
+
+@st.composite
+def table_inputs(draw):
+    """n = 4 boundaries with parts <= 3, gam not always inside mu, and any
+    flag."""
+    n = 4
+    parts = st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n)
+    lam, mu, gam = (tuple(sorted(draw(parts), reverse=True)) for _ in range(3))
+    return lam, mu, gam, draw(st.sampled_from(all_flags(n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_inputs())
+def test_table_equals_the_per_nu_oracle_n4(args):
+    assert _table_skew_hives(*args, None) == coefficient_table_by_hives_per_nu(*args)
 
 
 N5_CASE = ((4, 3, 2, 1, 0), (5, 4, 3, 2, 1), (1, 0, 0, 0, 0), (7, 6, 5, 4, 2), (5,) * 5)
