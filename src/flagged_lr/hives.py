@@ -19,20 +19,24 @@ where their edges meet (the weights differ) or the boundary breaks an
 inequality among its own nodes.
 
 The enumerator is one ``for`` loop per free node, in placement order, with
-each bound written out over locals; it yields the points lexicographically
-in the free labels taken in that order, as row-major label rows.  CPython
-compiles at most 20 nested loops in one function, so each further run of
-up to 15 loops moves into a nested generator.  ``limit`` counts the labels
-placed at free nodes, one per loop turn.  The hive route counts instead of
+each bound written out over locals as straight-line comparisons, no call
+to ``max`` or ``min``; it yields the points lexicographically in the free
+labels taken in that order, as row-major label rows.  CPython compiles at
+most 20 nested loops in one function, so each further run of up to 15
+loops moves into a nested generator.  ``limit`` counts the labels placed at
+free nodes, one per loop turn.  The hive route counts instead of
 enumerating: the counter is a memoized pass over the free nodes in the same
 order, unrolled per node, that merges the partial points which agree on the
-labels later bounds still read.  There ``limit`` counts the labels the pass
-tries, the range of each merged state it expands.  Both raise
-ScaleExceededError once the labels exceed ``limit``.  A polytope may name
-free nodes as its output; the counter keeps their labels to the end and
-returns the points per labelling of them.  The hive table uses this: its
-polytope (``_skew_table_polytope``) leaves the right column free as the
-output, so one pass counts the hives of every nu, read off that column
+labels later bounds still read.  Only a node after which some placed label
+is read no more can make partial points meet, so the counter builds a dict
+of states only there and at the last node, and nests a ``for`` loop at
+every other node.  There ``limit`` counts the labels the pass tries, the
+range of each state it expands.  Both raise ScaleExceededError once the
+labels exceed ``limit``.  A polytope may name free nodes as its output;
+the counter keeps their labels to the end and returns the points per
+labelling of them.  The hive table uses this: its polytope
+(``_skew_table_polytope``) leaves the right column free as the output, so
+one pass counts the hives of every nu, read off that column
 (``_table_skew_hives``).  The generic engine that runs a compiled table
 directly, without generated code, lives in ``tests/oracles.py``, which
 gates the kernels against it.
@@ -238,8 +242,9 @@ def _compile(grid, edges, table, out=()) -> _Polytope:
     )
 
 
-#: free nodes placed by one function of an enumerator; CPython refuses more
-#: than 20 statically nested loops in one function
+#: free nodes placed by one function of an enumerator, and loops nested in
+#: one run of a counter; CPython refuses more than 20 statically nested
+#: loops in one function
 _NEST = 15
 
 
@@ -250,25 +255,34 @@ def _kernel(poly: _Polytope, counting):
     the edges, and returns no points when two runs disagree where their
     edges meet (on the skew and triangular hives, when the weights differ)
     or when the boundary breaks an inequality among its own nodes.  Every
-    bound is written out as a ``max``/``min`` of ``va + vb - vc`` terms.
+    bound is written out as straight-line comparisons of its ``va + vb -
+    vc`` terms into ``lo`` or ``hi``, with no call to ``max`` or ``min``.
 
     The enumerator is one ``for`` loop per free node, in placement order,
     and charges ``limit`` one label per loop turn; each run of ``_NEST``
     loops that would nest deeper moves into a nested generator, defined
     first and entered with ``yield from``.  The counter is the memoized
-    pass unrolled per depth: it unpacks each state's key into the labels of
-    ``live[k]``, bounds the next node, charges ``hi - lo + 1`` and merges the
-    state into the next dict by ``keeps[k]``.  It returns the sum of the
-    last dict, or, when the polytope has output nodes (``live[-1]``), the
-    dict itself, from their labels to the number of points that carry them
-    ({} when the prologue refuses the boundary)."""
+    pass unrolled per depth: each state's key unpacks into the labels of
+    ``live[k]``, the pass bounds the next node and charges ``hi - lo + 1``.
+    A depth whose node a later bound reads and that drops no live node
+    cannot make two partial points meet, so it is a ``for`` loop nested in
+    the depth before it, up to ``_NEST`` of them in a run; every other
+    depth, and the last, merges its partial points into the next dict by
+    ``keeps[k]``.  It returns the sum of the last dict, or, when the
+    polytope has output nodes (``live[-1]``), the dict itself, from their
+    labels to the number of points that carry them ({} when the prologue
+    refuses the boundary)."""
     name, zero = "v{}".format, poly.spans[-1][1]
     keyed = counting and bool(poly.live[-1])
 
-    def bound(triples, pick):
-        terms = [" - ".join([" + ".join(name(p) for p in (a, b) if p != zero) or "0"]
-                            + [name(c)] * (c != zero)) for a, b, c in triples]
-        return terms[0] if len(terms) == 1 else f"{pick}({', '.join(terms)})"
+    def bounds(k):
+        lines = []
+        for var, triples, cmp in (("lo", poly.lows[k], ">"), ("hi", poly.highs[k], "<")):
+            terms = [" - ".join([" + ".join(name(p) for p in (a, b) if p != zero) or "0"]
+                                + [name(c)] * (c != zero)) for a, b, c in triples]
+            lines += [f"{var} = {terms[0]}"] + [
+                f"t = {t}; {var} = t if t {cmp} {var} else {var}" for t in terms[1:]]
+        return lines
 
     def labels(nodes):
         return f"({''.join(name(p) + ', ' for p in nodes)})"
@@ -280,7 +294,7 @@ def _kernel(poly: _Polytope, counting):
         for plus, minus in poly.checks]
     body, seen = ["".join(f"r{k}, " for k in range(len(poly.edges))) + "= runs"], set()
     for k, edge in enumerate(poly.edges):
-        body.append(f"{', '.join('_' if p in seen else name(p) for p in edge)}, = r{k}")
+        body += [f"{', '.join('_' if p in seen else name(p) for p in edge)}, = r{k}"] * bool(edge)
         seen.update(edge)
     body += [f"if {' or '.join(tests)}: {fail}"] * bool(tests) + [
         "left = inf if limit is None else limit"]
@@ -294,28 +308,34 @@ def _kernel(poly: _Polytope, counting):
             lines = [f"def part{stop}():", "    nonlocal left"] + ["    " + x for x in nest(stop)]
             inner = f"yield from part{stop}()"
         for pad, k in enumerate(range(start, stop)):
-            lo, hi = bound(poly.lows[k], "max"), bound(poly.highs[k], "min")
-            lines += ["    " * pad + line for line in (
-                f"for {name(poly.free[k])} in range({lo}, {hi} + 1):",
-                "    left -= 1", f"    if left < 0: {exceeded}")]
+            lines += ["    " * pad + line for line in bounds(k) + [
+                f"for {name(poly.free[k])} in range(lo, hi + 1):",
+                "    left -= 1", f"    if left < 0: {exceeded}"]]
         return lines + ["    " * (stop - start) + inner]
 
     if counting:
         body.append("states = {(): 1}")
+        run = 0
         for k, slot in enumerate(poly.free):
+            if not run:
+                body += ["merged = {}", f"for {labels(poly.live[k])}, m in states.items():"]
+            pad = "    " * (run + 1)
+            body += [pad + line for line in bounds(k) + [
+                "if hi < lo: continue", "left -= hi - lo + 1", f"if left < 0: {exceeded}"]]
             kept = [poly.live[k][i] for i in poly.keeps[k]]
-            lo, hi = bound(poly.lows[k], "max"), bound(poly.highs[k], "min")
-            body += ["merged = {}", f"for {labels(poly.live[k])}, m in states.items():",
-                     f"    lo = {lo}", f"    hi = {hi}", "    if hi < lo: continue",
-                     "    left -= hi - lo + 1", f"    if left < 0: {exceeded}"]
             if slot in poly.live[k + 1]:
-                body += [f"    for {name(slot)} in range(lo, hi + 1):",
-                         f"        key = {labels(kept + [slot])}",
-                         "        merged[key] = merged.get(key, 0) + m"]
+                body.append(pad + f"for {name(slot)} in range(lo, hi + 1):")
+                # nothing dropped: the partial points stay distinct, so nest
+                if len(kept) == len(poly.live[k]) and k + 1 < len(poly.free) and run < _NEST:
+                    run += 1
+                    continue
+                body += [pad + f"    key = {labels(kept + [slot])}",
+                         pad + "    merged[key] = merged.get(key, 0) + m"]
             else:
                 head = labels(kept)
-                body += [f"    merged[{head}] = merged.get({head}, 0) + m * (hi - lo + 1)"]
+                body.append(pad + f"merged[{head}] = merged.get({head}, 0) + m * (hi - lo + 1)")
             body.append("states = merged")
+            run = 0
         body.append("return states" if keyed else "return sum(states.values())")
     else:
         body += nest(0)

@@ -6,8 +6,8 @@ The Demazure operator acts monomial-wise through the closed form forced by
 the geometric-series division, so no rational arithmetic appears anywhere.
 
 The ``IntPolynomial`` constructor checks its exponent vectors; arithmetic,
-``swap``, ``demazure_Ti`` and ``flagged_skew_schur`` build their results
-through ``IntPolynomial._from_terms``, which only drops zero coefficients.
+``demazure_Ti`` and ``flagged_skew_schur`` build their results through
+``IntPolynomial._from_terms``, which only drops zero coefficients.
 
 The Demazure route reads the Schur expansion of pi_{w0}(x^lam F), F the
 flagged skew Schur polynomial of mu/gam, without forming the product or
@@ -96,9 +96,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, exps) -> int:
-        return self.terms.get(tuple(exps), 0)
-
     def _same_ambient(self, other):
         if other.n != self.n:
             raise ValueError("ambient lengths differ")
@@ -139,17 +136,6 @@ class IntPolynomial:
 
     def __hash__(self):
         return hash((self.n, tuple(sorted(self.terms.items()))))
-
-    def swap(self, i: int) -> "IntPolynomial":
-        """The action of the transposition s_i on the variables."""
-        if not 1 <= i <= self.n - 1:
-            raise IndexError(f"swap index {i} out of range for ambient {self.n}")
-        out = {}
-        for e, c in self.terms.items():
-            f = list(e)
-            f[i - 1], f[i] = f[i], f[i - 1]
-            out[tuple(f)] = out.get(tuple(f), 0) + c
-        return IntPolynomial._from_terms(self.n, out)
 
     def __repr__(self):
         if not self.terms:

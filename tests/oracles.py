@@ -596,8 +596,20 @@ def variable(n: int, i: int) -> IntPolynomial:
     return IntPolynomial(n, {tuple(int(j == i) for j in range(1, n + 1)): 1})
 
 
+def swap(f: IntPolynomial, i: int) -> IntPolynomial:
+    """The action of the transposition s_i on the variables of f."""
+    if not 1 <= i <= f.n - 1:
+        raise IndexError(f"swap index {i} out of range for ambient {f.n}")
+    out = {}
+    for e, c in f.terms.items():
+        g = list(e)
+        g[i - 1], g[i] = g[i], g[i - 1]
+        out[tuple(g)] = out.get(tuple(g), 0) + c
+    return IntPolynomial(f.n, out)
+
+
 def is_symmetric(f: IntPolynomial) -> bool:
-    return all(f.swap(i) == f for i in range(1, f.n))
+    return all(swap(f, i) == f for i in range(1, f.n))
 
 
 def demazure_Ti_by_division(f: IntPolynomial, i: int) -> IntPolynomial:
@@ -605,7 +617,7 @@ def demazure_Ti_by_division(f: IntPolynomial, i: int) -> IntPolynomial:
     if not 1 <= i <= f.n - 1:
         raise IndexError(f"operator index {i} out of range for ambient {f.n}")
     n = f.n
-    num = variable(n, i) * f - variable(n, i + 1) * f.swap(i)
+    num = variable(n, i) * f - variable(n, i + 1) * swap(f, i)
     quotient = {}
     divisor_hi = variable(n, i)
     divisor_lo = variable(n, i + 1)

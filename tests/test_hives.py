@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import flagged_lr.hives as hives_mod
 from conftest import WORKED_HIVE_LABELS, skew_pairs
+from flagged_lr.cli import ROUTES, run_coefficient
 from flagged_lr.core import FlagError, all_flags, contains, partitions_up_to, scale, subpartitions
 from flagged_lr.crystal import coefficient_by_tableaux, is_lambda_dominant
 from flagged_lr.hives import (
@@ -477,6 +478,38 @@ def test_enumerator_past_the_nesting_limit():
         list(poly.enumerator(runs, threshold - 1))
 
 
+def test_counter_of_the_lifted_triangle():
+    # the same 36 free nodes counted: the oracle engine's count, passing at
+    # its threshold and raising one label below it
+    lifted = lift_tilde(*N5_CASE)
+    poly, runs = _tri_polytope(10, lifted[3]), _tri_runs(*lifted[:3])
+    threshold = _threshold(lambda limit: engine_count(poly, runs, limit))
+    assert poly.counter(runs, None) == poly.counter(runs, threshold) == 54
+    with pytest.raises(ScaleExceededError):
+        poly.counter(runs, threshold - 1)
+
+
+@pytest.mark.parametrize("census, step, size", [
+    (_skew_census, 23, 705), (_gt_census, 1, 681), (lambda: _table_census(4), 7, 1345),
+], ids=["skew", "gt", "table"])
+def test_counters_nest_one_loop_per_run(census, step, size, monkeypatch):
+    # with one nested loop per run, a depth that could nest deeper builds a
+    # dict instead; the counts and thresholds stay the oracle engine's
+    monkeypatch.setattr(hives_mod, "_NEST", 1)
+    split, checked = {}, 0
+    for case, (build, args), runs in islice(census(), 0, None, step):
+        if (build, args) not in split:
+            split[build, args] = build.__wrapped__(*args)
+        poly = split[build, args]
+        threshold = _threshold(lambda limit: engine_count(poly, runs, limit))
+        assert poly.counter(runs, threshold) == engine_count(poly, runs), case
+        if threshold:
+            with pytest.raises(ScaleExceededError):
+                poly.counter(runs, threshold - 1)
+        checked += 1
+    assert checked == size
+
+
 @pytest.mark.parametrize("census, step, size", [
     (_skew_census, 23, 705), (_gt_census, 1, 681),
 ], ids=["skew", "gt"])
@@ -518,6 +551,22 @@ def test_labels_refuse_a_boundary_that_does_not_fit():
     assert engine_labels(poly, runs) == [0, 1, 1, 2, 0]
     assert list(poly.enumerator(runs, None)) == [((0, 1), (1, 2))]
     assert poly.counter(runs, None) == 1
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_every_enumerator_counter_and_route_answers_n0_and_n1(n):
+    # at n = 0 the GT polytope's edges have no nodes, and at n <= 1 no
+    # polytope has a free node; each answers its one point
+    lam, mu, gam, nu, phi = [(1,), (2,), (1,), (2,), (1,)] if n else [()] * 5
+    assert [x.rows for x in enumerate_flagged_gt_points(mu, gam, phi)] == [(gam, mu)[:n + 1]]
+    corners = ((0, 1), (1, 3)) if n else ((0,),)
+    assert [h.rows for h in enumerate_skew_hive_points(lam, mu, gam, nu, phi)] == [corners]
+    assert count_skew_hive_points(lam, mu, gam, nu, phi) == 1
+    triangle = ((0,), (1, 2)) if n else ((0,),)
+    assert [t.rows for t in enumerate_tri_hive_points(lam, gam, mu, phi)] == [triangle]
+    assert run_coefficient(lam, mu, gam, nu, phi)["methods"] == dict.fromkeys(ROUTES, 1)
+    table = run_coefficient(lam, mu, gam, None, phi)["methods"]
+    assert table == dict.fromkeys(ROUTES, {",".join(map(str, nu)): 1})
 
 
 def _unflagged(grid, edges, rhombi):
