@@ -16,8 +16,9 @@ scan, one hive count per dilation k.  ``hive_iso_report`` checks
 its boundary with ``hives._lift_input`` and runs ``hives._doubling``.  Only
 ``crystal-graph``, whose word set takes row bounds, checks the flag in
 ``main``.
-Every flagged skew Schur polynomial F comes from the weight search
-``tableaux._tableau_weights``, the one behind ``table --method demazure``.
+Every flagged skew Schur polynomial F comes from ``flagged_skew_schur``,
+the one behind ``table --method demazure``, and so from the counting search
+``tableaux._weight_search`` that the tableau route runs too.
 ``decomposition_report`` checks its boundary, builds F and enumerates the
 flagged fillings once, as raw rows, for ``crystal.decompose`` and the
 insertion core ``burge._insertion_classes``.  ``cross_check`` builds its
@@ -65,7 +66,7 @@ from .hives import (
     count_skew_hive_points,
 )
 from .polynomials import IntPolynomial, _antisymmetrize, _signed_sum, flagged_skew_schur
-from .tableaux import SkewShape, _reading_word, _tableau_rows, _tableau_weights, reading_word
+from .tableaux import SkewShape, _reading_word, _tableau_rows, reading_word
 from .burge import _insertion_classes
 
 DEFAULT_LIMIT = 10**6
@@ -168,9 +169,10 @@ def decomposition_report(mu, gam, phi, limit=None):
     gam and the flag (``core.check_boundary``) before any crystal work.
 
     The flagged skew Schur polynomial F comes first, from
-    ``flagged_skew_schur``, whose search places the letters the enumeration
-    of the fillings places, so ``limit`` caps the report.  The fillings are
-    then enumerated once, as raw rows: their reading words give the
+    ``flagged_skew_schur``.  Each filling is a leaf of F's search, reached
+    by a letter of its own, so ``limit`` caps the report: one that F's
+    search does not exceed lists at most ``limit`` fillings.  The fillings
+    are then enumerated once, as raw rows: their reading words give the
     components, and the rows go to the insertion core
     (``burge._insertion_classes``)."""
     mu, gam, phi = check_boundary((mu, gam), phi)
@@ -217,7 +219,7 @@ def decomposition_report(mu, gam, phi, limit=None):
 def _character_sum_matches(components, skew_schur) -> bool:
     """The key polynomials of the Demazure components, built by Demazure
     operators in ``crystal.decompose``, sum to F, built apart from them by
-    the weight search ``tableaux._tableau_weights``."""
+    ``flagged_skew_schur``."""
     keys = (c.key for c in components)
     return sum(keys, start=IntPolynomial.zero(skew_schur.n)) == skew_schur
 
@@ -260,11 +262,11 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
 
     The grid is made of partitions, so only the flags are checked, once;
     the tuples go to the routes' trusted cores.  Each (mu, gam, phi) gets
-    one F by the weight search, for the character identity and the Demazure
-    table of every lam, and one enumeration of its flagged fillings, as
-    reading words, for its components.  The tableau
-    route is one search per (lam, mu, gam, phi), whose table is read at
-    every candidate nu; the hive route runs per tuple.
+    one F by ``flagged_skew_schur``, for the character identity and the
+    Demazure table of every lam, and one enumeration of its flagged
+    fillings, as reading words, for its components.  The tableau route is
+    one search per (lam, mu, gam, phi), whose table is read at every
+    candidate nu; the hive route runs per tuple.
 
     Stops at the first failing tuple and returns its reproduction data."""
     flags = [validate_flag(f, n) for f in (flags or all_flags(n))]
@@ -277,9 +279,9 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     for mu in partitions_up_to(n, max_mu):
         for gam in subpartitions(mu):
             for phi in flags:
-                shape = SkewShape(mu, gam)
-                skew_schur = IntPolynomial._from_terms(n, _tableau_weights(shape, phi, n, limit))
-                components = decompose([_reading_word(r) for r in _tableau_rows(shape, phi)], n)
+                skew_schur = flagged_skew_schur(mu, gam, phi, limit)
+                rows = _tableau_rows(SkewShape(mu, gam), phi)
+                components = decompose([_reading_word(r) for r in rows], n)
                 if not _character_sum_matches(components, skew_schur):
                     return {
                         "ok": False,

@@ -16,18 +16,20 @@ the cells in reading order that applies the lattice condition one letter
 at a time, so it builds no tableau and no word.  Its public function,
 ``coefficient_by_tableaux``, checks the boundary (``core.check_boundary``);
 its core, ``_count_tableaux``, trusts it.  A whole table over nu is one
-search too, ``_table_tableaux``.  Both run ``_lattice_search``, which
-counts the tableaux per nu, the letter counts each ends with: the count
-caps each letter v at nu_v, and the table only at the weight of nu, which
-no letter reaches.  The search charges ``limit`` one unit per letter
-placed, so the table's ceiling caps the letters placed for every nu
-together; on the worked example with the full flag the table needs 455,
-where its largest one-nu search needs 152.
+search too, ``_table_tableaux``.  Both run ``tableaux._weight_search``
+from the head lam, the weight of lambda's dominant tableau, which counts
+the tableaux per nu, the letter counts each ends with: the count caps each
+letter v at nu_v, and the table only at the weight of nu, which no letter
+reaches.  The same search, from a head deep enough that its lattice test
+never binds, builds the flagged skew Schur polynomial of the Demazure
+route.  The search charges ``limit`` one unit per letter placed, so the
+table's ceiling caps the letters placed for every nu together; on the
+worked example with the full flag the table needs 455, where its largest
+one-nu search needs 152.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -44,6 +46,7 @@ from .tableaux import (
     SkewTableau,
     _reading_word,
     _tableau_rows,
+    _weight_search,
     dominant_tableau,
     reading_word,
     word_weight,
@@ -335,87 +338,28 @@ def coefficient_by_tableaux(lam, mu, gam, nu, phi, limit=None) -> int:
 
 
 def _count_tableaux(lam, mu, gam, nu, phi, limit):
-    """``coefficient_by_tableaux`` on a checked boundary: the search of
-    ``_lattice_search`` with the letter v capped at nu_v, so that every
-    tableau it finds has weight nu - lam."""
+    """``coefficient_by_tableaux`` on a checked boundary:
+    ``tableaux._weight_search`` from the head lam with the letter v capped
+    at nu_v, so that every tableau it finds has weight nu - lam."""
     if not contains(mu, gam) or not contains(nu, lam):
         return 0
     if weight(nu) - weight(lam) != weight(mu) - weight(gam):
         return 0
-    return _lattice_search(lam, mu, gam, phi, nu, limit).get(nu, 0)
+    return _weight_search(lam, mu, gam, phi, nu, limit).get(nu, 0)
 
 
 def _table_tableaux(lam, mu, gam, phi, limit):
     """The nonzero coefficients over nu of a checked boundary, by one
-    search: ``_lattice_search`` with every cap at |lam| + |mu| - |gam|, the
-    weight of every nu of the table, which no letter count reaches, so only
-    the lattice condition prunes.  Every nu of the table is a partition
-    that contains lam.  Raises ScaleExceededError once more than ``limit``
-    letters have been placed by the whole search, not per nu."""
+    search: ``tableaux._weight_search`` from the head lam with every cap
+    at |lam| + |mu| - |gam|, the weight of every nu of the table, which no
+    letter count reaches, so only the lattice condition prunes.  Every nu
+    of the table is a partition that contains lam.  Raises
+    ScaleExceededError once more than ``limit`` letters have been placed
+    by the whole search, not per nu."""
     if not contains(mu, gam):
         return {}
     total = weight(lam) + weight(mu) - weight(gam)
-    return _lattice_search(lam, mu, gam, phi, (total,) * len(mu), limit)
-
-
-def _lattice_search(lam, mu, gam, phi, caps, limit):
-    """The lambda-dominant flagged tableaux of mu/gam (gam inside mu) in
-    which no letter v occurs more than caps_v - lam_v times, counted per
-    nu, the letter counts each ends with.
-
-    The cells of mu/gam are filled in reading order (top row first, right
-    to left within a row) with the letter counts starting at lam, the
-    weight of the dominant head.  A letter v goes in only while its count
-    stays below caps_v and, for v > 1, below the count of v - 1: the reading
-    word after the head stays a lattice word, which is what every raising
-    operator killing it means.  Raises ScaleExceededError once more than
-    ``limit`` letters have been placed."""
-    n = len(mu)
-    cells = [(i, c) for i in range(n) for c in range(mu[i] - 1, gam[i] - 1, -1)]
-    depth = len(cells)
-    pos = {cell: k for k, cell in enumerate(cells)}
-    # past the last cell, a slot holding 0 stands in for a missing upper
-    # neighbour and one holding n for a missing right neighbour
-    above = [pos.get((i - 1, c), depth) for i, c in cells]
-    right = [pos.get((i, c + 1), depth + 1) for i, c in cells]
-    flag = [phi[i] for i, _ in cells]
-    v = [0] * depth + [0, n]
-    tops = [0] * depth
-    # counts[x] and caps[x] belong to the letter x; counts[0] = caps[1] never
-    # holds the letter 1 below its cap, and, an int like the counts, keeps
-    # every comparison between ints
-    caps = (0,) + tuple(caps)
-    counts = [caps[1] if n else 0] + list(lam)
-    left = math.inf if limit is None else limit
-    table = {}
-    k = 0
-    while True:
-        if k == depth:
-            nu = tuple(counts[1:])
-            table[nu] = table.get(nu, 0) + 1
-            k -= 1
-        else:
-            v[k] = v[above[k]]
-            tops[k] = min(v[right[k]], flag[k])
-        while k >= 0:
-            x = v[k]
-            if x > v[above[k]]:
-                counts[x] -= 1
-            top = tops[k]
-            x += 1
-            while x <= top and (counts[x] >= caps[x] or counts[x] >= counts[x - 1]):
-                x += 1
-            if x <= top:
-                break
-            k -= 1
-        if k < 0:
-            return table
-        v[k] = x
-        counts[x] += 1
-        left -= 1
-        if left < 0:
-            raise ScaleExceededError("enumeration ceiling exceeded")
-        k += 1
+    return _weight_search(lam, mu, gam, phi, (total,) * len(mu), limit)
 
 
 # ---------------------------------------------------------------------------

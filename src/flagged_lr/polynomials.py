@@ -16,9 +16,10 @@ polynomial is ``A(x^{lam+delta} F) / a_delta``, where A antisymmetrizes
 and ``delta = (n-1, ..., 0)``, and ``s_nu = a_{nu+delta} / a_delta``.
 ``coefficient_table_by_demazure`` checks the boundary
 (``core.check_boundary``), builds F and runs ``_antisymmetrize``.
-``flagged_skew_schur`` builds F by one search over the flagged fillings
-(``tableaux._tableau_weights``), which counts them per weight as it places
-their letters and charges ``limit`` one unit per letter placed.
+``flagged_skew_schur`` builds F by the one counting search over the
+flagged fillings (``tableaux._weight_search``), started from a head deep
+enough that its lattice test never binds; it counts them per weight as it
+places their letters and charges ``limit`` one unit per letter placed.
 ``_antisymmetrize`` is one pass over the terms of F, in which
 ``c x^alpha`` adds ``sign * c`` to ``nu = sort(lam + alpha + delta) -
 delta``, sign being that of the sort into decreasing order, and nothing
@@ -44,7 +45,7 @@ from .core import (
     sort_to_partition,
     weight,
 )
-from .tableaux import SkewShape, _tableau_weights
+from .tableaux import SkewShape, _weight_search
 
 __all__ = [
     "IntPolynomial",
@@ -207,13 +208,24 @@ def flagged_skew_schur(mu, gam, row_bounds, limit=None) -> IntPolynomial:
 
     Equals the ordinary skew Schur polynomial when every bound is the
     ambient length.  mu, gam and the bounds must have one length.  The
-    terms come from ``tableaux._tableau_weights``, which counts the
-    fillings per weight as it places their letters; raises
-    ScaleExceededError once more than ``limit`` letters have been
-    placed."""
+    terms come from ``tableaux._weight_search``, which counts the fillings
+    per weight as it places their letters; raises ScaleExceededError once
+    more than ``limit`` letters have been placed."""
     shape = SkewShape(mu, gam)
-    n = max(len(mu), max(row_bounds, default=0))
-    return IntPolynomial._from_terms(n, _tableau_weights(shape, row_bounds, n, limit))
+    if len(row_bounds) != shape.n_rows:
+        raise ValueError("ambient lengths differ")
+    n = max(shape.n_rows, max(row_bounds, default=0))
+    if not shape.is_valid:
+        return IntPolynomial.zero(n)
+    # the head (s*n, ..., 2s, s) with s one more than the cells: a count
+    # starts s below the one before it and grows by at most s - 1, so the
+    # lattice test of the search never binds, and the caps sit above every
+    # count
+    s = shape.size + 1
+    head = tuple(range(s * n, 0, -s))
+    table = _weight_search(head, shape.outer, shape.inner, row_bounds, (s * (n + 1),) * n, limit)
+    terms = {tuple([c - h for c, h in zip(nu, head)]): m for nu, m in table.items()}
+    return IntPolynomial._from_terms(n, terms)
 
 
 def _key_order(e):

@@ -6,10 +6,15 @@ builders, which hold rows that already form a semistandard filling
 (``enumerate_tableaux``, ``dominant_tableau``, ``rectify`` and the straight
 tableaux of ``burge``), go through ``SkewTableau._from_rows``, which checks
 nothing.  Inside the library a filling travels as its raw rows, a tuple of
-row tuples, as ``_tableau_rows`` yields them, or, where only its weight is
-wanted, not at all: ``_tableau_weights`` runs the same search over the
-cells, set up once by ``_cells``, keeps the letter counts as it places
-letters and counts the fillings per weight.
+row tuples, as ``_tableau_rows`` yields them in row-major order, or, where
+only its weight is wanted, not at all: ``_weight_search``, the one counting
+search, fills the cells in reading order, keeps the letter counts as it
+places letters and counts the fillings per final letter counts.  The
+counts start at a head, and a letter goes in only while the reading word
+after the head stays a lattice word.  From lambda's weight that is the
+tableau route (``crystal``); from a head whose parts fall by more than the
+cells in every step the test never binds, and the counts less the head
+are the terms of the flagged skew Schur polynomial F (``polynomials``).
 """
 
 from __future__ import annotations
@@ -140,28 +145,6 @@ class SkewTableau:
         )
 
 
-def _cells(shape: SkewShape, bounds):
-    """The cells of ``shape`` in row-major order, as the searches over its
-    fillings place them: per cell, the positions of its left and its upper
-    neighbour, and its bound, bounds[i] in row i.  A missing neighbour is
-    the slot past the last cell, which holds 0.
-
-    None for an invalid shape; bounds of another length than the shape
-    raise "ambient lengths differ"."""
-    bounds = tuple(bounds)
-    if len(bounds) != shape.n_rows:
-        raise ValueError("ambient lengths differ")
-    if not shape.is_valid:
-        return None
-    cells = [(i, c) for i in range(shape.n_rows) for c in range(*shape.row_span(i))]
-    depth = len(cells)
-    pos = {cell: k for k, cell in enumerate(cells)}
-    left = [pos.get((i, c - 1), depth) for i, c in cells]
-    above = [pos.get((i - 1, c), depth) for i, c in cells]
-    tops = [bounds[i] for i, _ in cells]
-    return left, above, tops
-
-
 def _tableau_rows(shape: SkewShape, bounds):
     """Yield the rows of every semistandard filling of ``shape`` with row i
     entries at most bounds[i], as a tuple of row tuples, without building
@@ -170,11 +153,19 @@ def _tableau_rows(shape: SkewShape, bounds):
     Fillings come in lexicographic order of the row-major entry sequence.
     An invalid shape yields nothing; bounds of another length than the
     shape raise "ambient lengths differ"."""
-    cells = _cells(shape, bounds)
-    if cells is None:
+    bounds = tuple(bounds)
+    if len(bounds) != shape.n_rows:
+        raise ValueError("ambient lengths differ")
+    if not shape.is_valid:
         return
-    left, above, tops = cells
-    depth = len(tops)
+    cells = [(i, c) for i in range(shape.n_rows) for c in range(*shape.row_span(i))]
+    depth = len(cells)
+    pos = {cell: k for k, cell in enumerate(cells)}
+    # past the last cell, a slot holding 0 stands in for a missing left or
+    # upper neighbour
+    left = [pos.get((i, c - 1), depth) for i, c in cells]
+    above = [pos.get((i - 1, c), depth) for i, c in cells]
+    tops = [bounds[i] for i, _ in cells]
     ends = list(accumulate(o - i for o, i in zip(shape.outer, shape.inner)))
     row_slices = list(zip([0] + ends, ends))
     v = [0] * (depth + 1)
@@ -193,37 +184,61 @@ def _tableau_rows(shape: SkewShape, bounds):
         k += 1
 
 
-def _tableau_weights(shape: SkewShape, bounds, n: int, limit):
-    """The number of semistandard fillings of ``shape`` with row i entries
-    at most bounds[i], per weight: a dict from the letter counts, a tuple
-    of length n (which must cover every bound), to the number of fillings
-    with those counts.
+def _weight_search(head, mu, gam, phi, caps, limit):
+    """The flagged fillings of mu/gam (gam inside mu) with letters 1 to
+    len(head) whose reading word, after a word of weight head, is a
+    lattice word and in which the count of no letter v reaches caps_v,
+    counted per final letter counts: a dict from the counts, head plus the
+    weight of the filling, to the number of fillings that end with them.
 
-    The search of ``_tableau_rows``, which keeps the letter counts as it
-    places letters and adds 1 to the entry of the counts at each complete
-    filling.  Raises ScaleExceededError once more than ``limit`` letters
-    have been placed.  An invalid shape gives {}."""
-    cells = _cells(shape, bounds)
-    if cells is None:
-        return {}
-    left, above, tops = cells
-    depth = len(tops)
-    v = [0] * (depth + 1)
-    # counts[x] belongs to the letter x
-    counts = [0] * (n + 1)
+    The cells are filled in reading order (top row first, right to left
+    within a row), a cell of row i with a letter above its upper neighbour,
+    at most its right neighbour and at most phi_i.  A letter v goes in only
+    while its count stays below caps_v and, for v > 1, below the count of
+    v - 1.  With head the weight of lambda's dominant tableau the lattice
+    test says that every raising operator kills the word, so the counts are
+    the nu of the lambda-dominant tableaux (``crystal._count_tableaux``);
+    with a head whose parts fall by more than the cells in every step, no
+    count catches up with the one before it and the dict is F shifted by
+    the head (``polynomials.flagged_skew_schur``).  Raises
+    ScaleExceededError once more than ``limit`` letters have been
+    placed."""
+    n = len(head)
+    cells = [(i, c) for i in range(len(mu)) for c in range(mu[i] - 1, gam[i] - 1, -1)]
+    depth = len(cells)
+    pos = {cell: k for k, cell in enumerate(cells)}
+    # past the last cell, a slot holding 0 stands in for a missing upper
+    # neighbour and one holding n for a missing right neighbour
+    above = [pos.get((i - 1, c), depth) for i, c in cells]
+    right = [pos.get((i, c + 1), depth + 1) for i, c in cells]
+    flag = [phi[i] for i, _ in cells]
+    v = [0] * depth + [0, n]
+    tops = [0] * depth
+    # counts[x] and caps[x] belong to the letter x; counts[0] = caps[1] never
+    # holds the letter 1 below its cap, and, an int like the counts, keeps
+    # every comparison between ints
+    caps = (0,) + tuple(caps)
+    counts = [caps[1] if n else 0] + list(head)
     # with no limit a letter costs 0, so the budget, an int like the
     # counts, never falls below 0
     cost, budget = (0, 0) if limit is None else (1, limit)
-    terms = {}
+    table = {}
     k = 0
     while True:
         if k == depth:
-            e = tuple(counts[1:])
-            terms[e] = terms.get(e, 0) + 1
+            nu = tuple(counts[1:])
+            table[nu] = table.get(nu, 0) + 1
             k -= 1
         else:
-            x = max(v[left[k]], v[above[k]] + 1)
-            if x <= tops[k]:
+            # enter the cell k with the least letter that fits, or step back
+            top = v[right[k]]
+            if flag[k] < top:
+                top = flag[k]
+            tops[k] = top
+            x = v[above[k]] + 1
+            while x <= top and (counts[x] >= caps[x] or counts[x] >= counts[x - 1]):
+                x += 1
+            if x <= top:
                 v[k] = x
                 counts[x] += 1
                 budget -= cost
@@ -237,12 +252,15 @@ def _tableau_weights(shape: SkewShape, bounds, n: int, limit):
         while k >= 0:
             x = v[k]
             counts[x] -= 1
-            if x < tops[k]:
+            top = tops[k]
+            x += 1
+            while x <= top and (counts[x] >= caps[x] or counts[x] >= counts[x - 1]):
+                x += 1
+            if x <= top:
                 break
             k -= 1
         if k < 0:
-            return terms
-        x += 1
+            return table
         v[k] = x
         counts[x] += 1
         budget -= cost

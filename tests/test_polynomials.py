@@ -155,6 +155,24 @@ def test_flagged_skew_schur_equals_the_rows_oracle_on_every_small_shape():
     assert (checked, nonzero) == (8524, 3121)
 
 
+def test_flagged_skew_schur_limit_caps_the_fillings():
+    # each filling is a leaf of the search, reached by a letter of its own,
+    # so a limit below the number of fillings raises; the census of the
+    # rows oracle, every shape with a cell and a filling
+    checked = 0
+    for n in (1, 2, 3):
+        for mu in partitions_up_to(n, 4):
+            for gam in partitions_up_to(n, 4):
+                for bounds in product(range(1, n + 2), repeat=n):
+                    fillings = sum(flagged_skew_schur_by_rows(mu, gam, bounds).terms.values())
+                    if sum(mu) == sum(gam) or not fillings:
+                        continue
+                    with pytest.raises(ScaleExceededError, match="ceiling"):
+                        flagged_skew_schur(mu, gam, bounds, fillings - 1)
+                    checked += 1
+    assert checked == 2325
+
+
 @st.composite
 def skew_shapes_n4(draw):
     """(mu, gam, bounds) at n = 4 with |mu|, |gam| <= 6, gam not always
@@ -174,9 +192,9 @@ def test_flagged_skew_schur_equals_the_rows_oracle_at_n4(case):
 
 
 def test_flagged_skew_schur_limit_counts_the_letters_placed():
-    # the worked example's mu/gam places 4,238 letters with the full flag
-    # and 89 with the flag 2,2,3,4
-    for bounds, letters in (((4, 4, 4, 4), 4238), ((2, 2, 3, 4), 89)):
+    # the worked example's mu/gam places 3,740 letters with the full flag
+    # and 73 with the flag 2,2,3,4
+    for bounds, letters in (((4, 4, 4, 4), 3740), ((2, 2, 3, 4), 73)):
         f = flagged_skew_schur((5, 4, 2, 1), (2, 1, 0, 0), bounds)
         assert flagged_skew_schur((5, 4, 2, 1), (2, 1, 0, 0), bounds, letters) == f
         with pytest.raises(ScaleExceededError, match="ceiling"):
