@@ -8,14 +8,16 @@ The subcommands parse and pad their arguments; every query is checked once,
 with ``core.check_boundary``, by the library function or report it goes to.
 ``run_coefficient`` and ``saturation_scan`` check their boundary first,
 build the report from the checked values and call the trusted cores:
-those in ``ROUTES`` for one coefficient; for a table, one search by the
-tableau route (``crystal._table_tableaux``), one pass by the Demazure route
-(``polynomials._antisymmetrize``) and one pass of the hive counter whose
+those in ``ROUTES`` for one coefficient; those in ``TABLES`` for a table,
+that is one search by the tableau route (``crystal._table_tableaux``), one
+F and one pass over its terms by the Demazure route
+(``polynomials._demazure_table``) and one pass of the hive counter whose
 output nodes are the right column (``hives._table_skew_hives``); for a
 scan, one hive count per dilation k.  ``hive_iso_report`` checks
 its boundary with ``hives._lift_input`` and runs ``hives._doubling``.  Only
 ``crystal-graph``, whose word set takes row bounds, checks the flag in
-``main``.
+``main``; it builds F first, so that ``--limit`` caps its words as it caps
+a decomposition.
 Every flagged skew Schur polynomial F comes from ``flagged_skew_schur``,
 the one behind ``table --method demazure``, and so from the counting search
 ``tableaux._weight_search`` that the tableau route runs too.
@@ -25,11 +27,16 @@ insertion core ``burge._insertion_classes``.  ``cross_check`` builds its
 grid from partitions, checks its flags once and calls the trusted cores:
 ``hives._count_skew_hives`` and ``hives._doubling`` on every tuple, and
 once per (lam, mu, gam, phi) the tableau route's table search
-``crystal._table_tableaux`` and the Demazure table core
-``polynomials._antisymmetrize`` on the F of (mu, gam, phi).  On the
-isomorphism path it judges the ``_doubling`` result by the same rule as
-``hive_iso_report`` (``_iso_ok``) and builds the full report from that
-result only for a tuple that fails.
+``crystal._table_tableaux`` and ``polynomials._antisymmetrize`` on the one
+F of (mu, gam, phi).  On the isomorphism path it judges the ``_doubling``
+result by the same rule as ``hive_iso_report`` (``_iso_ok``) and builds
+the full report from that result only for a tuple that fails.
+
+``main`` parses the boundary once (``_parse_boundary``) and takes the exit
+status from the report once: 1 when its routes disagree or a check fails.
+An input error, a ceiling exceeded or an output file that cannot be
+written exits 2 with ``error: ...``, and the parser exits 2 on ``--n``,
+``--max-mu`` or ``--limit`` below 0.
 """
 
 from __future__ import annotations
@@ -65,7 +72,13 @@ from .hives import (
     _table_skew_hives,
     count_skew_hive_points,
 )
-from .polynomials import IntPolynomial, _antisymmetrize, _signed_sum, flagged_skew_schur
+from .polynomials import (
+    IntPolynomial,
+    _antisymmetrize,
+    _demazure_table,
+    _signed_sum,
+    flagged_skew_schur,
+)
 from .tableaux import SkewShape, _reading_word, _tableau_rows, reading_word
 from .burge import _insertion_classes
 
@@ -74,13 +87,17 @@ LIMIT_HELP = (
     "enumeration ceiling per call (hive labels or tableau letters placed, "
     "Demazure shapes expanded); a table by the tableau or the hive route is "
     "one call, so the ceiling caps the letters placed or the hive labels "
-    "tried for every nu together; a table by the Demazure route and a "
-    "decomposition cap the letters placed to build F"
+    "tried for every nu together; a table by the Demazure route, a "
+    "decomposition and a crystal graph cap the letters placed to build F"
 )
 
 #: the trusted core of each route, called on a checked boundary as
 #: ``core(lam, mu, gam, nu, phi, limit)``
 ROUTES = {"tableau": _count_tableaux, "hive": _count_skew_hives, "demazure": _signed_sum}
+#: the table over nu of each route, its nonzero coefficients, called on a
+#: checked boundary as ``core(lam, mu, gam, phi, limit)``; ``limit`` caps
+#: the whole table
+TABLES = {"tableau": _table_tableaux, "hive": _table_skew_hives, "demazure": _demazure_table}
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +128,7 @@ def run_coefficient(lam, mu, gam, nu, phi, method="all", limit=None):
         if report["agree"]:
             report["value"] = values.pop()
     else:
-        tables = {m: _coefficient_table(lam, mu, gam, phi, m, limit) for m in methods}
+        tables = {m: TABLES[m](lam, mu, gam, phi, limit) for m in methods}
         keys = sorted({k for t in tables.values() for k in t})
         report["methods"] = {
             m: {_fmt(k): t.get(k, 0) for k in keys} for m, t in tables.items()
@@ -122,21 +139,6 @@ def run_coefficient(lam, mu, gam, nu, phi, method="all", limit=None):
         if report["agree"]:
             report["table"] = {_fmt(k): tables[methods[0]].get(k, 0) for k in keys}
     return report
-
-
-def _coefficient_table(lam, mu, gam, phi, method, limit):
-    """The nonzero coefficients over nu of a checked boundary by one route,
-    each in one call that ``limit`` caps as a whole.  The tableau route
-    finds them all in one search; the hive route counts them in one pass,
-    keyed by the free right column of the hive (``hives._table_skew_hives``),
-    charging one unit per label tried; and the Demazure route reads them off
-    one flagged skew Schur polynomial, whose search charges one unit per
-    letter placed."""
-    if method == "tableau":
-        return _table_tableaux(lam, mu, gam, phi, limit)
-    if method == "demazure":
-        return _antisymmetrize(lam, flagged_skew_schur(mu, gam, phi, limit))
-    return _table_skew_hives(lam, mu, gam, phi, limit)
 
 
 def saturation_scan(lam, mu, gam, nu, phi, k_max, limit=None):
@@ -263,8 +265,8 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     The grid is made of partitions, so only the flags are checked, once;
     the tuples go to the routes' trusted cores.  Each (mu, gam, phi) gets
     one F by ``flagged_skew_schur``, for the character identity and the
-    Demazure table of every lam, and one enumeration of its flagged
-    fillings, as reading words, for its components.  The tableau route is
+    Demazure table of every lam, and one ``tableau_word_set``, the reading
+    words of its flagged fillings, for its components.  The tableau route is
     one search per (lam, mu, gam, phi), whose table is read at every
     candidate nu; the hive route runs per tuple.
 
@@ -280,8 +282,7 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
         for gam in subpartitions(mu):
             for phi in flags:
                 skew_schur = flagged_skew_schur(mu, gam, phi, limit)
-                rows = _tableau_rows(SkewShape(mu, gam), phi)
-                components = decompose([_reading_word(r) for r in rows], n)
+                components = decompose(tableau_word_set(mu, gam, phi), n)
                 if not _character_sum_matches(components, skew_schur):
                     return {
                         "ok": False,
@@ -391,13 +392,25 @@ def _parse_boundary(args, n):
     )
 
 
+def _nonnegative(text):
+    """The value of ``--n``, ``--max-mu`` or ``--limit``: an int of at least
+    0, or the parser exits 2 with a message that names the option."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an int of at least 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     # global flags are accepted on both sides of the subcommand; the
     # SUPPRESS defaults keep the subparser from clobbering values given
     # before it
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--n", type=int, default=argparse.SUPPRESS, help="ambient length"
+        "--n", type=_nonnegative, default=argparse.SUPPRESS, help="ambient length"
     )
     common.add_argument(
         "--json",
@@ -406,15 +419,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit JSON reports",
     )
     common.add_argument(
-        "--limit", type=int, default=argparse.SUPPRESS, help=LIMIT_HELP
+        "--limit", type=_nonnegative, default=argparse.SUPPRESS, help=LIMIT_HELP
     )
     parser = argparse.ArgumentParser(
         prog="flagged-lr",
         description="Flagged skew Littlewood-Richardson coefficients, three ways.",
     )
-    parser.add_argument("--n", type=int, default=None, help="ambient length")
+    parser.add_argument("--n", type=_nonnegative, default=None, help="ambient length")
     parser.add_argument("--json", action="store_true", help="emit JSON reports")
-    parser.add_argument("--limit", type=int, default=DEFAULT_LIMIT, help=LIMIT_HELP)
+    parser.add_argument("--limit", type=_nonnegative, default=DEFAULT_LIMIT, help=LIMIT_HELP)
     sub_parsers = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kwargs):
@@ -448,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_boundary_args(p)
 
     p = add_parser("verify", help="cross-check harness over a grid")
-    p.add_argument("--max-mu", type=int, default=4)
+    p.add_argument("--max-mu", type=_nonnegative, default=4)
     p.add_argument(
         "--flags",
         default="all",
@@ -496,59 +509,48 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.n is None:
         parser.error("--n is required")
-    n = args.n
+    n, limit = args.n, args.limit
     try:
-        if args.command == "coeff":
-            lam, mu, gam, nu, phi = _parse_boundary(args, n)
-            report = run_coefficient(lam, mu, gam, nu, phi, args.method, args.limit)
-            ok = report["agree"]
-        elif args.command == "table":
-            lam, mu, gam, _, phi = _parse_boundary(args, n)
-            report = run_coefficient(lam, mu, gam, None, phi, args.method, args.limit)
-            ok = report["agree"]
-        elif args.command == "saturate":
-            lam, mu, gam, nu, phi = _parse_boundary(args, n)
-            report = saturation_scan(lam, mu, gam, nu, phi, args.k_max, args.limit)
-            ok = report["ok"]
-        elif args.command == "decompose":
-            _, mu, gam, _, phi = _parse_boundary(args, n)
-            report = decomposition_report(mu, gam, phi, args.limit)
-            ok = report["ok"]
-        elif args.command == "crystal-graph":
-            _, mu, gam, _, phi = _parse_boundary(args, n)
-            # tableau_word_set takes row bounds, so the flag is checked here
-            mu, gam, phi = check_boundary((mu, gam), phi)
-            dot = crystal_graph_dot(tableau_word_set(mu, gam, phi), n)
-            if args.out == "-":
-                print(dot)
-            else:
-                with open(args.out, "w") as fh:
-                    fh.write(dot + "\n")
-            return 0
-        elif args.command == "hive-count":
-            lam, mu, gam, nu, phi = _parse_boundary(args, n)
-            report = {
-                "query": _query_dict(lam, mu, gam, nu, phi, "hive"),
-                "count": hive_count(lam, mu, gam, nu, phi, args.limit),
-            }
-            ok = True
-        elif args.command == "hive-iso":
-            lam, mu, gam, nu, phi = _parse_boundary(args, n)
-            report = hive_iso_report(lam, mu, gam, nu, phi, args.limit)
-            ok = report["ok"]
-        else:
+        if args.command == "verify":
             flags = None
             if args.flags != "all":
                 flags = [parse_int_tuple(part) for part in args.flags.split(";")]
-            report = cross_check(
-                n, args.max_mu, flags, args.limit, echo=sys.stderr
-            )
-            ok = report["ok"]
-    except (ValueError, ScaleExceededError) as exc:
+            report = cross_check(n, args.max_mu, flags, limit, echo=sys.stderr)
+        else:
+            lam, mu, gam, nu, phi = _parse_boundary(args, n)
+            if args.command in ("coeff", "table"):
+                report = run_coefficient(lam, mu, gam, nu, phi, args.method, limit)
+            elif args.command == "saturate":
+                report = saturation_scan(lam, mu, gam, nu, phi, args.k_max, limit)
+            elif args.command == "decompose":
+                report = decomposition_report(mu, gam, phi, limit)
+            elif args.command == "crystal-graph":
+                # tableau_word_set takes row bounds, so the flag is checked
+                # here; F's search runs first, so that the limit caps the
+                # words as it caps a decomposition
+                mu, gam, phi = check_boundary((mu, gam), phi)
+                flagged_skew_schur(mu, gam, phi, limit)
+                dot = crystal_graph_dot(tableau_word_set(mu, gam, phi), n)
+                if args.out == "-":
+                    print(dot)
+                else:
+                    with open(args.out, "w") as fh:
+                        fh.write(dot + "\n")
+                return 0
+            elif args.command == "hive-count":
+                report = {
+                    "query": _query_dict(lam, mu, gam, nu, phi, "hive"),
+                    "count": hive_count(lam, mu, gam, nu, phi, limit),
+                }
+            else:
+                report = hive_iso_report(lam, mu, gam, nu, phi, limit)
+    except (ValueError, ScaleExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(report, args.json)
-    return 0 if ok else 1
+    # a coefficient or a table passes when its routes agree; a hive count,
+    # which asserts nothing, always passes
+    return 0 if report.get("ok", report.get("agree", True)) else 1
 
 
 if __name__ == "__main__":

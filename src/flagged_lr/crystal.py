@@ -34,13 +34,13 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .core import (
-    ScaleExceededError,
     check_boundary,
     contains,
     is_partition,
     sort_descending,
     weight,
 )
+from .polynomials import IntPolynomial, _key_order, expand_in_key, key_polynomial
 from .tableaux import (
     SkewShape,
     SkewTableau,
@@ -284,8 +284,6 @@ def decompose(words, n: int):
     ValueError when some component character is not a single key polynomial
     (which would signal an internal inconsistency).
     """
-    from .polynomials import _key_order, expand_in_key, key_polynomial
-
     groups = {}
     for w, head in _heads(_parents(set(words), n)).items():
         groups.setdefault(head, set()).add(w)
@@ -315,8 +313,6 @@ def decompose(words, n: int):
 
 def character(words, n: int):
     """Sum of the weight monomials over a set of words."""
-    from .polynomials import IntPolynomial
-
     terms = {}
     for w in words:
         e = word_weight(w, n)

@@ -15,7 +15,8 @@ applying pi_{w0}.  By the Demazure character formula at w0 that
 polynomial is ``A(x^{lam+delta} F) / a_delta``, where A antisymmetrizes
 and ``delta = (n-1, ..., 0)``, and ``s_nu = a_{nu+delta} / a_delta``.
 ``coefficient_table_by_demazure`` checks the boundary
-(``core.check_boundary``), builds F and runs ``_antisymmetrize``.
+(``core.check_boundary``) and runs its core ``_demazure_table``, which
+builds F and runs ``_antisymmetrize``.
 ``flagged_skew_schur`` builds F by the one counting search over the
 flagged fillings (``tableaux._weight_search``), started from a head deep
 enough that its lattice test never binds; it counts them per weight as it
@@ -259,10 +260,16 @@ def coefficient_table_by_demazure(lam, mu, gam, phi):
     """The Schur expansion of pi_{w0}(x^lam F), F the flagged skew Schur
     polynomial of mu/gam, as a dict nu -> coefficient.
 
-    Checks the boundary (``core.check_boundary``), builds F and runs
-    ``_antisymmetrize`` on it."""
-    lam, mu, gam, phi = check_boundary((lam, mu, gam), phi)
-    return _antisymmetrize(lam, flagged_skew_schur(mu, gam, phi))
+    Checks the boundary (``core.check_boundary``) and runs
+    ``_demazure_table``."""
+    return _demazure_table(*check_boundary((lam, mu, gam), phi), None)
+
+
+def _demazure_table(lam, mu, gam, phi, limit):
+    """``coefficient_table_by_demazure`` on a checked boundary:
+    ``_antisymmetrize`` of F.  Raises ScaleExceededError once building F
+    has placed more than ``limit`` letters."""
+    return _antisymmetrize(lam, flagged_skew_schur(mu, gam, phi, limit))
 
 
 def _antisymmetrize(lam, skew_schur):

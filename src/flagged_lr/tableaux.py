@@ -8,13 +8,15 @@ tableaux of ``burge``), go through ``SkewTableau._from_rows``, which checks
 nothing.  Inside the library a filling travels as its raw rows, a tuple of
 row tuples, as ``_tableau_rows`` yields them in row-major order, or, where
 only its weight is wanted, not at all: ``_weight_search``, the one counting
-search, fills the cells in reading order, keeps the letter counts as it
-places letters and counts the fillings per final letter counts.  The
-counts start at a head, and a letter goes in only while the reading word
-after the head stays a lattice word.  From lambda's weight that is the
-tableau route (``crystal``); from a head whose parts fall by more than the
-cells in every step the test never binds, and the counts less the head
-are the terms of the flagged skew Schur polynomial F (``polynomials``).
+search, fills the cells in reading order and counts the fillings per
+final letter counts.  It places every letter at one site, shared by
+entering a cell and by moving a cell on to its next letter, which keeps
+the letter counts and charges the ceiling.  The counts start at a head,
+and a letter goes in only while the reading word after the head stays a
+lattice word.  From lambda's weight that is the tableau route
+(``crystal``); from a head whose parts fall by more than the cells in
+every step the test never binds, and the counts less the head are the
+terms of the flagged skew Schur polynomial F (``polynomials``).
 """
 
 from __future__ import annotations
@@ -206,6 +208,9 @@ def _weight_search(head, mu, gam, phi, caps, limit):
     n = len(head)
     cells = [(i, c) for i in range(len(mu)) for c in range(mu[i] - 1, gam[i] - 1, -1)]
     depth = len(cells)
+    if not depth:
+        # the empty filling places no letter
+        return {tuple(head): 1}
     pos = {cell: k for k, cell in enumerate(cells)}
     # past the last cell, a slot holding 0 stands in for a missing upper
     # neighbour and one holding n for a missing right neighbour
@@ -223,50 +228,45 @@ def _weight_search(head, mu, gam, phi, caps, limit):
     # counts, never falls below 0
     cost, budget = (0, 0) if limit is None else (1, limit)
     table = {}
-    k = 0
+    # k is the cell of the last letter placed, -1 before the first
+    last = depth - 1
+    k = -1
     while True:
-        if k == depth:
-            nu = tuple(counts[1:])
-            table[nu] = table.get(nu, 0) + 1
-            k -= 1
-        else:
-            # enter the cell k with the least letter that fits, or step back
+        if k < last:
+            # enter the next cell: its letters run from one above its upper
+            # neighbour to its right neighbour or its flag
+            k += 1
             top = v[right[k]]
             if flag[k] < top:
                 top = flag[k]
             tops[k] = top
             x = v[above[k]] + 1
-            while x <= top and (counts[x] >= caps[x] or counts[x] >= counts[x - 1]):
-                x += 1
-            if x <= top:
-                v[k] = x
-                counts[x] += 1
-                budget -= cost
-                if budget < 0:
-                    raise ScaleExceededError("enumeration ceiling exceeded")
-                k += 1
-                continue
-            k -= 1
-        # k holds a letter: take it back and place the next one that fits,
-        # or step back
-        while k >= 0:
-            x = v[k]
+        else:
+            # a filling is complete: count it and take back its last letter
+            nu = tuple(counts[1:])
+            table[nu] = table.get(nu, 0) + 1
             counts[x] -= 1
-            top = tops[k]
             x += 1
+        # the one site that places a letter, counts it and charges the limit:
+        # the least letter from x up that fits in the cell k; where none
+        # does, take back the letter of the cell before and look above it
+        while True:
             while x <= top and (counts[x] >= caps[x] or counts[x] >= counts[x - 1]):
                 x += 1
             if x <= top:
                 break
             k -= 1
-        if k < 0:
-            return table
+            if k < 0:
+                return table
+            x = v[k]
+            counts[x] -= 1
+            x += 1
+            top = tops[k]
         v[k] = x
         counts[x] += 1
         budget -= cost
         if budget < 0:
             raise ScaleExceededError("enumeration ceiling exceeded")
-        k += 1
 
 
 def enumerate_tableaux(shape: SkewShape, row_bounds):

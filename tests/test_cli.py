@@ -9,6 +9,7 @@ import flagged_lr.hives as hives_mod
 from flagged_lr.burge import insertion_decomposition
 from flagged_lr.cli import (
     DEFAULT_LIMIT,
+    TABLES,
     cross_check,
     decomposition_report,
     hive_count,
@@ -19,7 +20,6 @@ from flagged_lr.cli import (
 )
 from flagged_lr.crystal import (
     _count_tableaux,
-    _table_tableaux,
     coefficient_by_tableaux,
     tableau_word_set,
 )
@@ -170,6 +170,31 @@ def test_crystal_graph_to_file(tmp_path, capsys):
     assert '"121" -> "122"' in text
 
 
+def test_crystal_graph_into_a_missing_directory_is_an_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "graph.dot"
+    code = main(["--n", "2", "crystal-graph", "--mu", "2,2", "--gam", "1,0", "--phi", "2,2",
+                 "--out", str(target)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["--n", "-1", "verify"], "--n"),
+    (["verify", "--n", "-1"], "--n"),
+    (["--n", "-3", "hive-count", "--nu", ""], "--n"),
+    (["--n", "2", "verify", "--max-mu", "-1"], "--max-mu"),
+    (["--n", "2", "--limit", "-5", "table", "--mu", "1,0", "--phi", "2,2"], "--limit"),
+    (["--n", "2", "table", "--limit", "-5", "--mu", "1,0", "--phi", "2,2"], "--limit"),
+], ids=["n-before-verify", "n-after-verify", "n-hive-count", "max-mu", "limit-before-table",
+        "limit-after-table"])
+def test_a_negative_count_option_exits_2_from_the_parser(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}: expected an int of at least 0" in capsys.readouterr().err
+
+
 def test_hive_count_and_iso(capsys):
     code, out = run(
         capsys,
@@ -281,6 +306,17 @@ def test_a_decomposition_stops_at_the_limit(capsys):
     assert code == 0
     assert json.loads(out)["ok"]
     assert main(["--n", "4", "--limit", "2575", "decompose", *boundary]) == 2
+    assert "ceiling" in capsys.readouterr().err
+
+
+def test_a_crystal_graph_stops_at_the_limit(capsys):
+    # F's search runs first and places 2,576 letters, as for decompose, so
+    # a graph that passes lists at most that many words (here 540)
+    boundary = ["--mu", "6,4,3,0", "--gam", "0,0,0,0", "--phi", "4,4,4,4"]
+    code, out = run(capsys, "--n", "4", "--limit", "2576", "crystal-graph", *boundary)
+    assert code == 0
+    assert len(re.findall(r'^  "[0-9]+";$', out, re.M)) == 540
+    assert main(["--n", "4", "--limit", "2575", "crystal-graph", *boundary]) == 2
     assert "ceiling" in capsys.readouterr().err
 
 
@@ -657,10 +693,13 @@ def test_trusted_cores_equal_the_public_routes():
                 for phi in all_flags(n):
                     skew_schur = flagged_skew_schur(mu, gam, phi)
                     for lam in subpartitions(mu):
-                        table = _antisymmetrize(lam, skew_schur)
+                        table = TABLES["demazure"](lam, mu, gam, phi, None)
+                        assert table == _antisymmetrize(lam, skew_schur)
                         assert table == coefficient_table_by_demazure(lam, mu, gam, phi)
-                        assert _table_tableaux(lam, mu, gam, phi, None) == (
+                        assert TABLES["tableau"](lam, mu, gam, phi, None) == (
                             coefficient_table_by_tableaux_per_nu(lam, mu, gam, phi))
+                        assert TABLES["hive"](lam, mu, gam, phi, None) == (
+                            coefficient_table_by_hives_per_nu(lam, mu, gam, phi))
                         tables += 1
                         for nu in _nu_candidates(lam, mu, gam, n):
                             args = (lam, mu, gam, nu, phi)
