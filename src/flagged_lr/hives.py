@@ -26,12 +26,18 @@ most 20 nested loops in one function, so each further run of up to 15
 loops moves into a nested generator.  ``limit`` counts the labels placed at
 free nodes, one per loop turn.  The hive route counts instead of
 enumerating: the counter is a memoized pass over the free nodes in the same
-order, unrolled per node, that merges the partial points which agree on the
-labels later bounds still read.  Only a node after which some placed label
-is read no more can make partial points meet, so the counter builds a dict
-of states only there and at the last node, and nests a ``for`` loop at
-every other node.  There ``limit`` counts the labels the pass tries, the
-range of each state it expands.  Both raise ScaleExceededError once the
+order, unrolled per node, that merges the partial points which agree on
+what later bounds still need.  A term ``va + vb - vc`` of a bound is only a
+number once its nodes are placed, and a later node needs no more of its
+complete terms than the largest low one and the smallest high one.  So a
+state holds the labels that some incomplete term still reads, and, for
+each later node and side, a partial bound folded from the complete terms
+whose labels have left the state.  Only a node after which a label or a
+partial bound leaves the state (a fold coarsens the bound, or its node
+uses it up) can make partial points meet, so the counter builds a dict of
+states only there and at the last node, and nests a ``for`` loop at every
+other node.  There ``limit`` counts the labels the pass tries, the range of
+each state it expands.  Both raise ScaleExceededError once the
 labels exceed ``limit``.  A polytope may name free nodes as its output;
 the counter keeps their labels to the end and returns the points per
 labelling of them.  The hive table uses this: its polytope
@@ -75,7 +81,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count
 
 from .core import (
     ScaleExceededError,
@@ -127,11 +133,15 @@ class HiveValidationError(ValueError):
 # the lattice-point engine
 # ---------------------------------------------------------------------------
 
-class _Polytope(namedtuple("_Polytope", "edges meets free lows highs checks spans live keeps")):
+class _Polytope(namedtuple("_Polytope",
+                          "edges meets free lows highs checks spans bounds folds keys")):
     """A compiled polytope (see ``_compile``) and its two kernels, each
     generated by ``_kernel`` on first use: ``enumerator(runs, limit)``
     yields the label rows of every point, and ``counter(runs, limit)``
-    counts them, per labelling of the output nodes when there are any."""
+    counts them, per labelling of the output nodes when there are any,
+    merging partial points that agree on ``keys``: the labels that
+    incomplete bound terms still read and the partial bounds of later
+    nodes."""
 
     @cached_property
     def enumerator(self):
@@ -189,11 +199,16 @@ def _compile(grid, edges, table, out=()) -> _Polytope:
     for ``v[a] + v[b] - v[c]``; ``checks`` are the inequalities among
     boundary nodes, ``spans`` the rows' extents.
 
-    ``live[k]`` lists the free nodes placed before depth k that a bound at
-    depth k or later still reads, or that are in ``out``, in placement
-    order, and ``keeps[k]`` gives the positions in ``live[k]`` of the nodes
-    that stay in ``live[k + 1]``: the counter keys its states by them.  So
-    the last of them, ``live[-1]``, is ``out`` in placement order.
+    The counter keys its states at depth k by the slots of ``keys[k]``:
+    the free nodes placed before depth k that an incomplete term still
+    reads, or that are in ``out``, and the partial bounds of later nodes,
+    each a slot numbered past the zero node (``_counter_plan``).  At depth k
+    it bounds ``free[k]`` by the triples of ``bounds[k]``, low and high,
+    over those slots and the boundary; each label in that range sets the
+    partial bounds of ``folds[k]``, triples (slot, side, terms) folded by
+    max on side 0 and by min on side 1, and the state moves on to the key
+    ``keys[k + 1]``.  So the last key, ``keys[-1]``, is ``out`` in placement
+    order.
 
     ``_kernel`` writes this table out as code; the generic engine in
     ``tests/oracles.py`` runs it as data."""
@@ -226,20 +241,68 @@ def _compile(grid, edges, table, out=()) -> _Polytope:
         bounds[rank[last]].add((a, b, c))
     ends = list(accumulate(len(row) for row in grid))
     slots = [index[node] for node in free]
-    read_at = [{p for triple in lows[k] | highs[k] for p in triple} for k in range(len(free))]
-    last_read = {p: k for k, read in enumerate(read_at) for p in read}
-    last_read.update((index[node], len(free)) for node in out)
-    live = [tuple(p for p in slots[:k] if last_read.get(p, -1) >= k)
-            for k in range(len(free) + 1)]
-    keeps = [tuple(live[k].index(p) for p in live[k + 1] if p != slot)
-             for k, slot in enumerate(slots)]
+    lows, highs = [tuple(sorted(b)) for b in lows], [tuple(sorted(b)) for b in highs]
     return _Polytope(
         tuple(tuple(index[node] for node in edge) for edge in edges), tuple(meets),
-        tuple(slots),
-        tuple(tuple(sorted(b)) for b in lows), tuple(tuple(sorted(b)) for b in highs),
+        tuple(slots), tuple(lows), tuple(highs),
         tuple(checks), tuple(zip([0] + ends, ends)),
-        tuple(live), tuple(keeps),
+        *_counter_plan(slots, lows, highs, {index[node] for node in out}, zero),
     )
+
+
+def _counter_plan(slots, lows, highs, out, zero):
+    """The counter's ``bounds``, ``folds`` and ``keys`` (see ``_compile``).
+
+    A term ``va + vb - vc`` of a bound on ``slots[j]`` is complete once its
+    last free node is placed.  A label stays in the key while a term that
+    is not yet complete reads it.  A complete term is folded into the
+    partial bound of its node and side only at a merge, at the depth where
+    the first of its labels leaves the key; a term whose labels all outlast
+    depth j is read at depth j itself.  A partial bound takes a new slot,
+    numbered past ``zero``, each time a fold coarsens it, so a nested loop
+    never overwrites the value an outer one reads, and its first fold takes
+    in the terms of its node and side that read the boundary alone."""
+    rank = {p: k for k, p in enumerate(slots)}
+    sides = list(zip(lows, highs))
+    # the depth that places the last free node of a term still to complete
+    last = dict.fromkeys(out, len(slots))
+    for bound in sides:
+        for t in chain(*bound):
+            done = max([rank[p] for p in t if p in rank], default=-1)
+            for p in t:
+                if p in rank and p not in out:
+                    last[p] = max(last.get(p, -1), done)
+    direct = [([], []) for _ in slots]
+    boundary = [([], []) for _ in slots]
+    folded = [{} for _ in slots]
+    for j, bound in enumerate(sides):
+        for side, triples in enumerate(bound):
+            for t in triples:
+                at = min([last[p] for p in t if p in rank], default=None)
+                if at is None:
+                    boundary[j][side].append(t)
+                elif at >= j:
+                    direct[j][side].append(t)
+                else:
+                    folded[at].setdefault((j, side), []).append(t)
+    partial, fresh = {}, count(zero + 1)
+    bounds, folds, keys = [], [], [()]
+    for k, slot in enumerate(slots):
+        bounds.append(tuple(
+            tuple(direct[k][side] + ([(partial.pop((k, side)), zero, zero)] if (k, side) in partial
+                                     else boundary[k][side]))
+            for side in (0, 1)))
+        fold = []
+        for (j, side), triples in sorted(folded[k].items()):
+            base = [(partial[j, side], zero, zero)] if (j, side) in partial else boundary[j][side]
+            triples += base
+            partial[j, side] = new = next(fresh)
+            fold.append((new, side, tuple(triples)))
+        folds.append(tuple(fold))
+        current = set(partial.values())
+        keys.append(tuple(p for p in keys[-1] + (slot,) if p in current or last.get(p, -1) > k)
+                    + tuple(new for new, _, _ in fold))
+    return tuple(bounds), tuple(folds), tuple(keys)
 
 
 #: free nodes placed by one function of an enumerator, and loops nested in
@@ -262,27 +325,35 @@ def _kernel(poly: _Polytope, counting):
     and charges ``limit`` one label per loop turn; each run of ``_NEST``
     loops that would nest deeper moves into a nested generator, defined
     first and entered with ``yield from``.  The counter is the memoized
-    pass unrolled per depth: each state's key unpacks into the labels of
-    ``live[k]``, the pass bounds the next node and charges ``hi - lo + 1``.
-    A depth whose node a later bound reads and that drops no live node
-    cannot make two partial points meet, so it is a ``for`` loop nested in
-    the depth before it, up to ``_NEST`` of them in a run; every other
-    depth, and the last, merges its partial points into the next dict by
-    ``keeps[k]``.  It returns the sum of the last dict, or, when the
-    polytope has output nodes (``live[-1]``), the dict itself, from their
-    labels to the number of points that carry them ({} when the prologue
-    refuses the boundary)."""
+    pass unrolled per depth: each state's key unpacks into the locals of
+    ``keys[k]``, labels and partial bounds, and the pass bounds the next
+    node by ``bounds[k]``, charges ``hi - lo + 1`` and folds the partial
+    bounds of ``folds[k]``, in the node's loop when they read its label.
+    A depth after which the node and every slot of ``keys[k]`` stay in the
+    key cannot make two partial points meet, so it is a ``for`` loop nested
+    in the depth before it, up to ``_NEST`` of them in a run.  Every other
+    depth, where a label or a partial bound leaves the key, and the last,
+    merges its partial points into the next dict by ``keys[k + 1]``; when
+    neither that key nor a fold reads the node, its whole range adds to
+    the state's count at once.  It returns the sum of the last dict, or,
+    when the polytope has output nodes (``keys[-1]``), the dict itself, from
+    their labels to the number of points that carry them ({} when the
+    prologue refuses the boundary)."""
     name, zero = "v{}".format, poly.spans[-1][1]
-    keyed = counting and bool(poly.live[-1])
+    keyed = counting and bool(poly.keys[-1])
 
-    def bounds(k):
-        lines = []
-        for var, triples, cmp in (("lo", poly.lows[k], ">"), ("hi", poly.highs[k], "<")):
-            terms = [" - ".join([" + ".join(name(p) for p in (a, b) if p != zero) or "0"]
-                                + [name(c)] * (c != zero)) for a, b, c in triples]
-            lines += [f"{var} = {terms[0]}"] + [
-                f"t = {t}; {var} = t if t {cmp} {var} else {var}" for t in terms[1:]]
-        return lines
+    def fold(var, triples, cmp):
+        terms = [" - ".join([" + ".join(name(p) for p in (a, b) if p != zero) or "0"]
+                            + [name(c)] * (c != zero)) for a, b, c in triples]
+        return [f"{var} = {terms[0]}"] + [
+            f"t = {t}; {var} = t if t {cmp} {var} else {var}" for t in terms[1:]]
+
+    def bounds(lows, highs):
+        return fold("lo", lows, ">") + fold("hi", highs, "<")
+
+    def folds(plan):
+        return [line for new, side, triples in plan
+                for line in fold(name(new), triples, "><"[side])]
 
     def labels(nodes):
         return f"({''.join(name(p) + ', ' for p in nodes)})"
@@ -308,7 +379,7 @@ def _kernel(poly: _Polytope, counting):
             lines = [f"def part{stop}():", "    nonlocal left"] + ["    " + x for x in nest(stop)]
             inner = f"yield from part{stop}()"
         for pad, k in enumerate(range(start, stop)):
-            lines += ["    " * pad + line for line in bounds(k) + [
+            lines += ["    " * pad + line for line in bounds(poly.lows[k], poly.highs[k]) + [
                 f"for {name(poly.free[k])} in range(lo, hi + 1):",
                 "    left -= 1", f"    if left < 0: {exceeded}"]]
         return lines + ["    " * (stop - start) + inner]
@@ -317,22 +388,26 @@ def _kernel(poly: _Polytope, counting):
         body.append("states = {(): 1}")
         run = 0
         for k, slot in enumerate(poly.free):
+            key, after = poly.keys[k], poly.keys[k + 1]
             if not run:
-                body += ["merged = {}", f"for {labels(poly.live[k])}, m in states.items():"]
+                body += ["merged = {}", f"for {labels(key)}, m in states.items():"]
             pad = "    " * (run + 1)
-            body += [pad + line for line in bounds(k) + [
-                "if hi < lo: continue", "left -= hi - lo + 1", f"if left < 0: {exceeded}"]]
-            kept = [poly.live[k][i] for i in poly.keeps[k]]
-            if slot in poly.live[k + 1]:
+            # folds that read the new label go inside its loop
+            tied = [f for f in poly.folds[k] if any(slot in t for t in f[2])]
+            body += [pad + line for line in bounds(*poly.bounds[k]) + [
+                "if hi < lo: continue", "left -= hi - lo + 1", f"if left < 0: {exceeded}"]
+                + folds([f for f in poly.folds[k] if f not in tied])]
+            if slot in after or tied:
                 body.append(pad + f"for {name(slot)} in range(lo, hi + 1):")
-                # nothing dropped: the partial points stay distinct, so nest
-                if len(kept) == len(poly.live[k]) and k + 1 < len(poly.free) and run < _NEST:
+                body += [pad + "    " + line for line in folds(tied)]
+                # nothing leaves the key: the partial points stay distinct, so nest
+                if {*key, slot} <= {*after} and k + 1 < len(poly.free) and run < _NEST:
                     run += 1
                     continue
-                body += [pad + f"    key = {labels(kept + [slot])}",
+                body += [pad + f"    key = {labels(after)}",
                          pad + "    merged[key] = merged.get(key, 0) + m"]
             else:
-                head = labels(kept)
+                head = labels(after)
                 body.append(pad + f"merged[{head}] = merged.get({head}, 0) + m * (hi - lo + 1)")
             body.append("states = merged")
             run = 0
@@ -690,11 +765,11 @@ def _table_skew_hives(lam, mu, gam, phi, limit):
     poly = _skew_table_polytope(n, phi)
     _, top, bottom = runs = _skew_table_runs(lam, mu, gam)
     counts = poly.counter(runs, limit)
-    if not poly.live[-1]:
+    if not poly.keys[-1]:
         # n <= 1: the right column is boundary, so nu is (total,) or ()
         return {(bottom[-1] - top[-1],) * n: counts} if counts else {}
     # the right column's interior, top to bottom, in the counter's keys
-    at = [poly.live[-1].index(poly.spans[i][0] + n) for i in range(1, n)]
+    at = [poly.keys[-1].index(poly.spans[i][0] + n) for i in range(1, n)]
     table = {}
     for labels, count in counts.items():
         column = [top[-1], *[labels[p] for p in at], bottom[-1]]
@@ -873,9 +948,11 @@ def lift_tilde(lam, mu, gam, nu, phi):
     return _lift(*_lift_input(lam, mu, gam, nu, phi))
 
 
+@lru_cache(maxsize=256)
 def _psi_head(gam, nu1):
     """The top n rows of every image under psi: the lifted left boundary is
-    constant nu_1 there, so they depend on gam and nu_1 alone."""
+    constant nu_1 there, so they depend on gam and nu_1 alone, and are
+    built once per (gam, nu_1)."""
     bg = partial_sums(gam)
     return tuple(tuple(i * nu1 + b for b in bg[:i + 1]) for i in range(len(gam)))
 

@@ -464,29 +464,30 @@ def engine_points(poly, runs, limit=None):
 def engine_count(poly, runs, limit=None):
     """The number of points ``engine_points`` yields, without listing them.
 
-    Going forward over the free nodes, the pass keeps a dict from the labels
-    of ``live[k]`` to the number of partial points that carry them; a node
-    no later bound reads adds its whole range to its parent's count at once.
-    When the polytope has output nodes (``live[-1]``), the last dict is the
-    answer: the points per labelling of them.  Raises ScaleExceededError
-    once more than ``limit`` labels have been tried, hi - lo + 1 for each
-    state expanded."""
-    v = engine_labels(poly, runs)
-    if v is None:
-        return {} if poly.live[-1] else 0
+    Going forward over the free nodes, the pass keeps a dict from the slots
+    of ``keys[k]``, labels and partial bounds, to the number of partial
+    points that carry them, and merges at every depth: it runs the
+    counter's plan as data.  A state bounds its node by ``bounds[k]``, and
+    each label in that range sets the partial bounds of ``folds[k]``; when
+    neither the next key nor a fold reads the node, its whole range adds to
+    the state's count at once.  When the polytope has output nodes
+    (``keys[-1]``), the last dict is the answer: the points per labelling
+    of them.  Raises ScaleExceededError once more than ``limit`` labels have
+    been tried, hi - lo + 1 for each state expanded."""
+    labels = engine_labels(poly, runs)
+    if labels is None:
+        return {} if poly.keys[-1] else 0
+    v = dict(enumerate(labels))
     left = math.inf if limit is None else limit
     states = {(): 1}
     for k, node in enumerate(poly.free):
-        lows, highs, keeps = poly.lows[k], poly.highs[k], poly.keeps[k]
-        # the labels of live[k] that a bound at depth k reads
-        reads = [(p, i) for i, p in enumerate(poly.live[k])
-                 if any(p in triple for triple in lows + highs)]
-        # ``node`` comes last in live[k + 1] when a later bound reads it
-        read_later = node in poly.live[k + 1]
+        (lows, highs), folds = poly.bounds[k], poly.folds[k]
+        key, after = poly.keys[k], poly.keys[k + 1]
+        # the node's range matters only when the next key or a fold reads it
+        read = node in after or any(node in t for _, _, triples in folds for t in triples)
         merged = {}
-        for labels, mult in states.items():
-            for p, i in reads:
-                v[p] = labels[i]
+        for values, mult in states.items():
+            v.update(zip(key, values))
             lo = max([v[a] + v[b] - v[c] for a, b, c in lows])
             hi = min([v[a] + v[b] - v[c] for a, b, c in highs])
             if hi < lo:
@@ -494,15 +495,14 @@ def engine_count(poly, runs, limit=None):
             left -= hi - lo + 1
             if left < 0:
                 raise ScaleExceededError("enumeration ceiling exceeded")
-            head = tuple([labels[i] for i in keeps])
-            if not read_later:
-                merged[head] = merged.get(head, 0) + mult * (hi - lo + 1)
-                continue
-            for x in range(lo, hi + 1):
-                key = head + (x,)
-                merged[key] = merged.get(key, 0) + mult
+            for x in range(lo, hi + 1) if read else [lo]:
+                v[node] = x
+                for new, side, triples in folds:
+                    v[new] = (min if side else max)([v[a] + v[b] - v[c] for a, b, c in triples])
+                head = tuple([v[p] for p in after])
+                merged[head] = merged.get(head, 0) + (mult if read else mult * (hi - lo + 1))
         states = merged
-    return states if poly.live[-1] else sum(states.values())
+    return states if poly.keys[-1] else sum(states.values())
 
 
 def coefficient_table_by_hives_per_nu(lam, mu, gam, phi, limit=None):

@@ -286,15 +286,15 @@ def test_a_demazure_table_stops_at_the_limit(capsys):
 
 
 def test_a_hive_table_stops_at_the_limit(capsys):
-    # the worked example with the full flag: the one pass tries 627 labels,
-    # where its largest per-nu count tries 85 and all 47 together 1,506
+    # the worked example with the full flag: the one pass tries 529 labels,
+    # where its largest per-nu count tries 70 and all 47 together 1,360
     boundary = ["--lam", "3,1,1,0", "--mu", "5,4,2,1", "--gam", "2,1,0,0",
                 "--phi", "4,4,4,4"]
-    code, out = run(capsys, "--n", "4", "--limit", "627", "--json", "table",
+    code, out = run(capsys, "--n", "4", "--limit", "529", "--json", "table",
                     "--method", "hive", *boundary)
     assert code == 0
     assert len(json.loads(out)["table"]) == 29
-    assert main(["--n", "4", "--limit", "626", "table", "--method", "hive", *boundary]) == 2
+    assert main(["--n", "4", "--limit", "528", "table", "--method", "hive", *boundary]) == 2
     assert "ceiling" in capsys.readouterr().err
 
 

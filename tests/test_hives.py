@@ -418,9 +418,9 @@ def test_table_counter_equals_the_oracle_engine():
         points = list(engine_points(poly, runs))
         counts = poly.counter(runs, None)
         assert counts == engine_count(poly, runs), case
-        if poly.live[-1]:
+        if poly.keys[-1]:
             labels = (tuple(chain.from_iterable(rows)) for rows in points)
-            assert counts == Counter(tuple(v[p] for p in poly.live[-1]) for v in labels), case
+            assert counts == Counter(tuple(v[p] for p in poly.keys[-1]) for v in labels), case
             keyed += 1
         else:
             assert counts == len(points), case
@@ -622,6 +622,16 @@ def test_count_limit_counts_labels_tried(worked_hive):
     assert len(enumerate_skew_hive_points(*args, limit=12)) == 3
     with pytest.raises(ScaleExceededError):
         enumerate_skew_hive_points(*args, limit=11)
+
+
+def test_the_n5_count_merges_states_by_partial_bounds():
+    # the n=5 case dilated by k=2: states keyed by every placed label that a
+    # later bound reads would try 1,343 labels; keyed by the labels that
+    # incomplete terms read and by partial bounds, the pass tries 892
+    args = [tuple(2 * x for x in part) for part in N5_CASE[:4]] + [N5_CASE[4]]
+    assert count_skew_hive_points(*args, limit=892) == 1182
+    with pytest.raises(ScaleExceededError):
+        count_skew_hive_points(*args, limit=891)
 
 
 def test_count_skew_hive_points_shares_the_input_checks():
