@@ -8,11 +8,12 @@ insertion processing the display-rightmost biword column first passes both.
 
 ``insertion_decomposition`` checks its boundary (``core.check_boundary``)
 and runs ``_insertion_classes``, which trusts it.  That core reads each
-flagged filling as raw rows and column-inserts its reading word into plain
-lists, keeping only the recording tableau, so it builds no biword, no P
-tableau and no tableau per member until the classes are formed.  It and
-``burge`` share one insertion, ``_insertion_columns``, and ``left_key``
-rectifies by its column insertion, ``_column_insert``.  The straight
+flagged filling as raw rows and column-inserts its reading word, from the
+first row in which it differs from the filling before, keeping only the
+recording tableau, so it builds no biword, no P tableau and no tableau per
+member until the classes are formed.  It, ``burge`` and ``left_key`` share
+one insertion, ``_column_insert``, into columns held as bit sets, and
+``_letters`` reads a column back where P or Q is read.  The straight
 tableaux built here (``burge``'s P and Q, recordings, their
 standardizations, key tableaux and left keys) go through the trusted
 ``SkewTableau._from_rows``.
@@ -20,7 +21,6 @@ standardizations, key tableaux and left keys) go through the trusted
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import as_partition, check_boundary, sub
@@ -137,34 +137,40 @@ def block_word(alpha):
     return tuple(out)
 
 
-def _column_insert(columns, x):
-    """Insert x, bumping the topmost entry >= x into the next column.
-
-    Columns strictly increase downwards, so that entry is found by
-    bisection.  Returns the index of the column that grew.
-    """
-    for c, col in enumerate(columns):
-        r = bisect_left(col, x)
-        if r == len(col):
-            col.append(x)
+def _column_insert(p, x):
+    """Insert x into P, a list of columns, bumping the least entry >= x into
+    the next column (Fulton, Young Tableaux, App. A).  A column strictly
+    increases, so it is held as the bit set of its letters, and that entry
+    is its lowest bit at or above bit x.  Returns the index of the column
+    that grew."""
+    b = 1 << x
+    for c, col in enumerate(p):
+        m = col & -b
+        if not m:
+            p[c] = col | b
             return c
-        col[r], x = x, col[r]
-    columns.append([x])
-    return len(columns) - 1
+        y = m & -m
+        p[c] = col ^ y | b
+        b = y
+    p.append(b)
+    return len(p) - 1
 
 
-def _insertion_columns(pairs):
-    """The columns of the insertion pair (P, Q) of (top, bottom) letter
-    pairs read from k = 1: each bottom letter is column-inserted into P,
-    and its top letter goes to the foot of the column of Q where P grew."""
-    p_cols, q_cols = [], []
-    for i, x in pairs:
-        c = _column_insert(p_cols, x)
-        if c == len(q_cols):
-            q_cols.append([i])
+def _insert_row(p, q, i, letters):
+    """Column-insert ``letters`` into P, putting the top letter i at the foot
+    of the column of Q where P grew; Q's columns are bit sets too."""
+    bit = 1 << i
+    for x in letters:
+        c = _column_insert(p, x)
+        if c < len(q):
+            q[c] |= bit
         else:
-            q_cols[c].append(i)
-    return p_cols, q_cols
+            q.append(bit)
+
+
+def _letters(bits):
+    """The letters of a bit-set column, in increasing order."""
+    return [x for x in range(bits.bit_length()) if bits >> x & 1]
 
 
 def _rows_from_columns(columns):
@@ -187,9 +193,10 @@ def _straight_tableau(rows) -> SkewTableau:
 def burge(w: Biword):
     """Insertion pair (P, Q): column-insert the bottom letters for k = 1..t,
     recording each top letter in the cell where P grows."""
-    p_cols, q_cols = _insertion_columns(w.columns)
-    return (_straight_tableau(_rows_from_columns(p_cols)),
-            _straight_tableau(_rows_from_columns(q_cols)))
+    p, q = [], []
+    for i, x in w.columns:
+        _insert_row(p, q, i, (x,))
+    return tuple(_straight_tableau(_rows_from_columns([*map(_letters, c)])) for c in (p, q))
 
 
 def is_j_phi_compatible(w: Biword, phi) -> bool:
@@ -362,11 +369,11 @@ def left_key(t: SkewTableau) -> SkewTableau:
     top = max(row[-1] for row in rows) + 1
     key_cols = []
     for j in range(1, len(rows[0]) + 1):
-        p_cols = []
+        p = []
         for row in reversed(rows):
             for x in row[:j]:
-                _column_insert(p_cols, top - x)
-        key_cols.append([top - x for x in reversed(p_cols[j - 1])])
+                _column_insert(p, top - x)
+        key_cols.append([top - x for x in reversed(_letters(p[j - 1]))])
     key = _straight_tableau(_rows_from_columns(key_cols))
     if not is_key(key):
         raise ValueError(f"left key extraction produced a non-key {key.rows}")
@@ -405,19 +412,31 @@ def _insertion_classes(shape, fillings):
     The biword of a filling, its reversed reading word below the row-block
     word, read from k = 1 pairs the reading word's letters in order with
     the index of the row each one comes from.  So those pairs go straight
-    to the insertion, and only the recording tableau is kept.  Each class
-    is checked against the theorem it stands for: the recording has the row
-    lengths of the shape as its weight, its standardization is compatible
-    with the shape, and its left key is a key."""
+    to the insertion, and only the recording tableau is kept.  P and Q are
+    kept after each row too, and a filling is inserted from the first row
+    in which it differs from the one before; in row-major order neighbours
+    share their leading rows.  Each class is checked against the theorem it
+    stands for: the recording has the row lengths of the shape as its
+    weight, its standardization is compatible with the shape, and its left
+    key is a key."""
     n = shape.n_rows
     rho = sub(shape.outer, shape.inner)
     by_recording = {}
+    # states[r] holds P and Q after the first r rows of the last filling
+    states = [((), ())]
+    last = (None,) * n
     for rows in fillings:
-        _, q_cols = _insertion_columns(
-            (i, x) for i, row in enumerate(rows, 1) for x in reversed(row)
-        )
-        by_recording.setdefault(tuple(map(tuple, q_cols)), []).append(rows)
-    groups = {_rows_from_columns(cols): members for cols, members in by_recording.items()}
+        r = 0
+        while r < n and rows[r] == last[r]:
+            r += 1
+        del states[r + 1 :]
+        p, q = map(list, states[r])
+        for i in range(r, n):
+            _insert_row(p, q, i + 1, reversed(rows[i]))
+            states.append((tuple(p), tuple(q)))
+        last = rows
+        by_recording.setdefault(states[-1][1], []).append(rows)
+    groups = {_rows_from_columns([*map(_letters, c)]): rows for c, rows in by_recording.items()}
     out = []
     for rec_rows in sorted(groups):
         rec = _straight_tableau(rec_rows)

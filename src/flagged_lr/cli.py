@@ -16,8 +16,7 @@ output nodes are the right column (``hives._table_skew_hives``); for a
 scan, one hive count per dilation k.  ``hive_iso_report`` checks
 its boundary with ``hives._lift_input`` and runs ``hives._doubling``.  Only
 ``crystal-graph``, whose word set takes row bounds, checks the flag in
-``main``; it builds F first, so that ``--limit`` caps its words as it caps
-a decomposition.
+``main``; ``--limit`` caps the letters its enumeration places.
 Every flagged skew Schur polynomial F comes from ``flagged_skew_schur``,
 the one behind ``table --method demazure``, and so from the counting search
 ``tableaux._weight_search`` that the tableau route runs too.
@@ -87,8 +86,9 @@ LIMIT_HELP = (
     "enumeration ceiling per call (hive labels or tableau letters placed, "
     "Demazure shapes expanded); a table by the tableau or the hive route is "
     "one call, so the ceiling caps the letters placed or the hive labels "
-    "tried for every nu together; a table by the Demazure route, a "
-    "decomposition and a crystal graph cap the letters placed to build F"
+    "tried for every nu together; a table by the Demazure route and a "
+    "decomposition cap the letters placed to build F, a crystal graph "
+    "those placed to enumerate its fillings"
 )
 
 #: the trusted core of each route, called on a checked boundary as
@@ -525,12 +525,9 @@ def main(argv=None) -> int:
             elif args.command == "decompose":
                 report = decomposition_report(mu, gam, phi, limit)
             elif args.command == "crystal-graph":
-                # tableau_word_set takes row bounds, so the flag is checked
-                # here; F's search runs first, so that the limit caps the
-                # words as it caps a decomposition
+                # tableau_word_set takes row bounds, so the flag is checked here
                 mu, gam, phi = check_boundary((mu, gam), phi)
-                flagged_skew_schur(mu, gam, phi, limit)
-                dot = crystal_graph_dot(tableau_word_set(mu, gam, phi), n)
+                dot = crystal_graph_dot(tableau_word_set(mu, gam, phi, limit), n)
                 if args.out == "-":
                     print(dot)
                 else:

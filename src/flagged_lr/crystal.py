@@ -166,9 +166,10 @@ def flagged_word_set(phi, rho):
     return {tuple(w) for w in product(*ranges)}
 
 
-def tableau_word_set(mu, gam, row_bounds):
-    """Reading words of the flagged skew tableaux of shape mu/gam."""
-    return {_reading_word(rows) for rows in _tableau_rows(SkewShape(mu, gam), row_bounds)}
+def tableau_word_set(mu, gam, row_bounds, limit=None):
+    """Reading words of the flagged skew tableaux of shape mu/gam; raises
+    ScaleExceededError once more than ``limit`` letters have been placed."""
+    return {_reading_word(rows) for rows in _tableau_rows(SkewShape(mu, gam), row_bounds, limit)}
 
 
 def generate_demazure(b, reduced, n: int):

@@ -147,14 +147,15 @@ class SkewTableau:
         )
 
 
-def _tableau_rows(shape: SkewShape, bounds):
+def _tableau_rows(shape: SkewShape, bounds, limit=None):
     """Yield the rows of every semistandard filling of ``shape`` with row i
     entries at most bounds[i], as a tuple of row tuples, without building
     or validating a tableau.
 
     Fillings come in lexicographic order of the row-major entry sequence.
     An invalid shape yields nothing; bounds of another length than the
-    shape raise "ambient lengths differ"."""
+    shape raise "ambient lengths differ".  Raises ScaleExceededError once
+    more than ``limit`` letters have been placed."""
     bounds = tuple(bounds)
     if len(bounds) != shape.n_rows:
         raise ValueError("ambient lengths differ")
@@ -171,6 +172,8 @@ def _tableau_rows(shape: SkewShape, bounds):
     ends = list(accumulate(o - i for o, i in zip(shape.outer, shape.inner)))
     row_slices = list(zip([0] + ends, ends))
     v = [0] * (depth + 1)
+    # with no limit a letter costs 0, so the budget never falls below 0
+    cost, budget = (0, 0) if limit is None else (1, limit)
     k = 0
     while True:
         if k == depth:
@@ -183,6 +186,9 @@ def _tableau_rows(shape: SkewShape, bounds):
         if k < 0:
             return
         v[k] += 1
+        budget -= cost
+        if budget < 0:
+            raise ScaleExceededError("enumeration ceiling exceeded")
         k += 1
 
 

@@ -5,6 +5,7 @@ shares as little as possible with the fast path.
 """
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import chain, permutations
 
@@ -703,6 +704,35 @@ def expand_in_schur_greedy(f: IntPolynomial):
 # burge
 # ---------------------------------------------------------------------------
 
+def burge_by_lists(w):
+    """``burge.burge`` by column insertion into lists of letters, the entry
+    each letter bumps found by bisection; the library inserts into bit
+    sets.  P and Q go through the validating constructor."""
+    p_cols, q_cols = [], []
+    for i, x in w.columns:
+        for c, col in enumerate(p_cols):
+            r = bisect_left(col, x)
+            if r == len(col):
+                col.append(x)
+                break
+            col[r], x = x, col[r]
+        else:
+            c = len(p_cols)
+            p_cols.append([x])
+        if c == len(q_cols):
+            q_cols.append([i])
+        else:
+            q_cols[c].append(i)
+    return _tableau_of_columns(p_cols), _tableau_of_columns(q_cols)
+
+
+def _tableau_of_columns(cols):
+    rows = [[col[r] for col in cols if len(col) > r] for r in range(len(cols[0]) if cols else 0)]
+    rows = rows or [[]]
+    outer = tuple(map(len, rows))
+    return SkewTableau(SkewShape(outer, (0,) * len(outer)), rows)
+
+
 def _parses_into_columns(word, lengths):
     """Can word split into strictly decreasing blocks of the given lengths
     (in some order)?"""
@@ -786,7 +816,9 @@ def insertion_decomposition_by_burge(mu, gam, phi):
     """``burge.insertion_decomposition`` through the paper's objects: each
     validated flagged tableau's biword (the reversed reading word below the
     row-block word) goes through ``burge``, which builds both P and the
-    recording tableau, and the classes are grouped by recording."""
+    recording tableau, and the classes are grouped by recording.  ``burge``
+    is held to ``burge_by_lists`` on a matrix census, so this oracle rests
+    on an insertion that shares no code with the library's."""
     mu, gam, phi = check_boundary((mu, gam), phi)
     n = len(mu)
     shape = SkewShape(mu, gam)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import decomposition_census, skew_pairs
 from oracles import (
+    burge_by_lists,
     insertion_decomposition_by_burge,
     insertion_tableau,
     left_key_by_knuth_class,
@@ -12,6 +13,7 @@ from oracles import (
 )
 from flagged_lr.burge import (
     Biword,
+    _insertion_classes,
     insertion_decomposition,
     ascents,
     biword_from_matrix,
@@ -35,6 +37,7 @@ from flagged_lr.hives import enumerate_tri_hive_points
 from flagged_lr.tableaux import (
     SkewShape,
     SkewTableau,
+    _tableau_rows,
     dominant_tableau,
     enumerate_tableaux,
     reading_word,
@@ -102,6 +105,15 @@ def test_burge_is_injective_with_matching_shapes():
         key = (len(m), len(m[0]), p.rows, q.rows)
         assert key not in seen, f"collision between {m} and {seen[key]}"
         seen[key] = m
+
+
+def test_burge_equals_the_list_insertion_oracle_census():
+    # bit-set columns against lists searched by bisection
+    census = [*matrices(3, 3, 1), *matrices(2, 3, 2)]
+    assert len(census) == 1_540
+    for m in census:
+        w = biword_from_matrix(m)
+        assert burge(w) == burge_by_lists(w), m
 
 
 def test_burge_rectification_identity_census():
@@ -332,6 +344,26 @@ def test_insertion_classes_equal_the_burge_oracle_census():
         classes = insertion_decomposition(mu, gam, phi)
         assert _class_rows(classes) == _class_rows(insertion_decomposition_by_burge(mu, gam, phi))
         assert all(m.shape == SkewShape(mu, gam) for c in classes for m in c.members)
+
+
+def test_insertion_classes_do_not_depend_on_the_filling_order():
+    # fillings in row-major order share their leading rows with the one
+    # before; shuffled, most share none and insert from the first row
+    rng = random.Random(25)
+    census = decomposition_census()
+    assert ((6, 4, 3, 0), (0, 0, 0, 0), (4, 4, 4, 4)) in census
+    for mu, gam, phi in census:
+        shape = SkewShape(mu, gam)
+        fillings = list(_tableau_rows(shape, phi))
+        shuffled = rng.sample(fillings, len(fillings))
+        got, expected = (
+            [(c.recording, c.standard, c.beta, set(c.members)) for c in classes]
+            for classes in (
+                _insertion_classes(shape, shuffled),
+                _insertion_classes(shape, fillings),
+            )
+        )
+        assert got == expected, (mu, gam, phi)
 
 
 def _validated(t):

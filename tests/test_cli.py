@@ -310,13 +310,13 @@ def test_a_decomposition_stops_at_the_limit(capsys):
 
 
 def test_a_crystal_graph_stops_at_the_limit(capsys):
-    # F's search runs first and places 2,576 letters, as for decompose, so
-    # a graph that passes lists at most that many words (here 540)
+    # the graph builds no F: enumerating its 540 fillings row by row
+    # places 3,830 letters
     boundary = ["--mu", "6,4,3,0", "--gam", "0,0,0,0", "--phi", "4,4,4,4"]
-    code, out = run(capsys, "--n", "4", "--limit", "2576", "crystal-graph", *boundary)
+    code, out = run(capsys, "--n", "4", "--limit", "3830", "crystal-graph", *boundary)
     assert code == 0
     assert len(re.findall(r'^  "[0-9]+";$', out, re.M)) == 540
-    assert main(["--n", "4", "--limit", "2575", "crystal-graph", *boundary]) == 2
+    assert main(["--n", "4", "--limit", "3829", "crystal-graph", *boundary]) == 2
     assert "ceiling" in capsys.readouterr().err
 
 
