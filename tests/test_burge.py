@@ -337,6 +337,10 @@ def _class_rows(classes):
     ]
 
 
+def _class_sets(classes):
+    return [(c.recording, c.standard, c.beta, set(c.members)) for c in classes]
+
+
 def test_insertion_classes_equal_the_burge_oracle_census():
     # column insertion on raw rows, keeping only the recording, against
     # burge on the biword of each validated tableau
@@ -356,14 +360,9 @@ def test_insertion_classes_do_not_depend_on_the_filling_order():
         shape = SkewShape(mu, gam)
         fillings = list(_tableau_rows(shape, phi))
         shuffled = rng.sample(fillings, len(fillings))
-        got, expected = (
-            [(c.recording, c.standard, c.beta, set(c.members)) for c in classes]
-            for classes in (
-                _insertion_classes(shape, shuffled),
-                _insertion_classes(shape, fillings),
-            )
-        )
-        assert got == expected, (mu, gam, phi)
+        got = _insertion_classes(shape, shuffled)
+        expected = _insertion_classes(shape, fillings)
+        assert _class_sets(got) == _class_sets(expected), (mu, gam, phi)
 
 
 def _validated(t):
