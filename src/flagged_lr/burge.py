@@ -10,13 +10,12 @@ insertion processing the display-rightmost biword column first passes both.
 and runs ``_insertion_classes``, which trusts it.  That core reads each
 flagged filling as raw rows and column-inserts its reading word, from the
 first row in which it differs from the filling before, keeping only the
-recording tableau, so it builds no biword, no P tableau and no tableau per
-member until the classes are formed.  It, ``burge`` and ``left_key`` share
-one insertion, ``_column_insert``, into columns held as bit sets, and
-``_letters`` reads a column back where P or Q is read.  The straight
-tableaux built here (``burge``'s P and Q, recordings, their
-standardizations, key tableaux and left keys) go through the trusted
-``SkewTableau._from_rows``.
+recording tableau.  Straight tableaux stay bit-set columns, one bit per
+letter, from the insertion (``_column_insert``, behind ``burge``, the
+classes and the left key's ``_key_columns``) to the class checks.  Two
+conversions cross over: ``_bit_columns`` reads a ``SkewTableau``, and
+``_straight_tableau`` builds each straight tableau that is returned
+through the trusted ``SkewTableau._from_rows``.
 """
 
 from __future__ import annotations
@@ -28,8 +27,6 @@ from .tableaux import (
     SkewShape,
     SkewTableau,
     _tableau_rows,
-    reading_word,
-    word_weight,
 )
 
 __all__ = [
@@ -173,20 +170,23 @@ def _letters(bits):
     return [x for x in range(bits.bit_length()) if bits >> x & 1]
 
 
-def _rows_from_columns(columns):
-    if not columns:
-        return ((),)
-    n_rows = len(columns[0])
-    return tuple(
-        tuple(col[r] for col in columns if len(col) > r) for r in range(n_rows)
-    )
+def _bit_columns(t: SkewTableau):
+    """The columns of t, by absolute column, as bit sets of their letters."""
+    cols = [0] * (t.shape.outer[0] if t.shape.outer else 0)
+    for lo, row in zip(t.shape.inner, t.rows):
+        for c, v in enumerate(row, lo):
+            cols[c] |= 1 << v
+    return cols
 
 
-def _straight_tableau(rows) -> SkewTableau:
-    """The straight tableau of rows that already form one, empty rows
-    dropped; nothing is checked."""
-    outer = tuple(len(r) for r in rows if r) or (0,)
-    rows = tuple(r for r in rows if r) or ((),)
+def _straight_tableau(columns) -> SkewTableau:
+    """The straight tableau whose columns are the bit sets ``columns``, which
+    already form one; nothing is checked."""
+    cols = [_letters(c) for c in columns]
+    rows = tuple(
+        tuple(col[r] for col in cols if len(col) > r) for r in range(len(cols[0]) if cols else 0)
+    ) or ((),)
+    outer = tuple(map(len, rows))
     return SkewTableau._from_rows(SkewShape(outer, (0,) * len(outer)), rows)
 
 
@@ -196,7 +196,7 @@ def burge(w: Biword):
     p, q = [], []
     for i, x in w.columns:
         _insert_row(p, q, i, (x,))
-    return tuple(_straight_tableau(_rows_from_columns([*map(_letters, c)])) for c in (p, q))
+    return _straight_tableau(p), _straight_tableau(q)
 
 
 def is_j_phi_compatible(w: Biword, phi) -> bool:
@@ -268,32 +268,25 @@ def is_shape_compatible(q: SkewTableau, shape: SkewShape) -> bool:
 def key_tableau(alpha) -> SkewTableau:
     """The unique tableau of sorted shape and weight alpha: its first
     alpha_k columns contain the letter k."""
-    shape = as_partition(sorted(alpha, reverse=True))
-    n_cols = shape[0] if shape else 0
-    columns = [
-        sorted(k + 1 for k in range(len(alpha)) if alpha[k] >= c)
-        for c in range(1, n_cols + 1)
-    ]
-    rows = _rows_from_columns([list(c) for c in columns])
-    return _straight_tableau(rows)
+    n_cols = max(as_partition(sorted(alpha, reverse=True)), default=0)
+    columns = [sum(1 << k for k, a in enumerate(alpha, 1) if a >= c) for c in range(1, n_cols + 1)]
+    return _straight_tableau(columns)
 
 
-def _columns_of(t: SkewTableau):
-    cols = []
-    for c in range(t.shape.outer[0] if t.shape.outer else 0):
-        col = []
-        for i in range(t.shape.n_rows):
-            v = t.entry(i, c)
-            if v is not None:
-                col.append(v)
-        cols.append(col)
-    return cols
+def _nested(columns):
+    """Whether each bit-set column's letters lie in the column to its left."""
+    return all(b & ~a == 0 for a, b in zip(columns, columns[1:]))
+
+
+def _weight(columns, n):
+    """The weight of a tableau held as bit-set columns: the number of
+    columns that hold each letter 1..n."""
+    return tuple(sum(c >> k & 1 for c in columns) for k in range(1, n + 1))
 
 
 def is_key(t: SkewTableau) -> bool:
     """Column letter sets are nested right-to-left."""
-    cols = [set(c) for c in _columns_of(t)]
-    return all(cols[c + 1] <= cols[c] for c in range(len(cols) - 1))
+    return _nested(_bit_columns(t))
 
 
 def essential_subword(word, bound=None):
@@ -352,32 +345,35 @@ def knuth_class(word):
     return frozenset(seen)
 
 
-def left_key(t: SkewTableau) -> SkewTableau:
-    """Left key of a straight tableau by column rearrangement
-    (Lascoux-Schuetzenberger; Fulton, Young Tableaux, App. A.5).
+def _key_columns(columns):
+    """The bit-set columns of the left key of the straight tableau whose
+    columns are the bit sets ``columns`` (Lascoux-Schuetzenberger; Fulton,
+    Young Tableaux, App. A.5).
 
     Column j of the key is the first column of the anti-normal tableau
-    Knuth-equivalent to the first j columns of t.  Turning those columns by
-    180 degrees and replacing each letter x by top - x maps Knuth classes to
-    Knuth classes, so that column is the complement of the last column of
-    the turned tableau, rectified by column-inserting its reading word."""
+    Knuth-equivalent to the first j + 1 columns.  Their column reading word,
+    each column read bottom to top, is Knuth-equivalent to their row reading
+    word and extends the word of the first j columns.  Reversing a word and
+    replacing each letter x by top - x maps Knuth classes to Knuth classes,
+    so one P takes the letters top - x of each column in turn, and column j
+    of the key is the complement of P's column j once column j is in."""
+    top = max((c.bit_length() for c in columns), default=0)
+    p, key = [], []
+    for j, col in enumerate(columns):
+        for x in reversed(_letters(col)):
+            _column_insert(p, top - x)
+        key.append(sum(1 << top - y for y in _letters(p[j])))
+    if not _nested(key):
+        raise ValueError(f"left key extraction produced a non-key {key}")
+    return key
+
+
+def left_key(t: SkewTableau) -> SkewTableau:
+    """Left key of a straight tableau by one running insertion (``_key_columns``)."""
     if any(t.shape.inner):
         raise ValueError("left keys are defined for straight tableaux only")
-    rows = tuple(row for row in t.rows if row)
-    if not rows:
-        return t
-    top = max(row[-1] for row in rows) + 1
-    key_cols = []
-    for j in range(1, len(rows[0]) + 1):
-        p = []
-        for row in reversed(rows):
-            for x in row[:j]:
-                _column_insert(p, top - x)
-        key_cols.append([top - x for x in reversed(_letters(p[j - 1]))])
-    key = _straight_tableau(_rows_from_columns(key_cols))
-    if not is_key(key):
-        raise ValueError(f"left key extraction produced a non-key {key.rows}")
-    return key
+    columns = _bit_columns(t)
+    return _straight_tableau(_key_columns(columns)) if columns else t
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +414,8 @@ def _insertion_classes(shape, fillings):
     share their leading rows.  Each class is checked against the theorem it
     stands for: the recording has the row lengths of the shape as its
     weight, its standardization is compatible with the shape, and its left
-    key is a key."""
+    key is a key.  Both are read off the recording's bit-set columns, beta
+    as the left key's weight; its tableau is built once, for the class."""
     n = shape.n_rows
     rho = sub(shape.outer, shape.inner)
     by_recording = {}
@@ -436,16 +433,16 @@ def _insertion_classes(shape, fillings):
             states.append((tuple(p), tuple(q)))
         last = rows
         by_recording.setdefault(states[-1][1], []).append(rows)
-    groups = {_rows_from_columns([*map(_letters, c)]): rows for c, rows in by_recording.items()}
     out = []
-    for rec_rows in sorted(groups):
-        rec = _straight_tableau(rec_rows)
-        if shape.size and word_weight(reading_word(rec), n) != rho:
+    for rec, columns in sorted(
+        ((_straight_tableau(c), c) for c in by_recording), key=lambda rc: rc[0].rows
+    ):
+        if shape.size and _weight(columns, n) != rho:
             raise ValueError("recording tableau does not partition the set")
         q = standardize(rec)
         if shape.size and not is_shape_compatible(q, shape):
             raise ValueError(f"recording standardization {q.rows} is not compatible")
-        beta = word_weight(reading_word(left_key(rec)), n)
-        members = tuple(SkewTableau._from_rows(shape, rows) for rows in groups[rec_rows])
+        beta = _weight(_key_columns(columns), n)
+        members = tuple(SkewTableau._from_rows(shape, rows) for rows in by_recording[columns])
         out.append(InsertionClass(rec, q, beta, members))
     return out

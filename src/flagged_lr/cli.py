@@ -78,7 +78,7 @@ from .polynomials import (
     _signed_sum,
     flagged_skew_schur,
 )
-from .tableaux import SkewShape, _reading_word, _tableau_rows, reading_word
+from .tableaux import SkewShape, _reading_word, _tableau_rows
 from .burge import _insertion_classes
 
 DEFAULT_LIMIT = 10**6
@@ -174,18 +174,18 @@ def decomposition_report(mu, gam, phi, limit=None):
     ``flagged_skew_schur``.  Each filling is a leaf of F's search, reached
     by a letter of its own, so ``limit`` caps the report: one that F's
     search does not exceed lists at most ``limit`` fillings.  The fillings
-    are then enumerated once, as raw rows: their reading words give the
-    components, and the rows go to the insertion core
-    (``burge._insertion_classes``)."""
+    are then enumerated once, as raw rows, each read once: the reading words
+    give the components and match each class to one, and the rows go to the
+    insertion core (``burge._insertion_classes``)."""
     mu, gam, phi = check_boundary((mu, gam), phi)
     n = len(mu)
     skew_schur = flagged_skew_schur(mu, gam, phi, limit)
     shape = SkewShape(mu, gam)
-    fillings = list(_tableau_rows(shape, phi))
-    components = decompose([_reading_word(rows) for rows in fillings], n)
-    classes = _insertion_classes(shape, fillings)
+    words = {rows: _reading_word(rows) for rows in _tableau_rows(shape, phi)}
+    components = decompose(words.values(), n)
+    classes = _insertion_classes(shape, words)
     class_blocks = {
-        frozenset(reading_word(t) for t in cls.members): cls for cls in classes
+        frozenset(words[t.rows] for t in cls.members): cls for cls in classes
     }
     pairs = []
     agree = len(class_blocks) == len(components)

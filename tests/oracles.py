@@ -11,13 +11,9 @@ from itertools import chain, permutations
 
 from flagged_lr.burge import (
     InsertionClass,
-    _columns_of,
-    _rows_from_columns,
-    _straight_tableau,
     biword_from_words,
     block_word,
     burge,
-    is_key,
     is_shape_compatible,
     knuth_class,
     left_key,
@@ -733,6 +729,12 @@ def _tableau_of_columns(cols):
     return SkewTableau(SkewShape(outer, (0,) * len(outer)), rows)
 
 
+def _columns(t):
+    """The columns of a straight tableau as lists of letters, top to bottom."""
+    rows = [row for row in t.rows if row]
+    return [[row[c] for row in rows if len(row) > c] for c in range(len(rows[0]) if rows else 0)]
+
+
 def _parses_into_columns(word, lengths):
     """Can word split into strictly decreasing blocks of the given lengths
     (in some order)?"""
@@ -763,8 +765,8 @@ def left_key_by_knuth_class(t: SkewTableau) -> SkewTableau:
 
     Words in a plactic class are finite in number, so for the desk-scale
     tableaux this library handles the search is exact."""
-    cols = _columns_of(t)
-    if not cols or not cols[0]:
+    cols = _columns(t)
+    if not cols:
         return t
     lengths = [len(c) for c in cols]
     word = tuple(reversed(reading_word(t)))
@@ -784,8 +786,8 @@ def left_key_by_knuth_class(t: SkewTableau) -> SkewTableau:
             raise ValueError(f"no column-rearranged word with first block {length}")
         letter_sets[length] = found
     key_cols = [sorted(letter_sets[len(c)]) for c in cols]
-    key = _straight_tableau(_rows_from_columns(key_cols))
-    if not is_key(key):
+    key = _tableau_of_columns(key_cols)
+    if any(not set(b) <= set(a) for a, b in zip(key_cols, key_cols[1:])):
         raise ValueError(f"left key extraction produced a non-key {key.rows}")
     return key
 
@@ -798,18 +800,17 @@ def left_key_by_rectification(t: SkewTableau) -> SkewTableau:
     180 degrees and replacing each letter x by top - x maps Knuth classes to
     Knuth classes, so that column is the complement of the last column of
     the turned tableau slid into a straight shape by ``rectify``."""
-    cols = _columns_of(t)
-    if not cols or not cols[0]:
+    rows = [row for row in t.rows if row]
+    if not rows:
         return t
-    rows = t.rows[: len(cols[0])]
     top = max(row[-1] for row in rows) + 1
     key_cols = []
-    for j in range(1, len(cols) + 1):
+    for j in range(1, len(rows[0]) + 1):
         turned = tuple(tuple(top - x for x in reversed(row[:j])) for row in reversed(rows))
         inner = tuple(j - len(row) for row in turned)
         rect = rectify(SkewTableau._from_rows(SkewShape((j,) * len(turned), inner), turned))
         key_cols.append([top - row[-1] for row in reversed(rect.rows) if len(row) == j])
-    return _straight_tableau(_rows_from_columns(key_cols))
+    return _tableau_of_columns(key_cols)
 
 
 def insertion_decomposition_by_burge(mu, gam, phi):

@@ -160,6 +160,8 @@ def test_key_tableau_examples():
         assert key_tableau(lam).rows == trimmed(dominant_tableau(lam))
     assert is_key(key_tableau((0, 3, 1)))
     assert not is_key(SkewTableau(SkewShape((2,), (0,)), ((1, 2),)))
+    with pytest.raises(ValueError):
+        key_tableau((1, -1))
 
 
 def test_essential_subword_examples():
@@ -179,6 +181,8 @@ def test_left_key_examples():
     assert word_weight(reading_word(lk), 2) == (2, 0)
     dom = dominant_tableau((2, 1))
     assert left_key(dom).rows == trimmed(dom)
+    trailing = SkewTableau(SkewShape((2, 1, 0), (0, 0, 0)), ((1, 2), (2,), ()))
+    assert left_key(trailing).rows == ((1, 2), (2,))
 
 
 def test_left_key_shape_preserved_and_is_key():
@@ -231,16 +235,19 @@ def test_left_key_equals_the_rectification_oracle_census():
 
 
 def test_left_key_of_large_tableaux_is_a_key_below_the_tableau():
+    # seeded random tableaux: (count, fewest and most boxes, largest letter)
     rng = random.Random(4)
-    for _ in range(10):
-        word = tuple(rng.randint(1, 5) for _ in range(rng.randint(16, 20)))
-        t = insertion_tableau(word)
-        lk = left_key(t)
-        assert tuple(map(len, lk.rows)) == tuple(map(len, t.rows))
-        assert is_key(lk)
-        assert all(
-            a <= b for k_row, t_row in zip(lk.rows, t.rows) for a, b in zip(k_row, t_row)
-        )
+    for count, lo, hi, top in [(10, 16, 20, 5), (30, 20, 80, 8)]:
+        for _ in range(count):
+            word = tuple(rng.randint(1, top) for _ in range(rng.randint(lo, hi)))
+            t = insertion_tableau(word)
+            lk = left_key(t)
+            assert tuple(map(len, lk.rows)) == tuple(map(len, t.rows))
+            assert is_key(lk)
+            assert all(
+                a <= b for k_row, t_row in zip(lk.rows, t.rows) for a, b in zip(k_row, t_row)
+            )
+            assert lk.rows == left_key_by_rectification(t).rows, t.rows
 
 
 def test_left_key_rejects_skew_tableaux():
