@@ -29,7 +29,8 @@ when ``lam + alpha + delta`` repeats an entry.
 which builds no F: it reads ``c_nu`` as the sum over the permutations w of
 ``sgn(w) F[w(nu + delta) - lam - delta]``, and counts each F[alpha] by
 chains of shapes from gam to mu, one horizontal strip of alpha_m boxes per
-letter m (``_strips``).
+letter m (``_strips``), in one pass over the letters that merges the
+permutations by the entries of nu + delta they have taken.
 """
 
 from __future__ import annotations
@@ -306,43 +307,40 @@ def _signed_sum(lam, mu, gam, nu, phi, limit):
     is the number of flagged tableaux of shape mu/gam and weight alpha.
 
     The permutation is chosen one position m at a time, which fixes
-    alpha_m, and each prefix carries the chains gam = s_0 < ... < s_m
-    counted in a dict from s_m; ``_strips`` gives the step from s_{m-1} to
-    s_m.  The prefixes that share their first letters share those steps,
-    and a prefix with no chain left is dropped."""
+    alpha_m, and ``_strips`` gives the step from s_{m-1} to s_m of the
+    chains gam = s_0 < ... < s_m.  Later positions read only which entries
+    of nu + delta are taken and s_m, so one forward pass keeps the signed
+    chain counts in a dict from (taken as a bit mask, s_m): at most 2^n
+    masks, as a determinant is expanded by subsets of columns, not by
+    permutations.  A step's sign is the parity of the untaken entries
+    before the one it takes."""
     if not contains(mu, gam) or weight(nu) - weight(lam) != weight(mu) - weight(gam):
         return 0
     n = len(mu)
     top = [a + n - 1 - i for i, a in enumerate(nu)]
     base = [a + n - 1 - i for i, a in enumerate(lam)]
     left = math.inf if limit is None else limit
-
-    def signed(m, unused, chains):
-        # the signed count of the completions of a prefix of m positions
-        # whose unused entries of nu + delta are top[j], j in unused
-        nonlocal left
-        if m == n:
-            return chains.get(mu, 0)
-        total = 0
-        for k, j in enumerate(unused):
-            size = top[j] - base[m]
-            if size < 0:
-                # top falls along unused, so every later size is negative
-                break
-            grown = {}
-            for shape, c in chains.items():
+    states = {(0, gam): 1}
+    for m in range(n):
+        grown = {}
+        for (taken, shape), c in states.items():
+            for j in range(n):
+                if taken >> j & 1:
+                    continue
+                size = top[j] - base[m]
+                if size < 0:
+                    # top falls along j, so every later size is negative
+                    break
                 left -= 1
                 if left < 0:
                     raise ScaleExceededError("enumeration ceiling exceeded")
                 for t in _strips(shape, mu, phi, m + 1, size):
-                    grown[t] = grown.get(t, 0) + c
-            if grown:
-                # the k unused entries above top[j] come later: k inversions
-                rest = signed(m + 1, unused[:k] + unused[k + 1:], grown)
-                total += -rest if k % 2 else rest
-        return total
-
-    return signed(0, tuple(range(n)), {gam: 1})
+                    key = (taken | 1 << j, t)
+                    grown[key] = grown.get(key, 0) + c
+                # a later j passes the untaken j: one inversion more
+                c = -c
+        states = grown
+    return states.get(((1 << n) - 1, mu), 0)
 
 
 def _strips(shape, mu, phi, letter, size):

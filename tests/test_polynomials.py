@@ -13,6 +13,7 @@ from flagged_lr.core import (
     subpartitions,
     weight,
 )
+from flagged_lr.hives import count_skew_hive_points
 from flagged_lr.polynomials import (
     IntPolynomial,
     _antisymmetrize,
@@ -39,6 +40,11 @@ from oracles import (
 )
 
 N5_CASE = ((4, 3, 2, 1, 0), (5, 4, 3, 2, 1), (1, 0, 0, 0, 0), (7, 6, 5, 4, 2), (5,) * 5)
+
+
+def dilate(case, k):
+    """The boundary of ``case`` times k, with its flag."""
+    return [tuple(k * x for x in part) for part in case[:4]] + [case[4]]
 
 
 def mono(*exps):
@@ -276,14 +282,33 @@ def test_demazure_route_equals_the_schur_table_oracle_at_n4(case):
 
 
 def test_signed_sum_limit_counts_the_shapes_expanded():
-    # the n=5 case expands 177 shapes, and its k = 2 dilation 1,181
-    assert coefficient_by_demazure(*N5_CASE, limit=177) == 54
+    # one shape per merged (taken, shape) state grown by one position: the
+    # n=5 case expands 131 shapes, and its k = 2 dilation 653
+    assert coefficient_by_demazure(*N5_CASE, limit=131) == 54
     with pytest.raises(ScaleExceededError, match="ceiling"):
-        coefficient_by_demazure(*N5_CASE, limit=176)
-    dilated = [tuple(2 * x for x in part) for part in N5_CASE[:4]] + [N5_CASE[4]]
-    assert coefficient_by_demazure(*dilated, limit=1181) == 1182
+        coefficient_by_demazure(*N5_CASE, limit=130)
+    dilated = dilate(N5_CASE, 2)
+    assert coefficient_by_demazure(*dilated, limit=653) == 1182
     with pytest.raises(ScaleExceededError, match="ceiling"):
-        coefficient_by_demazure(*dilated, limit=1180)
+        coefficient_by_demazure(*dilated, limit=652)
+
+
+def staircase(n, nu):
+    """The staircase boundary lam = (n-1, ..., 0), mu = lam + 1, gam = (1,
+    0, ..., 0) with the full flag, at the given nu."""
+    lam = tuple(range(n - 1, -1, -1))
+    return lam, tuple(a + 1 for a in lam), (1,) + (0,) * (n - 1), nu, (n,) * n
+
+
+@pytest.mark.parametrize("case, c", [
+    (staircase(6, (9, 8, 6, 5, 4, 3)), 328),
+    (staircase(7, (10, 9, 8, 7, 6, 5, 3)), 3296),
+    (dilate(N5_CASE, 3), 13020),
+])
+def test_signed_sum_equals_the_hive_count_where_its_states_merge(case, c):
+    # at n <= 3 there are at most 8 masks against 6 prefixes, so the census
+    # barely merges; here many prefixes share a (taken, shape) state
+    assert coefficient_by_demazure(*case) == count_skew_hive_points(*case) == c
 
 
 @st.composite
