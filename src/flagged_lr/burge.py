@@ -3,19 +3,19 @@
 The insertion convention is pinned executably rather than by prose: the
 test suite requires the transpose-symmetry property on a matrix census and
 the identity that inserting a tableau's reversed reading word under its
-row-block word reproduces the jeu-de-taquin rectification.  Column
-insertion processing the display-rightmost biword column first passes both.
+row-block word reproduces the jeu-de-taquin rectification (an oracle in
+the tests).  Column insertion processing the display-rightmost biword
+column first passes both.
 
 ``insertion_decomposition`` checks its boundary (``core.check_boundary``)
 and runs ``_insertion_classes``, which trusts it.  That core reads each
 flagged filling as raw rows and column-inserts its reading word, from the
 first row in which it differs from the filling before, keeping only the
 recording tableau.  Straight tableaux stay bit-set columns, one bit per
-letter, from the insertion (``_column_insert``, behind ``burge``, the
-classes and the left key's ``_key_columns``) to the class checks.  Two
-conversions cross over: ``_bit_columns`` reads a ``SkewTableau``, and
-``_straight_tableau`` builds each straight tableau that is returned
-through the trusted ``SkewTableau._from_rows``.
+letter, from the insertion (``tableaux._column_insert``, behind ``burge``,
+the classes and the left key's ``_key_columns``) to the class checks, and
+cross over through ``tableaux._bit_columns`` and
+``tableaux._straight_tableau``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ from .core import as_partition, check_boundary, sub
 from .tableaux import (
     SkewShape,
     SkewTableau,
+    _bit_columns,
+    _column_insert,
+    _letters,
+    _straight_tableau,
     _tableau_rows,
 )
 
@@ -134,25 +138,6 @@ def block_word(alpha):
     return tuple(out)
 
 
-def _column_insert(p, x):
-    """Insert x into P, a list of columns, bumping the least entry >= x into
-    the next column (Fulton, Young Tableaux, App. A).  A column strictly
-    increases, so it is held as the bit set of its letters, and that entry
-    is its lowest bit at or above bit x.  Returns the index of the column
-    that grew."""
-    b = 1 << x
-    for c, col in enumerate(p):
-        m = col & -b
-        if not m:
-            p[c] = col | b
-            return c
-        y = m & -m
-        p[c] = col ^ y | b
-        b = y
-    p.append(b)
-    return len(p) - 1
-
-
 def _insert_row(p, q, i, letters):
     """Column-insert ``letters`` into P, putting the top letter i at the foot
     of the column of Q where P grew; Q's columns are bit sets too."""
@@ -163,31 +148,6 @@ def _insert_row(p, q, i, letters):
             q[c] |= bit
         else:
             q.append(bit)
-
-
-def _letters(bits):
-    """The letters of a bit-set column, in increasing order."""
-    return [x for x in range(bits.bit_length()) if bits >> x & 1]
-
-
-def _bit_columns(t: SkewTableau):
-    """The columns of t, by absolute column, as bit sets of their letters."""
-    cols = [0] * (t.shape.outer[0] if t.shape.outer else 0)
-    for lo, row in zip(t.shape.inner, t.rows):
-        for c, v in enumerate(row, lo):
-            cols[c] |= 1 << v
-    return cols
-
-
-def _straight_tableau(columns) -> SkewTableau:
-    """The straight tableau whose columns are the bit sets ``columns``, which
-    already form one; nothing is checked."""
-    cols = [_letters(c) for c in columns]
-    rows = tuple(
-        tuple(col[r] for col in cols if len(col) > r) for r in range(len(cols[0]) if cols else 0)
-    ) or ((),)
-    outer = tuple(map(len, rows))
-    return SkewTableau._from_rows(SkewShape(outer, (0,) * len(outer)), rows)
 
 
 def burge(w: Biword):

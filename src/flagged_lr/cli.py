@@ -435,13 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("coeff", help="one coefficient by any route")
     _add_boundary_args(p)
-    p.add_argument("--method", choices=["tableau", "hive", "demazure", "all"],
-                   default="all")
+    p.add_argument("--method", choices=[*ROUTES, "all"], default="all")
 
     p = add_parser("table", help="full coefficient table over nu")
     _add_boundary_args(p, with_nu=False)
-    p.add_argument("--method", choices=["tableau", "hive", "demazure", "all"],
-                   default="all")
+    p.add_argument("--method", choices=[*ROUTES, "all"], default="all")
 
     p = add_parser("saturate", help="dilation scan k = 1..k_max")
     _add_boundary_args(p)

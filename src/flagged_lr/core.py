@@ -9,6 +9,8 @@ the value itself.  Permutations are tuples in one-line notation over
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 __all__ = [
     "FlagError",
     "ScaleExceededError",
@@ -226,21 +228,9 @@ def check_boundary(parts, phi):
 
 def all_flags(n: int):
     """Every valid flag of ambient n, lexicographically."""
-    out = []
-
-    def rec(prefix):
-        i = len(prefix)
-        if i == n - 1:
-            out.append(tuple(prefix) + (n,))
-            return
-        lo = prefix[-1] if prefix else 1
-        for b in range(lo, n + 1):
-            rec(prefix + [b])
-
     if n == 0:
         return [()]
-    rec([])
-    return out
+    return [c + (n,) for c in combinations_with_replacement(range(1, n + 1), n - 1)]
 
 
 def parse_int_tuple(text: str, n=None):

@@ -313,7 +313,8 @@ def _signed_sum(lam, mu, gam, nu, phi, limit):
     chain counts in a dict from (taken as a bit mask, s_m): at most 2^n
     masks, as a determinant is expanded by subsets of columns, not by
     permutations.  A step's sign is the parity of the untaken entries
-    before the one it takes."""
+    before the one it takes.  A state whose signed count has cancelled to 0
+    adds nothing to any later state, so it is dropped before it is grown."""
     if not contains(mu, gam) or weight(nu) - weight(lam) != weight(mu) - weight(gam):
         return 0
     n = len(mu)
@@ -324,6 +325,8 @@ def _signed_sum(lam, mu, gam, nu, phi, limit):
     for m in range(n):
         grown = {}
         for (taken, shape), c in states.items():
+            if not c:
+                continue
             for j in range(n):
                 if taken >> j & 1:
                     continue

@@ -1,4 +1,4 @@
-"""Skew shapes, semistandard skew tableaux and jeu de taquin.
+"""Skew shapes, semistandard skew tableaux and rectification.
 
 A ``SkewShape`` is a pair of partitions of one ambient length, and a
 ``SkewTableau`` built by a caller checks its rows.  The library's own
@@ -17,12 +17,17 @@ lattice word.  From lambda's weight that is the tableau route
 (``crystal``); from a head whose parts fall by more than the cells in
 every step the test never binds, and the counts less the head are the
 terms of the flagged skew Schur polynomial F (``polynomials``).
+
+A straight tableau is held as its columns, each the bit set of its letters,
+while it is built: ``_column_insert`` inserts one letter, ``_bit_columns``
+reads a ``SkewTableau`` and ``_straight_tableau`` returns one.  ``rectify``
+column-inserts the reading word, and ``burge`` runs its insertions, left
+keys and classes on the same columns.
 """
 
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -323,52 +328,58 @@ def dominant_tableau(lam) -> SkewTableau:
 
 
 # ---------------------------------------------------------------------------
-# jeu de taquin
+# straight tableaux as bit-set columns, and rectification
 # ---------------------------------------------------------------------------
 
-def _slide(grid, outer, inner, i, c):
-    """One inward slide from the hole (i, c); mutates grid and outer."""
-    n = len(outer)
-    while True:
-        right = grid[i].get(c + 1) if c + 1 < outer[i] else None
-        below = grid[i + 1].get(c) if i + 1 < n and c < outer[i + 1] else None
-        if right is None and below is None:
-            outer[i] = c
-            return
-        if right is None or (below is not None and below <= right):
-            grid[i][c] = below
-            del grid[i + 1][c]
-            i += 1
-        else:
-            grid[i][c] = right
-            del grid[i][c + 1]
-            c += 1
+def _column_insert(p, x):
+    """Insert x into P, a list of columns, bumping the least entry >= x into
+    the next column (Fulton, Young Tableaux, App. A).  A column strictly
+    increases, so it is held as the bit set of its letters, and that entry
+    is its lowest bit at or above bit x.  Returns the index of the column
+    that grew."""
+    b = 1 << x
+    for c, col in enumerate(p):
+        m = col & -b
+        if not m:
+            p[c] = col | b
+            return c
+        y = m & -m
+        p[c] = col ^ y | b
+        b = y
+    p.append(b)
+    return len(p) - 1
 
 
-def rectify(t: SkewTableau, rng: random.Random = None) -> SkewTableau:
-    """Jeu-de-taquin rectification to a straight shape.
+def _letters(bits):
+    """The letters of a bit-set column, in increasing order."""
+    return [x for x in range(bits.bit_length()) if bits >> x & 1]
 
-    The result is independent of the order in which inner corners are
-    chosen; pass rng to randomize that order (used by tests).
-    """
-    outer = list(t.shape.outer)
-    inner = list(t.shape.inner)
-    grid = []
-    for i in range(len(outer)):
-        lo, _ = t.shape.row_span(i)
-        grid.append({lo + j: v for j, v in enumerate(t.rows[i])})
-    while any(inner):
-        corners = [
-            i
-            for i in range(len(inner))
-            if inner[i] > 0 and (i + 1 >= len(inner) or inner[i + 1] < inner[i])
-        ]
-        i = corners[rng.randrange(len(corners))] if rng else corners[-1]
-        c = inner[i] - 1
-        inner[i] = c
-        _slide(grid, outer, inner, i, c)
-    while outer and outer[-1] == 0:
-        outer.pop()
-    shape = SkewShape(tuple(outer) or (0,), (0,) * max(len(outer), 1))
-    rows = tuple(tuple(grid[i][c] for c in range(outer[i])) for i in range(len(outer)))
-    return SkewTableau._from_rows(shape, rows or ((),))
+
+def _bit_columns(t: SkewTableau):
+    """The columns of t, by absolute column, as bit sets of their letters."""
+    cols = [0] * (t.shape.outer[0] if t.shape.outer else 0)
+    for lo, row in zip(t.shape.inner, t.rows):
+        for c, v in enumerate(row, lo):
+            cols[c] |= 1 << v
+    return cols
+
+
+def _straight_tableau(columns) -> SkewTableau:
+    """The straight tableau whose columns are the bit sets ``columns``, which
+    already form one; nothing is checked."""
+    cols = [_letters(c) for c in columns]
+    rows = tuple(
+        tuple(col[r] for col in cols if len(col) > r) for r in range(len(cols[0]) if cols else 0)
+    ) or ((),)
+    outer = tuple(map(len, rows))
+    return SkewTableau._from_rows(SkewShape(outer, (0,) * len(outer)), rows)
+
+
+def rectify(t: SkewTableau) -> SkewTableau:
+    """The rectification of t: its letters column-inserted in reading-word
+    order, which gives the straight tableau that jeu de taquin slides t to
+    (Fulton, Young Tableaux, App. A)."""
+    p = []
+    for x in reading_word(t):
+        _column_insert(p, x)
+    return _straight_tableau(p)

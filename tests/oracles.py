@@ -5,6 +5,7 @@ shares as little as possible with the fast path.
 """
 
 import math
+import random
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import chain, permutations
@@ -53,7 +54,6 @@ from flagged_lr.tableaux import (
     dominant_tableau,
     enumerate_tableaux,
     reading_word,
-    rectify,
     word_weight,
 )
 
@@ -136,8 +136,58 @@ def row_insert(rows, x: int):
         i += 1
 
 
+def _slide(grid, outer, inner, i, c):
+    """One inward slide from the hole (i, c); mutates grid and outer."""
+    n = len(outer)
+    while True:
+        right = grid[i].get(c + 1) if c + 1 < outer[i] else None
+        below = grid[i + 1].get(c) if i + 1 < n and c < outer[i + 1] else None
+        if right is None and below is None:
+            outer[i] = c
+            return
+        if right is None or (below is not None and below <= right):
+            grid[i][c] = below
+            del grid[i + 1][c]
+            i += 1
+        else:
+            grid[i][c] = right
+            del grid[i][c + 1]
+            c += 1
+
+
+def rectify_by_sliding(t: SkewTableau, rng: random.Random = None) -> SkewTableau:
+    """Jeu-de-taquin rectification to a straight shape, the oracle behind
+    ``rectify``: each row a dict from absolute column to entry, slid into
+    from one inner corner at a time.
+
+    The result is independent of the order in which inner corners are
+    chosen; pass rng to randomize that order."""
+    outer = list(t.shape.outer)
+    inner = list(t.shape.inner)
+    grid = []
+    for i in range(len(outer)):
+        lo, _ = t.shape.row_span(i)
+        grid.append({lo + j: v for j, v in enumerate(t.rows[i])})
+    while any(inner):
+        corners = [
+            i
+            for i in range(len(inner))
+            if inner[i] > 0 and (i + 1 >= len(inner) or inner[i + 1] < inner[i])
+        ]
+        i = corners[rng.randrange(len(corners))] if rng else corners[-1]
+        c = inner[i] - 1
+        inner[i] = c
+        _slide(grid, outer, inner, i, c)
+    while outer and outer[-1] == 0:
+        outer.pop()
+    shape = SkewShape(tuple(outer) or (0,), (0,) * max(len(outer), 1))
+    rows = tuple(tuple(grid[i][c] for c in range(outer[i])) for i in range(len(outer)))
+    return SkewTableau._from_rows(shape, rows or ((),))
+
+
 def insertion_tableau(word) -> SkewTableau:
-    """Row-insert the letters of word in order; the oracle behind rectify."""
+    """Row-insert the letters of word in order; rectification by a third
+    method, sharing nothing with ``rectify`` or ``rectify_by_sliding``."""
     rows = []
     for x in word:
         rows, _ = row_insert(rows, x)
@@ -793,13 +843,14 @@ def left_key_by_knuth_class(t: SkewTableau) -> SkewTableau:
 
 
 def left_key_by_rectification(t: SkewTableau) -> SkewTableau:
-    """Left key tableau by one jeu-de-taquin rectification per column.
+    """Left key tableau by one jeu-de-taquin rectification per column
+    (``rectify_by_sliding``).
 
     Column j of the key is the first column of the anti-normal tableau
     Knuth-equivalent to the first j columns of t.  Turning those columns by
     180 degrees and replacing each letter x by top - x maps Knuth classes to
     Knuth classes, so that column is the complement of the last column of
-    the turned tableau slid into a straight shape by ``rectify``."""
+    the turned tableau slid into a straight shape."""
     rows = [row for row in t.rows if row]
     if not rows:
         return t
@@ -808,7 +859,8 @@ def left_key_by_rectification(t: SkewTableau) -> SkewTableau:
     for j in range(1, len(rows[0]) + 1):
         turned = tuple(tuple(top - x for x in reversed(row[:j])) for row in reversed(rows))
         inner = tuple(j - len(row) for row in turned)
-        rect = rectify(SkewTableau._from_rows(SkewShape((j,) * len(turned), inner), turned))
+        shape = SkewShape((j,) * len(turned), inner)
+        rect = rectify_by_sliding(SkewTableau._from_rows(shape, turned))
         key_cols.append([top - row[-1] for row in reversed(rect.rows) if len(row) == j])
     return _tableau_of_columns(key_cols)
 

@@ -64,10 +64,15 @@ from flagged_lr.tableaux import (
     enumerate_tableaux,
     reading_word,
     reading_word_and_weight,
-    rectify,
     word_weight,
 )
-from oracles import permutation_act, schur, tensor_lowering, tensor_raising
+from oracles import (
+    permutation_act,
+    rectify_by_sliding,
+    schur,
+    tensor_lowering,
+    tensor_raising,
+)
 
 
 def report(name, ok, detail=""):
@@ -359,7 +364,7 @@ def test_criterion_9_insertion_gates():
                 block_word(rho), tuple(reversed(reading_word(t)))
             )
             p, _ = burge(bw)
-            expected = tuple(r for r in rectify(t).rows if r) or ((),)
+            expected = tuple(r for r in rectify_by_sliding(t).rows if r) or ((),)
             if p.rows != expected:
                 ok = False
                 print("RECTIFICATION FAIL", mu, gam, t.rows)

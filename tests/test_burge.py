@@ -10,6 +10,7 @@ from oracles import (
     insertion_tableau,
     left_key_by_knuth_class,
     left_key_by_rectification,
+    rectify_by_sliding,
 )
 from flagged_lr.burge import (
     Biword,
@@ -123,7 +124,7 @@ def test_burge_rectification_identity_census():
         for t in enumerate_tableaux(shape, (3, 3, 3)):
             bw = biword_from_words(block_word(rho), tuple(reversed(reading_word(t))))
             p, rec = burge(bw)
-            assert p.rows == trimmed(rectify(t))
+            assert p.rows == trimmed(rectify_by_sliding(t))
             assert word_weight(reading_word(rec), 3) == rho
 
 

@@ -16,7 +16,7 @@ from flagged_lr.tableaux import (
     reading_word_and_weight,
     rectify,
 )
-from oracles import insertion_tableau, naive_tableau_count
+from oracles import insertion_tableau, naive_tableau_count, rectify_by_sliding
 
 
 def trimmed(t):
@@ -115,14 +115,21 @@ def test_rectify_preserves_weight():
 
 
 def test_rectify_slide_order_independent_and_matches_insertion():
+    # every tableau with n <= 4 rows, |mu| <= 6 (5 at n = 4), gam inside mu
+    # and letters up to n + 1, rows left empty included: the shape and rows
+    # of jeu de taquin from inner corners in random order, and the rows of
+    # row insertion of the reversed reading word
     rng = random.Random(20240817)
-    for mu, gam in skew_pairs(3, 6):
-        shape = SkewShape(mu, gam)
-        for t in enumerate_tableaux(shape, (3, 3, 3)):
-            base = rectify(t)
-            assert trimmed(rectify(t, rng)) == trimmed(base)
-            oracle = insertion_tableau(tuple(reversed(reading_word(t))))
-            assert trimmed(oracle) == trimmed(base)
+    checked = 0
+    for n, max_mu in [(1, 6), (2, 6), (3, 6), (4, 5)]:
+        for mu, gam in skew_pairs(n, max_mu):
+            for t in enumerate_tableaux(SkewShape(mu, gam), (n + 1,) * n):
+                base = rectify(t)
+                assert base == rectify_by_sliding(t, rng), t.rows
+                oracle = insertion_tableau(tuple(reversed(reading_word(t))))
+                assert trimmed(oracle) == trimmed(base), t.rows
+                checked += 1
+    assert checked == 8_066
 
 
 def test_tableau_validation():
