@@ -14,7 +14,8 @@ F and one pass over its terms by the Demazure route
 (``polynomials._demazure_table``) and one pass of the hive counter whose
 output nodes are the right column (``hives._table_skew_hives``); for a
 scan, one hive count per dilation k.  ``hive_iso_report`` checks
-its boundary with ``hives._lift_input`` and runs ``hives._doubling``.  Only
+its boundary with ``hives._lift_input`` and runs ``hives._doubling`` on
+the points of ``hives._skew_rows``.  Only
 ``crystal-graph``, whose word set takes row bounds, checks the flag in
 ``main``; ``--limit`` caps the letters its enumeration places.
 Every flagged skew Schur polynomial F comes from ``flagged_skew_schur``,
@@ -23,13 +24,14 @@ the one behind ``table --method demazure``, and so from the counting search
 ``decomposition_report`` checks its boundary, builds F and enumerates the
 flagged fillings once, as raw rows, for ``crystal.decompose`` and the
 insertion core ``burge._insertion_classes``.  ``cross_check`` builds its
-grid from partitions, checks its flags once and calls the trusted cores:
-``hives._count_skew_hives`` and ``hives._doubling`` on every tuple, and
-once per (lam, mu, gam, phi) the tableau route's table search
-``crystal._table_tableaux`` and ``polynomials._antisymmetrize`` on the one
-F of (mu, gam, phi).  On the isomorphism path it judges the ``_doubling``
-result by the same rule as ``hive_iso_report`` (``_iso_ok``) and builds
-the full report from that result only for a tuple that fails.
+grid from partitions, checks its flags once and calls the trusted cores
+once per (lam, mu, gam, phi): the tableau route's table search
+``crystal._table_tableaux``, ``polynomials._antisymmetrize`` on the one F
+of (mu, gam, phi), and ``hives._table_skew_rows``, the skew hives of every
+nu, whose counts are the hive table and whose points per nu go to
+``hives._doubling`` for each nu that contains lam.  It judges the
+``_doubling`` result by the same rule as ``hive_iso_report`` (``_iso_ok``)
+and builds the full report from that result only for a tuple that fails.
 
 ``main`` parses the boundary once (``_parse_boundary``) and takes the exit
 status from the report once: 1 when its routes disagree or a check fails.
@@ -68,7 +70,9 @@ from .hives import (
     _count_skew_hives,
     _doubling,
     _lift_input,
+    _skew_rows,
     _table_skew_hives,
+    _table_skew_rows,
     count_skew_hive_points,
 )
 from .polynomials import (
@@ -86,9 +90,10 @@ LIMIT_HELP = (
     "enumeration ceiling per call (hive labels or tableau letters placed, "
     "Demazure shapes expanded); a table by the tableau or the hive route is "
     "one call, so the ceiling caps the letters placed or the hive labels "
-    "tried for every nu together; a table by the Demazure route and a "
-    "decomposition cap the letters placed to build F, a crystal graph "
-    "those placed to enumerate its fillings"
+    "tried for every nu together, and so is the enumeration of the skew "
+    "hives of every nu that verify runs per (lam, mu, gam, phi); a table "
+    "by the Demazure route and a decomposition cap the letters placed to "
+    "build F, a crystal graph those placed to enumerate its fillings"
 )
 
 #: the trusted core of each route, called on a checked boundary as
@@ -229,7 +234,8 @@ def _character_sum_matches(components, skew_schur) -> bool:
 def hive_iso_report(lam, mu, gam, nu, phi, limit=None):
     """Counts on both sides of the doubling map plus the exact roundtrip."""
     boundary = _lift_input(lam, mu, gam, nu, phi)
-    return _iso_report(*boundary, _doubling(*boundary, limit))
+    skew = list(_skew_rows(*boundary, limit))
+    return _iso_report(*boundary, _doubling(*boundary, skew, limit))
 
 
 def _iso_ok(doubling):
@@ -266,16 +272,24 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     the tuples go to the routes' trusted cores.  Each (mu, gam, phi) gets
     one F by ``flagged_skew_schur``, for the character identity and the
     Demazure table of every lam, and one ``tableau_word_set``, the reading
-    words of its flagged fillings, for its components.  The tableau route is
-    one search per (lam, mu, gam, phi), whose table is read at every
-    candidate nu; the hive route runs per tuple.
+    words of its flagged fillings, for its components.  Each (lam, mu, gam,
+    phi) gets one table per route, and the three must be equal: one search
+    of the tableau route, the Demazure table of F, and one enumeration of
+    the skew hives of every nu (``hives._table_skew_rows``), whose points
+    per nu are the hive table and the skew side of the isomorphism check of
+    each nu that contains lam.
 
-    Stops at the first failing tuple and returns its reproduction data."""
+    Every candidate nu counts as a checked tuple, in candidate order, and
+    a failure is reported at the first failing tuple in that order: on
+    unequal tables, the first nu where they differ, after the isomorphism
+    checks of the candidates before it."""
     flags = [validate_flag(f, n) for f in (flags or all_flags(n))]
     # the candidates for nu by weight; |lam| + |mu| - |gam| <= 2 * max_mu
     nu_candidates = {}
     for nu in partitions_up_to(n, 2 * max_mu):
         nu_candidates.setdefault(weight(nu), []).append(nu)
+    # the candidates of each (lam, weight), each marked when it contains lam
+    marked = {}
     checked = {"tuples": 0, "decompositions": 0}
     start = perf_counter()
     for mu in partitions_up_to(n, max_mu):
@@ -292,46 +306,56 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
                     }
                 checked["decompositions"] += 1
                 for lam in subpartitions(mu):
-                    demazure_table = _antisymmetrize(lam, skew_schur)
-                    tableau_table = _table_tableaux(lam, mu, gam, phi, limit)
+                    skew = _table_skew_rows(lam, mu, gam, phi, limit)
+                    tables = {
+                        "tableau": _table_tableaux(lam, mu, gam, phi, limit),
+                        "hive": {nu: len(points) for nu, points in skew.items()},
+                        "demazure": _antisymmetrize(lam, skew_schur),
+                    }
                     total = weight(lam) + weight(mu) - weight(gam)
-                    for nu in nu_candidates[total]:
-                        # the isomorphism check enumerates the skew hives
-                        # anyway, so its count stands in for the hive count
-                        doubling = None
-                        if contains(nu, lam):
-                            doubling = _doubling(lam, mu, gam, nu, phi, limit)
-                            hive = doubling[1]
-                        else:
-                            hive = _count_skew_hives(lam, mu, gam, nu, phi, limit)
-                        got = {
-                            "tableau": tableau_table.get(nu, 0),
-                            "hive": hive,
-                            "demazure": demazure_table.get(nu, 0),
-                        }
-                        if len(set(got.values())) != 1:
-                            return {
-                                "ok": False,
-                                "failure": "three-way coefficient mismatch",
-                                "tuple": _query_dict(lam, mu, gam, nu, phi, "all"),
-                                "counts": got,
-                                "checked": checked,
-                            }
-                        if doubling is not None and not _iso_ok(doubling):
-                            return {
-                                "ok": False,
-                                "failure": "hive isomorphism mismatch",
-                                "tuple": _query_dict(lam, mu, gam, nu, phi, "all"),
-                                "report": _iso_report(lam, mu, gam, nu, phi, doubling),
-                                "checked": checked,
-                            }
+                    if (lam, total) not in marked:
+                        marked[lam, total] = [
+                            (nu, contains(nu, lam)) for nu in nu_candidates[total]]
+                    bad = None
+                    if not tables["tableau"] == tables["hive"] == tables["demazure"]:
+                        bad = _first_difference(tables, nu_candidates[total])
+                    for nu, inside in marked[lam, total]:
+                        if nu == bad:
+                            break
+                        if inside:
+                            doubling = _doubling(lam, mu, gam, nu, phi, skew.get(nu, ()), limit)
+                            if not _iso_ok(doubling):
+                                return {
+                                    "ok": False,
+                                    "failure": "hive isomorphism mismatch",
+                                    "tuple": _query_dict(lam, mu, gam, nu, phi, "all"),
+                                    "report": _iso_report(lam, mu, gam, nu, phi, doubling),
+                                    "checked": checked,
+                                }
                         checked["tuples"] += 1
                         if echo is not None and checked["tuples"] % 200 == 0:
                             rate = checked["tuples"] / (perf_counter() - start)
                             at = _fmt_args(lam=lam, mu=mu, gam=gam, nu=nu, phi=phi)
                             print(f"... {checked['tuples']} tuples, {rate:.0f} tuples/s, at {at}",
                                   file=echo)
+                    if bad is not None:
+                        return {
+                            "ok": False,
+                            "failure": "three-way coefficient mismatch",
+                            "tuple": _query_dict(lam, mu, gam, bad, phi, "all"),
+                            "counts": {m: table.get(bad, 0) for m, table in tables.items()},
+                            "checked": checked,
+                        }
     return {"ok": True, "checked": checked}
+
+
+def _first_difference(tables, candidates):
+    """The first candidate nu, in candidate order, at which the coefficient
+    tables differ; a nu of some table that is no candidate comes after them
+    all, the greatest first."""
+    keys = {nu for table in tables.values() for nu in table}
+    return next(nu for nu in [*candidates, *sorted(keys, reverse=True)]
+                if len({table.get(nu, 0) for table in tables.values()}) != 1)
 
 
 # ---------------------------------------------------------------------------

@@ -49,9 +49,15 @@ gates the kernels against it.
 
 The doubling map psi and its inverse work on rows of labels; the public
 ``psi``/``psi_inverse`` wrap them in hive objects.  The isomorphism check
-behind ``flagged-lr hive-iso`` and ``verify`` takes the points of both
-polytopes as the enumerators' raw label rows, and maps each skew point
-once, with the top n rows of the image built once per boundary.
+behind ``flagged-lr hive-iso`` and ``verify`` (``_doubling``) takes the
+points of both polytopes as the enumerators' raw label rows.  Its caller
+hands it the skew points: ``hive-iso`` those of its one nu
+(``_skew_rows``), ``verify`` those of each nu from one pass of the
+enumerator of the table polytope, grouped by the nu read off the right
+column (``_table_skew_rows``).  It enumerates the triangular points and
+maps each skew point once, with the top n rows of the image built once per
+boundary and the lifted flag and its triangular polytope once per flag
+(``_lifted_flag``).
 
 Input is checked at the public functions and trusted below them.  Every
 public function that takes a flag requires one and checks its partitions
@@ -777,6 +783,26 @@ def _table_skew_hives(lam, mu, gam, phi, limit):
     return table
 
 
+def _table_skew_rows(lam, mu, gam, phi, limit):
+    """The skew hives of every nu of a checked boundary, as a dict from nu
+    to the label rows of its points, from one pass of the enumerator of
+    ``_skew_table_polytope``; ``limit`` counts the labels placed for every
+    nu together.  Each point's nu is read off its right column, as in
+    ``_table_skew_hives``, so the dict holds the nonzero nu only, and the
+    rows of each nu are those of ``_skew_rows`` in another order."""
+    n = len(lam)
+    poly = _skew_table_polytope(n, phi)
+    by_column = {}
+    for rows in poly.enumerator(_skew_table_runs(lam, mu, gam), limit):
+        column = tuple([r[n] for r in rows])
+        if column in by_column:
+            by_column[column].append(rows)
+        else:
+            by_column[column] = [rows]
+    return {tuple(b - a for a, b in zip(column, column[1:])): points
+            for column, points in by_column.items()}
+
+
 def enumerate_skew_hive_points(lam, mu, gam, nu, phi, limit=None):
     """All integral skew hives with the given boundary on the flag face
     (every NE rhombus in the flat region has content zero); none when the
@@ -928,15 +954,21 @@ def _lift_input(lam, mu, gam, nu, phi):
     return lam, mu, gam, nu, phi
 
 
+@lru_cache(maxsize=256)
+def _lifted_flag(phi):
+    """The lifted flag of ``lift_tilde`` and the triangular polytope on it,
+    which depend on the flag alone."""
+    n = len(phi)
+    phi_t = tuple([p + n for p in phi]) + (2 * n,) * n
+    return phi_t, _tri_polytope(2 * n, phi_t)
+
+
 def _lift(lam, mu, gam, nu, phi):
     """``lift_tilde`` on checked input."""
     n = len(lam)
     nu1 = nu[0] if nu else 0
-    lam_t = (nu1,) * n + lam
-    mu_t = mu + (0,) * n
-    nu_t = tuple(nu1 + g for g in gam) + nu
-    phi_t = tuple(p + n for p in phi) + (2 * n,) * n
-    return lam_t, mu_t, nu_t, phi_t
+    return ((nu1,) * n + lam, mu + (0,) * n, tuple([nu1 + g for g in gam]) + nu,
+            _lifted_flag(phi)[0])
 
 
 def lift_tilde(lam, mu, gam, nu, phi):
@@ -993,17 +1025,18 @@ def psi_inverse(t: TriHive) -> SkewHive:
     return SkewHive(_psi_inverse_rows(t.rows))
 
 
-def _doubling(lam, mu, gam, nu, phi, limit):
+def _doubling(lam, mu, gam, nu, phi, skew, limit):
     """The lifted boundary, the point counts of both polytopes, and whether
     psi_inverse undoes psi on every skew point and psi maps every skew point
     into the triangular points, on a boundary that passed ``_lift_input``.
 
-    The points stay label rows, and each skew point is mapped once; the
+    ``skew`` holds the label rows of the skew points, in any order:
+    ``_skew_rows`` of the tuple for ``hive-iso``, its group of
+    ``_table_skew_rows`` for ``verify``.  The triangular points are
+    enumerated here, as label rows, and each skew point is mapped once; the
     head of the images is built only when there is a skew point."""
-    skew = list(_skew_rows(lam, mu, gam, nu, phi, limit))
-    lifted = lam_t, mu_t, nu_t, phi_t = _lift(lam, mu, gam, nu, phi)
-    tri_poly = _tri_polytope(len(lam_t), phi_t)
-    tri = list(tri_poly.enumerator(_tri_runs(lam_t, mu_t, nu_t), limit))
+    lifted = lam_t, mu_t, nu_t, _ = _lift(lam, mu, gam, nu, phi)
+    tri = list(_lifted_flag(phi)[1].enumerator(_tri_runs(lam_t, mu_t, nu_t), limit))
     images = []
     if skew:
         nu1 = nu[0] if nu else 0

@@ -364,13 +364,15 @@ def _bit_columns(t: SkewTableau):
     return cols
 
 
-def _straight_tableau(columns) -> SkewTableau:
+def _straight_tableau(columns, n_rows=1) -> SkewTableau:
     """The straight tableau whose columns are the bit sets ``columns``, which
-    already form one; nothing is checked."""
+    already form one, with empty rows below them up to ``n_rows`` rows;
+    nothing is checked."""
     cols = [_letters(c) for c in columns]
+    height = len(cols[0]) if cols else 0
     rows = tuple(
-        tuple(col[r] for col in cols if len(col) > r) for r in range(len(cols[0]) if cols else 0)
-    ) or ((),)
+        tuple(col[r] for col in cols if len(col) > r) for r in range(max(height, n_rows))
+    )
     outer = tuple(map(len, rows))
     return SkewTableau._from_rows(SkewShape(outer, (0,) * len(outer)), rows)
 
@@ -378,8 +380,10 @@ def _straight_tableau(columns) -> SkewTableau:
 def rectify(t: SkewTableau) -> SkewTableau:
     """The rectification of t: its letters column-inserted in reading-word
     order, which gives the straight tableau that jeu de taquin slides t to
-    (Fulton, Young Tableaux, App. A)."""
+    (Fulton, Young Tableaux, App. A).  It keeps the ambient length of t:
+    jeu de taquin moves no letter down, so the shape fits in the rows of t,
+    and the rows below it are empty."""
     p = []
     for x in reading_word(t):
         _column_insert(p, x)
-    return _straight_tableau(p)
+    return _straight_tableau(p, t.shape.n_rows)

@@ -9,7 +9,10 @@ import random
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import chain, permutations
+from time import perf_counter
 
+import flagged_lr.cli as cli
+import flagged_lr.hives as hives
 from flagged_lr.burge import (
     InsertionClass,
     biword_from_words,
@@ -23,6 +26,7 @@ from flagged_lr.burge import (
 from flagged_lr.cli import _query_dict
 from flagged_lr.core import (
     ScaleExceededError,
+    all_flags,
     as_partition,
     check_boundary,
     contains,
@@ -30,8 +34,10 @@ from flagged_lr.core import (
     is_partition,
     longest_element,
     partial_sums,
+    partitions_up_to,
     sort_descending,
     sub,
+    subpartitions,
     validate_flag,
     weight,
 )
@@ -161,7 +167,8 @@ def rectify_by_sliding(t: SkewTableau, rng: random.Random = None) -> SkewTableau
     from one inner corner at a time.
 
     The result is independent of the order in which inner corners are
-    chosen; pass rng to randomize that order."""
+    chosen; pass rng to randomize that order.  It keeps the rows of t, the
+    emptied ones included."""
     outer = list(t.shape.outer)
     inner = list(t.shape.inner)
     grid = []
@@ -178,11 +185,9 @@ def rectify_by_sliding(t: SkewTableau, rng: random.Random = None) -> SkewTableau
         c = inner[i] - 1
         inner[i] = c
         _slide(grid, outer, inner, i, c)
-    while outer and outer[-1] == 0:
-        outer.pop()
-    shape = SkewShape(tuple(outer) or (0,), (0,) * max(len(outer), 1))
+    shape = SkewShape(tuple(outer), (0,) * len(outer))
     rows = tuple(tuple(grid[i][c] for c in range(outer[i])) for i in range(len(outer)))
-    return SkewTableau._from_rows(shape, rows or ((),))
+    return SkewTableau._from_rows(shape, rows)
 
 
 def insertion_tableau(word) -> SkewTableau:
@@ -895,3 +900,77 @@ def insertion_decomposition_by_burge(mu, gam, phi):
         beta = word_weight(reading_word(left_key(rec)), n)
         out.append(InsertionClass(rec, q, beta, tuple(groups[rec_rows])))
     return out
+
+
+# ---------------------------------------------------------------------------
+# cli: the cross-check harness one tuple at a time
+# ---------------------------------------------------------------------------
+
+def cross_check_per_tuple(n, max_mu, flags=None, limit=cli.DEFAULT_LIMIT, echo=None):
+    """``cli.cross_check`` one (lam, mu, gam, nu, phi) at a time: the hive
+    count of each candidate nu is its own, from the skew points of
+    ``hives._skew_rows`` that the doubling check maps where nu contains lam,
+    else from ``hives._count_skew_hives``, and the three counts are compared
+    nu by nu.  The shared cores are read through their modules, so a test
+    that patches one in ``flagged_lr.cli`` or ``flagged_lr.hives`` corrupts
+    this loop and ``cli.cross_check`` alike."""
+    flags = [validate_flag(f, n) for f in (flags or all_flags(n))]
+    # the candidates for nu by weight; |lam| + |mu| - |gam| <= 2 * max_mu
+    nu_candidates = {}
+    for nu in partitions_up_to(n, 2 * max_mu):
+        nu_candidates.setdefault(weight(nu), []).append(nu)
+    checked = {"tuples": 0, "decompositions": 0}
+    start = perf_counter()
+    for mu in partitions_up_to(n, max_mu):
+        for gam in subpartitions(mu):
+            for phi in flags:
+                skew_schur = cli.flagged_skew_schur(mu, gam, phi, limit)
+                components = cli.decompose(cli.tableau_word_set(mu, gam, phi), n)
+                if not cli._character_sum_matches(components, skew_schur):
+                    return {
+                        "ok": False,
+                        "failure": "decomposition character sum",
+                        "tuple": {"mu": mu, "gam": gam, "phi": phi},
+                        "checked": checked,
+                    }
+                checked["decompositions"] += 1
+                for lam in subpartitions(mu):
+                    demazure_table = cli._antisymmetrize(lam, skew_schur)
+                    tableau_table = cli._table_tableaux(lam, mu, gam, phi, limit)
+                    total = weight(lam) + weight(mu) - weight(gam)
+                    for nu in nu_candidates[total]:
+                        doubling = None
+                        if contains(nu, lam):
+                            skew = list(hives._skew_rows(lam, mu, gam, nu, phi, limit))
+                            doubling = hives._doubling(lam, mu, gam, nu, phi, skew, limit)
+                            hive = doubling[1]
+                        else:
+                            hive = hives._count_skew_hives(lam, mu, gam, nu, phi, limit)
+                        got = {
+                            "tableau": tableau_table.get(nu, 0),
+                            "hive": hive,
+                            "demazure": demazure_table.get(nu, 0),
+                        }
+                        if len(set(got.values())) != 1:
+                            return {
+                                "ok": False,
+                                "failure": "three-way coefficient mismatch",
+                                "tuple": _query_dict(lam, mu, gam, nu, phi, "all"),
+                                "counts": got,
+                                "checked": checked,
+                            }
+                        if doubling is not None and not cli._iso_ok(doubling):
+                            return {
+                                "ok": False,
+                                "failure": "hive isomorphism mismatch",
+                                "tuple": _query_dict(lam, mu, gam, nu, phi, "all"),
+                                "report": cli._iso_report(lam, mu, gam, nu, phi, doubling),
+                                "checked": checked,
+                            }
+                        checked["tuples"] += 1
+                        if echo is not None and checked["tuples"] % 200 == 0:
+                            rate = checked["tuples"] / (perf_counter() - start)
+                            at = cli._fmt_args(lam=lam, mu=mu, gam=gam, nu=nu, phi=phi)
+                            print(f"... {checked['tuples']} tuples, {rate:.0f} tuples/s, at {at}",
+                                  file=echo)
+    return {"ok": True, "checked": checked}

@@ -1,15 +1,18 @@
 import io
 import json
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flagged_lr.cli as cli_mod
 import flagged_lr.hives as hives_mod
 from flagged_lr.burge import insertion_decomposition
 from flagged_lr.cli import (
     DEFAULT_LIMIT,
     TABLES,
+    _query_dict,
     cross_check,
     decomposition_report,
     hive_count,
@@ -34,6 +37,8 @@ from flagged_lr.core import (
 from flagged_lr.hives import (
     _count_skew_hives,
     _doubling,
+    _skew_rows,
+    _tri_runs,
     check_skew_hive,
     check_tri_hive,
     count_skew_hive_points,
@@ -59,6 +64,7 @@ from oracles import (
     _nu_candidates,
     coefficient_table_by_hives_per_nu,
     coefficient_table_by_tableaux_per_nu,
+    cross_check_per_tuple,
     hive_iso_report_by_objects,
     psi_by_objects,
     psi_inverse_by_objects,
@@ -351,18 +357,9 @@ def test_reports_are_deterministic(capsys):
 
 
 def test_cross_check_reports_failures_with_bundle(monkeypatch):
-    import flagged_lr.cli as cli_mod
-
     # cross_check calls the tableau route's table search
-    real = cli_mod._table_tableaux
-
-    def corrupted(lam, mu, gam, phi, limit):
-        table = real(lam, mu, gam, phi, limit)
-        if table:
-            table[max(table)] += 1
-        return table
-
-    monkeypatch.setattr(cli_mod, "_table_tableaux", corrupted)
+    monkeypatch.setattr(cli_mod, "_table_tableaux",
+                        _greatest_tableau_count_up(cli_mod._table_tableaux))
     report = cross_check(2, 1)
     assert not report["ok"]
     assert report["failure"] == "three-way coefficient mismatch"
@@ -370,20 +367,30 @@ def test_cross_check_reports_failures_with_bundle(monkeypatch):
 
 
 def test_cross_check_counts_hives_once_and_reports_the_mismatch(monkeypatch):
-    # with lam inside nu the hive count is the doubling core's skew count,
-    # so one hive too many shows as a three-way mismatch, not an iso failure;
-    # the core takes its skew points from ``_skew_rows``
-    real = hives_mod._skew_rows
-
-    def one_extra(*args, **kwargs):
-        points = list(real(*args, **kwargs))
-        return points + points[:1]
-
-    monkeypatch.setattr(hives_mod, "_skew_rows", one_extra)
+    # one enumeration per (lam, mu, gam, phi) gives both the hive table and
+    # the skew points of the isomorphism check, so one hive too many shows
+    # as a three-way mismatch, not an iso failure
+    monkeypatch.setattr(cli_mod, "_table_skew_rows",
+                        _first_point_twice_per_nu(cli_mod._table_skew_rows))
     report = cross_check(2, 1)
     assert not report["ok"]
     assert report["failure"] == "three-way coefficient mismatch"
     assert report["counts"]["hive"] == report["counts"]["tableau"] + 1
+
+
+def _first_point_twice_per_nu(real):
+    """``hives._table_skew_rows`` with the first point of every nu listed
+    twice."""
+    return lambda *args: {nu: points + points[:1] for nu, points in real(*args).items()}
+
+
+def _first_point_twice(real):
+    """``hives._skew_rows`` with its first point listed twice."""
+    def extra(*args):
+        points = list(real(*args))
+        return points + points[:1]
+
+    return extra
 
 
 def _iso_grid():
@@ -477,6 +484,151 @@ def test_verify_progress_names_rate_and_tuple():
     argv = found[2].split()
     assert argv[::2] == ["--lam", "--mu", "--gam", "--nu", "--phi"]
     assert main(["--n", "2", "coeff", *argv]) == 0
+
+
+def _without_rates(echo):
+    return re.sub(r"\d+ tuples/s", "- tuples/s", echo.getvalue())
+
+
+@pytest.mark.parametrize("n, max_mu", [(n, m) for n in range(4) for m in range(4)] + [(3, 4)])
+def test_cross_check_equals_the_per_tuple_oracle(n, max_mu):
+    # the same report and the same progress lines, rates aside
+    echo, oracle_echo = io.StringIO(), io.StringIO()
+    report = cross_check(n, max_mu, echo=echo)
+    assert report == cross_check_per_tuple(n, max_mu, echo=oracle_echo)
+    assert report["ok"]
+    assert _without_rates(echo) == _without_rates(oracle_echo)
+
+
+# the (lam, mu, gam, phi) the staggered corruptions hit, and its two
+# candidates, both containing lam, in candidate order; each has one hive
+STAGGERED_QUAD = ((1, 0), (1, 0), (0, 0), (2, 2))
+EARLY_NU, LATE_NU = (2, 0), (1, 1)
+# the flag (1, 2) leaves LATE_NU, which contains lam, no hive
+FLAGGED_QUAD = ((1, 0), (1, 0), (0, 0), (1, 2))
+
+
+def _replace_tri_points_at(monkeypatch, nu, quad=STAGGERED_QUAD, points=()):
+    """The triangular enumerator yields ``points`` instead of its own on the
+    lifted boundary of ``quad`` at ``nu``."""
+    lam, mu, gam, phi = quad
+    lam_t, mu_t, nu_t, phi_t = lift_tilde(lam, mu, gam, nu, phi)
+    target = (phi_t, _tri_runs(lam_t, mu_t, nu_t))
+    real = hives_mod._lifted_flag
+
+    def replaced(phi):
+        phi_t, poly = real(phi)
+
+        def enumerator(runs, limit):
+            return iter(points) if (phi_t, runs) == target else poly.enumerator(runs, limit)
+
+        return phi_t, SimpleNamespace(enumerator=enumerator)
+
+    monkeypatch.setattr(hives_mod, "_lifted_flag", replaced)
+
+
+def _raise_tableau_count_at(monkeypatch, nu):
+    """The tableau table of ``STAGGERED_QUAD`` one too high at ``nu``."""
+    real = cli_mod._table_tableaux
+
+    def raised(lam, mu, gam, phi, limit):
+        table = real(lam, mu, gam, phi, limit)
+        if (lam, mu, gam, phi) == STAGGERED_QUAD:
+            table[nu] = table.get(nu, 0) + 1
+        return table
+
+    monkeypatch.setattr(cli_mod, "_table_tableaux", raised)
+
+
+def _corrupt_cli(name, corrupt):
+    def apply(monkeypatch):
+        monkeypatch.setattr(cli_mod, name, corrupt(getattr(cli_mod, name)))
+
+    return apply
+
+
+def _corrupt_hives(name, corrupt):
+    def apply(monkeypatch):
+        monkeypatch.setattr(hives_mod, name, corrupt(getattr(hives_mod, name)))
+
+    return apply
+
+
+def _one_extra_hive(monkeypatch):
+    # the same corruption on both paths: the per-tuple loop reads its skew
+    # points from ``_skew_rows``, cross_check from ``_table_skew_rows``
+    _corrupt_hives("_skew_rows", _first_point_twice)(monkeypatch)
+    _corrupt_cli("_table_skew_rows", _first_point_twice_per_nu)(monkeypatch)
+
+
+def _tri_early_tableau_late(monkeypatch):
+    _replace_tri_points_at(monkeypatch, EARLY_NU)
+    _raise_tableau_count_at(monkeypatch, LATE_NU)
+
+
+def _tableau_early_tri_late(monkeypatch):
+    _raise_tableau_count_at(monkeypatch, EARLY_NU)
+    _replace_tri_points_at(monkeypatch, LATE_NU)
+
+
+def _tri_point_without_hive(monkeypatch):
+    # the triangular side is enumerated at a nu with no skew hive too
+    _replace_tri_points_at(monkeypatch, LATE_NU, FLAGGED_QUAD, [((0,),)])
+
+
+def _greatest_tableau_count_up(real):
+    def corrupted(lam, mu, gam, phi, limit):
+        table = real(lam, mu, gam, phi, limit)
+        if table:
+            table[max(table)] += 1
+        return table
+
+    return corrupted
+
+
+@pytest.mark.parametrize("corrupt, max_mu, failure, at", [
+    (_corrupt_cli("_table_tableaux", _greatest_tableau_count_up), 1,
+     "three-way coefficient mismatch", None),
+    (_one_extra_hive, 1, "three-way coefficient mismatch", None),
+    (_corrupt_hives("_psi_rows", _shift_wedge_corner), 1, "hive isomorphism mismatch", None),
+    (_corrupt_hives("_psi_inverse_rows", _drop_the_shift), 1, "hive isomorphism mismatch", None),
+    (_corrupt_cli("flagged_skew_schur",
+                  lambda real: lambda *args: _one_coefficient_up(real(*args))), 2,
+     "decomposition character sum", None),
+    (_corrupt_cli("_antisymmetrize",
+                  lambda real: lambda lam, f: real(lam, _one_coefficient_up(f))), 2,
+     "three-way coefficient mismatch", None),
+    (_tri_early_tableau_late, 2, "hive isomorphism mismatch", (STAGGERED_QUAD, EARLY_NU)),
+    (_tableau_early_tri_late, 2, "three-way coefficient mismatch", (STAGGERED_QUAD, EARLY_NU)),
+    (_tri_point_without_hive, 1, "hive isomorphism mismatch", (FLAGGED_QUAD, LATE_NU)),
+], ids=["tableau-table", "extra-hive", "psi-rows", "psi-inverse-rows", "skew-schur",
+        "antisymmetrize", "tri-early-tableau-late", "tableau-early-tri-late",
+        "tri-point-without-hive"])
+def test_cross_check_fails_at_the_tuple_of_the_per_tuple_oracle(monkeypatch, corrupt, max_mu,
+                                                                 failure, at):
+    # the first failing tuple in candidate order, its report and the tuples
+    # checked before it are the per-tuple loop's
+    corrupt(monkeypatch)
+    echo, oracle_echo = io.StringIO(), io.StringIO()
+    report = cross_check(2, max_mu, echo=echo)
+    assert report == cross_check_per_tuple(2, max_mu, echo=oracle_echo)
+    assert _without_rates(echo) == _without_rates(oracle_echo)
+    assert not report["ok"] and report["failure"] == failure
+    if at is not None:
+        (lam, mu, gam, phi), nu = at
+        assert report["tuple"] == _query_dict(lam, mu, gam, nu, phi, "all")
+
+
+def test_verify_limit_counts_one_hive_table_per_quad(capsys):
+    # the ceiling binds on the enumeration of the skew hives of every nu of
+    # one (lam, mu, gam, phi): cross_check(2, 2) needs 6 labels placed
+    report = cross_check(2, 2, limit=6)
+    assert report == {"ok": True, "checked": {"tuples": 76, "decompositions": 18}}
+    with pytest.raises(ScaleExceededError):
+        cross_check(2, 2, limit=5)
+    assert main(["--n", "2", "--limit", "6", "verify", "--max-mu", "2"]) == 0
+    assert main(["--n", "2", "--limit", "5", "verify", "--max-mu", "2"]) == 2
+    assert "ceiling" in capsys.readouterr().err
 
 
 @st.composite
@@ -709,7 +861,8 @@ def test_trusted_cores_equal_the_public_routes():
                             tuples += 1
                             if not contains(nu, lam):
                                 continue
-                            lifted, skew, tri, roundtrip, image_ok = _doubling(*args, None)
+                            points = list(_skew_rows(*args, None))
+                            lifted, skew, tri, roundtrip, image_ok = _doubling(*args, points, None)
                             report = hive_iso_report(*args)
                             assert report["lifted"] == dict(zip(("lam", "mu", "nu", "phi"),
                                                                 map(list, lifted)))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flagged_lr.hives as hives_mod
-from conftest import WORKED_HIVE_LABELS, skew_pairs
+from conftest import WORKED_HIVE_BOUNDARY, WORKED_HIVE_FLAG, WORKED_HIVE_LABELS, skew_pairs
 from flagged_lr.cli import ROUTES, run_coefficient
 from flagged_lr.core import FlagError, all_flags, contains, partitions_up_to, scale, subpartitions
 from flagged_lr.crystal import coefficient_by_tableaux, is_lambda_dominant
@@ -21,10 +21,12 @@ from flagged_lr.hives import (
     _skew_edges,
     _skew_polytope,
     _skew_rhombi,
+    _skew_rows,
     _skew_runs,
     _skew_table_polytope,
     _skew_table_runs,
     _table_skew_hives,
+    _table_skew_rows,
     _tri_edges,
     _tri_polytope,
     _tri_rhombi,
@@ -50,6 +52,7 @@ from flagged_lr.hives import (
 )
 from flagged_lr.tableaux import SkewShape, enumerate_tableaux, reading_word, word_weight
 from oracles import (
+    _nu_candidates,
     coefficient_table_by_hives_per_nu,
     engine_count,
     engine_labels,
@@ -441,6 +444,39 @@ def test_table_equals_the_per_nu_oracle_census():
         outside += not contains(mu, gam)
         empty_skew += mu == gam
     assert (tables, nonzero, outside, empty_skew) == (2555, 1160, 1374, 383)
+
+
+def _grouped_quads():
+    """Every (lam, mu, gam, phi) of ``cross_check(n, 3)``, n <= 3, then the
+    worked example dilated by k = 1, 2."""
+    for n in (1, 2, 3):
+        for mu in partitions_up_to(n, 3):
+            for gam in subpartitions(mu):
+                for phi in all_flags(n):
+                    for lam in subpartitions(mu):
+                        yield lam, mu, gam, phi
+    lam, mu, gam, _ = WORKED_HIVE_BOUNDARY
+    for k in (1, 2):
+        yield scale(k, lam), scale(k, mu), scale(k, gam), WORKED_HIVE_FLAG
+
+
+def test_grouped_table_points_equal_the_per_nu_enumeration_census():
+    # one enumeration of the table polytope, grouped by the nu read off the
+    # right column, gives each candidate nu the points of its own polytope
+    quads = tuples = points = 0
+    for lam, mu, gam, phi in _grouped_quads():
+        grouped = _table_skew_rows(lam, mu, gam, phi, None)
+        candidates = _nu_candidates(lam, mu, gam, len(mu))
+        assert set(grouped) <= set(candidates), (lam, mu, gam, phi)
+        assert all(grouped.values()), (lam, mu, gam, phi)
+        for nu in candidates:
+            skew = list(_skew_rows(lam, mu, gam, nu, phi, None))
+            # a nu the table lacks has no points
+            assert Counter(grouped.get(nu, [])) == Counter(skew), (lam, mu, gam, nu, phi)
+            tuples += 1
+            points += len(skew)
+        quads += 1
+    assert (quads, tuples, points) == (640, 1912, 1205)
 
 
 @st.composite

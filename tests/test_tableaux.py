@@ -5,7 +5,7 @@ from itertools import chain
 import pytest
 
 from conftest import skew_pairs
-from flagged_lr.core import all_flags
+from flagged_lr.core import all_flags, partitions_up_to
 from flagged_lr.tableaux import (
     SkewShape,
     SkewTableau,
@@ -93,8 +93,16 @@ def test_dominant_tableau_rows():
 
 
 def test_rectify_fixes_straight_shapes():
-    t = dominant_tableau((3, 2))
-    assert trimmed(rectify(t)) == trimmed(t)
+    # shape, rows and ambient length, trailing empty rows included
+    fixed = 0
+    for n in range(5):
+        for lam in partitions_up_to(n, 6):
+            t = dominant_tableau(lam)
+            assert rectify(t) == t, lam
+            fixed += 1
+    assert fixed == 74
+    empty = SkewTableau(SkewShape((0, 0, 0), (0, 0, 0)), ((), (), ()))
+    assert rectify(empty) == empty
 
 
 def test_rectify_two_box_skew():
@@ -110,7 +118,7 @@ def test_rectify_preserves_weight():
     shape = SkewShape((4, 3, 2, 1), (2, 1, 0, 0))
     t = SkewTableau(shape, ((1, 2), (2, 3), (1, 3), (4,)))
     _, wt = reading_word_and_weight(t)
-    _, wt2 = reading_word_and_weight(rectify(t), n=4)
+    _, wt2 = reading_word_and_weight(rectify(t))
     assert wt2 == wt
 
 
