@@ -28,10 +28,13 @@ grid from partitions, checks its flags once and calls the trusted cores
 once per (lam, mu, gam, phi): the tableau route's table search
 ``crystal._table_tableaux``, ``polynomials._antisymmetrize`` on the one F
 of (mu, gam, phi), and ``hives._table_skew_rows``, the skew hives of every
-nu, whose counts are the hive table and whose points per nu go to
-``hives._doubling`` for each nu that contains lam.  It judges the
-``_doubling`` result by the same rule as ``hive_iso_report`` (``_iso_ok``)
-and builds the full report from that result only for a tuple that fails.
+nu, whose counts are the hive table and whose points per nu go to the
+doubling check of each nu that contains lam.  That check's flag-free half
+(``hives._doubling_entry``) is built once per (lam, mu, gam, nu) and its
+per-flag half (``hives._doubling_flag``), which enumerates the Kogan face,
+runs for every flag.  ``cross_check`` judges the result by the same rule
+as ``hive_iso_report`` (``_iso_ok``) and builds the full report from that
+result only for a tuple that fails.
 
 ``main`` parses the boundary once (``_parse_boundary``) and takes the exit
 status from the report once: 1 when its routes disagree or a check fails.
@@ -69,6 +72,8 @@ from .crystal import (
 from .hives import (
     _count_skew_hives,
     _doubling,
+    _doubling_entry,
+    _doubling_flag,
     _lift_input,
     _skew_rows,
     _table_skew_hives,
@@ -277,7 +282,9 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     of the tableau route, the Demazure table of F, and one enumeration of
     the skew hives of every nu (``hives._table_skew_rows``), whose points
     per nu are the hive table and the skew side of the isomorphism check of
-    each nu that contains lam.
+    each nu that contains lam.  The flag-free half of that check is built at
+    the first flag that reaches its (lam, nu) and kept until the next gam;
+    the Kogan face is still enumerated for every flag.
 
     Every candidate nu counts as a checked tuple, in candidate order, and
     a failure is reported at the first failing tuple in that order: on
@@ -293,7 +300,10 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     checked = {"tuples": 0, "decompositions": 0}
     start = perf_counter()
     for mu in partitions_up_to(n, max_mu):
-        for gam in subpartitions(mu):
+        subs = subpartitions(mu)
+        for gam in subs:
+            # the flag-free half of the doubling check of each (lam, nu)
+            entries = {}
             for phi in flags:
                 skew_schur = flagged_skew_schur(mu, gam, phi, limit)
                 components = decompose(tableau_word_set(mu, gam, phi), n)
@@ -305,7 +315,7 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
                         "checked": checked,
                     }
                 checked["decompositions"] += 1
-                for lam in subpartitions(mu):
+                for lam in subs:
                     skew = _table_skew_rows(lam, mu, gam, phi, limit)
                     tables = {
                         "tableau": _table_tableaux(lam, mu, gam, phi, limit),
@@ -323,7 +333,10 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
                         if nu == bad:
                             break
                         if inside:
-                            doubling = _doubling(lam, mu, gam, nu, phi, skew.get(nu, ()), limit)
+                            entry = entries.get((lam, nu))
+                            if entry is None:
+                                entry = entries[lam, nu] = _doubling_entry(lam, mu, gam, nu)
+                            doubling = _doubling_flag(entry, phi, skew.get(nu, ()), limit)
                             if not _iso_ok(doubling):
                                 return {
                                     "ok": False,

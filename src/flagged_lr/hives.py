@@ -54,10 +54,13 @@ points of both polytopes as the enumerators' raw label rows.  Its caller
 hands it the skew points: ``hive-iso`` those of its one nu
 (``_skew_rows``), ``verify`` those of each nu from one pass of the
 enumerator of the table polytope, grouped by the nu read off the right
-column (``_table_skew_rows``).  It enumerates the triangular points and
-maps each skew point once, with the top n rows of the image built once per
-boundary and the lifted flag and its triangular polytope once per flag
-(``_lifted_flag``).
+column (``_table_skew_rows``).  The check has a flag-free half
+(``_doubling_entry``): the lifted boundary, its runs, the top n rows of
+every image, and each skew point's image and roundtrip, which ``verify``
+builds once per (lam, mu, gam, nu) and shares across flags.  Its per-flag
+half (``_doubling_flag``) still enumerates the Kogan face of the lifted
+flag, whose triangular polytope is built once per flag (``_lifted_flag``),
+for every flag, and maps only the skew points the entry has not met.
 
 Input is checked at the public functions and trusted below them.  Every
 public function that takes a flag requires one and checks its partitions
@@ -963,12 +966,20 @@ def _lifted_flag(phi):
     return phi_t, _tri_polytope(2 * n, phi_t)
 
 
-def _lift(lam, mu, gam, nu, phi):
-    """``lift_tilde`` on checked input."""
+_DoublingEntry = namedtuple("_DoublingEntry", "lifted runs nu1 head images")
+
+
+def _doubling_entry(lam, mu, gam, nu):
+    """The flag-free half of the doubling check of (lam, mu, gam, nu), on
+    input that passed ``_lift_input``: the lifted boundary (lam~, mu~, nu~),
+    its triangular runs, nu_1, the head of the images under psi, and a dict,
+    empty at first, from a skew point's label rows to its image and whether
+    ``_psi_inverse_rows`` gives the rows back.  psi and psi_inverse read
+    only the rows, gam and nu_1, so one entry serves every flag."""
     n = len(lam)
     nu1 = nu[0] if nu else 0
-    return ((nu1,) * n + lam, mu + (0,) * n, tuple([nu1 + g for g in gam]) + nu,
-            _lifted_flag(phi)[0])
+    lifted = (nu1,) * n + lam, mu + (0,) * n, tuple([nu1 + g for g in gam]) + nu
+    return _DoublingEntry(lifted, _tri_runs(*lifted), nu1, _psi_head(gam, nu1), {})
 
 
 def lift_tilde(lam, mu, gam, nu, phi):
@@ -977,7 +988,8 @@ def lift_tilde(lam, mu, gam, nu, phi):
     Returns (lam~, mu~, nu~, phi~) in ambient 2n; the flag is padded with n
     copies of 2n, which imposes no flatness beyond the image of the skew
     flat region."""
-    return _lift(*_lift_input(lam, mu, gam, nu, phi))
+    lam, mu, gam, nu, phi = _lift_input(lam, mu, gam, nu, phi)
+    return (*_doubling_entry(lam, mu, gam, nu).lifted, _lifted_flag(phi)[0])
 
 
 @lru_cache(maxsize=256)
@@ -1025,6 +1037,27 @@ def psi_inverse(t: TriHive) -> SkewHive:
     return SkewHive(_psi_inverse_rows(t.rows))
 
 
+def _doubling_flag(entry, phi, skew, limit):
+    """The ``_doubling`` result of the flag phi, from the ``_doubling_entry``
+    of its (lam, mu, gam, nu).
+
+    The Kogan face of the lifted flag is enumerated here, for every flag,
+    and its points are counted as a list.  A skew point is mapped by psi
+    and back only the first time the entry meets it, and its image must be
+    among the triangular points of this flag."""
+    lifted, runs, nu1, head, images = entry
+    phi_t, poly = _lifted_flag(phi)
+    tri = list(poly.enumerator(runs, limit))
+    for rows in skew:
+        if rows not in images:
+            image = _psi_rows(rows, head, nu1)
+            images[rows] = image, _psi_inverse_rows(image) == rows
+    points = set(tri)
+    mapped = [images[rows] for rows in skew]
+    return ((*lifted, phi_t), len(skew), len(tri), all(back for _, back in mapped),
+            all(image in points for image, _ in mapped))
+
+
 def _doubling(lam, mu, gam, nu, phi, skew, limit):
     """The lifted boundary, the point counts of both polytopes, and whether
     psi_inverse undoes psi on every skew point and psi maps every skew point
@@ -1032,15 +1065,8 @@ def _doubling(lam, mu, gam, nu, phi, skew, limit):
 
     ``skew`` holds the label rows of the skew points, in any order:
     ``_skew_rows`` of the tuple for ``hive-iso``, its group of
-    ``_table_skew_rows`` for ``verify``.  The triangular points are
-    enumerated here, as label rows, and each skew point is mapped once; the
-    head of the images is built only when there is a skew point."""
-    lifted = lam_t, mu_t, nu_t, _ = _lift(lam, mu, gam, nu, phi)
-    tri = list(_lifted_flag(phi)[1].enumerator(_tri_runs(lam_t, mu_t, nu_t), limit))
-    images = []
-    if skew:
-        nu1 = nu[0] if nu else 0
-        head = _psi_head(gam, nu1)
-        images = [_psi_rows(rows, head, nu1) for rows in skew]
-    roundtrip = all(_psi_inverse_rows(t) == rows for t, rows in zip(images, skew))
-    return lifted, len(skew), len(tri), roundtrip, set(tri).issuperset(images)
+    ``_table_skew_rows`` for ``verify``.  This is the one-shot composition
+    of the flag-free half (``_doubling_entry``), which ``verify`` builds
+    once per (lam, mu, gam, nu) and shares across flags, and the per-flag
+    half (``_doubling_flag``), which enumerates the triangular points."""
+    return _doubling_flag(_doubling_entry(lam, mu, gam, nu), phi, skew, limit)

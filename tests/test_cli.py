@@ -619,6 +619,48 @@ def test_cross_check_fails_at_the_tuple_of_the_per_tuple_oracle(monkeypatch, cor
         assert report["tuple"] == _query_dict(lam, mu, gam, nu, phi, "all")
 
 
+def _tri_point_twice(monkeypatch):
+    # the triangular enumerator yields the one point of STAGGERED_QUAD at
+    # EARLY_NU twice, so the list counts 2 where the set counts 1
+    lam, mu, gam, phi = STAGGERED_QUAD
+    lifted = lift_tilde(lam, mu, gam, EARLY_NU, phi)
+    (point,) = hives_mod._lifted_flag(phi)[1].enumerator(_tri_runs(*lifted[:3]), None)
+    _replace_tri_points_at(monkeypatch, EARLY_NU, points=[point, point])
+
+
+def _psi_rows_wrong_at_late_nu(monkeypatch):
+    # psi misplaces the wedge corner of the one skew point of STAGGERED_QUAD
+    # at LATE_NU alone; the entry of that (lam, nu) exists from the flag of
+    # FLAGGED_QUAD on, where LATE_NU has no skew hive
+    lam, mu, gam, phi = STAGGERED_QUAD
+    (point,) = _skew_rows(lam, mu, gam, LATE_NU, phi, None)
+    real = hives_mod._psi_rows
+    wrong = _shift_wedge_corner(real)
+    monkeypatch.setattr(hives_mod, "_psi_rows", lambda rows, head, nu1: (
+        wrong if rows == point else real)(rows, head, nu1))
+
+
+@pytest.mark.parametrize("corrupt, nu, counts", [
+    (_tri_point_twice, EARLY_NU, (1, 2)),
+    (_psi_rows_wrong_at_late_nu, LATE_NU, (1, 1)),
+], ids=["tri-point-twice", "psi-rows-after-entry"])
+def test_a_doubling_entry_from_an_earlier_flag_fails_as_the_oracle(monkeypatch, corrupt, nu,
+                                                                   counts):
+    # cross_check builds the flag-free half of the doubling check of
+    # STAGGERED_QUAD's (lam, nu) at the earlier flag of FLAGGED_QUAD and
+    # reuses it at STAGGERED_QUAD's flag, where the corruption shows
+    flags = all_flags(2)
+    assert STAGGERED_QUAD[:3] == FLAGGED_QUAD[:3]
+    assert flags.index(FLAGGED_QUAD[3]) < flags.index(STAGGERED_QUAD[3])
+    corrupt(monkeypatch)
+    report = cross_check(2, 1)
+    assert report == cross_check_per_tuple(2, 1)
+    assert report["failure"] == "hive isomorphism mismatch"
+    lam, mu, gam, phi = STAGGERED_QUAD
+    assert report["tuple"] == _query_dict(lam, mu, gam, nu, phi, "all")
+    assert (report["report"]["skew_count"], report["report"]["tri_count"]) == counts
+
+
 def test_verify_limit_counts_one_hive_table_per_quad(capsys):
     # the ceiling binds on the enumeration of the skew hives of every nu of
     # one (lam, mu, gam, phi): cross_check(2, 2) needs 6 labels placed

@@ -16,6 +16,9 @@ from flagged_lr.hives import (
     SkewGTPattern,
     SkewHive,
     _compile,
+    _doubling,
+    _doubling_entry,
+    _doubling_flag,
     _gt_polytope,
     _hive_table,
     _skew_edges,
@@ -761,6 +764,34 @@ def test_psi_counts_and_roundtrip_small_grid():
                     assert len(skew) == len(tri)
                     assert {psi(h).rows for h in skew} == {t.rows for t in tri}
                     assert all(psi_inverse(psi(h)) == h for h in skew)
+
+
+def test_a_shared_doubling_entry_gives_each_flag_a_fresh_doubling():
+    # every (lam, mu, gam, phi) of cross_check(n, 3), n <= 3, and each
+    # candidate nu containing lam: one flag-free entry, shared by every flag
+    # in either order, gives each flag the result of a fresh _doubling
+    boundaries = tuples = 0
+    for n in range(4):
+        flags = all_flags(n)
+        for mu in partitions_up_to(n, 3):
+            for gam in subpartitions(mu):
+                for lam in subpartitions(mu):
+                    for nu in _nu_candidates(lam, mu, gam, n):
+                        if not contains(nu, lam):
+                            continue
+                        skew = {phi: list(_skew_rows(lam, mu, gam, nu, phi, None))
+                                for phi in flags}
+                        fresh = {phi: _doubling(lam, mu, gam, nu, phi, skew[phi], None)
+                                 for phi in flags}
+                        assert all(d[1] == d[2] and d[3] and d[4] for d in fresh.values())
+                        for order in (flags, flags[::-1]):
+                            entry = _doubling_entry(lam, mu, gam, nu)
+                            for phi in order:
+                                assert _doubling_flag(entry, phi, skew[phi], None) == fresh[phi]
+                            assert entry.images.keys() == set().union(*skew.values())
+                        boundaries += 1
+                        tuples += len(flags)
+    assert (boundaries, tuples) == (321, 1323)
 
 
 def test_tri_hive_examples():
