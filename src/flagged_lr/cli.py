@@ -92,13 +92,14 @@ from .burge import _insertion_classes
 
 DEFAULT_LIMIT = 10**6
 LIMIT_HELP = (
-    "enumeration ceiling per call (hive labels or tableau letters placed, "
-    "Demazure shapes expanded); a table by the tableau or the hive route is "
-    "one call, so the ceiling caps the letters placed or the hive labels "
-    "tried for every nu together, and so is the enumeration of the skew "
-    "hives of every nu that verify runs per (lam, mu, gam, phi); a table "
-    "by the Demazure route and a decomposition cap the letters placed to "
-    "build F, a crystal graph those placed to enumerate its fillings"
+    "enumeration ceiling per call (hive labels tried, tableau letters "
+    "placed, Demazure shapes expanded); a table by the tableau or the hive "
+    "route is one call, so the ceiling caps the letters placed or the hive "
+    "labels tried for every nu together, and so is the enumeration of the "
+    "skew hives of every nu that verify runs per (lam, mu, gam, phi); a "
+    "table by the Demazure route and a decomposition cap the letters "
+    "placed to build F, a crystal graph those placed to enumerate its "
+    "fillings"
 )
 
 #: the trusted core of each route, called on a checked boundary as
@@ -441,30 +442,24 @@ def _nonnegative(text):
     return value
 
 
+def _add_global_args(p, n=None, as_json=False, limit=DEFAULT_LIMIT):
+    """``--n``, ``--json`` and ``--limit`` on ``p``, with these defaults."""
+    p.add_argument("--n", type=_nonnegative, default=n, help="ambient length")
+    p.add_argument("--json", action="store_true", default=as_json, help="emit JSON reports")
+    p.add_argument("--limit", type=_nonnegative, default=limit, help=LIMIT_HELP)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # global flags are accepted on both sides of the subcommand; the
     # SUPPRESS defaults keep the subparser from clobbering values given
     # before it
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--n", type=_nonnegative, default=argparse.SUPPRESS, help="ambient length"
-    )
-    common.add_argument(
-        "--json",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="emit JSON reports",
-    )
-    common.add_argument(
-        "--limit", type=_nonnegative, default=argparse.SUPPRESS, help=LIMIT_HELP
-    )
+    _add_global_args(common, *[argparse.SUPPRESS] * 3)
     parser = argparse.ArgumentParser(
         prog="flagged-lr",
         description="Flagged skew Littlewood-Richardson coefficients, three ways.",
     )
-    parser.add_argument("--n", type=_nonnegative, default=None, help="ambient length")
-    parser.add_argument("--json", action="store_true", help="emit JSON reports")
-    parser.add_argument("--limit", type=_nonnegative, default=DEFAULT_LIMIT, help=LIMIT_HELP)
+    _add_global_args(parser)
     sub_parsers = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kwargs):

@@ -23,8 +23,7 @@ each bound written out over locals as straight-line comparisons, no call
 to ``max`` or ``min``; it yields the points lexicographically in the free
 labels taken in that order, as row-major label rows.  CPython compiles at
 most 20 nested loops in one function, so each further run of up to 15
-loops moves into a nested generator.  ``limit`` counts the labels placed at
-free nodes, one per loop turn.  The hive route counts instead of
+loops moves into a nested generator.  The hive route counts instead of
 enumerating: the counter is a memoized pass over the free nodes in the same
 order, unrolled per node, that merges the partial points which agree on
 what later bounds still need.  A term ``va + vb - vc`` of a bound is only a
@@ -36,16 +35,16 @@ whose labels have left the state.  Only a node after which a label or a
 partial bound leaves the state (a fold coarsens the bound, or its node
 uses it up) can make partial points meet, so the counter builds a dict of
 states only there and at the last node, and nests a ``for`` loop at every
-other node.  There ``limit`` counts the labels the pass tries, the range of
-each state it expands.  Both raise ScaleExceededError once the
-labels exceed ``limit``.  A polytope may name free nodes as its output;
-the counter keeps their labels to the end and returns the points per
-labelling of them.  The hive table uses this: its polytope
-(``_skew_table_polytope``) leaves the right column free as the output, so
-one pass counts the hives of every nu, read off that column
-(``_table_skew_hives``).  The generic engine that runs a compiled table
-directly, without generated code, lives in ``tests/oracles.py``, which
-gates the kernels against it.
+other node.  Both kernels expand a free node by one step: its bounds, then
+one charge of its whole range.  So ``limit`` counts the labels tried by
+either, and both raise ScaleExceededError once they exceed it.  A polytope
+may name free nodes as its output; the counter keeps their labels to the
+end and returns the points per labelling of them.  The hive table uses
+this: its polytope (``_skew_table_polytope``) leaves the right column free
+as the output, so one pass counts the hives of every nu, read off that
+column (``_table_skew_hives``).  The generic engine that runs a compiled
+table directly, without generated code, lives in ``tests/oracles.py``,
+which gates the kernels against it.
 
 The doubling map psi and its inverse work on rows of labels; the public
 ``psi``/``psi_inverse`` wrap them in hive objects.  The isomorphism check
@@ -330,13 +329,16 @@ def _kernel(poly: _Polytope, counting):
     bound is written out as straight-line comparisons of its ``va + vb -
     vc`` terms into ``lo`` or ``hi``, with no call to ``max`` or ``min``.
 
-    The enumerator is one ``for`` loop per free node, in placement order,
-    and charges ``limit`` one label per loop turn; each run of ``_NEST``
-    loops that would nest deeper moves into a nested generator, defined
-    first and entered with ``yield from``.  The counter is the memoized
-    pass unrolled per depth: each state's key unpacks into the locals of
-    ``keys[k]``, labels and partial bounds, and the pass bounds the next
-    node by ``bounds[k]``, charges ``hi - lo + 1`` and folds the partial
+    Both kernels expand a free node by one step: its bounds, an exit when
+    the range is empty, and one charge of ``hi - lo + 1`` labels against
+    ``limit``, before the node's loop.  The exit is ``continue`` inside a
+    loop and ``return`` at the top of the kernel or of a nested generator.
+    The enumerator is one such loop per free node, in placement order;
+    each run of ``_NEST`` loops that would nest deeper moves into a nested
+    generator, defined first and entered with ``yield from``.  The counter
+    is the memoized pass unrolled per depth: each state's key unpacks into
+    the locals of ``keys[k]``, labels and partial bounds, and the pass
+    expands the next node by the step on ``bounds[k]`` and folds the partial
     bounds of ``folds[k]``, in the node's loop when they read its label.
     A depth after which the node and every slot of ``keys[k]`` stay in the
     key cannot make two partial points meet, so it is a ``for`` loop nested
@@ -350,6 +352,7 @@ def _kernel(poly: _Polytope, counting):
     prologue refuses the boundary)."""
     name, zero = "v{}".format, poly.spans[-1][1]
     keyed = counting and bool(poly.keys[-1])
+    exceeded = "raise ScaleExceededError('enumeration ceiling exceeded')"
 
     def fold(var, triples, cmp):
         terms = [" - ".join([" + ".join(name(p) for p in (a, b) if p != zero) or "0"]
@@ -357,8 +360,9 @@ def _kernel(poly: _Polytope, counting):
         return [f"{var} = {terms[0]}"] + [
             f"t = {t}; {var} = t if t {cmp} {var} else {var}" for t in terms[1:]]
 
-    def bounds(lows, highs):
-        return fold("lo", lows, ">") + fold("hi", highs, "<")
+    def step(lows, highs, empty):
+        return fold("lo", lows, ">") + fold("hi", highs, "<") + [
+            f"if hi < lo: {empty}", "left -= hi - lo + 1", f"if left < 0: {exceeded}"]
 
     def folds(plan):
         return [line for new, side, triples in plan
@@ -367,7 +371,6 @@ def _kernel(poly: _Polytope, counting):
     def labels(nodes):
         return f"({''.join(name(p) + ', ' for p in nodes)})"
 
-    exceeded = "raise ScaleExceededError('enumeration ceiling exceeded')"
     fail = "return {}" if keyed else "return 0" if counting else "return"
     tests = [f"r{k}[{a}] != r{l}[{b}]" for k, a, l, b in poly.meets] + [
         f"{' + '.join(map(name, plus))} < {' + '.join(map(name, minus))}"
@@ -388,9 +391,10 @@ def _kernel(poly: _Polytope, counting):
             lines = [f"def part{stop}():", "    nonlocal left"] + ["    " + x for x in nest(stop)]
             inner = f"yield from part{stop}()"
         for pad, k in enumerate(range(start, stop)):
-            lines += ["    " * pad + line for line in bounds(poly.lows[k], poly.highs[k]) + [
-                f"for {name(poly.free[k])} in range(lo, hi + 1):",
-                "    left -= 1", f"    if left < 0: {exceeded}"]]
+            # an empty range ends the function when no loop encloses it
+            lines += ["    " * pad + line for line in step(
+                poly.lows[k], poly.highs[k], "continue" if pad else "return") + [
+                f"for {name(poly.free[k])} in range(lo, hi + 1):"]]
         return lines + ["    " * (stop - start) + inner]
 
     if counting:
@@ -403,9 +407,8 @@ def _kernel(poly: _Polytope, counting):
             pad = "    " * (run + 1)
             # folds that read the new label go inside its loop
             tied = [f for f in poly.folds[k] if any(slot in t for t in f[2])]
-            body += [pad + line for line in bounds(*poly.bounds[k]) + [
-                "if hi < lo: continue", "left -= hi - lo + 1", f"if left < 0: {exceeded}"]
-                + folds([f for f in poly.folds[k] if f not in tied])]
+            body += [pad + line for line in step(*poly.bounds[k], "continue")
+                     + folds([f for f in poly.folds[k] if f not in tied])]
             if slot in after or tied:
                 body.append(pad + f"for {name(slot)} in range(lo, hi + 1):")
                 body += [pad + "    " + line for line in folds(tied)]
@@ -453,31 +456,51 @@ def _label_violations(rows, fixed, contents, flat):
     return violations
 
 
-def _render(rows, upward):
-    """One line per row, each shifted half a label width from the next:
-    the last row flush left when ``upward``, else the first."""
-    width = max(len(str(v)) for r in rows for v in r)
-    return "\n".join(
-        " " * ((len(rows) - 1 - i if upward else i) * (width + 1) // 2)
-        + " ".join(str(v).rjust(width) for v in r)
-        for i, r in enumerate(rows)
-    )
+@dataclass(frozen=True)
+class _LabelRows:
+    """Rows of labels, stored as tuples of tuples.  Each subclass checks the
+    shape of its rows in ``_check`` and says by ``_upward`` which way it
+    renders."""
+
+    rows: tuple
+    _upward = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        self._check()
+
+    def render(self) -> str:
+        """One line per row, each shifted half a label width from the next:
+        the last row flush left when ``_upward``, else the first."""
+        rows = self.rows
+        width = max(len(str(v)) for r in rows for v in r)
+        return "\n".join(
+            " " * ((len(rows) - 1 - i if self._upward else i) * (width + 1) // 2)
+            + " ".join(str(v).rjust(width) for v in r)
+            for i, r in enumerate(rows)
+        )
+
+    def to_json(self) -> str:
+        return json.dumps([list(r) for r in self.rows])
+
+    @classmethod
+    def _validated(cls, rows, violations):
+        """``cls(rows)``, or HiveValidationError with every violation."""
+        if violations:
+            raise HiveValidationError(violations)
+        return cls(rows)
 
 
 # ---------------------------------------------------------------------------
 # skew Gelfand-Tsetlin patterns
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SkewGTPattern:
+class SkewGTPattern(_LabelRows):
     """Rows x_0..x_m (top to bottom), each of length n, interlacing downward:
     x_{ij} >= x_{(i-1)j} and x_{(i-1)j} >= x_{i(j+1)}."""
 
-    rows: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def _check(self):
+        rows = self.rows
         n = len(rows[0])
         if any(len(r) != n for r in rows):
             raise ValueError("rows must share a length")
@@ -504,12 +527,6 @@ class SkewGTPattern:
     def bottom(self):
         return self.rows[-1]
 
-    def render(self) -> str:
-        return _render(self.rows, upward=True)
-
-    def to_json(self) -> str:
-        return json.dumps([list(r) for r in self.rows])
-
 
 def upsilon(x: SkewGTPattern) -> SkewTableau:
     """Tableau whose row j contains the letter i exactly x_{ij} - x_{(i-1)j}
@@ -528,10 +545,14 @@ def upsilon(x: SkewGTPattern) -> SkewTableau:
 
 
 def upsilon_inverse(t: SkewTableau, m=None) -> SkewGTPattern:
-    """x_{ij} = (entries <= i in row j of t) + the inner baseline."""
+    """x_{ij} = (entries <= i in row j of t) + the inner baseline, for
+    i = 0..m; m defaults to the row count, and a letter above m raises
+    ValueError, since no row of the pattern would count it."""
     gam = t.shape.inner
     if m is None:
         m = t.shape.n_rows
+    if any(r and r[-1] > m for r in t.rows):
+        raise ValueError(f"a letter exceeds m = {m}")
     rows = [tuple(gam)]
     for i in range(1, m + 1):
         rows.append(
@@ -576,8 +597,7 @@ def enumerate_flagged_gt_points(mu, gam, phi, limit=None):
 # skew hive parallelogram
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SkewHive:
+class SkewHive(_LabelRows):
     """Labelling of the (n+1) x (n+1) parallelogram node grid.
 
     Boundary reads: left edge (top to bottom) the partial sums of lam;
@@ -585,11 +605,10 @@ class SkewHive:
     edge those of nu shifted by |gam|.  All rhombus contents nonnegative.
     """
 
-    rows: tuple
+    _upward = False
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def _check(self):
+        rows = self.rows
         if any(len(r) != len(rows) for r in rows):
             raise ValueError("node grid must be square")
 
@@ -605,12 +624,6 @@ class SkewHive:
         gam = tuple(self.rows[0][j + 1] - self.rows[0][j] for j in range(n))
         nu = tuple(self.rows[i + 1][n] - self.rows[i][n] for i in range(n))
         return lam, mu, gam, nu
-
-    def render(self) -> str:
-        return _render(self.rows, upward=False)
-
-    def to_json(self) -> str:
-        return json.dumps([list(r) for r in self.rows])
 
 
 def _skew_rhombi(n):
@@ -680,10 +693,7 @@ def check_skew_hive(rows, lam, mu, gam, nu, phi):
 
 
 def validate_skew_hive(rows, lam, mu, gam, nu, phi) -> SkewHive:
-    violations = check_skew_hive(rows, lam, mu, gam, nu, phi)
-    if violations:
-        raise HiveValidationError(violations)
-    return SkewHive(tuple(tuple(r) for r in rows))
+    return SkewHive._validated(rows, check_skew_hive(rows, lam, mu, gam, nu, phi))
 
 
 def skew_flat_region(phi):
@@ -789,7 +799,7 @@ def _table_skew_hives(lam, mu, gam, phi, limit):
 def _table_skew_rows(lam, mu, gam, phi, limit):
     """The skew hives of every nu of a checked boundary, as a dict from nu
     to the label rows of its points, from one pass of the enumerator of
-    ``_skew_table_polytope``; ``limit`` counts the labels placed for every
+    ``_skew_table_polytope``; ``limit`` counts the labels tried for every
     nu together.  Each point's nu is read off its right column, as in
     ``_table_skew_hives``, so the dict holds the nonzero nu only, and the
     rows of each nu are those of ``_skew_rows`` in another order."""
@@ -826,19 +836,14 @@ def count_skew_hive_points(lam, mu, gam, nu, phi, limit=None) -> int:
 # triangular hives and the doubling map
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TriHive:
+class TriHive(_LabelRows):
     """Labelling of the triangular node array: row i has nodes 0..i.
 
     Left edge reads the partial sums of alpha, bottom edge those of beta
     shifted by |alpha|, right edge (top to bottom) those of gamma."""
 
-    rows: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if any(len(r) != i + 1 for i, r in enumerate(rows)):
+    def _check(self):
+        if any(len(r) != i + 1 for i, r in enumerate(self.rows)):
             raise ValueError("row i must have i+1 nodes")
 
     @property
@@ -852,12 +857,6 @@ class TriHive:
         beta = tuple(rows[nn][j + 1] - rows[nn][j] for j in range(nn))
         gam = tuple(rows[i + 1][i + 1] - rows[i][i] for i in range(nn))
         return alpha, beta, gam
-
-    def render(self) -> str:
-        return _render(self.rows, upward=True)
-
-    def to_json(self) -> str:
-        return json.dumps([list(r) for r in self.rows])
 
 
 def _tri_rhombi(big_n):
@@ -923,10 +922,7 @@ def check_tri_hive(rows, alpha, beta, gam, phi):
 
 
 def validate_tri_hive(rows, alpha, beta, gam, phi) -> TriHive:
-    violations = check_tri_hive(rows, alpha, beta, gam, phi)
-    if violations:
-        raise HiveValidationError(violations)
-    return TriHive(tuple(tuple(r) for r in rows))
+    return TriHive._validated(rows, check_tri_hive(rows, alpha, beta, gam, phi))
 
 
 @lru_cache(maxsize=256)

@@ -422,7 +422,7 @@ def test_iso_report_and_maps_match_the_object_oracle():
 
 
 def test_iso_report_limit_counts_labels_placed(worked_hive):
-    # each side may place `limit` labels at free nodes; the worked example's
+    # each side may try `limit` labels at free nodes; the worked example's
     # lifted triangle needs 70 of them (its skew side needs 12)
     args = [worked_hive[k] for k in ("lam", "mu", "gam", "nu", "phi")]
     assert hive_iso_report(*args, limit=70) == hive_iso_report_by_objects(*args, limit=70)
@@ -663,7 +663,7 @@ def test_a_doubling_entry_from_an_earlier_flag_fails_as_the_oracle(monkeypatch, 
 
 def test_verify_limit_counts_one_hive_table_per_quad(capsys):
     # the ceiling binds on the enumeration of the skew hives of every nu of
-    # one (lam, mu, gam, phi): cross_check(2, 2) needs 6 labels placed
+    # one (lam, mu, gam, phi): cross_check(2, 2) needs 6 labels tried
     report = cross_check(2, 2, limit=6)
     assert report == {"ok": True, "checked": {"tuples": 76, "decompositions": 18}}
     with pytest.raises(ScaleExceededError):

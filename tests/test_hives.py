@@ -53,7 +53,13 @@ from flagged_lr.hives import (
     validate_skew_hive,
     validate_tri_hive,
 )
-from flagged_lr.tableaux import SkewShape, enumerate_tableaux, reading_word, word_weight
+from flagged_lr.tableaux import (
+    SkewShape,
+    SkewTableau,
+    enumerate_tableaux,
+    reading_word,
+    word_weight,
+)
 from oracles import (
     _nu_candidates,
     coefficient_table_by_hives_per_nu,
@@ -89,6 +95,19 @@ def test_upsilon_constant_pattern_is_empty_tableau():
     t = upsilon(pat)
     assert t.rows == ((), ())
     assert upsilon_inverse(t, m=2) == pat
+
+
+def test_upsilon_inverse_refuses_a_letter_above_m():
+    # no row of the pattern counts a letter above m: it would be dropped,
+    # and the bottom row would no longer be mu
+    box = SkewTableau(SkewShape((1, 0), (0, 0)), ((3,), ()))
+    with pytest.raises(ValueError, match="exceeds m = 2"):
+        upsilon_inverse(box)
+    assert upsilon_inverse(box, m=3).bottom == (1, 0)
+    t = SkewTableau(SkewShape((2, 1), (0, 0)), ((1, 2), (2,)))
+    with pytest.raises(ValueError, match="exceeds m = 1"):
+        upsilon_inverse(t, m=1)
+    assert upsilon_inverse(t).rows == ((0, 0), (1, 0), (2, 1))
 
 
 def test_upsilon_roundtrip_census():
@@ -251,7 +270,8 @@ def test_scale_ceiling_raises():
         )
     with pytest.raises(ScaleExceededError):
         enumerate_flagged_gt_points((4, 3, 2, 1), (2, 1, 0, 0), (2, 2, 3, 4), limit=3)
-    # one free node, labelled once per point: the limit counts exactly those
+    # one free node, whose range holds one label per point: the limit
+    # counts exactly those
     assert len(enumerate_tri_hive_points((2, 1, 0), (2, 1, 0), (3, 2, 1), (3,) * 3, limit=2)) == 2
     with pytest.raises(ScaleExceededError):
         enumerate_tri_hive_points((2, 1, 0), (2, 1, 0), (3, 2, 1), (3,) * 3, limit=1)
@@ -826,6 +846,16 @@ def test_tri_hive_singleton_when_one_side_constant():
                     assert count == expected
 
 
+def test_tri_hive_boundary_reads_back_the_census():
+    # every point of the triangular census differences back to its boundary
+    points = 0
+    for (alpha, beta, gam, phi), _, _ in _tri_census():
+        for t in enumerate_tri_hive_points(alpha, beta, gam, phi):
+            assert t.boundary() == (alpha, beta, gam), (alpha, beta, gam, phi)
+            points += 1
+    assert points == 1368
+
+
 def test_tri_kogan_region():
     assert tri_kogan_region((2, 3, 4, 4), 4) == {(2, 1), (3, 1), (3, 2)}
     assert tri_kogan_region((1, 2), 2) == {(1, 1)}
@@ -845,3 +875,7 @@ def test_renderers_and_json(worked_hive):
     assert len(t.render().splitlines()) == 9
     pattern = gt_from_hive(worked_hive["labels"])
     assert json.loads(pattern.to_json())[0] == [2, 1, 0, 0]
+    # a pattern renders its last row flush left, each row above it shifted
+    # half a label width
+    assert pattern.render() == "    2 1 0 0\n   4 2 1 0\n  5 4 1 0\n 5 4 2 0\n5 4 2 1"
+    assert SkewGTPattern(((10, 3), (12, 3))).render() == " 10  3\n12  3"

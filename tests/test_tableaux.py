@@ -150,6 +150,14 @@ def test_tableau_validation():
         SkewTableau(shape, ((1,), (2, 2)))
 
 
+def test_entry_reads_absolute_columns():
+    shape = SkewShape((4, 3, 2, 1), (2, 1, 0, 0))
+    t = SkewTableau(shape, ((1, 2), (2, 3), (1, 3), (4,)))
+    assert [t.entry(0, c) for c in range(5)] == [None, None, 1, 2, None]
+    assert [t.entry(i, 1) for i in range(4)] == [None, 2, 3, None]
+    assert t.entry(3, 0) == 4
+
+
 def test_render_and_json():
     t = SkewTableau(SkewShape((2, 1), (1, 0)), ((2,), (1,)))
     assert t.render() == ". 2\n1"
