@@ -29,12 +29,12 @@ once per (lam, mu, gam, phi): the tableau route's table search
 ``crystal._table_tableaux``, ``polynomials._antisymmetrize`` on the one F
 of (mu, gam, phi), and ``hives._table_skew_rows``, the skew hives of every
 nu, whose counts are the hive table and whose points per nu go to the
-doubling check of each nu that contains lam.  That check's flag-free half
-(``hives._doubling_entry``) is built once per (lam, mu, gam, nu) and its
-per-flag half (``hives._doubling_flag``), which enumerates the Kogan face,
-runs for every flag.  ``cross_check`` judges the result by the same rule
-as ``hive_iso_report`` (``_iso_ok``) and builds the full report from that
-result only for a tuple that fails.
+doubling check of each nu that contains lam.  That check's entry
+(``hives._doubling_entry``), which enumerates the lifted face of the join
+of the flags, is built once per (lam, mu, gam, nu), and each flag reads
+its Kogan face off it (``hives._doubling_read``).  ``cross_check`` judges
+the result by the same rule as ``hive_iso_report`` (``_iso_ok``) and
+builds the full report from that result only for a tuple that fails.
 
 ``main`` parses the boundary once (``_parse_boundary``) and takes the exit
 status from the report once: 1 when its routes disagree or a check fails.
@@ -73,7 +73,7 @@ from .hives import (
     _count_skew_hives,
     _doubling,
     _doubling_entry,
-    _doubling_flag,
+    _doubling_read,
     _lift_input,
     _skew_rows,
     _table_skew_hives,
@@ -283,15 +283,19 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     of the tableau route, the Demazure table of F, and one enumeration of
     the skew hives of every nu (``hives._table_skew_rows``), whose points
     per nu are the hive table and the skew side of the isomorphism check of
-    each nu that contains lam.  The flag-free half of that check is built at
-    the first flag that reaches its (lam, nu) and kept until the next gam;
-    the Kogan face is still enumerated for every flag.
+    each nu that contains lam.  That check's entry is built at the first
+    flag that reaches its (lam, nu), under that call's ``limit``, and kept
+    until the next gam: it enumerates the lifted face of the join of the
+    flags (their entrywise maximum), the classical triangle for the default
+    flags, once, and each flag reads its own Kogan face off those points.
 
     Every candidate nu counts as a checked tuple, in candidate order, and
     a failure is reported at the first failing tuple in that order: on
     unequal tables, the first nu where they differ, after the isomorphism
     checks of the candidates before it."""
     flags = [validate_flag(f, n) for f in (flags or all_flags(n))]
+    # every flag's lifted face is read off that of their join
+    join = tuple(map(max, zip(*flags)))
     # the candidates for nu by weight; |lam| + |mu| - |gam| <= 2 * max_mu
     nu_candidates = {}
     for nu in partitions_up_to(n, 2 * max_mu):
@@ -303,7 +307,7 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     for mu in partitions_up_to(n, max_mu):
         subs = subpartitions(mu)
         for gam in subs:
-            # the flag-free half of the doubling check of each (lam, nu)
+            # the entry of the doubling check of each (lam, nu)
             entries = {}
             for phi in flags:
                 skew_schur = flagged_skew_schur(mu, gam, phi, limit)
@@ -336,8 +340,9 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
                         if inside:
                             entry = entries.get((lam, nu))
                             if entry is None:
-                                entry = entries[lam, nu] = _doubling_entry(lam, mu, gam, nu)
-                            doubling = _doubling_flag(entry, phi, skew.get(nu, ()), limit)
+                                entry = entries[lam, nu] = _doubling_entry(
+                                    lam, mu, gam, nu, join, limit)
+                            doubling = _doubling_read(entry, phi, skew.get(nu, ()))
                             if not _iso_ok(doubling):
                                 return {
                                     "ok": False,

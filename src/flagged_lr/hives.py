@@ -48,18 +48,24 @@ which gates the kernels against it.
 
 The doubling map psi and its inverse work on rows of labels; the public
 ``psi``/``psi_inverse`` wrap them in hive objects.  The isomorphism check
-behind ``flagged-lr hive-iso`` and ``verify`` (``_doubling``) takes the
-points of both polytopes as the enumerators' raw label rows.  Its caller
-hands it the skew points: ``hive-iso`` those of its one nu
+behind ``flagged-lr hive-iso`` (``_doubling``) and ``verify``
+(``_doubling_read``) takes the points of both polytopes as raw label rows.
+Its caller hands it the skew points: ``hive-iso`` those of its one nu
 (``_skew_rows``), ``verify`` those of each nu from one pass of the
 enumerator of the table polytope, grouped by the nu read off the right
-column (``_table_skew_rows``).  The check has a flag-free half
+column (``_table_skew_rows``).  One step (``_doubling_check``) counts the
+triangular points of the flag, maps each skew point by psi and back, and
+looks its image up among them; the two differ only in where the
+triangular points come from.  ``hive-iso`` enumerates the compiled Kogan
+face of the lifted flag, whose triangular polytope is built once per flag
+(``_lifted_flag``).  ``verify`` builds one entry per (lam, mu, gam, nu)
 (``_doubling_entry``): the lifted boundary, its runs, the top n rows of
-every image, and each skew point's image and roundtrip, which ``verify``
-builds once per (lam, mu, gam, nu) and shares across flags.  Its per-flag
-half (``_doubling_flag``) still enumerates the Kogan face of the lifted
-flag, whose triangular polytope is built once per flag (``_lifted_flag``),
-for every flag, and maps only the skew points the entry has not met.
+every image, each skew point's image and roundtrip, and the points of the
+lifted face of the join of its flags (their entrywise maximum; the
+classical triangle for all flags), each with its nonzero NE rhombi.  Every
+flag's face is a face of that polytope, so ``_doubling_read`` reads it off
+those points: the ones whose nonzero rhombi miss the lifted Kogan region
+(``_lifted_region``).  The compiled faces are its test oracle.
 
 Input is checked at the public functions and trusted below them.  Every
 public function that takes a flag requires one and checks its partitions
@@ -458,25 +464,28 @@ def _label_violations(rows, fixed, contents, flat):
 
 @dataclass(frozen=True)
 class _LabelRows:
-    """Rows of labels, stored as tuples of tuples.  Each subclass checks the
-    shape of its rows in ``_check`` and says by ``_upward`` which way it
-    renders."""
+    """Rows of labels, stored as tuples of tuples, at least one row.  Each
+    subclass checks the shape of its rows in ``_check`` and says by
+    ``_upward`` which way it renders."""
 
     rows: tuple
     _upward = True
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        if not self.rows:
+            raise ValueError(f"{type(self).__name__} needs at least one row")
         self._check()
 
     def render(self) -> str:
         """One line per row, each shifted half a label width from the next:
-        the last row flush left when ``_upward``, else the first."""
+        the last row flush left when ``_upward``, else the first.  A row
+        with no labels is an empty line."""
         rows = self.rows
-        width = max(len(str(v)) for r in rows for v in r)
+        width = max((len(str(v)) for r in rows for v in r), default=0)
         return "\n".join(
-            " " * ((len(rows) - 1 - i if self._upward else i) * (width + 1) // 2)
-            + " ".join(str(v).rjust(width) for v in r)
+            (" " * ((len(rows) - 1 - i if self._upward else i) * (width + 1) // 2)
+             + " ".join(str(v).rjust(width) for v in r)).rstrip()
             for i, r in enumerate(rows)
         )
 
@@ -962,20 +971,51 @@ def _lifted_flag(phi):
     return phi_t, _tri_polytope(2 * n, phi_t)
 
 
-_DoublingEntry = namedtuple("_DoublingEntry", "lifted runs nu1 head images")
+@lru_cache(maxsize=256)
+def _lifted_region(phi):
+    """The Kogan region of the lifted flag, ``tri_kogan_region`` of its
+    triangle, as a frozenset: a point of the lifted face of a larger flag
+    lies on the face of phi when none of its nonzero NE rhombi is here."""
+    return frozenset(tri_kogan_region(_lifted_flag(phi)[0], 2 * len(phi)))
 
 
-def _doubling_entry(lam, mu, gam, nu):
-    """The flag-free half of the doubling check of (lam, mu, gam, nu), on
-    input that passed ``_lift_input``: the lifted boundary (lam~, mu~, nu~),
-    its triangular runs, nu_1, the head of the images under psi, and a dict,
-    empty at first, from a skew point's label rows to its image and whether
-    ``_psi_inverse_rows`` gives the rows back.  psi and psi_inverse read
-    only the rows, gam and nu_1, so one entry serves every flag."""
+@lru_cache(maxsize=16)
+def _tri_ne_rhombi(big_n):
+    """The NE rhombi of ``_tri_rhombi``."""
+    return tuple(r for r in _tri_rhombi(big_n) if r[0] == "NE")
+
+
+def _nonzero_ne(rows):
+    """The NE rhombi of a triangular array with nonzero content."""
+    return frozenset([ij for _, ij, c in _contents(rows, _tri_ne_rhombi(len(rows) - 1)) if c])
+
+
+_DoublingEntry = namedtuple("_DoublingEntry", "lifted runs nu1 head images face")
+
+
+def _doubling_entry(lam, mu, gam, nu, join=None, limit=None):
+    """The entry of the doubling check of (lam, mu, gam, nu), on input
+    that passed ``_lift_input``: the lifted boundary (lam~, mu~, nu~), its
+    triangular runs, nu_1, the head of the images under psi, a dict, empty
+    at first, from a skew point's label rows to its image and whether
+    ``_psi_inverse_rows`` gives the rows back, and ``face``.  psi and
+    psi_inverse read only the rows, gam and nu_1, so one entry serves every
+    flag.
+
+    Given a flag ``join``, ``face`` holds the points of the lifted face of
+    ``join``, enumerated here under ``limit``, as a list of (label rows,
+    ``_nonzero_ne`` of them), so a point yielded twice counts twice; it is
+    None without one.  When ``join`` is the join of the flags under check
+    (their entrywise maximum), each of them reads its own face off these
+    points (``_doubling_read``)."""
     n = len(lam)
     nu1 = nu[0] if nu else 0
     lifted = (nu1,) * n + lam, mu + (0,) * n, tuple([nu1 + g for g in gam]) + nu
-    return _DoublingEntry(lifted, _tri_runs(*lifted), nu1, _psi_head(gam, nu1), {})
+    runs = _tri_runs(*lifted)
+    face = None
+    if join is not None:
+        face = [(t, _nonzero_ne(t)) for t in _lifted_flag(join)[1].enumerator(runs, limit)]
+    return _DoublingEntry(lifted, runs, nu1, _psi_head(gam, nu1), {}, face)
 
 
 def lift_tilde(lam, mu, gam, nu, phi):
@@ -1033,25 +1073,32 @@ def psi_inverse(t: TriHive) -> SkewHive:
     return SkewHive(_psi_inverse_rows(t.rows))
 
 
-def _doubling_flag(entry, phi, skew, limit):
-    """The ``_doubling`` result of the flag phi, from the ``_doubling_entry``
-    of its (lam, mu, gam, nu).
-
-    The Kogan face of the lifted flag is enumerated here, for every flag,
-    and its points are counted as a list.  A skew point is mapped by psi
-    and back only the first time the entry meets it, and its image must be
-    among the triangular points of this flag."""
-    lifted, runs, nu1, head, images = entry
-    phi_t, poly = _lifted_flag(phi)
-    tri = list(poly.enumerator(runs, limit))
+def _doubling_check(entry, phi, skew, tri):
+    """The ``_doubling`` result of the flag phi, from a ``_doubling_entry``
+    of its (lam, mu, gam, nu) and ``tri``, the points of the Kogan face of
+    the lifted flag as a list: they are counted as a list, and every skew
+    point's image must be among them.  A skew point is mapped by psi and
+    back only the first time the entry meets it."""
+    lifted, _, nu1, head, images, _ = entry
+    points, roundtrip, inside = set(tri), True, True
     for rows in skew:
         if rows not in images:
             image = _psi_rows(rows, head, nu1)
             images[rows] = image, _psi_inverse_rows(image) == rows
-    points = set(tri)
-    mapped = [images[rows] for rows in skew]
-    return ((*lifted, phi_t), len(skew), len(tri), all(back for _, back in mapped),
-            all(image in points for image, _ in mapped))
+        image, back = images[rows]
+        roundtrip &= back
+        inside &= image in points
+    return (*lifted, _lifted_flag(phi)[0]), len(skew), len(tri), roundtrip, inside
+
+
+def _doubling_read(entry, phi, skew):
+    """``_doubling`` of the flag phi, with the Kogan face of its lifted flag
+    read off the points of an entry built on a join of phi: the points none
+    of whose nonzero NE rhombi lie in ``_lifted_region(phi)``.  ``verify``
+    hands it the skew points of the nu from ``_table_skew_rows``."""
+    region = _lifted_region(phi)
+    tri = [t for t, nonzero in entry.face if region.isdisjoint(nonzero)]
+    return _doubling_check(entry, phi, skew, tri)
 
 
 def _doubling(lam, mu, gam, nu, phi, skew, limit):
@@ -1059,10 +1106,12 @@ def _doubling(lam, mu, gam, nu, phi, skew, limit):
     psi_inverse undoes psi on every skew point and psi maps every skew point
     into the triangular points, on a boundary that passed ``_lift_input``.
 
-    ``skew`` holds the label rows of the skew points, in any order:
-    ``_skew_rows`` of the tuple for ``hive-iso``, its group of
-    ``_table_skew_rows`` for ``verify``.  This is the one-shot composition
-    of the flag-free half (``_doubling_entry``), which ``verify`` builds
-    once per (lam, mu, gam, nu) and shares across flags, and the per-flag
-    half (``_doubling_flag``), which enumerates the triangular points."""
-    return _doubling_flag(_doubling_entry(lam, mu, gam, nu), phi, skew, limit)
+    ``skew`` holds the label rows of the skew points, in any order; for
+    ``hive-iso`` and the per-tuple oracle of ``verify`` in
+    ``tests/oracles.py`` they are ``_skew_rows`` of the tuple.  The
+    triangular points are the compiled Kogan face of the lifted flag,
+    enumerated here; ``verify`` reads the same face off one entry per (lam,
+    mu, gam, nu) instead (``_doubling_read``)."""
+    entry = _doubling_entry(lam, mu, gam, nu)
+    tri = list(_lifted_flag(phi)[1].enumerator(entry.runs, limit))
+    return _doubling_check(entry, phi, skew, tri)

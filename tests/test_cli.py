@@ -48,6 +48,7 @@ from flagged_lr.hives import (
     lift_tilde,
     psi,
     psi_inverse,
+    tri_kogan_region,
     validate_skew_hive,
     validate_tri_hive,
 )
@@ -509,22 +510,31 @@ FLAGGED_QUAD = ((1, 0), (1, 0), (0, 0), (1, 2))
 
 
 def _replace_tri_points_at(monkeypatch, nu, quad=STAGGERED_QUAD, points=()):
-    """The triangular enumerator yields ``points`` instead of its own on the
-    lifted boundary of ``quad`` at ``nu``."""
+    """The face of the lifted flag of ``quad`` at ``nu`` holds ``points``
+    instead of its own: the compiled face that the oracle's
+    ``hives._doubling`` enumerates yields them, and cross_check's read-off
+    of that flag reads them in place of the points of the join's face, so
+    each point that misses the flag's lifted region is on both faces."""
     lam, mu, gam, phi = quad
-    lam_t, mu_t, nu_t, phi_t = lift_tilde(lam, mu, gam, nu, phi)
-    target = (phi_t, _tri_runs(lam_t, mu_t, nu_t))
-    real = hives_mod._lifted_flag
+    runs = _tri_runs(*lift_tilde(lam, mu, gam, nu, phi)[:3])
+    real_doubling, real_read = hives_mod._doubling, cli_mod._doubling_read
 
-    def replaced(phi):
-        phi_t, poly = real(phi)
+    def doubling(*args):
+        if args[:5] == (lam, mu, gam, nu, phi):
+            lifted_flag = hives_mod._lifted_flag
+            with monkeypatch.context() as m:
+                m.setattr(hives_mod, "_lifted_flag", lambda flag: (
+                    lifted_flag(flag)[0], SimpleNamespace(enumerator=lambda *_: iter(points))))
+                return real_doubling(*args)
+        return real_doubling(*args)
 
-        def enumerator(runs, limit):
-            return iter(points) if (phi_t, runs) == target else poly.enumerator(runs, limit)
+    def read(entry, flag, skew):
+        if (flag, entry.runs) == (phi, runs):
+            entry = entry._replace(face=[(t, hives_mod._nonzero_ne(t)) for t in points])
+        return real_read(entry, flag, skew)
 
-        return phi_t, SimpleNamespace(enumerator=enumerator)
-
-    monkeypatch.setattr(hives_mod, "_lifted_flag", replaced)
+    monkeypatch.setattr(hives_mod, "_doubling", doubling)
+    monkeypatch.setattr(cli_mod, "_doubling_read", read)
 
 
 def _raise_tableau_count_at(monkeypatch, nu):
@@ -572,8 +582,10 @@ def _tableau_early_tri_late(monkeypatch):
 
 
 def _tri_point_without_hive(monkeypatch):
-    # the triangular side is enumerated at a nu with no skew hive too
-    _replace_tri_points_at(monkeypatch, LATE_NU, FLAGGED_QUAD, [((0,),)])
+    # the triangular side is read at a nu with no skew hive too; the zero
+    # triangle has no nonzero rhombus, so it misses every lifted region
+    _replace_tri_points_at(monkeypatch, LATE_NU, FLAGGED_QUAD,
+                           [tuple((0,) * (i + 1) for i in range(5))])
 
 
 def _greatest_tableau_count_up(real):
@@ -620,8 +632,8 @@ def test_cross_check_fails_at_the_tuple_of_the_per_tuple_oracle(monkeypatch, cor
 
 
 def _tri_point_twice(monkeypatch):
-    # the triangular enumerator yields the one point of STAGGERED_QUAD at
-    # EARLY_NU twice, so the list counts 2 where the set counts 1
+    # the face of STAGGERED_QUAD at EARLY_NU holds its one point twice, so
+    # the list counts 2 where the set counts 1
     lam, mu, gam, phi = STAGGERED_QUAD
     lifted = lift_tilde(lam, mu, gam, EARLY_NU, phi)
     (point,) = hives_mod._lifted_flag(phi)[1].enumerator(_tri_runs(*lifted[:3]), None)
@@ -646,7 +658,7 @@ def _psi_rows_wrong_at_late_nu(monkeypatch):
 ], ids=["tri-point-twice", "psi-rows-after-entry"])
 def test_a_doubling_entry_from_an_earlier_flag_fails_as_the_oracle(monkeypatch, corrupt, nu,
                                                                    counts):
-    # cross_check builds the flag-free half of the doubling check of
+    # cross_check builds the entry of the doubling check of
     # STAGGERED_QUAD's (lam, nu) at the earlier flag of FLAGGED_QUAD and
     # reuses it at STAGGERED_QUAD's flag, where the corruption shows
     flags = all_flags(2)
@@ -659,6 +671,19 @@ def test_a_doubling_entry_from_an_earlier_flag_fails_as_the_oracle(monkeypatch, 
     lam, mu, gam, phi = STAGGERED_QUAD
     assert report["tuple"] == _query_dict(lam, mu, gam, nu, phi, "all")
     assert (report["report"]["skew_count"], report["report"]["tri_count"]) == counts
+
+
+def test_a_lifted_region_one_row_short_fails_the_read_off_alone(monkeypatch):
+    # only cross_check reads the lifted region: one row short, it is empty
+    # for the flag (1, 2), whose face then keeps the join's point where the
+    # flag leaves no skew hive; the oracle's compiled faces never read it
+    monkeypatch.setattr(hives_mod, "_lifted_region", lambda phi: frozenset(
+        tri_kogan_region(hives_mod._lifted_flag(phi)[0], 2 * len(phi) - 1)))
+    report = cross_check(2, 2)
+    assert report["failure"] == "hive isomorphism mismatch"
+    assert report["tuple"] == _query_dict((2, 0), (2, 0), (1, 0), (2, 1), (1, 2), "all")
+    assert (report["report"]["skew_count"], report["report"]["tri_count"]) == (0, 1)
+    assert cross_check_per_tuple(2, 2)["ok"]
 
 
 def test_verify_limit_counts_one_hive_table_per_quad(capsys):

@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 from itertools import chain, islice
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,10 +16,11 @@ from flagged_lr.hives import (
     ScaleExceededError,
     SkewGTPattern,
     SkewHive,
+    TriHive,
     _compile,
     _doubling,
     _doubling_entry,
-    _doubling_flag,
+    _doubling_read,
     _gt_polytope,
     _hive_table,
     _skew_edges,
@@ -788,11 +790,14 @@ def test_psi_counts_and_roundtrip_small_grid():
 
 def test_a_shared_doubling_entry_gives_each_flag_a_fresh_doubling():
     # every (lam, mu, gam, phi) of cross_check(n, 3), n <= 3, and each
-    # candidate nu containing lam: one flag-free entry, shared by every flag
-    # in either order, gives each flag the result of a fresh _doubling
-    boundaries = tuples = 0
+    # candidate nu containing lam: one entry on the join of the flags,
+    # shared by every flag in either order, reads off each flag the result
+    # of a fresh _doubling; at n = 3 also for the flags (1,2,3) and (2,2,3),
+    # whose join (2,2,3) is not the full flag
+    boundaries = tuples = subset_tuples = smaller_joins = 0
     for n in range(4):
         flags = all_flags(n)
+        subsets = [flags] + [[(1, 2, 3), (2, 2, 3)]] * (n == 3)
         for mu in partitions_up_to(n, 3):
             for gam in subpartitions(mu):
                 for lam in subpartitions(mu):
@@ -804,14 +809,46 @@ def test_a_shared_doubling_entry_gives_each_flag_a_fresh_doubling():
                         fresh = {phi: _doubling(lam, mu, gam, nu, phi, skew[phi], None)
                                  for phi in flags}
                         assert all(d[1] == d[2] and d[3] and d[4] for d in fresh.values())
-                        for order in (flags, flags[::-1]):
-                            entry = _doubling_entry(lam, mu, gam, nu)
-                            for phi in order:
-                                assert _doubling_flag(entry, phi, skew[phi], None) == fresh[phi]
-                            assert entry.images.keys() == set().union(*skew.values())
+                        for subset in subsets:
+                            join = tuple(map(max, zip(*subset)))
+                            for order in (subset, subset[::-1]):
+                                entry = _doubling_entry(lam, mu, gam, nu, join, None)
+                                for phi in order:
+                                    assert _doubling_read(entry, phi, skew[phi]) == fresh[phi]
+                                assert entry.images.keys() == set().union(
+                                    *[skew[phi] for phi in subset])
+                        if n == 3:
+                            small, full = [_doubling_entry(lam, mu, gam, nu, join, None).face
+                                           for join in ((2, 2, 3), (3, 3, 3))]
+                            smaller_joins += len(small) < len(full)
+                            subset_tuples += 2
                         boundaries += 1
                         tuples += len(flags)
-    assert (boundaries, tuples) == (321, 1323)
+    assert (boundaries, tuples, subset_tuples, smaller_joins) == (321, 1323, 356, 20)
+
+
+def test_a_join_point_yielded_twice_counts_twice(monkeypatch):
+    # the entry keeps the points of the join's face as a list, so a point
+    # its enumerator yields twice counts 2 on every face that holds it
+    lam, mu, gam, nu = (1, 0), (1, 0), (0, 0), (2, 0)
+    flags = all_flags(2)
+    skew = {phi: list(_skew_rows(lam, mu, gam, nu, phi, None)) for phi in flags}
+    fresh = {phi: _doubling(lam, mu, gam, nu, phi, skew[phi], None) for phi in flags}
+    assert [d[1:3] for d in fresh.values()] == [(1, 1), (1, 1)]
+    real = hives_mod._lifted_flag
+
+    def twice(phi):
+        phi_t, poly = real(phi)
+        return phi_t, SimpleNamespace(enumerator=lambda runs, limit: [
+            t for t in poly.enumerator(runs, limit) for _ in "ab"])
+
+    monkeypatch.setattr(hives_mod, "_lifted_flag", twice)
+    entry = _doubling_entry(lam, mu, gam, nu, (2, 2), None)
+    assert len(entry.face) == 2 and entry.face[0] == entry.face[1]
+    for phi in flags:
+        lifted, skew_count, tri_count, roundtrip, inside = fresh[phi]
+        assert _doubling_read(entry, phi, skew[phi]) == (
+            lifted, skew_count, 2, roundtrip, inside)
 
 
 def test_tri_hive_examples():
@@ -864,6 +901,17 @@ def test_tri_kogan_region():
 def test_validate_tri_hive_weight_mismatch():
     with pytest.raises(HiveValidationError, match="weight mismatch"):
         validate_tri_hive(((0,), (1, 2)), (1,), (0,), (3,), (1,))
+
+
+def test_label_rows_need_a_row_and_render_empty_rows():
+    # no rows at all names the fault; a pattern of empty rows (n = 0) is
+    # valid and renders one empty line per row
+    for cls in (SkewGTPattern, SkewHive, TriHive):
+        with pytest.raises(ValueError, match=f"^{cls.__name__} needs at least one row$"):
+            cls(())
+    assert SkewGTPattern(((),)).render() == ""
+    assert SkewGTPattern(((), (), ())).render() == "\n\n"
+    assert [x.rows for x in enumerate_flagged_gt_points((), (), ())] == [((),)]
 
 
 def test_renderers_and_json(worked_hive):
