@@ -27,14 +27,16 @@ insertion core ``burge._insertion_classes``.  ``cross_check`` builds its
 grid from partitions, checks its flags once and calls the trusted cores
 once per (lam, mu, gam, phi): the tableau route's table search
 ``crystal._table_tableaux``, ``polynomials._antisymmetrize`` on the one F
-of (mu, gam, phi), and ``hives._table_skew_rows``, the skew hives of every
-nu, whose counts are the hive table and whose points per nu go to the
-doubling check of each nu that contains lam.  That check's entry
-(``hives._doubling_entry``), which enumerates the lifted face of the join
-of the flags, is built once per (lam, mu, gam, nu), and each flag reads
-its Kogan face off it (``hives._doubling_read``).  ``cross_check`` judges
-the result by the same rule as ``hive_iso_report`` (``_iso_ok``) and
-builds the full report from that result only for a tuple that fails.
+of (mu, gam, phi), and ``hives._skew_read``, the skew hives of every nu on
+the face of phi, whose counts are the hive table and whose points per nu
+go to the doubling check of each nu that contains lam.  Both sides are
+enumerated on the join of the flags and read off by least flag: the skew
+hives of every nu once per (lam, mu, gam) (``hives._skew_groups``), and
+the lifted face once per (lam, mu, gam, nu), in the entry of the doubling
+check (``hives._doubling_entry``), off which each flag reads its Kogan
+face (``hives._doubling_read``).  ``cross_check`` judges the result by the
+same rule as ``hive_iso_report`` (``_iso_ok``) and builds the full report
+from that result only for a tuple that fails.
 
 ``main`` parses the boundary once (``_parse_boundary``) and takes the exit
 status from the report once: 1 when its routes disagree or a check fails.
@@ -75,9 +77,10 @@ from .hives import (
     _doubling_entry,
     _doubling_read,
     _lift_input,
+    _skew_groups,
+    _skew_read,
     _skew_rows,
     _table_skew_hives,
-    _table_skew_rows,
     count_skew_hive_points,
 )
 from .polynomials import (
@@ -95,11 +98,13 @@ LIMIT_HELP = (
     "enumeration ceiling per call (hive labels tried, tableau letters "
     "placed, Demazure shapes expanded); a table by the tableau or the hive "
     "route is one call, so the ceiling caps the letters placed or the hive "
-    "labels tried for every nu together, and so is the enumeration of the "
-    "skew hives of every nu that verify runs per (lam, mu, gam, phi); a "
-    "table by the Demazure route and a decomposition cap the letters "
-    "placed to build F, a crystal graph those placed to enumerate its "
-    "fillings"
+    "labels tried for every nu together; verify makes many calls: the skew "
+    "hives of every nu once per (lam, mu, gam), under the join of the "
+    "flags, the lifted face of that join once per (lam, mu, gam, nu), F "
+    "once per (mu, gam, phi) and a tableau table once per (lam, mu, gam, "
+    "phi); a table by the Demazure route and a decomposition cap the "
+    "letters placed to build F, a crystal graph those placed to enumerate "
+    "its fillings"
 )
 
 #: the trusted core of each route, called on a checked boundary as
@@ -280,21 +285,25 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     Demazure table of every lam, and one ``tableau_word_set``, the reading
     words of its flagged fillings, for its components.  Each (lam, mu, gam,
     phi) gets one table per route, and the three must be equal: one search
-    of the tableau route, the Demazure table of F, and one enumeration of
-    the skew hives of every nu (``hives._table_skew_rows``), whose points
-    per nu are the hive table and the skew side of the isomorphism check of
-    each nu that contains lam.  That check's entry is built at the first
-    flag that reaches its (lam, nu), under that call's ``limit``, and kept
-    until the next gam: it enumerates the lifted face of the join of the
-    flags (their entrywise maximum), the classical triangle for the default
-    flags, once, and each flag reads its own Kogan face off those points.
+    of the tableau route, the Demazure table of F, and the skew hives of
+    every nu on the face of phi, whose points per nu are the hive table and
+    the skew side of the isomorphism check of each nu that contains lam.
+
+    Both hive polytopes are enumerated on the join of the flags (their
+    entrywise maximum; the full flag for the default flags), under the
+    ``limit`` of the first flag that reaches them, and kept until the next
+    gam: the skew hives of every nu once per (lam, mu, gam), grouped by nu
+    and by least flag (``hives._skew_groups``), and the lifted face once
+    per (lam, mu, gam, nu), in the entry of its isomorphism check.  Each
+    flag reads its own faces off them: the points whose least flag is at
+    most phi (``hives._skew_read``, ``hives._doubling_read``).
 
     Every candidate nu counts as a checked tuple, in candidate order, and
     a failure is reported at the first failing tuple in that order: on
     unequal tables, the first nu where they differ, after the isomorphism
     checks of the candidates before it."""
     flags = [validate_flag(f, n) for f in (flags or all_flags(n))]
-    # every flag's lifted face is read off that of their join
+    # every flag's skew and lifted faces are read off those of their join
     join = tuple(map(max, zip(*flags)))
     # the candidates for nu by weight; |lam| + |mu| - |gam| <= 2 * max_mu
     nu_candidates = {}
@@ -307,8 +316,9 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     for mu in partitions_up_to(n, max_mu):
         subs = subpartitions(mu)
         for gam in subs:
-            # the entry of the doubling check of each (lam, nu)
-            entries = {}
+            # the skew points of each lam, grouped by least flag, and the
+            # entry of the doubling check of each (lam, nu), both on the join
+            groups, entries = {}, {}
             for phi in flags:
                 skew_schur = flagged_skew_schur(mu, gam, phi, limit)
                 components = decompose(tableau_word_set(mu, gam, phi), n)
@@ -321,7 +331,9 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
                     }
                 checked["decompositions"] += 1
                 for lam in subs:
-                    skew = _table_skew_rows(lam, mu, gam, phi, limit)
+                    if lam not in groups:
+                        groups[lam] = _skew_groups(lam, mu, gam, join, limit)
+                    skew = _skew_read(groups[lam], phi)
                     tables = {
                         "tableau": _table_tableaux(lam, mu, gam, phi, limit),
                         "hive": {nu: len(points) for nu, points in skew.items()},

@@ -51,21 +51,33 @@ The doubling map psi and its inverse work on rows of labels; the public
 behind ``flagged-lr hive-iso`` (``_doubling``) and ``verify``
 (``_doubling_read``) takes the points of both polytopes as raw label rows.
 Its caller hands it the skew points: ``hive-iso`` those of its one nu
-(``_skew_rows``), ``verify`` those of each nu from one pass of the
-enumerator of the table polytope, grouped by the nu read off the right
-column (``_table_skew_rows``).  One step (``_doubling_check``) counts the
-triangular points of the flag, maps each skew point by psi and back, and
-looks its image up among them; the two differ only in where the
+(``_skew_rows``), ``verify`` those of each nu that a flag reads off one
+pass of the enumerator of the table polytope, grouped by the nu read off
+the right column (``_table_skew_rows``).  One step (``_doubling_check``)
+counts the triangular points of the flag, maps each skew point by psi and
+back, and looks its image up among them; the two differ only in where the
 triangular points come from.  ``hive-iso`` enumerates the compiled Kogan
 face of the lifted flag, whose triangular polytope is built once per flag
 (``_lifted_flag``).  ``verify`` builds one entry per (lam, mu, gam, nu)
 (``_doubling_entry``): the lifted boundary, its runs, the top n rows of
 every image, each skew point's image and roundtrip, and the points of the
 lifted face of the join of its flags (their entrywise maximum; the
-classical triangle for all flags), each with its nonzero NE rhombi.  Every
-flag's face is a face of that polytope, so ``_doubling_read`` reads it off
-those points: the ones whose nonzero rhombi miss the lifted Kogan region
-(``_lifted_region``).  The compiled faces are its test oracle.
+classical triangle for all flags).
+
+``verify`` reads every flag's face, on both sides, off the points of the
+join's face by their least flag (``_least_flag``): per column j, the
+least phi_j that the point's nonzero NE rhombi allow.  On the skew side
+that is the lowest row i with a nonzero NE_{ij}, since the flat region of
+phi is the rows below phi_j; on the lifted side it is that row less n - 1,
+for j <= n, since psi moves skew row i to row n + i.  A point of the
+join's face lies on the face of phi exactly when its least flag is at
+most phi, entrywise.  So the table of the join is enumerated once per
+(lam, mu, gam), its points grouped by nu and least flag
+(``_skew_groups``), and each flag takes the groups it holds
+(``_skew_read``); the entry keeps each lifted point's least flag and the
+count per least flag, and ``_doubling_read`` selects by them.  The
+compiled faces, ``_table_skew_rows`` and ``_doubling`` of each flag, are
+their test oracle.
 
 Input is checked at the public functions and trusted below them.  Every
 public function that takes a flag requires one and checks its partitions
@@ -96,6 +108,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, count
+from operator import le
 
 from .core import (
     ScaleExceededError,
@@ -825,6 +838,34 @@ def _table_skew_rows(lam, mu, gam, phi, limit):
             for column, points in by_column.items()}
 
 
+def _skew_groups(lam, mu, gam, join, limit):
+    """``_table_skew_rows`` of the flag ``join``, each nu's points grouped
+    by their least flag (``_least_flag``): a dict from nu to a dict from
+    least flag to label rows."""
+    columns, groups = _flag_rhombi(len(lam), False), {}
+    for nu, points in _table_skew_rows(lam, mu, gam, join, limit).items():
+        by_flag = groups[nu] = {}
+        for rows in points:
+            by_flag.setdefault(_least_flag(rows, columns), []).append(rows)
+    return groups
+
+
+def _skew_read(groups, phi):
+    """``_table_skew_rows`` of the flag phi, read off ``_skew_groups`` of a
+    join of phi: each nu's points whose least flag is at most phi, the nonzero
+    nu only.  The points of each nu are those of phi's own table in
+    another order."""
+    skew = {}
+    for nu, by_flag in groups.items():
+        points = []
+        for flag, group in by_flag.items():
+            if all(map(le, flag, phi)):
+                points += group
+        if points:
+            skew[nu] = points
+    return skew
+
+
 def enumerate_skew_hive_points(lam, mu, gam, nu, phi, limit=None):
     """All integral skew hives with the given boundary on the flag face
     (every NE rhombus in the flat region has content zero); none when the
@@ -971,23 +1012,36 @@ def _lifted_flag(phi):
     return phi_t, _tri_polytope(2 * n, phi_t)
 
 
-@lru_cache(maxsize=256)
-def _lifted_region(phi):
-    """The Kogan region of the lifted flag, ``tri_kogan_region`` of its
-    triangle, as a frozenset: a point of the lifted face of a larger flag
-    lies on the face of phi when none of its nonzero NE rhombi is here."""
-    return frozenset(tri_kogan_region(_lifted_flag(phi)[0], 2 * len(phi)))
+@lru_cache(maxsize=32)
+def _flag_rhombi(n, lifted):
+    """The NE rhombi that a flag of length n can force flat, per column j =
+    1..n, the lowest first: each as (entry, its corners' rows and columns,
+    obtuse then acute), where a point of nonzero content there lies on the
+    face of phi only when phi_j >= entry.  On the skew parallelogram that is
+    NE_{ij} with entry i (``skew_flat_region``); on the lifted triangle of
+    size 2n it is R_{ij} with entry i - n + 1, those of entry 1 or more
+    (``tri_kogan_region`` of the lifted flag)."""
+    rhombi, shift = (_tri_rhombi(2 * n), n - 1) if lifted else (_skew_rhombi(n), 0)
+    return tuple(tuple((i - shift, *chain(*plus, *minus))
+                       for kind, (i, j), plus, minus in reversed(rhombi)
+                       if kind == "NE" and j == column and i > shift)
+                 for column in range(1, n + 1))
 
 
-@lru_cache(maxsize=16)
-def _tri_ne_rhombi(big_n):
-    """The NE rhombi of ``_tri_rhombi``."""
-    return tuple(r for r in _tri_rhombi(big_n) if r[0] == "NE")
-
-
-def _nonzero_ne(rows):
-    """The NE rhombi of a triangular array with nonzero content."""
-    return frozenset([ij for _, ij, c in _contents(rows, _tri_ne_rhombi(len(rows) - 1)) if c])
+def _least_flag(rows, columns):
+    """The least flag of a point, entrywise: per column of ``_flag_rhombi``,
+    the entry of its lowest NE rhombus of nonzero content, else 0.  A point
+    of the face of a flag lies on the face of a smaller flag phi exactly
+    when its least flag is at most phi."""
+    least = []
+    for column in columns:
+        for entry, a, b, c, d, e, f, g, h in column:
+            if rows[a][b] + rows[c][d] != rows[e][f] + rows[g][h]:
+                least.append(entry)
+                break
+        else:
+            least.append(0)
+    return tuple(least)
 
 
 _DoublingEntry = namedtuple("_DoublingEntry", "lifted runs nu1 head images face")
@@ -1003,18 +1057,23 @@ def _doubling_entry(lam, mu, gam, nu, join=None, limit=None):
     flag.
 
     Given a flag ``join``, ``face`` holds the points of the lifted face of
-    ``join``, enumerated here under ``limit``, as a list of (label rows,
-    ``_nonzero_ne`` of them), so a point yielded twice counts twice; it is
-    None without one.  When ``join`` is the join of the flags under check
-    (their entrywise maximum), each of them reads its own face off these
-    points (``_doubling_read``)."""
+    ``join``, enumerated here under ``limit``: a dict from each point's
+    label rows to its least flag (``_least_flag``), and a dict from each
+    least flag to the number of points yielded with it, so a point yielded
+    twice counts twice; it is None without one.  When ``join`` is the join
+    of the flags under check (their entrywise maximum), each of them reads
+    its own face off these points (``_doubling_read``)."""
     n = len(lam)
     nu1 = nu[0] if nu else 0
     lifted = (nu1,) * n + lam, mu + (0,) * n, tuple([nu1 + g for g in gam]) + nu
     runs = _tri_runs(*lifted)
     face = None
     if join is not None:
-        face = [(t, _nonzero_ne(t)) for t in _lifted_flag(join)[1].enumerator(runs, limit)]
+        columns, least, counts = _flag_rhombi(n, True), {}, {}
+        for t in _lifted_flag(join)[1].enumerator(runs, limit):
+            flag = least[t] = _least_flag(t, columns)
+            counts[flag] = counts.get(flag, 0) + 1
+        face = least, counts
     return _DoublingEntry(lifted, runs, nu1, _psi_head(gam, nu1), {}, face)
 
 
@@ -1073,32 +1132,37 @@ def psi_inverse(t: TriHive) -> SkewHive:
     return SkewHive(_psi_inverse_rows(t.rows))
 
 
-def _doubling_check(entry, phi, skew, tri):
+def _doubling_check(entry, phi, skew, tri_count, face, fit):
     """The ``_doubling`` result of the flag phi, from a ``_doubling_entry``
-    of its (lam, mu, gam, nu) and ``tri``, the points of the Kogan face of
-    the lifted flag as a list: they are counted as a list, and every skew
-    point's image must be among them.  A skew point is mapped by psi and
-    back only the first time the entry meets it."""
+    of its (lam, mu, gam, nu) and the Kogan face of the lifted flag: the
+    number of its points, ``face``, a dict from label rows to a key, and
+    ``fit``, the keys of that face's points.  Every skew point's image must
+    be one of them.  A skew point is mapped by psi and back only the first
+    time the entry meets it."""
     lifted, _, nu1, head, images, _ = entry
-    points, roundtrip, inside = set(tri), True, True
+    roundtrip, inside = True, True
     for rows in skew:
         if rows not in images:
             image = _psi_rows(rows, head, nu1)
             images[rows] = image, _psi_inverse_rows(image) == rows
         image, back = images[rows]
         roundtrip &= back
-        inside &= image in points
-    return (*lifted, _lifted_flag(phi)[0]), len(skew), len(tri), roundtrip, inside
+        inside &= face.get(image) in fit
+    return (*lifted, _lifted_flag(phi)[0]), len(skew), tri_count, roundtrip, inside
 
 
 def _doubling_read(entry, phi, skew):
     """``_doubling`` of the flag phi, with the Kogan face of its lifted flag
-    read off the points of an entry built on a join of phi: the points none
-    of whose nonzero NE rhombi lie in ``_lifted_region(phi)``.  ``verify``
-    hands it the skew points of the nu from ``_table_skew_rows``."""
-    region = _lifted_region(phi)
-    tri = [t for t, nonzero in entry.face if region.isdisjoint(nonzero)]
-    return _doubling_check(entry, phi, skew, tri)
+    read off the points of an entry built on a join of phi: the points
+    whose least flag is at most phi.  ``verify`` hands it the skew points
+    of the nu from ``_skew_read``."""
+    least, counts = entry.face
+    tri_count, fit = 0, set()
+    for flag, number in counts.items():
+        if all(map(le, flag, phi)):
+            tri_count += number
+            fit.add(flag)
+    return _doubling_check(entry, phi, skew, tri_count, least, fit)
 
 
 def _doubling(lam, mu, gam, nu, phi, skew, limit):
@@ -1114,4 +1178,5 @@ def _doubling(lam, mu, gam, nu, phi, skew, limit):
     mu, gam, nu) instead (``_doubling_read``)."""
     entry = _doubling_entry(lam, mu, gam, nu)
     tri = list(_lifted_flag(phi)[1].enumerator(entry.runs, limit))
-    return _doubling_check(entry, phi, skew, tri)
+    # every point of the compiled face is keyed by the flag itself
+    return _doubling_check(entry, phi, skew, len(tri), dict.fromkeys(tri, phi), {phi})

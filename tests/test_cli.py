@@ -48,7 +48,6 @@ from flagged_lr.hives import (
     lift_tilde,
     psi,
     psi_inverse,
-    tri_kogan_region,
     validate_skew_hive,
     validate_tri_hive,
 )
@@ -368,11 +367,10 @@ def test_cross_check_reports_failures_with_bundle(monkeypatch):
 
 
 def test_cross_check_counts_hives_once_and_reports_the_mismatch(monkeypatch):
-    # one enumeration per (lam, mu, gam, phi) gives both the hive table and
-    # the skew points of the isomorphism check, so one hive too many shows
-    # as a three-way mismatch, not an iso failure
-    monkeypatch.setattr(cli_mod, "_table_skew_rows",
-                        _first_point_twice_per_nu(cli_mod._table_skew_rows))
+    # one read-off per (lam, mu, gam, phi) gives both the hive table and the
+    # skew points of the isomorphism check, so one hive too many shows as a
+    # three-way mismatch, not an iso failure
+    monkeypatch.setattr(cli_mod, "_skew_read", _first_point_twice_per_nu(cli_mod._skew_read))
     report = cross_check(2, 1)
     assert not report["ok"]
     assert report["failure"] == "three-way coefficient mismatch"
@@ -380,7 +378,7 @@ def test_cross_check_counts_hives_once_and_reports_the_mismatch(monkeypatch):
 
 
 def _first_point_twice_per_nu(real):
-    """``hives._table_skew_rows`` with the first point of every nu listed
+    """``hives._skew_read`` with the first point of every nu listed
     twice."""
     return lambda *args: {nu: points + points[:1] for nu, points in real(*args).items()}
 
@@ -513,24 +511,30 @@ def _replace_tri_points_at(monkeypatch, nu, quad=STAGGERED_QUAD, points=()):
     """The face of the lifted flag of ``quad`` at ``nu`` holds ``points``
     instead of its own: the compiled face that the oracle's
     ``hives._doubling`` enumerates yields them, and cross_check's read-off
-    of that flag reads them in place of the points of the join's face, so
-    each point that misses the flag's lifted region is on both faces."""
+    of that flag reads the face of an entry built on the flag from them in
+    place of the join's, so each point whose least flag is at most the
+    flag's is on both faces."""
     lam, mu, gam, phi = quad
     runs = _tri_runs(*lift_tilde(lam, mu, gam, nu, phi)[:3])
     real_doubling, real_read = hives_mod._doubling, cli_mod._doubling_read
+    lifted_flag = hives_mod._lifted_flag
+
+    def yielding_points(call, *args):
+        # ``call`` with every lifted face enumerating ``points``
+        with monkeypatch.context() as m:
+            m.setattr(hives_mod, "_lifted_flag", lambda flag: (
+                lifted_flag(flag)[0], SimpleNamespace(enumerator=lambda *_: iter(points))))
+            return call(*args)
 
     def doubling(*args):
         if args[:5] == (lam, mu, gam, nu, phi):
-            lifted_flag = hives_mod._lifted_flag
-            with monkeypatch.context() as m:
-                m.setattr(hives_mod, "_lifted_flag", lambda flag: (
-                    lifted_flag(flag)[0], SimpleNamespace(enumerator=lambda *_: iter(points))))
-                return real_doubling(*args)
+            return yielding_points(real_doubling, *args)
         return real_doubling(*args)
 
     def read(entry, flag, skew):
         if (flag, entry.runs) == (phi, runs):
-            entry = entry._replace(face=[(t, hives_mod._nonzero_ne(t)) for t in points])
+            entry = entry._replace(face=yielding_points(
+                hives_mod._doubling_entry, lam, mu, gam, nu, phi, None).face)
         return real_read(entry, flag, skew)
 
     monkeypatch.setattr(hives_mod, "_doubling", doubling)
@@ -566,9 +570,10 @@ def _corrupt_hives(name, corrupt):
 
 def _one_extra_hive(monkeypatch):
     # the same corruption on both paths: the per-tuple loop reads its skew
-    # points from ``_skew_rows``, cross_check from ``_table_skew_rows``
+    # points from ``_skew_rows``, cross_check from each flag's read-off of
+    # the join's table (``_skew_read``)
     _corrupt_hives("_skew_rows", _first_point_twice)(monkeypatch)
-    _corrupt_cli("_table_skew_rows", _first_point_twice_per_nu)(monkeypatch)
+    _corrupt_cli("_skew_read", _first_point_twice_per_nu)(monkeypatch)
 
 
 def _tri_early_tableau_late(monkeypatch):
@@ -674,11 +679,13 @@ def test_a_doubling_entry_from_an_earlier_flag_fails_as_the_oracle(monkeypatch, 
 
 
 def test_a_lifted_region_one_row_short_fails_the_read_off_alone(monkeypatch):
-    # only cross_check reads the lifted region: one row short, it is empty
-    # for the flag (1, 2), whose face then keeps the join's point where the
-    # flag leaves no skew hive; the oracle's compiled faces never read it
-    monkeypatch.setattr(hives_mod, "_lifted_region", lambda phi: frozenset(
-        tri_kogan_region(hives_mod._lifted_flag(phi)[0], 2 * len(phi) - 1)))
+    # only cross_check reads the least flags: without the lifted triangle's
+    # bottom row of rhombi, whose entry is n, no least flag exceeds n - 1 =
+    # 1, so the face of the flag (1, 2) keeps the join's point where the
+    # flag leaves no skew hive; the oracle's compiled faces never read them
+    real = hives_mod._flag_rhombi
+    monkeypatch.setattr(hives_mod, "_flag_rhombi", lambda n, lifted: tuple(
+        tuple(r for r in column if not lifted or r[0] < n) for column in real(n, lifted)))
     report = cross_check(2, 2)
     assert report["failure"] == "hive isomorphism mismatch"
     assert report["tuple"] == _query_dict((2, 0), (2, 0), (1, 0), (2, 1), (1, 2), "all")
@@ -695,6 +702,22 @@ def test_verify_limit_counts_one_hive_table_per_quad(capsys):
         cross_check(2, 2, limit=5)
     assert main(["--n", "2", "--limit", "6", "verify", "--max-mu", "2"]) == 0
     assert main(["--n", "2", "--limit", "5", "verify", "--max-mu", "2"]) == 2
+    assert "ceiling" in capsys.readouterr().err
+
+
+def test_verify_limit_counts_the_table_of_the_join_of_the_flags(capsys):
+    # the flags 2,2,3 and 1,3,3 join to 2,3,3, neither of them, and the skew
+    # hives of every nu are enumerated once per (lam, mu, gam) on the join:
+    # cross_check(3, 4) on them needs 48 labels tried, where the largest
+    # table of 2,2,3 alone needs 36
+    flags = [(2, 2, 3), (1, 3, 3)]
+    report = cross_check(3, 4, flags, limit=48)
+    assert report == {"ok": True, "checked": {"tuples": 1798, "decompositions": 94}}
+    with pytest.raises(ScaleExceededError):
+        cross_check(3, 4, flags, limit=47)
+    argv = ["verify", "--max-mu", "4", "--flags", "2,2,3;1,3,3"]
+    assert main(["--n", "3", "--limit", "48", *argv]) == 0
+    assert main(["--n", "3", "--limit", "47", *argv]) == 2
     assert "ceiling" in capsys.readouterr().err
 
 

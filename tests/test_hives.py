@@ -1,6 +1,7 @@
 import json
 from collections import Counter
 from itertools import chain, islice
+from operator import le
 from types import SimpleNamespace
 
 import pytest
@@ -24,7 +25,9 @@ from flagged_lr.hives import (
     _gt_polytope,
     _hive_table,
     _skew_edges,
+    _skew_groups,
     _skew_polytope,
+    _skew_read,
     _skew_rhombi,
     _skew_rows,
     _skew_runs,
@@ -818,18 +821,70 @@ def test_a_shared_doubling_entry_gives_each_flag_a_fresh_doubling():
                                 assert entry.images.keys() == set().union(
                                     *[skew[phi] for phi in subset])
                         if n == 3:
-                            small, full = [_doubling_entry(lam, mu, gam, nu, join, None).face
+                            small, full = [sum(_doubling_entry(lam, mu, gam, nu, join, None)
+                                               .face[1].values())
                                            for join in ((2, 2, 3), (3, 3, 3))]
-                            smaller_joins += len(small) < len(full)
+                            smaller_joins += small < full
                             subset_tuples += 2
                         boundaries += 1
                         tuples += len(flags)
     assert (boundaries, tuples, subset_tuples, smaller_joins) == (321, 1323, 356, 20)
 
 
+def _census_flags(n):
+    """The flag lists of the least-flag census: every flag of length n, and
+    at n = 3 also (1,2,3) and (2,2,3), whose join (2,2,3) is not the full
+    flag."""
+    return [all_flags(n)] + [[(1, 2, 3), (2, 2, 3)]] * (n == 3)
+
+
+def test_the_least_flag_read_off_equals_every_compiled_face_census():
+    # for every (lam, mu, gam) of cross_check(n, 4), n <= 3, and of
+    # cross_check(4, 3), and each flag list: the skew hives of every nu of
+    # the join's table, grouped by least flag, give each flag its own table;
+    # at n <= 3, for each nu that contains lam, the points of the lifted
+    # face of the join give each flag its compiled Kogan face.  ``cut``
+    # counts the pairs where the flag's face is smaller than the join's
+    skew_pairs = lifted_pairs = points = skew_cut = lifted_cut = 0
+    for n, max_mu in ((1, 4), (2, 4), (3, 4), (4, 3)):
+        for mu in partitions_up_to(n, max_mu):
+            for gam in subpartitions(mu):
+                for lam in subpartitions(mu):
+                    for flags in _census_flags(n):
+                        join = tuple(map(max, zip(*flags)))
+                        groups = _skew_groups(lam, mu, gam, join, None)
+                        for phi in flags:
+                            own = _table_skew_rows(lam, mu, gam, phi, None)
+                            read = _skew_read(groups, phi)
+                            assert read.keys() == own.keys(), (lam, mu, gam, phi)
+                            for nu, rows in own.items():
+                                assert Counter(read[nu]) == Counter(rows), (lam, mu, gam, nu, phi)
+                                points += len(rows)
+                            skew_cut += own != _table_skew_rows(lam, mu, gam, join, None)
+                            skew_pairs += 1
+                        if n == 4:
+                            continue
+                        for nu in _nu_candidates(lam, mu, gam, n):
+                            if not contains(nu, lam):
+                                continue
+                            least, counts = _doubling_entry(lam, mu, gam, nu, join, None).face
+                            assert Counter(least.values()) == counts
+                            for phi in flags:
+                                face = list(hives_mod._lifted_flag(phi)[1].enumerator(
+                                    _tri_runs(*lift_tilde(lam, mu, gam, nu, phi)[:3]), None))
+                                assert len(set(face)) == len(face)
+                                assert set(face) == {t for t, flag in least.items()
+                                                     if all(map(le, flag, phi))}, (
+                                    lam, mu, gam, nu, phi)
+                                lifted_cut += len(face) < len(least)
+                                lifted_pairs += 1
+    assert (skew_pairs, points, skew_cut, lifted_pairs, lifted_cut) == (3915, 6031, 1111, 6347, 1145)
+
+
 def test_a_join_point_yielded_twice_counts_twice(monkeypatch):
-    # the entry keeps the points of the join's face as a list, so a point
-    # its enumerator yields twice counts 2 on every face that holds it
+    # the entry counts the points of the join's face per least flag as they
+    # are yielded, so a point its enumerator yields twice counts 2 on every
+    # face that holds it
     lam, mu, gam, nu = (1, 0), (1, 0), (0, 0), (2, 0)
     flags = all_flags(2)
     skew = {phi: list(_skew_rows(lam, mu, gam, nu, phi, None)) for phi in flags}
@@ -844,7 +899,8 @@ def test_a_join_point_yielded_twice_counts_twice(monkeypatch):
 
     monkeypatch.setattr(hives_mod, "_lifted_flag", twice)
     entry = _doubling_entry(lam, mu, gam, nu, (2, 2), None)
-    assert len(entry.face) == 2 and entry.face[0] == entry.face[1]
+    least, counts = entry.face
+    assert len(least) == 1 and list(counts.values()) == [2]
     for phi in flags:
         lifted, skew_count, tri_count, roundtrip, inside = fresh[phi]
         assert _doubling_read(entry, phi, skew[phi]) == (
