@@ -18,25 +18,28 @@ its boundary with ``hives._lift_input`` and runs ``hives._doubling`` on
 the points of ``hives._skew_rows``.  Only
 ``crystal-graph``, whose word set takes row bounds, checks the flag in
 ``main``; ``--limit`` caps the letters its enumeration places.
-Every flagged skew Schur polynomial F comes from ``flagged_skew_schur``,
-the one behind ``table --method demazure``, and so from the counting search
-``tableaux._weight_search`` that the tableau route runs too.
+Every flagged skew Schur polynomial F comes from the counting search
+``tableaux._weight_search`` that the tableau route runs too: by
+``flagged_skew_schur``, the one behind ``table --method demazure``, or, in
+``cross_check``, by its groups on a join of flags.
 ``decomposition_report`` checks its boundary, builds F and enumerates the
 flagged fillings once, as raw rows, for ``crystal.decompose`` and the
 insertion core ``burge._insertion_classes``.  ``cross_check`` builds its
-grid from partitions, checks its flags once and calls the trusted cores
-once per (lam, mu, gam, phi): the tableau route's table search
-``crystal._table_tableaux``, ``polynomials._antisymmetrize`` on the one F
-of (mu, gam, phi), and ``hives._skew_read``, the skew hives of every nu on
-the face of phi, whose counts are the hive table and whose points per nu
-go to the doubling check of each nu that contains lam.  Both sides are
-enumerated on the join of the flags and read off by least flag: the skew
-hives of every nu once per (lam, mu, gam) (``hives._skew_groups``), and
-the lifted face once per (lam, mu, gam, nu), in the entry of the doubling
-check (``hives._doubling_entry``), off which each flag reads its Kogan
-face (``hives._doubling_read``).  ``cross_check`` judges the result by the
-same rule as ``hive_iso_report`` (``_iso_ok``) and builds the full report
-from that result only for a tuple that fails.
+grid from partitions, checks its flags once and enumerates everything on
+the join of the flags, reading each flag off by least flag.  Per (mu, gam)
+it builds F by the counting search and the reading words of the fillings
+(``_filling_groups``); per (lam, mu, gam) the tableau table
+(``crystal._table_groups``), ``polynomials._antisymmetrize`` of each group
+of F, and the skew hives of every nu (``hives._skew_groups``); per (lam,
+mu, gam, nu) the lifted face, in the entry of the doubling check
+(``hives._doubling_entry``).  Each flag sums the groups at most it
+(``_read_off``) and takes its skew hives (``hives._skew_read``), whose
+counts are the hive table and whose points per nu go to the doubling check
+of each nu that contains lam, on its Kogan face
+(``hives._doubling_read``).  The per-flag cores stay the oracles.
+``cross_check`` judges the result by the same rule as ``hive_iso_report``
+(``_iso_ok``) and builds the full report from that result only for a tuple
+that fails.
 
 ``main`` parses the boundary once (``_parse_boundary``) and takes the exit
 status from the report once: 1 when its routes disagree or a check fails.
@@ -50,6 +53,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import le
 from time import perf_counter
 
 from .core import (
@@ -66,6 +70,7 @@ from .core import (
 )
 from .crystal import (
     _count_tableaux,
+    _table_groups,
     _table_tableaux,
     crystal_graph_dot,
     decompose,
@@ -88,6 +93,7 @@ from .polynomials import (
     _antisymmetrize,
     _demazure_table,
     _signed_sum,
+    _skew_schur_groups,
     flagged_skew_schur,
 )
 from .tableaux import SkewShape, _reading_word, _tableau_rows
@@ -98,11 +104,11 @@ LIMIT_HELP = (
     "enumeration ceiling per call (hive labels tried, tableau letters "
     "placed, Demazure shapes expanded); a table by the tableau or the hive "
     "route is one call, so the ceiling caps the letters placed or the hive "
-    "labels tried for every nu together; verify makes many calls: the skew "
-    "hives of every nu once per (lam, mu, gam), under the join of the "
-    "flags, the lifted face of that join once per (lam, mu, gam, nu), F "
-    "once per (mu, gam, phi) and a tableau table once per (lam, mu, gam, "
-    "phi); a table by the Demazure route and a decomposition cap the "
+    "labels tried for every nu together; verify makes many calls, all on "
+    "the join of the flags: F and the fillings once per (mu, gam), the "
+    "tableau table and the skew hives of every nu once per (lam, mu, gam) "
+    "and the lifted face once per (lam, mu, gam, nu); a table by the "
+    "Demazure route and a decomposition cap the "
     "letters placed to build F, a crystal graph those placed to enumerate "
     "its fillings"
 )
@@ -280,23 +286,22 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     decomposition character identity over every tuple at desk scale.
 
     The grid is made of partitions, so only the flags are checked, once;
-    the tuples go to the routes' trusted cores.  Each (mu, gam, phi) gets
-    one F by ``flagged_skew_schur``, for the character identity and the
-    Demazure table of every lam, and one ``tableau_word_set``, the reading
-    words of its flagged fillings, for its components.  Each (lam, mu, gam,
-    phi) gets one table per route, and the three must be equal: one search
-    of the tableau route, the Demazure table of F, and the skew hives of
-    every nu on the face of phi, whose points per nu are the hive table and
-    the skew side of the isomorphism check of each nu that contains lam.
-
-    Both hive polytopes are enumerated on the join of the flags (their
-    entrywise maximum; the full flag for the default flags), under the
-    ``limit`` of the first flag that reaches them, and kept until the next
-    gam: the skew hives of every nu once per (lam, mu, gam), grouped by nu
-    and by least flag (``hives._skew_groups``), and the lifted face once
-    per (lam, mu, gam, nu), in the entry of its isomorphism check.  Each
-    flag reads its own faces off them: the points whose least flag is at
-    most phi (``hives._skew_read``, ``hives._doubling_read``).
+    the tuples go to the routes' cores.  Everything is enumerated on the
+    join of the flags (their entrywise maximum; the full flag for the
+    default flags), under the ``limit`` of the first flag that reaches it,
+    and kept until the next gam, grouped by the least flag of each filling
+    or point.  Per (mu, gam) that is F, for the character identity and
+    the Demazure tables, and the reading words of the fillings, for the
+    components (``_filling_groups``).  Per (lam, mu, gam) it is the tableau
+    table (``crystal._table_groups``), the Demazure table of each group of
+    F, and the skew hives of every nu (``hives._skew_groups``), the hive
+    table and the skew side of the isomorphism check of each nu that
+    contains lam; per (lam, mu, gam, nu) the lifted face, in the entry of
+    its isomorphism check.  Each flag phi reads its own off them: the sum
+    of the groups whose least flag is at most phi (``_read_off``,
+    ``hives._skew_read``, ``hives._doubling_read``), exact for the Demazure
+    table too, as antisymmetrizing is linear in F.  The three tables of each
+    (lam, mu, gam, phi) must be equal.
 
     Every candidate nu counts as a checked tuple, in candidate order, and
     a failure is reported at the first failing tuple in that order: on
@@ -316,12 +321,15 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     for mu in partitions_up_to(n, max_mu):
         subs = subpartitions(mu)
         for gam in subs:
-            # the skew points of each lam, grouped by least flag, and the
-            # entry of the doubling check of each (lam, nu), both on the join
-            groups, entries = {}, {}
+            skew_schurs, fillings = _filling_groups(mu, gam, join, limit)
+            polys = {flag: IntPolynomial._from_terms(n, t) for flag, t in skew_schurs.items()}
+            # the tableau table, the Demazure table and the skew points of
+            # each lam by least flag, and the entry of the doubling check of
+            # each (lam, nu), all on the join
+            tableau, demazure, groups, entries = {}, {}, {}, {}
             for phi in flags:
-                skew_schur = flagged_skew_schur(mu, gam, phi, limit)
-                components = decompose(tableau_word_set(mu, gam, phi), n)
+                skew_schur = IntPolynomial._from_terms(n, _read_off(skew_schurs, phi))
+                components = decompose(_read_off(fillings, phi), n)
                 if not _character_sum_matches(components, skew_schur):
                     return {
                         "ok": False,
@@ -333,11 +341,14 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
                 for lam in subs:
                     if lam not in groups:
                         groups[lam] = _skew_groups(lam, mu, gam, join, limit)
+                        tableau[lam] = _table_groups(lam, mu, gam, join, limit)
+                        demazure[lam] = {
+                            flag: _antisymmetrize(lam, f) for flag, f in polys.items()}
                     skew = _skew_read(groups[lam], phi)
                     tables = {
-                        "tableau": _table_tableaux(lam, mu, gam, phi, limit),
+                        "tableau": _read_off(tableau[lam], phi),
                         "hive": {nu: len(points) for nu, points in skew.items()},
-                        "demazure": _antisymmetrize(lam, skew_schur),
+                        "demazure": _read_off(demazure[lam], phi),
                     }
                     total = weight(lam) + weight(mu) - weight(gam)
                     if (lam, total) not in marked:
@@ -378,6 +389,34 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
                             "checked": checked,
                         }
     return {"ok": True, "checked": checked}
+
+
+def _filling_groups(mu, gam, join, limit):
+    """F and the flagged fillings of a checked mu/gam, gam inside mu, under
+    every flag at most ``join``, each enumerated once on ``join`` and
+    grouped by least flag: the terms of F (``polynomials._skew_schur_groups``)
+    and the reading words of the fillings of ``tableaux._tableau_rows``,
+    whose least flag is the last letter of each row, 0 for an empty one.
+    Each enumeration may place ``limit`` letters."""
+    words = {}
+    skew_schurs = _skew_schur_groups(mu, gam, join, limit)
+    for rows in _tableau_rows(SkewShape(mu, gam), join, limit):
+        least = tuple([row[-1] if row else 0 for row in rows])
+        words.setdefault(least, {})[_reading_word(rows)] = 1
+    return skew_schurs, words
+
+
+def _read_off(groups, phi):
+    """The table of the flag phi read off the groups by least flag of a join
+    of phi (``crystal._table_groups``, ``polynomials._skew_schur_groups``):
+    the sum, key by key, of the groups whose least flag is at most phi, its
+    nonzero values only."""
+    table = {}
+    for flag, group in groups.items():
+        if all(map(le, flag, phi)):
+            for key, c in group.items():
+                table[key] = table.get(key, 0) + c
+    return {key: c for key, c in table.items() if c}
 
 
 def _first_difference(tables, candidates):

@@ -359,6 +359,20 @@ def _table_tableaux(lam, mu, gam, phi, limit):
     return _weight_search(lam, mu, gam, phi, (total,) * len(mu), limit)
 
 
+def _table_groups(lam, mu, gam, join, limit):
+    """``_table_tableaux`` of a checked (lam, mu, gam), gam inside mu,
+    under every flag at most ``join``, by one search on ``join``: a dict
+    from the least flag of a tableau (``tableaux._weight_search``) to the
+    table of the tableaux that have it.  The table under such a flag is the
+    sum of the groups whose least flag is at most it."""
+    total = weight(lam) + weight(mu) - weight(gam)
+    groups = {}
+    for (nu, flag), m in _weight_search(lam, mu, gam, join, (total,) * len(mu), limit,
+                                        True).items():
+        groups.setdefault(flag, {})[nu] = m
+    return groups
+
+
 # ---------------------------------------------------------------------------
 # graph export
 # ---------------------------------------------------------------------------

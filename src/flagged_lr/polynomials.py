@@ -219,15 +219,32 @@ def flagged_skew_schur(mu, gam, row_bounds, limit=None) -> IntPolynomial:
     n = max(shape.n_rows, max(row_bounds, default=0))
     if not shape.is_valid:
         return IntPolynomial.zero(n)
-    # the head (s*n, ..., 2s, s) with s one more than the cells: a count
-    # starts s below the one before it and grows by at most s - 1, so the
-    # lattice test of the search never binds, and the caps sit above every
-    # count
-    s = shape.size + 1
-    head = tuple(range(s * n, 0, -s))
-    table = _weight_search(head, shape.outer, shape.inner, row_bounds, (s * (n + 1),) * n, limit)
+    head, caps = _free_head(shape.size, n)
+    table = _weight_search(head, shape.outer, shape.inner, row_bounds, caps, limit)
     terms = {tuple([c - h for c, h in zip(nu, head)]): m for nu, m in table.items()}
     return IntPolynomial._from_terms(n, terms)
+
+
+def _free_head(size, n):
+    """The head and caps of F's search on ``size`` cells: the head (s*n,
+    ..., 2s, s) with s one more than the cells.  A count starts s below the
+    one before it and grows by at most s - 1, so the lattice test of the
+    search never binds, and the caps sit above every count."""
+    s = size + 1
+    return tuple(range(s * n, 0, -s)), (s * (n + 1),) * n
+
+
+def _skew_schur_groups(mu, gam, join, limit):
+    """``flagged_skew_schur`` of a checked mu/gam, gam inside mu, under
+    every flag at most ``join``, by one search on ``join``: a dict from the
+    least flag of a filling (``tableaux._weight_search``) to the terms of
+    the fillings that have it.  The terms of F under such a flag are the
+    sum of the groups whose least flag is at most it."""
+    head, caps = _free_head(weight(mu) - weight(gam), len(mu))
+    groups = {}
+    for (nu, flag), m in _weight_search(head, mu, gam, join, caps, limit, True).items():
+        groups.setdefault(flag, {})[tuple([c - h for c, h in zip(nu, head)])] = m
+    return groups
 
 
 def _key_order(e):

@@ -197,7 +197,13 @@ def _tableau_rows(shape: SkewShape, bounds, limit=None):
         k += 1
 
 
-def _weight_search(head, mu, gam, phi, caps, limit):
+def _greatest_cells(mu, gam):
+    """Per row i of mu/gam, the cell that holds its greatest letter: the
+    rightmost, (i, mu_i - 1), which is no cell of an empty row."""
+    return [(i, m - 1) for i, m in enumerate(mu)]
+
+
+def _weight_search(head, mu, gam, phi, caps, limit, by_flag=False):
     """The flagged fillings of mu/gam (gam inside mu) with letters 1 to
     len(head) whose reading word, after a word of weight head, is a
     lattice word and in which the count of no letter v reaches caps_v,
@@ -213,7 +219,15 @@ def _weight_search(head, mu, gam, phi, caps, limit):
     the nu of the lambda-dominant tableaux (``crystal._count_tableaux``);
     with a head whose parts fall by more than the cells in every step, no
     count catches up with the one before it and the dict is F shifted by
-    the head (``polynomials.flagged_skew_schur``).  Raises
+    the head (``polynomials.flagged_skew_schur``).
+
+    With ``by_flag`` the dict is keyed by the counts and the *least flag*
+    of the fillings: per row its greatest letter, held by its rightmost
+    cell (``_greatest_cells``), the row's first in reading order, or 0 for
+    an empty row.  Rows weakly increase, so a filling lies under a flag at
+    most phi exactly when its least flag is at most that flag entrywise,
+    and one search on a join of flags counts the fillings of each of them.
+    Raises
     ScaleExceededError once more than ``limit`` letters have been
     placed."""
     n = len(head)
@@ -221,10 +235,12 @@ def _weight_search(head, mu, gam, phi, caps, limit):
     depth = len(cells)
     if not depth:
         # the empty filling places no letter
-        return {tuple(head): 1}
+        return {(tuple(head), (0,) * len(mu)) if by_flag else tuple(head): 1}
     pos = {cell: k for k, cell in enumerate(cells)}
     # past the last cell, a slot holding 0 stands in for a missing upper
-    # neighbour and one holding n for a missing right neighbour
+    # neighbour or an empty row's first cell, and one holding n for a
+    # missing right neighbour
+    firsts = [pos.get(cell, depth) for cell in _greatest_cells(mu, gam)]
     above = [pos.get((i - 1, c), depth) for i, c in cells]
     right = [pos.get((i, c + 1), depth + 1) for i, c in cells]
     flag = [phi[i] for i, _ in cells]
@@ -255,6 +271,8 @@ def _weight_search(head, mu, gam, phi, caps, limit):
         else:
             # a filling is complete: count it and take back its last letter
             nu = tuple(counts[1:])
+            if by_flag:
+                nu = nu, tuple([v[f] for f in firsts])
             table[nu] = table.get(nu, 0) + 1
             counts[x] -= 1
             x += 1

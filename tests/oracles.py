@@ -911,9 +911,10 @@ def cross_check_per_tuple(n, max_mu, flags=None, limit=cli.DEFAULT_LIMIT, echo=N
     count of each candidate nu is its own, from the skew points of
     ``hives._skew_rows`` that the doubling check maps where nu contains lam,
     else from ``hives._count_skew_hives``, and the three counts are compared
-    nu by nu.  The shared cores are read through their modules, so a test
-    that patches one in ``flagged_lr.cli`` or ``flagged_lr.hives`` corrupts
-    this loop and ``cli.cross_check`` alike."""
+    nu by nu, with F, the fillings and the tableau table of each flag its
+    own.  The shared cores are read through their modules, so a test that
+    patches one in ``flagged_lr.cli`` or ``flagged_lr.hives`` corrupts this
+    loop, and ``cli.cross_check`` where it calls that core too."""
     flags = [validate_flag(f, n) for f in (flags or all_flags(n))]
     # the candidates for nu by weight; |lam| + |mu| - |gam| <= 2 * max_mu
     nu_candidates = {}
@@ -925,7 +926,7 @@ def cross_check_per_tuple(n, max_mu, flags=None, limit=cli.DEFAULT_LIMIT, echo=N
         for gam in subpartitions(mu):
             for phi in flags:
                 skew_schur = cli.flagged_skew_schur(mu, gam, phi, limit)
-                components = cli.decompose(cli.tableau_word_set(mu, gam, phi), n)
+                components = cli.decompose(cli.tableau_word_set(mu, gam, phi, limit), n)
                 if not cli._character_sum_matches(components, skew_schur):
                     return {
                         "ok": False,

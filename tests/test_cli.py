@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import flagged_lr.cli as cli_mod
 import flagged_lr.hives as hives_mod
+import flagged_lr.tableaux as tableaux_mod
 from flagged_lr.burge import insertion_decomposition
 from flagged_lr.cli import (
     DEFAULT_LIMIT,
@@ -23,6 +24,8 @@ from flagged_lr.cli import (
 )
 from flagged_lr.crystal import (
     _count_tableaux,
+    _table_groups,
+    _table_tableaux,
     coefficient_by_tableaux,
     tableau_word_set,
 )
@@ -357,9 +360,8 @@ def test_reports_are_deterministic(capsys):
 
 
 def test_cross_check_reports_failures_with_bundle(monkeypatch):
-    # cross_check calls the tableau route's table search
-    monkeypatch.setattr(cli_mod, "_table_tableaux",
-                        _greatest_tableau_count_up(cli_mod._table_tableaux))
+    # cross_check reads each flag's tableau table off the join's
+    _corrupt_flag_reads("_table_tableaux", "_table_groups", _greatest_count_up)(monkeypatch)
     report = cross_check(2, 1)
     assert not report["ok"]
     assert report["failure"] == "three-way coefficient mismatch"
@@ -541,17 +543,54 @@ def _replace_tri_points_at(monkeypatch, nu, quad=STAGGERED_QUAD, points=()):
     monkeypatch.setattr(cli_mod, "_doubling_read", read)
 
 
+def _corrupt_flag_reads(core, build, corrupt, polynomial=False):
+    """``corrupt(boundary, value)`` on one value of each flag, on both paths:
+    the value of the per-flag ``core``, which the per-tuple loop calls, and
+    cross_check's read-off (``_read_off``) of it from the groups that
+    ``build`` makes on the join.  The boundary ends with the flag; a
+    ``polynomial`` is read off as its terms."""
+    def apply(monkeypatch):
+        real_core, real_build = getattr(cli_mod, core), getattr(cli_mod, build)
+        real_read = cli_mod._read_off
+        # the groups built, by id, each kept with its boundary less the flag
+        built = {}
+
+        def corrupted_core(*args):
+            return corrupt(args[:-1], real_core(*args))
+
+        def building(*args):
+            groups = real_build(*args)
+            if isinstance(groups, tuple):
+                # _filling_groups: F's groups, then the fillings'
+                built[id(groups[0])] = groups[0], args[:-2]
+            else:
+                built[id(groups)] = groups, args[:-2]
+            return groups
+
+        def read(groups, phi):
+            value = real_read(groups, phi)
+            if id(groups) not in built:
+                return value
+            boundary = (*built[id(groups)][1], phi)
+            if polynomial:
+                return corrupt(boundary, IntPolynomial._from_terms(len(phi), value)).terms
+            return corrupt(boundary, value)
+
+        monkeypatch.setattr(cli_mod, core, corrupted_core)
+        monkeypatch.setattr(cli_mod, build, building)
+        monkeypatch.setattr(cli_mod, "_read_off", read)
+
+    return apply
+
+
 def _raise_tableau_count_at(monkeypatch, nu):
     """The tableau table of ``STAGGERED_QUAD`` one too high at ``nu``."""
-    real = cli_mod._table_tableaux
-
-    def raised(lam, mu, gam, phi, limit):
-        table = real(lam, mu, gam, phi, limit)
-        if (lam, mu, gam, phi) == STAGGERED_QUAD:
-            table[nu] = table.get(nu, 0) + 1
+    def raised(quad, table):
+        if quad == STAGGERED_QUAD:
+            table = {**table, nu: table.get(nu, 0) + 1}
         return table
 
-    monkeypatch.setattr(cli_mod, "_table_tableaux", raised)
+    _corrupt_flag_reads("_table_tableaux", "_table_groups", raised)(monkeypatch)
 
 
 def _corrupt_cli(name, corrupt):
@@ -593,28 +632,30 @@ def _tri_point_without_hive(monkeypatch):
                            [tuple((0,) * (i + 1) for i in range(5))])
 
 
-def _greatest_tableau_count_up(real):
-    def corrupted(lam, mu, gam, phi, limit):
-        table = real(lam, mu, gam, phi, limit)
-        if table:
-            table[max(table)] += 1
-        return table
+def _greatest_count_up(boundary, table):
+    """The table with its count at its greatest nu one higher."""
+    return {**table, max(table): table[max(table)] + 1} if table else table
 
-    return corrupted
+
+def _skew_schur_up(boundary, skew_schur):
+    return _one_coefficient_up(skew_schur)
+
+
+# antisymmetrizing is linear, so a linear corruption of F, as doubling it,
+# gives the Demazure table of phi the same corruption whether it is built
+# from phi's F or summed from the groups of the join's
+_doubled_antisymmetrize = _corrupt_cli("_antisymmetrize", lambda real: lambda lam, f: real(lam, f + f))
 
 
 @pytest.mark.parametrize("corrupt, max_mu, failure, at", [
-    (_corrupt_cli("_table_tableaux", _greatest_tableau_count_up), 1,
+    (_corrupt_flag_reads("_table_tableaux", "_table_groups", _greatest_count_up), 1,
      "three-way coefficient mismatch", None),
     (_one_extra_hive, 1, "three-way coefficient mismatch", None),
     (_corrupt_hives("_psi_rows", _shift_wedge_corner), 1, "hive isomorphism mismatch", None),
     (_corrupt_hives("_psi_inverse_rows", _drop_the_shift), 1, "hive isomorphism mismatch", None),
-    (_corrupt_cli("flagged_skew_schur",
-                  lambda real: lambda *args: _one_coefficient_up(real(*args))), 2,
+    (_corrupt_flag_reads("flagged_skew_schur", "_filling_groups", _skew_schur_up, True), 2,
      "decomposition character sum", None),
-    (_corrupt_cli("_antisymmetrize",
-                  lambda real: lambda lam, f: real(lam, _one_coefficient_up(f))), 2,
-     "three-way coefficient mismatch", None),
+    (_doubled_antisymmetrize, 2, "three-way coefficient mismatch", None),
     (_tri_early_tableau_late, 2, "hive isomorphism mismatch", (STAGGERED_QUAD, EARLY_NU)),
     (_tableau_early_tri_late, 2, "three-way coefficient mismatch", (STAGGERED_QUAD, EARLY_NU)),
     (_tri_point_without_hive, 1, "hive isomorphism mismatch", (FLAGGED_QUAD, LATE_NU)),
@@ -693,6 +734,63 @@ def test_a_lifted_region_one_row_short_fails_the_read_off_alone(monkeypatch):
     assert cross_check_per_tuple(2, 2)["ok"]
 
 
+@pytest.mark.parametrize("n, max_mu, flags, counts", [
+    (0, 4, None, (1, 0)),
+    (1, 4, None, (55, 0)),
+    (2, 4, None, (348, 64)),
+    (3, 4, None, (1434, 476)),
+    (3, 4, [(1, 2, 3), (2, 2, 3)], (478, 80)),
+    (4, 3, None, (1600, 491)),
+])
+def test_the_join_read_off_equals_each_flags_own_cores(n, max_mu, flags, counts):
+    # every (lam, mu, gam) and flag: what cross_check reads off the groups of
+    # the join by least flag is that flag's own F, word set, tableau table
+    # and Demazure table; counts are the pairs and those whose tableau
+    # table is smaller than the join's
+    flags = flags or all_flags(n)
+    join = tuple(map(max, zip(*flags)))
+    read = cli_mod._read_off
+    pairs = smaller = 0
+    for mu in partitions_up_to(n, max_mu):
+        for gam in subpartitions(mu):
+            skew_schurs, fillings = cli_mod._filling_groups(mu, gam, join, None)
+            polys = {flag: IntPolynomial._from_terms(n, t) for flag, t in skew_schurs.items()}
+            tables = {lam: _table_groups(lam, mu, gam, join, None) for lam in subpartitions(mu)}
+            for phi in flags:
+                skew_schur = flagged_skew_schur(mu, gam, phi)
+                assert IntPolynomial._from_terms(n, read(skew_schurs, phi)) == skew_schur
+                assert set(read(fillings, phi)) == tableau_word_set(mu, gam, phi)
+                for lam, groups in tables.items():
+                    table = read(groups, phi)
+                    assert table == _table_tableaux(lam, mu, gam, phi, None), (lam, mu, gam, phi)
+                    demazure = {flag: _antisymmetrize(lam, f) for flag, f in polys.items()}
+                    assert read(demazure, phi) == _antisymmetrize(lam, skew_schur)
+                    pairs += 1
+                    smaller += sum(table.values()) < sum(read(groups, join).values())
+    assert (pairs, smaller) == counts
+
+
+@pytest.mark.parametrize("module, name, fault, failure, at", [
+    # off each row's leftmost cell F's search puts the filling 1 2 of
+    # (2, 0)/(0, 0) under the flag (1, 2); the fillings' own least flags keep
+    # it out, so F and the components differ
+    (tableaux_mod, "_greatest_cells", lambda real: lambda mu, gam: list(enumerate(gam)),
+     "decomposition character sum", {"mu": (2, 0), "gam": (0, 0), "phi": (1, 2)}),
+    # every flag reads the join's groups: F and the fillings move together,
+    # and so do the tableau and Demazure tables, which the hives tell
+    (cli_mod, "_read_off", lambda real: lambda groups, phi: real(groups, (2, 2)),
+     "three-way coefficient mismatch", _query_dict((2, 0), (2, 0), (1, 0), (2, 1), (1, 2), "all")),
+], ids=["leftmost-cell", "flag-ignored"])
+def test_a_fault_in_the_tableau_read_off_fails_cross_check_alone(monkeypatch, module, name,
+                                                                  fault, failure, at):
+    # only cross_check reads the tableau side off the join; the per-tuple
+    # loop runs each flag's own cores
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    report = cross_check(2, 2)
+    assert (report["failure"], report["tuple"]) == (failure, at)
+    assert cross_check_per_tuple(2, 2)["ok"]
+
+
 def test_verify_limit_counts_one_hive_table_per_quad(capsys):
     # the ceiling binds on the enumeration of the skew hives of every nu of
     # one (lam, mu, gam, phi): cross_check(2, 2) needs 6 labels tried
@@ -718,6 +816,21 @@ def test_verify_limit_counts_the_table_of_the_join_of_the_flags(capsys):
     argv = ["verify", "--max-mu", "4", "--flags", "2,2,3;1,3,3"]
     assert main(["--n", "3", "--limit", "48", *argv]) == 0
     assert main(["--n", "3", "--limit", "47", *argv]) == 2
+    assert "ceiling" in capsys.readouterr().err
+
+
+def test_verify_limit_at_n4_counts_every_enumeration_on_the_join(capsys):
+    # 1,2,3,4, 2,2,3,4 and 1,3,3,4 join to 2,3,3,4, none of them; the hive
+    # and the tableau side are both enumerated on it, and cross_check(4, 4)
+    # on them needs 106
+    flags = [(1, 2, 3, 4), (2, 2, 3, 4), (1, 3, 3, 4)]
+    report = cross_check(4, 4, flags, limit=106)
+    assert report == {"ok": True, "checked": {"tuples": 3636, "decompositions": 156}}
+    with pytest.raises(ScaleExceededError):
+        cross_check(4, 4, flags, limit=105)
+    argv = ["verify", "--max-mu", "4", "--flags", "1,2,3,4;2,2,3,4;1,3,3,4"]
+    assert main(["--n", "4", "--limit", "106", *argv]) == 0
+    assert main(["--n", "4", "--limit", "105", *argv]) == 2
     assert "ceiling" in capsys.readouterr().err
 
 
@@ -894,19 +1007,18 @@ def _one_coefficient_up(f):
     return f + IntPolynomial.monomial(max(f.terms))
 
 
-@pytest.mark.parametrize("name, corrupt, failure", [
-    # the polynomial cross_check builds once per (mu, gam, phi) by the
-    # counting search, apart from the components of its fillings ...
-    ("flagged_skew_schur", lambda real: lambda *args: _one_coefficient_up(real(*args)),
+@pytest.mark.parametrize("corrupt, failure", [
+    # the polynomial of each (mu, gam, phi), read off the join's search,
+    # apart from the components of its fillings ...
+    (_corrupt_flag_reads("flagged_skew_schur", "_filling_groups", _skew_schur_up, True),
      "decomposition character sum"),
-    # ... and the one the Demazure table core reads for every lam
-    ("_antisymmetrize", lambda real: lambda lam, f: real(lam, _one_coefficient_up(f)),
+    # ... and the ones the Demazure tables of every lam sum
+    (_corrupt_cli("_antisymmetrize",
+                  lambda real: lambda lam, f: real(lam, _one_coefficient_up(f))),
      "three-way coefficient mismatch"),
 ])
-def test_cross_check_fails_on_a_corrupted_skew_schur(monkeypatch, name, corrupt, failure):
-    import flagged_lr.cli as cli_mod
-
-    monkeypatch.setattr(cli_mod, name, corrupt(getattr(cli_mod, name)))
+def test_cross_check_fails_on_a_corrupted_skew_schur(monkeypatch, corrupt, failure):
+    corrupt(monkeypatch)
     report = cross_check(2, 2)
     assert not report["ok"]
     assert report["failure"] == failure
