@@ -15,7 +15,8 @@ F and one pass over its terms by the Demazure route
 output nodes are the right column (``hives._table_skew_hives``); for a
 scan, one hive count per dilation k.  ``hive_iso_report`` checks
 its boundary with ``hives._lift_input`` and runs ``hives._doubling`` on
-the points of ``hives._skew_rows``.  Only
+the points of ``hives._skew_rows``; its report reads the lifted boundary
+off the public ``hives.lift_tilde``, which checks it again.  Only
 ``crystal-graph``, whose word set takes row bounds, checks the flag in
 ``main``; ``--limit`` caps the letters its enumeration places.
 Every flagged skew Schur polynomial F comes from the counting search
@@ -26,16 +27,15 @@ Every flagged skew Schur polynomial F comes from the counting search
 flagged fillings once, as raw rows, for ``crystal.decompose`` and the
 insertion core ``burge._insertion_classes``.  ``cross_check`` builds its
 grid from partitions, checks its flags once and enumerates everything on
-the join of the flags, reading each flag off by least flag.  Per (mu, gam)
-it builds F by the counting search and the reading words of the fillings
+the join of the flags, grouped by least flag.  Per (mu, gam) that is F,
+by the counting search, and the reading words of the fillings
 (``_filling_groups``); per (lam, mu, gam) the tableau table
 (``crystal._table_groups``), ``polynomials._antisymmetrize`` of each group
 of F, and the skew hives of every nu (``hives._skew_groups``); per (lam,
 mu, gam, nu) the lifted face, in the entry of the doubling check
-(``hives._doubling_entry``).  Each flag sums the groups at most it
-(``_read_off``) and takes its skew hives (``hives._skew_read``), whose
-counts are the hive table and whose points per nu go to the doubling check
-of each nu that contains lam, on its Kogan face
+(``hives._doubling_entry``).  Each flag reads its own off the groups with
+``core.read_off``: the skew hives' counts are its hive table, and their
+points per nu go to the doubling check of each nu that contains lam
 (``hives._doubling_read``).  The per-flag cores stay the oracles.
 ``cross_check`` judges the result by the same rule as ``hive_iso_report``
 (``_iso_ok``) and builds the full report from that result only for a tuple
@@ -53,7 +53,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from operator import le
 from time import perf_counter
 
 from .core import (
@@ -63,6 +62,7 @@ from .core import (
     contains,
     parse_int_tuple,
     partitions_up_to,
+    read_off,
     scale,
     subpartitions,
     validate_flag,
@@ -83,10 +83,10 @@ from .hives import (
     _doubling_read,
     _lift_input,
     _skew_groups,
-    _skew_read,
     _skew_rows,
     _table_skew_hives,
     count_skew_hive_points,
+    lift_tilde,
 )
 from .polynomials import (
     IntPolynomial,
@@ -258,14 +258,15 @@ def hive_iso_report(lam, mu, gam, nu, phi, limit=None):
 def _iso_ok(doubling):
     """Whether a ``hives._doubling`` result passes: equal counts, the
     roundtrip, and every image among the triangular points."""
-    _, skew_count, tri_count, roundtrip, image_ok = doubling
+    tri_count, skew_count, roundtrip, image_ok = doubling
     return skew_count == tri_count and roundtrip and image_ok
 
 
 def _iso_report(lam, mu, gam, nu, phi, doubling):
     """``hive_iso_report`` built from the ``hives._doubling`` result of the
-    tuple."""
-    (lam_t, mu_t, nu_t, phi_t), skew_count, tri_count, roundtrip, _ = doubling
+    tuple, with its lifted boundary and flag (``lift_tilde``)."""
+    lam_t, mu_t, nu_t, phi_t = lift_tilde(lam, mu, gam, nu, phi)
+    tri_count, skew_count, roundtrip, _ = doubling
     return {
         "query": _query_dict(lam, mu, gam, nu, phi, "hive"),
         "lifted": {
@@ -298,8 +299,8 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     table and the skew side of the isomorphism check of each nu that
     contains lam; per (lam, mu, gam, nu) the lifted face, in the entry of
     its isomorphism check.  Each flag phi reads its own off them: the sum
-    of the groups whose least flag is at most phi (``_read_off``,
-    ``hives._skew_read``, ``hives._doubling_read``), exact for the Demazure
+    of the groups whose least flag is at most phi (``core.read_off``, and
+    ``hives._doubling_read`` for the lifted face), exact for the Demazure
     table too, as antisymmetrizing is linear in F.  The three tables of each
     (lam, mu, gam, phi) must be equal.
 
@@ -328,8 +329,8 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
             # each (lam, nu), all on the join
             tableau, demazure, groups, entries = {}, {}, {}, {}
             for phi in flags:
-                skew_schur = IntPolynomial._from_terms(n, _read_off(skew_schurs, phi))
-                components = decompose(_read_off(fillings, phi), n)
+                skew_schur = IntPolynomial._from_terms(n, read_off(skew_schurs, phi))
+                components = decompose(read_off(fillings, phi), n)
                 if not _character_sum_matches(components, skew_schur):
                     return {
                         "ok": False,
@@ -344,11 +345,11 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
                         tableau[lam] = _table_groups(lam, mu, gam, join, limit)
                         demazure[lam] = {
                             flag: _antisymmetrize(lam, f) for flag, f in polys.items()}
-                    skew = _skew_read(groups[lam], phi)
+                    skew = read_off(groups[lam], phi)
                     tables = {
-                        "tableau": _read_off(tableau[lam], phi),
+                        "tableau": read_off(tableau[lam], phi),
                         "hive": {nu: len(points) for nu, points in skew.items()},
-                        "demazure": _read_off(demazure[lam], phi),
+                        "demazure": read_off(demazure[lam], phi),
                     }
                     total = weight(lam) + weight(mu) - weight(gam)
                     if (lam, total) not in marked:
@@ -404,19 +405,6 @@ def _filling_groups(mu, gam, join, limit):
         least = tuple([row[-1] if row else 0 for row in rows])
         words.setdefault(least, {})[_reading_word(rows)] = 1
     return skew_schurs, words
-
-
-def _read_off(groups, phi):
-    """The table of the flag phi read off the groups by least flag of a join
-    of phi (``crystal._table_groups``, ``polynomials._skew_schur_groups``):
-    the sum, key by key, of the groups whose least flag is at most phi, its
-    nonzero values only."""
-    table = {}
-    for flag, group in groups.items():
-        if all(map(le, flag, phi)):
-            for key, c in group.items():
-                table[key] = table.get(key, 0) + c
-    return {key: c for key, c in table.items() if c}
 
 
 def _first_difference(tables, candidates):

@@ -10,6 +10,7 @@ the value itself.  Permutations are tuples in one-line notation over
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from operator import le
 
 __all__ = [
     "FlagError",
@@ -33,6 +34,8 @@ __all__ = [
     "validate_flag",
     "check_boundary",
     "all_flags",
+    "under",
+    "read_off",
     "parse_int_tuple",
 ]
 
@@ -231,6 +234,25 @@ def all_flags(n: int):
     if n == 0:
         return [()]
     return [c + (n,) for c in combinations_with_replacement(range(1, n + 1), n - 1)]
+
+
+def under(sigma, phi) -> bool:
+    """Whether the least flag sigma is at most the flag phi, entrywise: that
+    is when what has least flag sigma is also phi's."""
+    return all(map(le, sigma, phi))
+
+
+def read_off(groups, phi):
+    """The table of the flag phi read off ``groups``, a dict from least flag
+    to a table enumerated on a larger flag: the sum, key by key, of the
+    tables ``under`` phi, nonzero or nonempty values only.  Values may be
+    counts or lists; a list that one table alone holds is that table's own."""
+    table = {}
+    for sigma, group in groups.items():
+        if under(sigma, phi):
+            for key, c in group.items():
+                table[key] = table[key] + c if key in table else c
+    return {key: c for key, c in table.items() if c}
 
 
 def parse_int_tuple(text: str, n=None):

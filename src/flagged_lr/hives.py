@@ -56,13 +56,13 @@ pass of the enumerator of the table polytope, grouped by the nu read off
 the right column (``_table_skew_rows``).  One step (``_doubling_check``)
 counts the triangular points of the flag, maps each skew point by psi and
 back, and looks its image up among them; the two differ only in where the
-triangular points come from.  ``hive-iso`` enumerates the compiled Kogan
-face of the lifted flag, whose triangular polytope is built once per flag
-(``_lifted_flag``).  ``verify`` builds one entry per (lam, mu, gam, nu)
-(``_doubling_entry``): the lifted boundary, its runs, the top n rows of
-every image, each skew point's image and roundtrip, and the points of the
-lifted face of the join of its flags (their entrywise maximum; the
-classical triangle for all flags).
+triangular points come from.  A triangular polytope is compiled only for
+the lifted flag (``_lifted_flag``) whose face is enumerated: ``hive-iso``
+enumerates that of its flag.  ``verify`` builds one entry per (lam, mu,
+gam, nu) (``_doubling_entry``): the lifted boundary, its runs, the top n
+rows of every image, each skew point's image and roundtrip, and the
+points of the lifted face of the join of its flags (their entrywise
+maximum; the classical triangle for all flags).
 
 ``verify`` reads every flag's face, on both sides, off the points of the
 join's face by their least flag (``_least_flag``): per column j, the
@@ -71,13 +71,12 @@ that is the lowest row i with a nonzero NE_{ij}, since the flat region of
 phi is the rows below phi_j; on the lifted side it is that row less n - 1,
 for j <= n, since psi moves skew row i to row n + i.  A point of the
 join's face lies on the face of phi exactly when its least flag is at
-most phi, entrywise.  So the table of the join is enumerated once per
-(lam, mu, gam), its points grouped by nu and least flag
-(``_skew_groups``), and each flag takes the groups it holds
-(``_skew_read``); the entry keeps each lifted point's least flag and the
-count per least flag, and ``_doubling_read`` selects by them.  The
-compiled faces, ``_table_skew_rows`` and ``_doubling`` of each flag, are
-their test oracle.
+most phi (``core.under``).  So the table of the join is enumerated once
+per (lam, mu, gam), its points grouped by least flag and nu
+(``_skew_groups``), for ``core.read_off``; the entry keeps each lifted
+point's least flag and the count per least flag, and ``_doubling_read``
+selects by them.  The compiled faces, ``_table_skew_rows`` and
+``_doubling`` of each flag, are their test oracle.
 
 Input is checked at the public functions and trusted below them.  Every
 public function that takes a flag requires one and checks its partitions
@@ -108,7 +107,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, count
-from operator import le
 
 from .core import (
     ScaleExceededError,
@@ -116,6 +114,7 @@ from .core import (
     check_boundary,
     contains,
     partial_sums,
+    under,
     weight,
 )
 from .tableaux import SkewShape, SkewTableau
@@ -839,31 +838,14 @@ def _table_skew_rows(lam, mu, gam, phi, limit):
 
 
 def _skew_groups(lam, mu, gam, join, limit):
-    """``_table_skew_rows`` of the flag ``join``, each nu's points grouped
-    by their least flag (``_least_flag``): a dict from nu to a dict from
-    least flag to label rows."""
+    """``_table_skew_rows`` of the flag ``join`` as a dict from least flag
+    (``_least_flag``) to a dict from nu to label rows, off which
+    ``core.read_off`` reads each flag at most ``join`` its own table."""
     columns, groups = _flag_rhombi(len(lam), False), {}
     for nu, points in _table_skew_rows(lam, mu, gam, join, limit).items():
-        by_flag = groups[nu] = {}
         for rows in points:
-            by_flag.setdefault(_least_flag(rows, columns), []).append(rows)
+            groups.setdefault(_least_flag(rows, columns), {}).setdefault(nu, []).append(rows)
     return groups
-
-
-def _skew_read(groups, phi):
-    """``_table_skew_rows`` of the flag phi, read off ``_skew_groups`` of a
-    join of phi: each nu's points whose least flag is at most phi, the nonzero
-    nu only.  The points of each nu are those of phi's own table in
-    another order."""
-    skew = {}
-    for nu, by_flag in groups.items():
-        points = []
-        for flag, group in by_flag.items():
-            if all(map(le, flag, phi)):
-                points += group
-        if points:
-            skew[nu] = points
-    return skew
 
 
 def enumerate_skew_hive_points(lam, mu, gam, nu, phi, limit=None):
@@ -1003,13 +985,10 @@ def _lift_input(lam, mu, gam, nu, phi):
     return lam, mu, gam, nu, phi
 
 
-@lru_cache(maxsize=256)
 def _lifted_flag(phi):
-    """The lifted flag of ``lift_tilde`` and the triangular polytope on it,
-    which depend on the flag alone."""
+    """The lifted flag of ``lift_tilde``, which depends on the flag alone."""
     n = len(phi)
-    phi_t = tuple([p + n for p in phi]) + (2 * n,) * n
-    return phi_t, _tri_polytope(2 * n, phi_t)
+    return tuple([p + n for p in phi]) + (2 * n,) * n
 
 
 @lru_cache(maxsize=32)
@@ -1057,10 +1036,10 @@ def _doubling_entry(lam, mu, gam, nu, join=None, limit=None):
     flag.
 
     Given a flag ``join``, ``face`` holds the points of the lifted face of
-    ``join``, enumerated here under ``limit``: a dict from each point's
-    label rows to its least flag (``_least_flag``), and a dict from each
-    least flag to the number of points yielded with it, so a point yielded
-    twice counts twice; it is None without one.  When ``join`` is the join
+    ``join``, compiled and enumerated here under ``limit``: a dict from
+    each point's label rows to its least flag (``_least_flag``), and a dict
+    from each least flag to the number of points yielded with it, so a
+    point yielded twice counts twice; it is None without one.  When ``join`` is the join
     of the flags under check (their entrywise maximum), each of them reads
     its own face off these points (``_doubling_read``)."""
     n = len(lam)
@@ -1070,7 +1049,7 @@ def _doubling_entry(lam, mu, gam, nu, join=None, limit=None):
     face = None
     if join is not None:
         columns, least, counts = _flag_rhombi(n, True), {}, {}
-        for t in _lifted_flag(join)[1].enumerator(runs, limit):
+        for t in _tri_polytope(2 * n, _lifted_flag(join)).enumerator(runs, limit):
             flag = least[t] = _least_flag(t, columns)
             counts[flag] = counts.get(flag, 0) + 1
         face = least, counts
@@ -1084,7 +1063,7 @@ def lift_tilde(lam, mu, gam, nu, phi):
     copies of 2n, which imposes no flatness beyond the image of the skew
     flat region."""
     lam, mu, gam, nu, phi = _lift_input(lam, mu, gam, nu, phi)
-    return (*_doubling_entry(lam, mu, gam, nu).lifted, _lifted_flag(phi)[0])
+    return (*_doubling_entry(lam, mu, gam, nu).lifted, _lifted_flag(phi))
 
 
 @lru_cache(maxsize=256)
@@ -1132,14 +1111,14 @@ def psi_inverse(t: TriHive) -> SkewHive:
     return SkewHive(_psi_inverse_rows(t.rows))
 
 
-def _doubling_check(entry, phi, skew, tri_count, face, fit):
-    """The ``_doubling`` result of the flag phi, from a ``_doubling_entry``
-    of its (lam, mu, gam, nu) and the Kogan face of the lifted flag: the
-    number of its points, ``face``, a dict from label rows to a key, and
-    ``fit``, the keys of that face's points.  Every skew point's image must
-    be one of them.  A skew point is mapped by psi and back only the first
-    time the entry meets it."""
-    lifted, _, nu1, head, images, _ = entry
+def _doubling_check(entry, skew, tri_count, face, fit):
+    """The ``_doubling`` result of a flag, from a ``_doubling_entry`` of
+    its (lam, mu, gam, nu), the skew points and the Kogan face of the
+    lifted flag: the number of its points, ``face``, a dict from label rows
+    to a key, and ``fit``, the keys of that face's points.  Every skew
+    point's image must be one of them.  A skew point is mapped by psi and
+    back only the first time the entry meets it."""
+    _, _, nu1, head, images, _ = entry
     roundtrip, inside = True, True
     for rows in skew:
         if rows not in images:
@@ -1148,27 +1127,29 @@ def _doubling_check(entry, phi, skew, tri_count, face, fit):
         image, back = images[rows]
         roundtrip &= back
         inside &= face.get(image) in fit
-    return (*lifted, _lifted_flag(phi)[0]), len(skew), tri_count, roundtrip, inside
+    return tri_count, len(skew), roundtrip, inside
 
 
 def _doubling_read(entry, phi, skew):
     """``_doubling`` of the flag phi, with the Kogan face of its lifted flag
     read off the points of an entry built on a join of phi: the points
-    whose least flag is at most phi.  ``verify`` hands it the skew points
-    of the nu from ``_skew_read``."""
+    whose least flag is at most phi (``core.under``).  ``verify`` hands it
+    the skew points of the nu that ``core.read_off`` reads off
+    ``_skew_groups``."""
     least, counts = entry.face
     tri_count, fit = 0, set()
     for flag, number in counts.items():
-        if all(map(le, flag, phi)):
+        if under(flag, phi):
             tri_count += number
             fit.add(flag)
-    return _doubling_check(entry, phi, skew, tri_count, least, fit)
+    return _doubling_check(entry, skew, tri_count, least, fit)
 
 
 def _doubling(lam, mu, gam, nu, phi, skew, limit):
-    """The lifted boundary, the point counts of both polytopes, and whether
-    psi_inverse undoes psi on every skew point and psi maps every skew point
-    into the triangular points, on a boundary that passed ``_lift_input``.
+    """The point counts of the triangular and the skew polytope, and
+    whether psi_inverse undoes psi on every skew point and psi maps every
+    skew point into the triangular points, on a boundary that passed
+    ``_lift_input``; its lifted boundary and flag are ``lift_tilde``'s.
 
     ``skew`` holds the label rows of the skew points, in any order; for
     ``hive-iso`` and the per-tuple oracle of ``verify`` in
@@ -1177,6 +1158,6 @@ def _doubling(lam, mu, gam, nu, phi, skew, limit):
     enumerated here; ``verify`` reads the same face off one entry per (lam,
     mu, gam, nu) instead (``_doubling_read``)."""
     entry = _doubling_entry(lam, mu, gam, nu)
-    tri = list(_lifted_flag(phi)[1].enumerator(entry.runs, limit))
+    tri = list(_tri_polytope(2 * len(phi), _lifted_flag(phi)).enumerator(entry.runs, limit))
     # every point of the compiled face is keyed by the flag itself
-    return _doubling_check(entry, phi, skew, len(tri), dict.fromkeys(tri, phi), {phi})
+    return _doubling_check(entry, skew, len(tri), dict.fromkeys(tri, phi), {phi})

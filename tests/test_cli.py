@@ -35,6 +35,7 @@ from flagged_lr.core import (
     all_flags,
     contains,
     partitions_up_to,
+    read_off,
     subpartitions,
 )
 from flagged_lr.hives import (
@@ -372,17 +373,17 @@ def test_cross_check_counts_hives_once_and_reports_the_mismatch(monkeypatch):
     # one read-off per (lam, mu, gam, phi) gives both the hive table and the
     # skew points of the isomorphism check, so one hive too many shows as a
     # three-way mismatch, not an iso failure
-    monkeypatch.setattr(cli_mod, "_skew_read", _first_point_twice_per_nu(cli_mod._skew_read))
+    _reads_off("_skew_groups", _first_point_twice_per_nu)(monkeypatch)
     report = cross_check(2, 1)
     assert not report["ok"]
     assert report["failure"] == "three-way coefficient mismatch"
     assert report["counts"]["hive"] == report["counts"]["tableau"] + 1
 
 
-def _first_point_twice_per_nu(real):
-    """``hives._skew_read`` with the first point of every nu listed
-    twice."""
-    return lambda *args: {nu: points + points[:1] for nu, points in real(*args).items()}
+def _first_point_twice_per_nu(real, groups, phi, boundary):
+    """The skew points of phi read off ``groups`` with the first point of
+    every nu listed twice."""
+    return {nu: points + points[:1] for nu, points in real(groups, phi).items()}
 
 
 def _first_point_twice(real):
@@ -519,13 +520,12 @@ def _replace_tri_points_at(monkeypatch, nu, quad=STAGGERED_QUAD, points=()):
     lam, mu, gam, phi = quad
     runs = _tri_runs(*lift_tilde(lam, mu, gam, nu, phi)[:3])
     real_doubling, real_read = hives_mod._doubling, cli_mod._doubling_read
-    lifted_flag = hives_mod._lifted_flag
 
     def yielding_points(call, *args):
         # ``call`` with every lifted face enumerating ``points``
         with monkeypatch.context() as m:
-            m.setattr(hives_mod, "_lifted_flag", lambda flag: (
-                lifted_flag(flag)[0], SimpleNamespace(enumerator=lambda *_: iter(points))))
+            m.setattr(hives_mod, "_tri_polytope", lambda *_: SimpleNamespace(
+                enumerator=lambda *_: iter(points)))
             return call(*args)
 
     def doubling(*args):
@@ -543,42 +543,51 @@ def _replace_tri_points_at(monkeypatch, nu, quad=STAGGERED_QUAD, points=()):
     monkeypatch.setattr(cli_mod, "_doubling_read", read)
 
 
-def _corrupt_flag_reads(core, build, corrupt, polynomial=False):
-    """``corrupt(boundary, value)`` on one value of each flag, on both paths:
-    the value of the per-flag ``core``, which the per-tuple loop calls, and
-    cross_check's read-off (``_read_off``) of it from the groups that
-    ``build`` makes on the join.  The boundary ends with the flag; a
-    ``polynomial`` is read off as its terms."""
+def _reads_off(build, read):
+    """cross_check's read-off (``core.read_off``) of each flag's value from
+    the groups that ``build`` makes on the join, F's for
+    ``_filling_groups``, replaced by ``read(real, groups, phi, boundary)``:
+    ``real`` is the read-off in place before, and the boundary is
+    ``build``'s arguments less the join and the limit.  Every other
+    read-off stays."""
     def apply(monkeypatch):
-        real_core, real_build = getattr(cli_mod, core), getattr(cli_mod, build)
-        real_read = cli_mod._read_off
-        # the groups built, by id, each kept with its boundary less the flag
+        real_build, real_read = getattr(cli_mod, build), cli_mod.read_off
+        # the groups built, by id, each kept with its boundary
         built = {}
-
-        def corrupted_core(*args):
-            return corrupt(args[:-1], real_core(*args))
 
         def building(*args):
             groups = real_build(*args)
-            if isinstance(groups, tuple):
-                # _filling_groups: F's groups, then the fillings'
-                built[id(groups[0])] = groups[0], args[:-2]
-            else:
-                built[id(groups)] = groups, args[:-2]
+            first = groups[0] if isinstance(groups, tuple) else groups
+            built[id(first)] = first, args[:-2]
             return groups
 
-        def read(groups, phi):
-            value = real_read(groups, phi)
+        def reading(groups, phi):
             if id(groups) not in built:
-                return value
-            boundary = (*built[id(groups)][1], phi)
-            if polynomial:
-                return corrupt(boundary, IntPolynomial._from_terms(len(phi), value)).terms
-            return corrupt(boundary, value)
+                return real_read(groups, phi)
+            return read(real_read, groups, phi, built[id(groups)][1])
 
-        monkeypatch.setattr(cli_mod, core, corrupted_core)
         monkeypatch.setattr(cli_mod, build, building)
-        monkeypatch.setattr(cli_mod, "_read_off", read)
+        monkeypatch.setattr(cli_mod, "read_off", reading)
+
+    return apply
+
+
+def _corrupt_flag_reads(core, build, corrupt, polynomial=False):
+    """``corrupt(boundary, value)`` on one value of each flag, on both paths:
+    the value of the per-flag ``core``, which the per-tuple loop calls, and
+    cross_check's read-off of it from the groups that ``build`` makes on
+    the join (``_reads_off``).  The boundary ends with the flag; a
+    ``polynomial`` is read off as its terms."""
+    def read(real, groups, phi, boundary):
+        value = real(groups, phi)
+        if polynomial:
+            return corrupt((*boundary, phi), IntPolynomial._from_terms(len(phi), value)).terms
+        return corrupt((*boundary, phi), value)
+
+    def apply(monkeypatch):
+        real_core = getattr(cli_mod, core)
+        monkeypatch.setattr(cli_mod, core, lambda *args: corrupt(args[:-1], real_core(*args)))
+        _reads_off(build, read)(monkeypatch)
 
     return apply
 
@@ -610,9 +619,9 @@ def _corrupt_hives(name, corrupt):
 def _one_extra_hive(monkeypatch):
     # the same corruption on both paths: the per-tuple loop reads its skew
     # points from ``_skew_rows``, cross_check from each flag's read-off of
-    # the join's table (``_skew_read``)
+    # the join's table (``hives._skew_groups``)
     _corrupt_hives("_skew_rows", _first_point_twice)(monkeypatch)
-    _corrupt_cli("_skew_read", _first_point_twice_per_nu)(monkeypatch)
+    _reads_off("_skew_groups", _first_point_twice_per_nu)(monkeypatch)
 
 
 def _tri_early_tableau_late(monkeypatch):
@@ -682,7 +691,8 @@ def _tri_point_twice(monkeypatch):
     # the list counts 2 where the set counts 1
     lam, mu, gam, phi = STAGGERED_QUAD
     lifted = lift_tilde(lam, mu, gam, EARLY_NU, phi)
-    (point,) = hives_mod._lifted_flag(phi)[1].enumerator(_tri_runs(*lifted[:3]), None)
+    poly = hives_mod._tri_polytope(2 * len(phi), lifted[3])
+    (point,) = poly.enumerator(_tri_runs(*lifted[:3]), None)
     _replace_tri_points_at(monkeypatch, EARLY_NU, points=[point, point])
 
 
@@ -719,6 +729,19 @@ def test_a_doubling_entry_from_an_earlier_flag_fails_as_the_oracle(monkeypatch, 
     assert (report["report"]["skew_count"], report["report"]["tri_count"]) == counts
 
 
+def test_only_the_enumerated_lifted_faces_are_compiled(worked_hive):
+    # cross_check enumerates the lifted face of the join of its flags alone,
+    # so it compiles that one triangular polytope, not one per flag; and
+    # hive_iso_report compiles its flag's
+    hives_mod._tri_polytope.cache_clear()
+    assert cross_check(3, 2)["ok"]
+    assert hives_mod._tri_polytope.cache_info().currsize == 1
+    hives_mod._tri_polytope.cache_clear()
+    args = [worked_hive[k] for k in ("lam", "mu", "gam", "nu", "phi")]
+    assert hive_iso_report(*args)["ok"]
+    assert hives_mod._tri_polytope.cache_info().currsize == 1
+
+
 def test_a_lifted_region_one_row_short_fails_the_read_off_alone(monkeypatch):
     # only cross_check reads the least flags: without the lifted triangle's
     # bottom row of rhombi, whose entry is n, no least flag exceeds n - 1 =
@@ -749,7 +772,6 @@ def test_the_join_read_off_equals_each_flags_own_cores(n, max_mu, flags, counts)
     # table is smaller than the join's
     flags = flags or all_flags(n)
     join = tuple(map(max, zip(*flags)))
-    read = cli_mod._read_off
     pairs = smaller = 0
     for mu in partitions_up_to(n, max_mu):
         for gam in subpartitions(mu):
@@ -758,34 +780,41 @@ def test_the_join_read_off_equals_each_flags_own_cores(n, max_mu, flags, counts)
             tables = {lam: _table_groups(lam, mu, gam, join, None) for lam in subpartitions(mu)}
             for phi in flags:
                 skew_schur = flagged_skew_schur(mu, gam, phi)
-                assert IntPolynomial._from_terms(n, read(skew_schurs, phi)) == skew_schur
-                assert set(read(fillings, phi)) == tableau_word_set(mu, gam, phi)
+                assert IntPolynomial._from_terms(n, read_off(skew_schurs, phi)) == skew_schur
+                assert set(read_off(fillings, phi)) == tableau_word_set(mu, gam, phi)
                 for lam, groups in tables.items():
-                    table = read(groups, phi)
+                    table = read_off(groups, phi)
                     assert table == _table_tableaux(lam, mu, gam, phi, None), (lam, mu, gam, phi)
                     demazure = {flag: _antisymmetrize(lam, f) for flag, f in polys.items()}
-                    assert read(demazure, phi) == _antisymmetrize(lam, skew_schur)
+                    assert read_off(demazure, phi) == _antisymmetrize(lam, skew_schur)
                     pairs += 1
-                    smaller += sum(table.values()) < sum(read(groups, join).values())
+                    smaller += sum(table.values()) < sum(read_off(groups, join).values())
     assert (pairs, smaller) == counts
 
 
-@pytest.mark.parametrize("module, name, fault, failure, at", [
+def _flag_ignored_off_the_hives(monkeypatch):
+    # every read-off but that of the skew points takes the join's groups
+    monkeypatch.setattr(cli_mod, "read_off", lambda groups, phi: read_off(groups, (2, 2)))
+    _reads_off("_skew_groups", lambda real, groups, phi, boundary: read_off(groups, phi))(
+        monkeypatch)
+
+
+@pytest.mark.parametrize("corrupt, failure, at", [
     # off each row's leftmost cell F's search puts the filling 1 2 of
     # (2, 0)/(0, 0) under the flag (1, 2); the fillings' own least flags keep
     # it out, so F and the components differ
-    (tableaux_mod, "_greatest_cells", lambda real: lambda mu, gam: list(enumerate(gam)),
+    (lambda m: m.setattr(tableaux_mod, "_greatest_cells", lambda mu, gam: list(enumerate(gam))),
      "decomposition character sum", {"mu": (2, 0), "gam": (0, 0), "phi": (1, 2)}),
     # every flag reads the join's groups: F and the fillings move together,
     # and so do the tableau and Demazure tables, which the hives tell
-    (cli_mod, "_read_off", lambda real: lambda groups, phi: real(groups, (2, 2)),
+    (_flag_ignored_off_the_hives,
      "three-way coefficient mismatch", _query_dict((2, 0), (2, 0), (1, 0), (2, 1), (1, 2), "all")),
 ], ids=["leftmost-cell", "flag-ignored"])
-def test_a_fault_in_the_tableau_read_off_fails_cross_check_alone(monkeypatch, module, name,
-                                                                  fault, failure, at):
+def test_a_fault_in_the_tableau_read_off_fails_cross_check_alone(monkeypatch, corrupt, failure,
+                                                                  at):
     # only cross_check reads the tableau side off the join; the per-tuple
     # loop runs each flag's own cores
-    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    corrupt(monkeypatch)
     report = cross_check(2, 2)
     assert (report["failure"], report["tuple"]) == (failure, at)
     assert cross_check_per_tuple(2, 2)["ok"]
@@ -1064,10 +1093,10 @@ def test_trusted_cores_equal_the_public_routes():
                             if not contains(nu, lam):
                                 continue
                             points = list(_skew_rows(*args, None))
-                            lifted, skew, tri, roundtrip, image_ok = _doubling(*args, points, None)
+                            tri, skew, roundtrip, image_ok = _doubling(*args, points, None)
                             report = hive_iso_report(*args)
                             assert report["lifted"] == dict(zip(("lam", "mu", "nu", "phi"),
-                                                                map(list, lifted)))
+                                                                map(list, lift_tilde(*args))))
                             assert (skew, tri, roundtrip) == (
                                 report["skew_count"], report["tri_count"],
                                 report["roundtrip_identity"])

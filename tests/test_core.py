@@ -10,8 +10,10 @@ from flagged_lr.core import (
     longest_element,
     parse_int_tuple,
     partial_sums,
+    read_off,
     reduced_word,
     sort_to_partition,
+    under,
     validate_flag,
 )
 from oracles import (
@@ -95,6 +97,35 @@ def test_as_partition_rejects_increases():
     with pytest.raises(ValueError):
         as_partition((1, 2))
     assert as_partition((2, 1), 4) == (2, 1, 0, 0)
+
+
+def test_under_compares_entrywise():
+    assert under((0, 2, 3), (1, 2, 3)) and under((1, 2, 3), (1, 2, 3))
+    # above phi in one entry alone, below it in the others
+    assert not under((0, 3, 3), (2, 2, 3))
+    assert under((), ())
+
+
+def test_read_off_sums_the_groups_under_the_flag():
+    phi = (2, 2, 3)
+    counts = {(1, 1, 3): {"a": 1, "b": 2}, (0, 2, 3): {"a": 3}, (0, 3, 3): {"a": 10, "c": 1}}
+    # the last group is above phi in one entry, so it is left out
+    assert read_off(counts, phi) == {"a": 4, "b": 2}
+    # a sum that cancels to 0, as in a Demazure table, is dropped
+    signed = {(1, 1, 3): {"a": 1, "b": -1}, (2, 2, 3): {"b": 1}}
+    assert read_off(signed, phi) == {"a": 1}
+    assert read_off({}, phi) == read_off({(1, 1, 3): {}}, phi) == {}
+
+
+def test_read_off_concatenates_point_lists_and_leaves_the_groups():
+    groups = {(1, 2): {"nu": ["p"], "mu": ["q"]}, (2, 2): {"nu": ["r", "s"], "mu": []}}
+    assert read_off(groups, (2, 2)) == {"nu": ["p", "r", "s"], "mu": ["q"]}
+    # a key that one group alone holds may be that group's own list; the
+    # groups read the same after every read
+    assert read_off(groups, (1, 2)) == {"nu": ["p"], "mu": ["q"]}
+    assert groups == {(1, 2): {"nu": ["p"], "mu": ["q"]}, (2, 2): {"nu": ["r", "s"], "mu": []}}
+    # an empty list is dropped
+    assert read_off({(1, 2): {"nu": []}}, (2, 2)) == {}
 
 
 def test_parse_int_tuple():

@@ -10,7 +10,15 @@ from hypothesis import given, settings, strategies as st
 import flagged_lr.hives as hives_mod
 from conftest import WORKED_HIVE_BOUNDARY, WORKED_HIVE_FLAG, WORKED_HIVE_LABELS, skew_pairs
 from flagged_lr.cli import ROUTES, run_coefficient
-from flagged_lr.core import FlagError, all_flags, contains, partitions_up_to, scale, subpartitions
+from flagged_lr.core import (
+    FlagError,
+    all_flags,
+    contains,
+    partitions_up_to,
+    read_off,
+    scale,
+    subpartitions,
+)
 from flagged_lr.crystal import coefficient_by_tableaux, is_lambda_dominant
 from flagged_lr.hives import (
     HiveValidationError,
@@ -27,7 +35,6 @@ from flagged_lr.hives import (
     _skew_edges,
     _skew_groups,
     _skew_polytope,
-    _skew_read,
     _skew_rhombi,
     _skew_rows,
     _skew_runs,
@@ -811,7 +818,7 @@ def test_a_shared_doubling_entry_gives_each_flag_a_fresh_doubling():
                                 for phi in flags}
                         fresh = {phi: _doubling(lam, mu, gam, nu, phi, skew[phi], None)
                                  for phi in flags}
-                        assert all(d[1] == d[2] and d[3] and d[4] for d in fresh.values())
+                        assert all(d[0] == d[1] and d[2] and d[3] for d in fresh.values())
                         for subset in subsets:
                             join = tuple(map(max, zip(*subset)))
                             for order in (subset, subset[::-1]):
@@ -855,7 +862,7 @@ def test_the_least_flag_read_off_equals_every_compiled_face_census():
                         groups = _skew_groups(lam, mu, gam, join, None)
                         for phi in flags:
                             own = _table_skew_rows(lam, mu, gam, phi, None)
-                            read = _skew_read(groups, phi)
+                            read = read_off(groups, phi)
                             assert read.keys() == own.keys(), (lam, mu, gam, phi)
                             for nu, rows in own.items():
                                 assert Counter(read[nu]) == Counter(rows), (lam, mu, gam, nu, phi)
@@ -870,8 +877,9 @@ def test_the_least_flag_read_off_equals_every_compiled_face_census():
                             least, counts = _doubling_entry(lam, mu, gam, nu, join, None).face
                             assert Counter(least.values()) == counts
                             for phi in flags:
-                                face = list(hives_mod._lifted_flag(phi)[1].enumerator(
-                                    _tri_runs(*lift_tilde(lam, mu, gam, nu, phi)[:3]), None))
+                                lifted = lift_tilde(lam, mu, gam, nu, phi)
+                                face = list(_tri_polytope(2 * n, lifted[3]).enumerator(
+                                    _tri_runs(*lifted[:3]), None))
                                 assert len(set(face)) == len(face)
                                 assert set(face) == {t for t, flag in least.items()
                                                      if all(map(le, flag, phi))}, (
@@ -889,22 +897,21 @@ def test_a_join_point_yielded_twice_counts_twice(monkeypatch):
     flags = all_flags(2)
     skew = {phi: list(_skew_rows(lam, mu, gam, nu, phi, None)) for phi in flags}
     fresh = {phi: _doubling(lam, mu, gam, nu, phi, skew[phi], None) for phi in flags}
-    assert [d[1:3] for d in fresh.values()] == [(1, 1), (1, 1)]
-    real = hives_mod._lifted_flag
+    assert [d[:2] for d in fresh.values()] == [(1, 1), (1, 1)]
+    real = hives_mod._tri_polytope
 
-    def twice(phi):
-        phi_t, poly = real(phi)
-        return phi_t, SimpleNamespace(enumerator=lambda runs, limit: [
+    def twice(big_n, phi):
+        poly = real(big_n, phi)
+        return SimpleNamespace(enumerator=lambda runs, limit: [
             t for t in poly.enumerator(runs, limit) for _ in "ab"])
 
-    monkeypatch.setattr(hives_mod, "_lifted_flag", twice)
+    monkeypatch.setattr(hives_mod, "_tri_polytope", twice)
     entry = _doubling_entry(lam, mu, gam, nu, (2, 2), None)
     least, counts = entry.face
     assert len(least) == 1 and list(counts.values()) == [2]
     for phi in flags:
-        lifted, skew_count, tri_count, roundtrip, inside = fresh[phi]
-        assert _doubling_read(entry, phi, skew[phi]) == (
-            lifted, skew_count, 2, roundtrip, inside)
+        _, skew_count, roundtrip, inside = fresh[phi]
+        assert _doubling_read(entry, phi, skew[phi]) == (2, skew_count, roundtrip, inside)
 
 
 def test_tri_hive_examples():
