@@ -14,9 +14,11 @@ F and one pass over its terms by the Demazure route
 (``polynomials._demazure_table``) and one pass of the hive counter whose
 output nodes are the right column (``hives._table_skew_hives``); for a
 scan, one hive count per dilation k.  ``hive_iso_report`` checks
-its boundary with ``hives._lift_input`` and runs ``hives._doubling`` on
-the points of ``hives._skew_rows``; its report reads the lifted boundary
-off the public ``hives.lift_tilde``, which checks it again.  Only
+its boundary with ``hives._lift_input``, builds the entry of the doubling
+check on its flag (``hives._doubling_entry``) and reads it with the points
+of ``hives._skew_rows`` (``hives._doubling_read``), as ``cross_check``
+does on the join of its flags; its report reads the lifted boundary off
+the public ``hives.lift_tilde``, which checks it again.  Only
 ``crystal-graph``, whose word set takes row bounds, checks the flag in
 ``main``; ``--limit`` caps the letters its enumeration places.
 Every flagged skew Schur polynomial F comes from the counting search
@@ -36,7 +38,8 @@ mu, gam, nu) the lifted face, in the entry of the doubling check
 (``hives._doubling_entry``).  Each flag reads its own off the groups with
 ``core.read_off``: the skew hives' counts are its hive table, and their
 points per nu go to the doubling check of each nu that contains lam
-(``hives._doubling_read``).  The per-flag cores stay the oracles.
+(``hives._doubling_read``).  The per-flag cores, and for the lifted face
+the compiled face of each flag in ``tests/oracles.py``, stay the oracles.
 ``cross_check`` judges the result by the same rule as ``hive_iso_report``
 (``_iso_ok``) and builds the full report from that result only for a tuple
 that fails.
@@ -78,7 +81,6 @@ from .crystal import (
 )
 from .hives import (
     _count_skew_hives,
-    _doubling,
     _doubling_entry,
     _doubling_read,
     _lift_input,
@@ -250,23 +252,24 @@ def _character_sum_matches(components, skew_schur) -> bool:
 
 def hive_iso_report(lam, mu, gam, nu, phi, limit=None):
     """Counts on both sides of the doubling map plus the exact roundtrip."""
-    boundary = _lift_input(lam, mu, gam, nu, phi)
-    skew = list(_skew_rows(*boundary, limit))
-    return _iso_report(*boundary, _doubling(*boundary, skew, limit))
+    lam, mu, gam, nu, phi = _lift_input(lam, mu, gam, nu, phi)
+    skew = list(_skew_rows(lam, mu, gam, nu, phi, limit))
+    entry = _doubling_entry(lam, mu, gam, nu, phi, limit)
+    return _iso_report(lam, mu, gam, nu, phi, _doubling_read(entry, phi, skew))
 
 
 def _iso_ok(doubling):
-    """Whether a ``hives._doubling`` result passes: equal counts, the
+    """Whether a ``hives._doubling_read`` result passes: equal counts, the
     roundtrip, and every image among the triangular points."""
-    tri_count, skew_count, roundtrip, image_ok = doubling
-    return skew_count == tri_count and roundtrip and image_ok
+    tri_count, skew_count, roundtrip, inside = doubling
+    return skew_count == tri_count and roundtrip and inside
 
 
 def _iso_report(lam, mu, gam, nu, phi, doubling):
-    """``hive_iso_report`` built from the ``hives._doubling`` result of the
-    tuple, with its lifted boundary and flag (``lift_tilde``)."""
+    """``hive_iso_report`` built from the ``hives._doubling_read`` result
+    of the tuple, with its lifted boundary and flag (``lift_tilde``)."""
     lam_t, mu_t, nu_t, phi_t = lift_tilde(lam, mu, gam, nu, phi)
-    tri_count, skew_count, roundtrip, _ = doubling
+    tri_count, skew_count, roundtrip, inside = doubling
     return {
         "query": _query_dict(lam, mu, gam, nu, phi, "hive"),
         "lifted": {

@@ -47,36 +47,33 @@ table directly, without generated code, lives in ``tests/oracles.py``,
 which gates the kernels against it.
 
 The doubling map psi and its inverse work on rows of labels; the public
-``psi``/``psi_inverse`` wrap them in hive objects.  The isomorphism check
-behind ``flagged-lr hive-iso`` (``_doubling``) and ``verify``
-(``_doubling_read``) takes the points of both polytopes as raw label rows.
-Its caller hands it the skew points: ``hive-iso`` those of its one nu
-(``_skew_rows``), ``verify`` those of each nu that a flag reads off one
-pass of the enumerator of the table polytope, grouped by the nu read off
-the right column (``_table_skew_rows``).  One step (``_doubling_check``)
-counts the triangular points of the flag, maps each skew point by psi and
-back, and looks its image up among them; the two differ only in where the
-triangular points come from.  A triangular polytope is compiled only for
-the lifted flag (``_lifted_flag``) whose face is enumerated: ``hive-iso``
-enumerates that of its flag.  ``verify`` builds one entry per (lam, mu,
-gam, nu) (``_doubling_entry``): the lifted boundary, its runs, the top n
-rows of every image, each skew point's image and roundtrip, and the
-points of the lifted face of the join of its flags (their entrywise
-maximum; the classical triangle for all flags).
+``psi``/``psi_inverse`` wrap them in hive objects.  One isomorphism check
+serves ``flagged-lr hive-iso`` and ``verify``: an entry per (lam, mu, gam,
+nu) (``_doubling_entry``) enumerates the lifted face of a flag (the Kogan
+face of its lifted flag, ``_lifted_flag``), and ``_doubling_read`` reads
+off it the face of each flag at most that one, maps each skew point by
+psi and back, and looks its image up on that face.  ``hive-iso`` builds
+the entry on its own flag and hands it the skew points of its one nu
+(``_skew_rows``); ``verify`` builds it on the join of its flags (their
+entrywise maximum; the classical triangle for all flags), which is the
+only triangular polytope it compiles, and hands each flag the skew points
+of each nu that the flag reads off ``_skew_groups``.  The entry keeps the
+runs of the lifted boundary, the top n rows of every image, each skew
+point's image and roundtrip, and the lifted points by least flag.
 
-``verify`` reads every flag's face, on both sides, off the points of the
-join's face by their least flag (``_least_flag``): per column j, the
-least phi_j that the point's nonzero NE rhombi allow.  On the skew side
-that is the lowest row i with a nonzero NE_{ij}, since the flat region of
-phi is the rows below phi_j; on the lifted side it is that row less n - 1,
-for j <= n, since psi moves skew row i to row n + i.  A point of the
-join's face lies on the face of phi exactly when its least flag is at
-most phi (``core.under``).  So the table of the join is enumerated once
-per (lam, mu, gam), its points grouped by least flag and nu
-(``_skew_groups``), for ``core.read_off``; the entry keeps each lifted
-point's least flag and the count per least flag, and ``_doubling_read``
-selects by them.  The compiled faces, ``_table_skew_rows`` and
-``_doubling`` of each flag, are their test oracle.
+A flag's face, on both sides, is read off the points of a larger flag's
+face by their least flag (``_least_flag``): per column j, the least phi_j
+that the point's nonzero NE rhombi allow.  On the skew side that is the
+lowest row i with a nonzero NE_{ij}, since the flat region of phi is the
+rows below phi_j; on the lifted side it is that row less n - 1, for j <=
+n, since psi moves skew row i to row n + i.  A point of the larger face
+lies on the face of phi exactly when its least flag is at most phi
+(``core.under``).  So ``verify`` enumerates the table polytope of the join
+once per (lam, mu, gam), its points grouped by least flag and by the nu
+read off the right column (``_skew_groups``), for ``core.read_off``; the
+entry keeps each lifted point's least flag and the count per least flag,
+and ``_doubling_read`` selects by them.  The compiled faces of each flag,
+enumerated apart, are their test oracle in ``tests/oracles.py``.
 
 Input is checked at the public functions and trusted below them.  Every
 public function that takes a flag requires one and checks its partitions
@@ -86,9 +83,9 @@ The full flag (n, ..., n) has an empty flat region and Kogan face, so it
 compiles to the unflagged polytope.  ``count_skew_hive_points`` and
 ``enumerate_skew_hive_points`` then run ``_count_skew_hives`` and
 ``_skew_rows``, and ``table --method hive`` runs ``_table_skew_hives`` on
-the boundary ``cli.run_coefficient`` checked; ``_doubling`` runs on a
-boundary that passed ``_lift_input``, which also needs gam inside mu, lam
-inside nu and equal weights.  ``skew_hive_boundary`` and
+the boundary ``cli.run_coefficient`` checked; ``_doubling_entry`` runs
+on a boundary that passed ``_lift_input``, which also needs gam inside
+mu, lam inside nu and equal weights.  ``skew_hive_boundary`` and
 ``tri_hive_boundary``, which the hive checks read, are the same edges and
 runs as a dict from node to label.
 
@@ -817,34 +814,24 @@ def _table_skew_hives(lam, mu, gam, phi, limit):
     return table
 
 
-def _table_skew_rows(lam, mu, gam, phi, limit):
-    """The skew hives of every nu of a checked boundary, as a dict from nu
-    to the label rows of its points, from one pass of the enumerator of
-    ``_skew_table_polytope``; ``limit`` counts the labels tried for every
-    nu together.  Each point's nu is read off its right column, as in
-    ``_table_skew_hives``, so the dict holds the nonzero nu only, and the
-    rows of each nu are those of ``_skew_rows`` in another order."""
+def _skew_groups(lam, mu, gam, join, limit):
+    """The skew hives of every nu of a checked boundary on the face of the
+    flag ``join``, from one pass of the enumerator of
+    ``_skew_table_polytope``, as a dict from least flag (``_least_flag``)
+    to a dict from nu to label rows; ``limit`` counts the labels tried for
+    every nu together.  Each point's nu is read off its right column, as in
+    ``_table_skew_hives``, once per distinct column, so only the nonzero nu
+    appear.  ``core.read_off`` reads off it each flag at most ``join`` its
+    own table: per nu, the rows of ``_skew_rows`` in another order."""
     n = len(lam)
-    poly = _skew_table_polytope(n, phi)
-    by_column = {}
+    poly = _skew_table_polytope(n, join)
+    columns, nus, groups = _flag_rhombi(n, False), {}, {}
     for rows in poly.enumerator(_skew_table_runs(lam, mu, gam), limit):
         column = tuple([r[n] for r in rows])
-        if column in by_column:
-            by_column[column].append(rows)
-        else:
-            by_column[column] = [rows]
-    return {tuple(b - a for a, b in zip(column, column[1:])): points
-            for column, points in by_column.items()}
-
-
-def _skew_groups(lam, mu, gam, join, limit):
-    """``_table_skew_rows`` of the flag ``join`` as a dict from least flag
-    (``_least_flag``) to a dict from nu to label rows, off which
-    ``core.read_off`` reads each flag at most ``join`` its own table."""
-    columns, groups = _flag_rhombi(len(lam), False), {}
-    for nu, points in _table_skew_rows(lam, mu, gam, join, limit).items():
-        for rows in points:
-            groups.setdefault(_least_flag(rows, columns), {}).setdefault(nu, []).append(rows)
+        nu = nus.get(column)
+        if nu is None:
+            nu = nus[column] = tuple(b - a for a, b in zip(column, column[1:]))
+        groups.setdefault(_least_flag(rows, columns), {}).setdefault(nu, []).append(rows)
     return groups
 
 
@@ -1023,37 +1010,38 @@ def _least_flag(rows, columns):
     return tuple(least)
 
 
-_DoublingEntry = namedtuple("_DoublingEntry", "lifted runs nu1 head images face")
+def _lifted(lam, mu, gam, nu):
+    """The lifted boundary (lam~, mu~, nu~) of ``lift_tilde``."""
+    n, nu1 = len(lam), nu[0] if nu else 0
+    return (nu1,) * n + lam, mu + (0,) * n, tuple([nu1 + g for g in gam]) + nu
 
 
-def _doubling_entry(lam, mu, gam, nu, join=None, limit=None):
+_DoublingEntry = namedtuple("_DoublingEntry", "runs nu1 head images face")
+
+
+def _doubling_entry(lam, mu, gam, nu, join, limit):
     """The entry of the doubling check of (lam, mu, gam, nu), on input
-    that passed ``_lift_input``: the lifted boundary (lam~, mu~, nu~), its
-    triangular runs, nu_1, the head of the images under psi, a dict, empty
-    at first, from a skew point's label rows to its image and whether
-    ``_psi_inverse_rows`` gives the rows back, and ``face``.  psi and
-    psi_inverse read only the rows, gam and nu_1, so one entry serves every
-    flag.
+    that passed ``_lift_input``, for every flag at most ``join``: the
+    triangular runs of the lifted boundary (``_lifted``), nu_1, the head
+    of the images under psi, a dict, empty at first, from a skew point's
+    label rows to its image and whether ``_psi_inverse_rows`` gives the
+    rows back, and ``face``.  psi and psi_inverse read only the rows, gam
+    and nu_1, so one entry serves every flag.
 
-    Given a flag ``join``, ``face`` holds the points of the lifted face of
-    ``join``, compiled and enumerated here under ``limit``: a dict from
-    each point's label rows to its least flag (``_least_flag``), and a dict
-    from each least flag to the number of points yielded with it, so a
-    point yielded twice counts twice; it is None without one.  When ``join`` is the join
-    of the flags under check (their entrywise maximum), each of them reads
-    its own face off these points (``_doubling_read``)."""
+    ``face`` holds the points of the lifted face of ``join``, compiled and
+    enumerated here under ``limit``: a dict from each point's label rows to
+    its least flag (``_least_flag``), and a dict from each least flag to
+    the number of points yielded with it, so a point yielded twice counts
+    twice.  Each flag reads its own face off these points
+    (``_doubling_read``)."""
     n = len(lam)
     nu1 = nu[0] if nu else 0
-    lifted = (nu1,) * n + lam, mu + (0,) * n, tuple([nu1 + g for g in gam]) + nu
-    runs = _tri_runs(*lifted)
-    face = None
-    if join is not None:
-        columns, least, counts = _flag_rhombi(n, True), {}, {}
-        for t in _tri_polytope(2 * n, _lifted_flag(join)).enumerator(runs, limit):
-            flag = least[t] = _least_flag(t, columns)
-            counts[flag] = counts.get(flag, 0) + 1
-        face = least, counts
-    return _DoublingEntry(lifted, runs, nu1, _psi_head(gam, nu1), {}, face)
+    runs = _tri_runs(*_lifted(lam, mu, gam, nu))
+    columns, least, counts = _flag_rhombi(n, True), {}, {}
+    for t in _tri_polytope(2 * n, _lifted_flag(join)).enumerator(runs, limit):
+        flag = least[t] = _least_flag(t, columns)
+        counts[flag] = counts.get(flag, 0) + 1
+    return _DoublingEntry(runs, nu1, _psi_head(gam, nu1), {}, (least, counts))
 
 
 def lift_tilde(lam, mu, gam, nu, phi):
@@ -1063,7 +1051,7 @@ def lift_tilde(lam, mu, gam, nu, phi):
     copies of 2n, which imposes no flatness beyond the image of the skew
     flat region."""
     lam, mu, gam, nu, phi = _lift_input(lam, mu, gam, nu, phi)
-    return (*_doubling_entry(lam, mu, gam, nu).lifted, _lifted_flag(phi))
+    return (*_lifted(lam, mu, gam, nu), _lifted_flag(phi))
 
 
 @lru_cache(maxsize=256)
@@ -1111,14 +1099,26 @@ def psi_inverse(t: TriHive) -> SkewHive:
     return SkewHive(_psi_inverse_rows(t.rows))
 
 
-def _doubling_check(entry, skew, tri_count, face, fit):
-    """The ``_doubling`` result of a flag, from a ``_doubling_entry`` of
-    its (lam, mu, gam, nu), the skew points and the Kogan face of the
-    lifted flag: the number of its points, ``face``, a dict from label rows
-    to a key, and ``fit``, the keys of that face's points.  Every skew
-    point's image must be one of them.  A skew point is mapped by psi and
-    back only the first time the entry meets it."""
-    _, _, nu1, head, images, _ = entry
+def _doubling_read(entry, phi, skew):
+    """The doubling check of the flag phi, from a ``_doubling_entry`` of
+    its (lam, mu, gam, nu) built on a join of phi and the label rows of the
+    skew points, in any order: the number of points of the Kogan face of
+    the lifted flag, the number of skew points, whether psi_inverse undoes
+    psi on every skew point, and whether psi maps every skew point onto
+    that face, as ``(tri_count, skew_count, roundtrip, inside)``.
+
+    The face is read off the entry's points: those whose least flag is at
+    most phi (``core.under``).  A skew point is mapped by psi and back only
+    the first time the entry meets it.  ``hive-iso`` builds the entry on
+    phi itself and hands it the points of ``_skew_rows``; ``verify`` builds
+    it on the join of its flags and hands it the skew points of the nu that
+    ``core.read_off`` reads off ``_skew_groups``."""
+    _, nu1, head, images, (least, counts) = entry
+    tri_count, fit = 0, set()
+    for flag, number in counts.items():
+        if under(flag, phi):
+            tri_count += number
+            fit.add(flag)
     roundtrip, inside = True, True
     for rows in skew:
         if rows not in images:
@@ -1126,38 +1126,5 @@ def _doubling_check(entry, skew, tri_count, face, fit):
             images[rows] = image, _psi_inverse_rows(image) == rows
         image, back = images[rows]
         roundtrip &= back
-        inside &= face.get(image) in fit
+        inside &= least.get(image) in fit
     return tri_count, len(skew), roundtrip, inside
-
-
-def _doubling_read(entry, phi, skew):
-    """``_doubling`` of the flag phi, with the Kogan face of its lifted flag
-    read off the points of an entry built on a join of phi: the points
-    whose least flag is at most phi (``core.under``).  ``verify`` hands it
-    the skew points of the nu that ``core.read_off`` reads off
-    ``_skew_groups``."""
-    least, counts = entry.face
-    tri_count, fit = 0, set()
-    for flag, number in counts.items():
-        if under(flag, phi):
-            tri_count += number
-            fit.add(flag)
-    return _doubling_check(entry, skew, tri_count, least, fit)
-
-
-def _doubling(lam, mu, gam, nu, phi, skew, limit):
-    """The point counts of the triangular and the skew polytope, and
-    whether psi_inverse undoes psi on every skew point and psi maps every
-    skew point into the triangular points, on a boundary that passed
-    ``_lift_input``; its lifted boundary and flag are ``lift_tilde``'s.
-
-    ``skew`` holds the label rows of the skew points, in any order; for
-    ``hive-iso`` and the per-tuple oracle of ``verify`` in
-    ``tests/oracles.py`` they are ``_skew_rows`` of the tuple.  The
-    triangular points are the compiled Kogan face of the lifted flag,
-    enumerated here; ``verify`` reads the same face off one entry per (lam,
-    mu, gam, nu) instead (``_doubling_read``)."""
-    entry = _doubling_entry(lam, mu, gam, nu)
-    tri = list(_tri_polytope(2 * len(phi), _lifted_flag(phi)).enumerator(entry.runs, limit))
-    # every point of the compiled face is keyed by the flag itself
-    return _doubling_check(entry, skew, len(tri), dict.fromkeys(tri, phi), {phi})

@@ -632,6 +632,23 @@ def hive_iso_report_by_objects(lam, mu, gam, nu, phi, limit=None):
     }
 
 
+def doubling_by_compiled_face(lam, mu, gam, nu, phi, skew, limit):
+    """``hives._doubling_read`` of the flag phi with the triangular points
+    the compiled Kogan face of its own lifted flag, enumerated apart, not
+    read off a larger face by least flag; ``skew`` holds the label rows of
+    the skew points.  The polytope and the maps are read through
+    ``flagged_lr.hives``, so a test that patches one there reaches this
+    too."""
+    lam_t, mu_t, nu_t, phi_t = lift_tilde(lam, mu, gam, nu, phi)
+    runs = _tri_runs(lam_t, mu_t, nu_t)
+    tri = list(hives._tri_polytope(len(lam_t), phi_t).enumerator(runs, limit))
+    nu1 = nu[0] if nu else 0
+    head = hives._psi_head(gam, nu1)
+    images = [hives._psi_rows(rows, head, nu1) for rows in skew]
+    roundtrip = all(hives._psi_inverse_rows(t) == rows for t, rows in zip(images, skew))
+    return len(tri), len(skew), roundtrip, set(images) <= set(tri)
+
+
 def scale_labels(rows, k: int):
     """Dilate a labelling by the stretch factor k."""
     return tuple(tuple(k * v for v in r) for r in rows)
@@ -909,7 +926,8 @@ def insertion_decomposition_by_burge(mu, gam, phi):
 def cross_check_per_tuple(n, max_mu, flags=None, limit=cli.DEFAULT_LIMIT, echo=None):
     """``cli.cross_check`` one (lam, mu, gam, nu, phi) at a time: the hive
     count of each candidate nu is its own, from the skew points of
-    ``hives._skew_rows`` that the doubling check maps where nu contains lam,
+    ``hives._skew_rows`` that the doubling check on the flag's own compiled
+    lifted face (``doubling_by_compiled_face``) maps where nu contains lam,
     else from ``hives._count_skew_hives``, and the three counts are compared
     nu by nu, with F, the fillings and the tableau table of each flag its
     own.  The shared cores are read through their modules, so a test that
@@ -943,8 +961,9 @@ def cross_check_per_tuple(n, max_mu, flags=None, limit=cli.DEFAULT_LIMIT, echo=N
                         doubling = None
                         if contains(nu, lam):
                             skew = list(hives._skew_rows(lam, mu, gam, nu, phi, limit))
-                            doubling = hives._doubling(lam, mu, gam, nu, phi, skew, limit)
-                            hive = doubling[1]
+                            doubling = doubling_by_compiled_face(lam, mu, gam, nu, phi, skew,
+                                                                 limit)
+                            tri_count, hive, roundtrip, inside = doubling
                         else:
                             hive = hives._count_skew_hives(lam, mu, gam, nu, phi, limit)
                         got = {

@@ -40,7 +40,6 @@ from flagged_lr.core import (
 )
 from flagged_lr.hives import (
     _count_skew_hives,
-    _doubling,
     _skew_rows,
     _tri_runs,
     check_skew_hive,
@@ -64,11 +63,13 @@ from flagged_lr.polynomials import (
     flagged_skew_schur,
 )
 from flagged_lr.tableaux import SkewShape, enumerate_tableaux
+import oracles
 from oracles import (
     _nu_candidates,
     coefficient_table_by_hives_per_nu,
     coefficient_table_by_tableaux_per_nu,
     cross_check_per_tuple,
+    doubling_by_compiled_face,
     hive_iso_report_by_objects,
     psi_by_objects,
     psi_inverse_by_objects,
@@ -513,13 +514,13 @@ FLAGGED_QUAD = ((1, 0), (1, 0), (0, 0), (1, 2))
 def _replace_tri_points_at(monkeypatch, nu, quad=STAGGERED_QUAD, points=()):
     """The face of the lifted flag of ``quad`` at ``nu`` holds ``points``
     instead of its own: the compiled face that the oracle's
-    ``hives._doubling`` enumerates yields them, and cross_check's read-off
-    of that flag reads the face of an entry built on the flag from them in
-    place of the join's, so each point whose least flag is at most the
-    flag's is on both faces."""
+    ``doubling_by_compiled_face`` enumerates yields them, and cross_check's
+    read-off of that flag reads the face of an entry built on the flag from
+    them in place of the join's, so each point whose least flag is at most
+    the flag's is on both faces."""
     lam, mu, gam, phi = quad
     runs = _tri_runs(*lift_tilde(lam, mu, gam, nu, phi)[:3])
-    real_doubling, real_read = hives_mod._doubling, cli_mod._doubling_read
+    real_doubling, real_read = oracles.doubling_by_compiled_face, cli_mod._doubling_read
 
     def yielding_points(call, *args):
         # ``call`` with every lifted face enumerating ``points``
@@ -539,7 +540,7 @@ def _replace_tri_points_at(monkeypatch, nu, quad=STAGGERED_QUAD, points=()):
                 hives_mod._doubling_entry, lam, mu, gam, nu, phi, None).face)
         return real_read(entry, flag, skew)
 
-    monkeypatch.setattr(hives_mod, "_doubling", doubling)
+    monkeypatch.setattr(oracles, "doubling_by_compiled_face", doubling)
     monkeypatch.setattr(cli_mod, "_doubling_read", read)
 
 
@@ -755,6 +756,27 @@ def test_a_lifted_region_one_row_short_fails_the_read_off_alone(monkeypatch):
     assert report["tuple"] == _query_dict((2, 0), (2, 0), (1, 0), (2, 1), (1, 2), "all")
     assert (report["report"]["skew_count"], report["report"]["tri_count"]) == (0, 1)
     assert cross_check_per_tuple(2, 2)["ok"]
+
+
+def test_a_least_flag_fault_on_the_lifted_side_fails_hive_iso(monkeypatch, worked_hive):
+    # hive_iso_report reads its flag's face off the lifted points by least
+    # flag too: with the first entry of every lifted least flag one higher,
+    # the worked example's point of least flag (2, 2, 3, 4) leaves the face
+    # of (2, 2, 3, 4), so one skew point's image is missed
+    real = hives_mod._least_flag
+
+    def raised(rows, columns):
+        least = real(rows, columns)
+        if len(rows) == 2 * len(columns) + 1:
+            least = (least[0] + 1, *least[1:])
+        return least
+
+    args = [worked_hive[k] for k in ("lam", "mu", "gam", "nu", "phi")]
+    monkeypatch.setattr(hives_mod, "_least_flag", raised)
+    report = hive_iso_report(*args)
+    assert report["ok"] is False
+    assert (report["skew_count"], report["tri_count"]) == (3, 2)
+    assert report["roundtrip_identity"] is True
 
 
 @pytest.mark.parametrize("n, max_mu, flags, counts", [
@@ -1093,13 +1115,14 @@ def test_trusted_cores_equal_the_public_routes():
                             if not contains(nu, lam):
                                 continue
                             points = list(_skew_rows(*args, None))
-                            tri, skew, roundtrip, image_ok = _doubling(*args, points, None)
+                            tri, skew, roundtrip, inside = doubling_by_compiled_face(
+                                *args, points, None)
                             report = hive_iso_report(*args)
                             assert report["lifted"] == dict(zip(("lam", "mu", "nu", "phi"),
                                                                 map(list, lift_tilde(*args))))
                             assert (skew, tri, roundtrip) == (
                                 report["skew_count"], report["tri_count"],
                                 report["roundtrip_identity"])
-                            assert report["ok"] and image_ok, args
+                            assert report["ok"] and inside, args
                             iso += 1
     assert (tables, tuples, iso) == (638, 1616, 1322)

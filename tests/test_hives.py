@@ -27,7 +27,6 @@ from flagged_lr.hives import (
     SkewHive,
     TriHive,
     _compile,
-    _doubling,
     _doubling_entry,
     _doubling_read,
     _gt_polytope,
@@ -41,7 +40,6 @@ from flagged_lr.hives import (
     _skew_table_polytope,
     _skew_table_runs,
     _table_skew_hives,
-    _table_skew_rows,
     _tri_edges,
     _tri_polytope,
     _tri_rhombi,
@@ -75,6 +73,7 @@ from flagged_lr.tableaux import (
 from oracles import (
     _nu_candidates,
     coefficient_table_by_hives_per_nu,
+    doubling_by_compiled_face,
     engine_count,
     engine_labels,
     engine_points,
@@ -500,7 +499,7 @@ def test_grouped_table_points_equal_the_per_nu_enumeration_census():
     # right column, gives each candidate nu the points of its own polytope
     quads = tuples = points = 0
     for lam, mu, gam, phi in _grouped_quads():
-        grouped = _table_skew_rows(lam, mu, gam, phi, None)
+        grouped = read_off(_skew_groups(lam, mu, gam, phi, None), phi)
         candidates = _nu_candidates(lam, mu, gam, len(mu))
         assert set(grouped) <= set(candidates), (lam, mu, gam, phi)
         assert all(grouped.values()), (lam, mu, gam, phi)
@@ -802,8 +801,8 @@ def test_a_shared_doubling_entry_gives_each_flag_a_fresh_doubling():
     # every (lam, mu, gam, phi) of cross_check(n, 3), n <= 3, and each
     # candidate nu containing lam: one entry on the join of the flags,
     # shared by every flag in either order, reads off each flag the result
-    # of a fresh _doubling; at n = 3 also for the flags (1,2,3) and (2,2,3),
-    # whose join (2,2,3) is not the full flag
+    # of the doubling check on its own compiled face; at n = 3 also for the
+    # flags (1,2,3) and (2,2,3), whose join (2,2,3) is not the full flag
     boundaries = tuples = subset_tuples = smaller_joins = 0
     for n in range(4):
         flags = all_flags(n)
@@ -816,9 +815,11 @@ def test_a_shared_doubling_entry_gives_each_flag_a_fresh_doubling():
                             continue
                         skew = {phi: list(_skew_rows(lam, mu, gam, nu, phi, None))
                                 for phi in flags}
-                        fresh = {phi: _doubling(lam, mu, gam, nu, phi, skew[phi], None)
+                        fresh = {phi: doubling_by_compiled_face(lam, mu, gam, nu, phi,
+                                                                skew[phi], None)
                                  for phi in flags}
-                        assert all(d[0] == d[1] and d[2] and d[3] for d in fresh.values())
+                        for tri_count, skew_count, roundtrip, inside in fresh.values():
+                            assert tri_count == skew_count and roundtrip and inside
                         for subset in subsets:
                             join = tuple(map(max, zip(*subset)))
                             for order in (subset, subset[::-1]):
@@ -845,6 +846,14 @@ def _census_flags(n):
     return [all_flags(n)] + [[(1, 2, 3), (2, 2, 3)]] * (n == 3)
 
 
+def _own_table(lam, mu, gam, phi):
+    """The skew hives of every nu on the face of phi, off the enumeration of
+    its own table polytope, as a dict from nu to the multiset of their
+    label rows."""
+    return {nu: Counter(rows)
+            for nu, rows in read_off(_skew_groups(lam, mu, gam, phi, None), phi).items()}
+
+
 def test_the_least_flag_read_off_equals_every_compiled_face_census():
     # for every (lam, mu, gam) of cross_check(n, 4), n <= 3, and of
     # cross_check(4, 3), and each flag list: the skew hives of every nu of
@@ -860,14 +869,15 @@ def test_the_least_flag_read_off_equals_every_compiled_face_census():
                     for flags in _census_flags(n):
                         join = tuple(map(max, zip(*flags)))
                         groups = _skew_groups(lam, mu, gam, join, None)
+                        whole = _own_table(lam, mu, gam, join)
                         for phi in flags:
-                            own = _table_skew_rows(lam, mu, gam, phi, None)
+                            own = _own_table(lam, mu, gam, phi)
                             read = read_off(groups, phi)
                             assert read.keys() == own.keys(), (lam, mu, gam, phi)
                             for nu, rows in own.items():
-                                assert Counter(read[nu]) == Counter(rows), (lam, mu, gam, nu, phi)
-                                points += len(rows)
-                            skew_cut += own != _table_skew_rows(lam, mu, gam, join, None)
+                                assert Counter(read[nu]) == rows, (lam, mu, gam, nu, phi)
+                                points += rows.total()
+                            skew_cut += own != whole
                             skew_pairs += 1
                         if n == 4:
                             continue
@@ -896,8 +906,10 @@ def test_a_join_point_yielded_twice_counts_twice(monkeypatch):
     lam, mu, gam, nu = (1, 0), (1, 0), (0, 0), (2, 0)
     flags = all_flags(2)
     skew = {phi: list(_skew_rows(lam, mu, gam, nu, phi, None)) for phi in flags}
-    fresh = {phi: _doubling(lam, mu, gam, nu, phi, skew[phi], None) for phi in flags}
-    assert [d[:2] for d in fresh.values()] == [(1, 1), (1, 1)]
+    fresh = {phi: doubling_by_compiled_face(lam, mu, gam, nu, phi, skew[phi], None)
+             for phi in flags}
+    for tri_count, skew_count, roundtrip, inside in fresh.values():
+        assert (tri_count, skew_count) == (1, 1)
     real = hives_mod._tri_polytope
 
     def twice(big_n, phi):
