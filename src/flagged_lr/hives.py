@@ -57,9 +57,9 @@ the entry on its own flag and hands it the skew points of its one nu
 (``_skew_rows``); ``verify`` builds it on the join of its flags (their
 entrywise maximum; the classical triangle for all flags), which is the
 only triangular polytope it compiles, and hands each flag the skew points
-of each nu that the flag reads off ``_skew_groups``.  The entry keeps the
-runs of the lifted boundary, the top n rows of every image, each skew
-point's image and roundtrip, and the lifted points by least flag.
+of each nu that the flag reads off ``_skew_groups``.  The entry keeps
+nu_1, the top n rows of every image, each skew point's image and
+roundtrip, and the lifted points by least flag.
 
 A flag's face, on both sides, is read off the points of a larger flag's
 face by their least flag (``_least_flag``): per column j, the least phi_j
@@ -1016,22 +1016,22 @@ def _lifted(lam, mu, gam, nu):
     return (nu1,) * n + lam, mu + (0,) * n, tuple([nu1 + g for g in gam]) + nu
 
 
-_DoublingEntry = namedtuple("_DoublingEntry", "runs nu1 head images face")
+_DoublingEntry = namedtuple("_DoublingEntry", "nu1 head images face")
 
 
 def _doubling_entry(lam, mu, gam, nu, join, limit):
     """The entry of the doubling check of (lam, mu, gam, nu), on input
-    that passed ``_lift_input``, for every flag at most ``join``: the
-    triangular runs of the lifted boundary (``_lifted``), nu_1, the head
-    of the images under psi, a dict, empty at first, from a skew point's
-    label rows to its image and whether ``_psi_inverse_rows`` gives the
-    rows back, and ``face``.  psi and psi_inverse read only the rows, gam
-    and nu_1, so one entry serves every flag.
+    that passed ``_lift_input``, for every flag at most ``join``: nu_1,
+    the head of the images under psi, a dict, empty at first, from a skew
+    point's label rows to its image and whether ``_psi_inverse_rows``
+    gives the rows back, and ``face``.  psi and psi_inverse read only the
+    rows, gam and nu_1, so one entry serves every flag.
 
     ``face`` holds the points of the lifted face of ``join``, compiled and
-    enumerated here under ``limit``: a dict from each point's label rows to
-    its least flag (``_least_flag``), and a dict from each least flag to
-    the number of points yielded with it, so a point yielded twice counts
+    enumerated here under ``limit`` on the triangular runs of the lifted
+    boundary (``_lifted``): a dict from each point's label rows to its
+    least flag (``_least_flag``), and a dict from each least flag to the
+    number of points yielded with it, so a point yielded twice counts
     twice.  Each flag reads its own face off these points
     (``_doubling_read``)."""
     n = len(lam)
@@ -1041,7 +1041,7 @@ def _doubling_entry(lam, mu, gam, nu, join, limit):
     for t in _tri_polytope(2 * n, _lifted_flag(join)).enumerator(runs, limit):
         flag = least[t] = _least_flag(t, columns)
         counts[flag] = counts.get(flag, 0) + 1
-    return _DoublingEntry(runs, nu1, _psi_head(gam, nu1), {}, (least, counts))
+    return _DoublingEntry(nu1, _psi_head(gam, nu1), {}, (least, counts))
 
 
 def lift_tilde(lam, mu, gam, nu, phi):
@@ -1113,7 +1113,7 @@ def _doubling_read(entry, phi, skew):
     phi itself and hands it the points of ``_skew_rows``; ``verify`` builds
     it on the join of its flags and hands it the skew points of the nu that
     ``core.read_off`` reads off ``_skew_groups``."""
-    _, nu1, head, images, (least, counts) = entry
+    nu1, head, images, (least, counts) = entry
     tri_count, fit = 0, set()
     for flag, number in counts.items():
         if under(flag, phi):

@@ -519,8 +519,10 @@ def _replace_tri_points_at(monkeypatch, nu, quad=STAGGERED_QUAD, points=()):
     them in place of the join's, so each point whose least flag is at most
     the flag's is on both faces."""
     lam, mu, gam, phi = quad
-    runs = _tri_runs(*lift_tilde(lam, mu, gam, nu, phi)[:3])
-    real_doubling, real_read = oracles.doubling_by_compiled_face, cli_mod._doubling_read
+    real_doubling = oracles.doubling_by_compiled_face
+    real_entry, real_read = cli_mod._doubling_entry, cli_mod._doubling_read
+    # the entries cross_check builds on (lam, mu, gam, nu), by id
+    ours = {}
 
     def yielding_points(call, *args):
         # ``call`` with every lifted face enumerating ``points``
@@ -534,13 +536,20 @@ def _replace_tri_points_at(monkeypatch, nu, quad=STAGGERED_QUAD, points=()):
             return yielding_points(real_doubling, *args)
         return real_doubling(*args)
 
+    def building(*args):
+        entry = real_entry(*args)
+        if args[:4] == (lam, mu, gam, nu):
+            ours[id(entry)] = entry
+        return entry
+
     def read(entry, flag, skew):
-        if (flag, entry.runs) == (phi, runs):
+        if flag == phi and id(entry) in ours:
             entry = entry._replace(face=yielding_points(
-                hives_mod._doubling_entry, lam, mu, gam, nu, phi, None).face)
+                real_entry, lam, mu, gam, nu, phi, None).face)
         return real_read(entry, flag, skew)
 
     monkeypatch.setattr(oracles, "doubling_by_compiled_face", doubling)
+    monkeypatch.setattr(cli_mod, "_doubling_entry", building)
     monkeypatch.setattr(cli_mod, "_doubling_read", read)
 
 
@@ -744,10 +753,12 @@ def test_only_the_enumerated_lifted_faces_are_compiled(worked_hive):
 
 
 def test_a_lifted_region_one_row_short_fails_the_read_off_alone(monkeypatch):
-    # only cross_check reads the least flags: without the lifted triangle's
-    # bottom row of rhombi, whose entry is n, no least flag exceeds n - 1 =
-    # 1, so the face of the flag (1, 2) keeps the join's point where the
-    # flag leaves no skew hive; the oracle's compiled faces never read them
+    # without the lifted triangle's bottom row of rhombi, whose entry is n,
+    # no least flag exceeds n - 1 = 1, so the face of the flag (1, 2) read
+    # off the join keeps the join's point where the flag leaves no skew
+    # hive.  Only the oracle's compiled faces ignore least flags; a flag's
+    # own entry, as hive-iso builds it, is unaffected, since every point of
+    # its face has a least flag at most that flag
     real = hives_mod._flag_rhombi
     monkeypatch.setattr(hives_mod, "_flag_rhombi", lambda n, lifted: tuple(
         tuple(r for r in column if not lifted or r[0] < n) for column in real(n, lifted)))

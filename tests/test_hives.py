@@ -849,9 +849,13 @@ def _census_flags(n):
 def _own_table(lam, mu, gam, phi):
     """The skew hives of every nu on the face of phi, off the enumeration of
     its own table polytope, as a dict from nu to the multiset of their
-    label rows."""
-    return {nu: Counter(rows)
-            for nu, rows in read_off(_skew_groups(lam, mu, gam, phi, None), phi).items()}
+    label rows: every group of ``_skew_groups`` on phi merged, whatever its
+    least flag, so no least flag selects them."""
+    table = {}
+    for group in _skew_groups(lam, mu, gam, phi, None).values():
+        for nu, rows in group.items():
+            table.setdefault(nu, Counter()).update(rows)
+    return table
 
 
 def test_the_least_flag_read_off_equals_every_compiled_face_census():
