@@ -29,15 +29,20 @@ Every flagged skew Schur polynomial F comes from the counting search
 flagged fillings once, as raw rows, for ``crystal.decompose`` and the
 insertion core ``burge._insertion_classes``.  ``cross_check`` builds its
 grid from partitions, checks its flags once and enumerates everything on
-the join of the flags, grouped by least flag.  Per (mu, gam) that is F,
+the join of the flags, grouped by least flag (``_Block``).  Per (mu, gam) that is F,
 by the counting search, and the reading words of the fillings
 (``_filling_groups``); per (lam, mu, gam) the tableau table
 (``crystal._table_groups``), ``polynomials._antisymmetrize`` of each group
 of F, and the skew hives of every nu (``hives._skew_groups``); per (lam,
 mu, gam, nu) the lifted face, in the entry of the doubling check
-(``hives._doubling_entry``).  Each flag reads its own off the groups with
-``core.read_off``: the skew hives' counts are its hive table, and their
-points per nu go to the doubling check of each nu that contains lam
+(``hives._doubling_entry``).  The groups are merged by closed least flag
+(``core.close_groups``), and a (mu, gam) is checked for every flag at
+once (``_check_closed``): its closed tableau, hive and Demazure tables
+equal, and the folded doubling check (``hives._doubling_fold``) of each
+nu that contains lam.  A (mu, gam) that fails is replayed flag by flag
+(``_check_per_flag``): each flag reads its own tables off the closed
+groups with ``core.read_off``, the skew hives' counts its hive table and
+their points per nu the doubling check of each nu that contains lam
 (``hives._doubling_read``).  The per-flag cores, and for the lifted face
 the compiled face of each flag in ``tests/oracles.py``, stay the oracles.
 ``cross_check`` judges the result by the same rule as ``hive_iso_report``
@@ -62,12 +67,14 @@ from .core import (
     ScaleExceededError,
     all_flags,
     check_boundary,
+    close_groups,
     contains,
     parse_int_tuple,
     partitions_up_to,
     read_off,
     scale,
     subpartitions,
+    under,
     validate_flag,
     weight,
 )
@@ -82,6 +89,7 @@ from .crystal import (
 from .hives import (
     _count_skew_hives,
     _doubling_entry,
+    _doubling_fold,
     _doubling_read,
     _lift_input,
     _skew_groups,
@@ -261,15 +269,13 @@ def hive_iso_report(lam, mu, gam, nu, phi, limit=None):
 def _iso_ok(doubling):
     """Whether a ``hives._doubling_read`` result passes: equal counts, the
     roundtrip, and every image among the triangular points."""
-    tri_count, skew_count, roundtrip, inside = doubling
-    return skew_count == tri_count and roundtrip and inside
+    return doubling.skew_count == doubling.tri_count and doubling.roundtrip and doubling.inside
 
 
 def _iso_report(lam, mu, gam, nu, phi, doubling):
     """``hive_iso_report`` built from the ``hives._doubling_read`` result
     of the tuple, with its lifted boundary and flag (``lift_tilde``)."""
     lam_t, mu_t, nu_t, phi_t = lift_tilde(lam, mu, gam, nu, phi)
-    tri_count, skew_count, roundtrip, inside = doubling
     return {
         "query": _query_dict(lam, mu, gam, nu, phi, "hive"),
         "lifted": {
@@ -278,9 +284,9 @@ def _iso_report(lam, mu, gam, nu, phi, doubling):
             "nu": list(nu_t),
             "phi": list(phi_t),
         },
-        "skew_count": skew_count,
-        "tri_count": tri_count,
-        "roundtrip_identity": roundtrip,
+        "skew_count": doubling.skew_count,
+        "tri_count": doubling.tri_count,
+        "roundtrip_identity": doubling.roundtrip,
         "ok": _iso_ok(doubling),
     }
 
@@ -293,24 +299,22 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     the tuples go to the routes' cores.  Everything is enumerated on the
     join of the flags (their entrywise maximum; the full flag for the
     default flags), under the ``limit`` of the first flag that reaches it,
-    and kept until the next gam, grouped by the least flag of each filling
-    or point.  Per (mu, gam) that is F, for the character identity and
-    the Demazure tables, and the reading words of the fillings, for the
-    components (``_filling_groups``).  Per (lam, mu, gam) it is the tableau
-    table (``crystal._table_groups``), the Demazure table of each group of
-    F, and the skew hives of every nu (``hives._skew_groups``), the hive
-    table and the skew side of the isomorphism check of each nu that
-    contains lam; per (lam, mu, gam, nu) the lifted face, in the entry of
-    its isomorphism check.  Each flag phi reads its own off them: the sum
-    of the groups whose least flag is at most phi (``core.read_off``, and
-    ``hives._doubling_read`` for the lifted face), exact for the Demazure
-    table too, as antisymmetrizing is linear in F.  The three tables of each
-    (lam, mu, gam, phi) must be equal.
+    kept until the next gam and grouped by the closed least flag of each
+    filling or point (``_Block``).  A flag's table is the sum of the groups
+    whose closed least flag is at most it, and on the poset of flags those
+    sums determine the groups, so each (mu, gam) is checked for every flag
+    at once (``_check_closed``): the character identity of each flag, once
+    per distinct selection of groups; per lam the closed tableau, hive and
+    Demazure tables equal, group by group; per nu that contains lam the
+    folded doubling check (``hives._doubling_fold``).  A (mu, gam) that
+    fails there, or raises, is replayed flag by flag on the same
+    enumerations (``_check_per_flag``), which reads each flag's own tables
+    off the closed groups (``core.read_off``) and reports as before.
 
-    Every candidate nu counts as a checked tuple, in candidate order, and
-    a failure is reported at the first failing tuple in that order: on
-    unequal tables, the first nu where they differ, after the isomorphism
-    checks of the candidates before it."""
+    Every candidate nu counts as a checked tuple, flag by flag and in
+    candidate order, and a failure is reported at the first failing tuple
+    in that order: on unequal tables, the first nu where they differ, after
+    the isomorphism checks of the candidates before it."""
     flags = [validate_flag(f, n) for f in (flags or all_flags(n))]
     # every flag's skew and lifted faces are read off those of their join
     join = tuple(map(max, zip(*flags)))
@@ -322,77 +326,176 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     marked = {}
     checked = {"tuples": 0, "decompositions": 0}
     start = perf_counter()
+
+    def candidates(lam, mu, gam):
+        total = weight(lam) + weight(mu) - weight(gam)
+        if (lam, total) not in marked:
+            marked[lam, total] = [(nu, contains(nu, lam)) for nu in nu_candidates[total]]
+        return marked[lam, total]
+
+    def tally(lam, mu, gam, phi, marks):
+        # the candidates of one (lam, mu, gam, phi), a list of ``marked``'s
+        # pairs, checked, with a progress line at every 200th tuple
+        done = checked["tuples"]
+        checked["tuples"] += len(marks)
+        if echo is not None:
+            for i in range(199 - done % 200, len(marks), 200):
+                rate = (done + i + 1) / (perf_counter() - start)
+                at = _fmt_args(lam=lam, mu=mu, gam=gam, nu=marks[i][0], phi=phi)
+                print(f"... {done + i + 1} tuples, {rate:.0f} tuples/s, at {at}", file=echo)
+
     for mu in partitions_up_to(n, max_mu):
         subs = subpartitions(mu)
         for gam in subs:
-            skew_schurs, fillings = _filling_groups(mu, gam, join, limit)
-            polys = {flag: IntPolynomial._from_terms(n, t) for flag, t in skew_schurs.items()}
-            # the tableau table, the Demazure table and the skew points of
-            # each lam by least flag, and the entry of the doubling check of
-            # each (lam, nu), all on the join
-            tableau, demazure, groups, entries = {}, {}, {}, {}
+            block = _Block(mu, gam, subs, join, limit, candidates)
+            try:
+                passed = _check_closed(block, flags)
+            except (ScaleExceededError, ValueError):
+                # the replay raises it again, where the per-flag order does
+                passed = False
+            if not passed:
+                report = _check_per_flag(block, flags, checked, tally)
+                if report is not None:
+                    return report
+                continue
             for phi in flags:
-                skew_schur = IntPolynomial._from_terms(n, read_off(skew_schurs, phi))
-                components = decompose(read_off(fillings, phi), n)
-                if not _character_sum_matches(components, skew_schur):
-                    return {
-                        "ok": False,
-                        "failure": "decomposition character sum",
-                        "tuple": {"mu": mu, "gam": gam, "phi": phi},
-                        "checked": checked,
-                    }
                 checked["decompositions"] += 1
                 for lam in subs:
-                    if lam not in groups:
-                        groups[lam] = _skew_groups(lam, mu, gam, join, limit)
-                        tableau[lam] = _table_groups(lam, mu, gam, join, limit)
-                        demazure[lam] = {
-                            flag: _antisymmetrize(lam, f) for flag, f in polys.items()}
-                    skew = read_off(groups[lam], phi)
-                    tables = {
-                        "tableau": read_off(tableau[lam], phi),
-                        "hive": {nu: len(points) for nu, points in skew.items()},
-                        "demazure": read_off(demazure[lam], phi),
-                    }
-                    total = weight(lam) + weight(mu) - weight(gam)
-                    if (lam, total) not in marked:
-                        marked[lam, total] = [
-                            (nu, contains(nu, lam)) for nu in nu_candidates[total]]
-                    bad = None
-                    if not tables["tableau"] == tables["hive"] == tables["demazure"]:
-                        bad = _first_difference(tables, nu_candidates[total])
-                    for nu, inside in marked[lam, total]:
-                        if nu == bad:
-                            break
-                        if inside:
-                            entry = entries.get((lam, nu))
-                            if entry is None:
-                                entry = entries[lam, nu] = _doubling_entry(
-                                    lam, mu, gam, nu, join, limit)
-                            doubling = _doubling_read(entry, phi, skew.get(nu, ()))
-                            if not _iso_ok(doubling):
-                                return {
-                                    "ok": False,
-                                    "failure": "hive isomorphism mismatch",
-                                    "tuple": _query_dict(lam, mu, gam, nu, phi, "all"),
-                                    "report": _iso_report(lam, mu, gam, nu, phi, doubling),
-                                    "checked": checked,
-                                }
-                        checked["tuples"] += 1
-                        if echo is not None and checked["tuples"] % 200 == 0:
-                            rate = checked["tuples"] / (perf_counter() - start)
-                            at = _fmt_args(lam=lam, mu=mu, gam=gam, nu=nu, phi=phi)
-                            print(f"... {checked['tuples']} tuples, {rate:.0f} tuples/s, at {at}",
-                                  file=echo)
-                    if bad is not None:
+                    tally(lam, mu, gam, phi, block.candidates[lam])
+    return {"ok": True, "checked": checked}
+
+
+class _Block:
+    """The enumerations of one (mu, gam) of ``cross_check``, all on the
+    join of its flags and merged by closed least flag
+    (``core.close_groups``), so that a flag reads its own off them with
+    ``core.read_off``: F and the reading words of the fillings
+    (``_filling_groups``) at once, then, each the first time it is asked
+    for, per lam the tableau table (``crystal._table_groups``), the skew
+    hives of every nu (``hives._skew_groups``) and the Demazure table of
+    each group of F, and per (lam, nu) the entry of the doubling check
+    (``hives._doubling_entry``).  The check of every flag at once and the
+    per-flag replay share them, and the per-flag order of the replay is
+    the order the parts are enumerated in."""
+
+    def __init__(self, mu, gam, subs, join, limit, candidates):
+        self.mu, self.gam, self.subs, self.join, self.limit = mu, gam, subs, join, limit
+        n = len(mu)
+        skew_schurs, fillings = _filling_groups(mu, gam, join, limit)
+        self.skew_schurs, self.fillings = close_groups(skew_schurs, n), close_groups(fillings, n)
+        self.polys = {flag: IntPolynomial._from_terms(n, t) for flag, t in self.skew_schurs.items()}
+        #: the candidates of each lam, in ``cross_check``'s ``marked``
+        self.candidates = {lam: candidates(lam, mu, gam) for lam in subs}
+        self.characters, self.tables, self.entries = {}, {}, {}
+
+    def character_ok(self, phi):
+        """Whether the components of phi's fillings (``crystal.decompose``)
+        sum to phi's F, decided once per distinct pair of selections of
+        F's groups and the fillings' groups under phi."""
+        key = (frozenset(f for f in self.skew_schurs if under(f, phi)),
+               frozenset(f for f in self.fillings if under(f, phi)))
+        if key not in self.characters:
+            n = len(phi)
+            skew_schur = IntPolynomial._from_terms(n, read_off(self.skew_schurs, phi))
+            components = decompose(read_off(self.fillings, phi), n)
+            self.characters[key] = _character_sum_matches(components, skew_schur)
+        return self.characters[key]
+
+    def lam_tables(self, lam):
+        """The tableau table, the skew points per nu and the Demazure
+        table of lam, each a dict from closed least flag to its group."""
+        if lam not in self.tables:
+            mu, gam, join, limit, n = self.mu, self.gam, self.join, self.limit, len(lam)
+            skew = close_groups(_skew_groups(lam, mu, gam, join, limit), n)
+            tableau = close_groups(_table_groups(lam, mu, gam, join, limit), n)
+            demazure = {}
+            for flag, f in self.polys.items():
+                table = _antisymmetrize(lam, f)
+                if table:
+                    demazure[flag] = table
+            self.tables[lam] = tableau, skew, demazure
+        return self.tables[lam]
+
+    def entry(self, lam, nu):
+        if (lam, nu) not in self.entries:
+            self.entries[lam, nu] = _doubling_entry(lam, self.mu, self.gam, nu, self.join,
+                                                    self.limit)
+        return self.entries[lam, nu]
+
+
+def _check_closed(block, flags):
+    """Whether every flag passes on ``block``: each flag's character
+    identity, then per lam the closed tableau, hive and Demazure tables
+    equal, and for each candidate nu that contains lam the folded doubling
+    check (``hives._doubling_fold``) of its skew points by closed least
+    flag.  False may mean a failure on a flag that was not asked for."""
+    if not all(block.character_ok(phi) for phi in flags):
+        return False
+    for lam in block.subs:
+        tableau, skew, demazure = block.lam_tables(lam)
+        hive, points = {}, {}
+        for flag, group in skew.items():
+            hive[flag] = {}
+            for nu, rows in group.items():
+                hive[flag][nu] = len(rows)
+                points.setdefault(nu, {})[flag] = rows
+        if not tableau == hive == demazure:
+            return False
+        for nu, inside in block.candidates[lam]:
+            if inside and not _doubling_fold(block.entry(lam, nu), points.get(nu, {})):
+                return False
+    return True
+
+
+def _check_per_flag(block, flags, checked, tally):
+    """``block`` checked one flag at a time, each reading its own tables
+    off the closed groups: the first failure in flag and candidate order
+    as ``cross_check`` reports it, or None when every flag passes, with
+    the decompositions and tuples checked added to ``checked``."""
+    mu, gam = block.mu, block.gam
+    for phi in flags:
+        if not block.character_ok(phi):
+            return {
+                "ok": False,
+                "failure": "decomposition character sum",
+                "tuple": {"mu": mu, "gam": gam, "phi": phi},
+                "checked": checked,
+            }
+        checked["decompositions"] += 1
+        for lam in block.subs:
+            tableau, skew, demazure = block.lam_tables(lam)
+            skew = read_off(skew, phi)
+            tables = {
+                "tableau": read_off(tableau, phi),
+                "hive": {nu: len(points) for nu, points in skew.items()},
+                "demazure": read_off(demazure, phi),
+            }
+            bad = None
+            if not tables["tableau"] == tables["hive"] == tables["demazure"]:
+                bad = _first_difference(tables, [nu for nu, _ in block.candidates[lam]])
+            for nu, inside in block.candidates[lam]:
+                if nu == bad:
+                    break
+                if inside:
+                    doubling = _doubling_read(block.entry(lam, nu), phi, skew.get(nu, ()))
+                    if not _iso_ok(doubling):
                         return {
                             "ok": False,
-                            "failure": "three-way coefficient mismatch",
-                            "tuple": _query_dict(lam, mu, gam, bad, phi, "all"),
-                            "counts": {m: table.get(bad, 0) for m, table in tables.items()},
+                            "failure": "hive isomorphism mismatch",
+                            "tuple": _query_dict(lam, mu, gam, nu, phi, "all"),
+                            "report": _iso_report(lam, mu, gam, nu, phi, doubling),
                             "checked": checked,
                         }
-    return {"ok": True, "checked": checked}
+                tally(lam, mu, gam, phi, [(nu, inside)])
+            if bad is not None:
+                return {
+                    "ok": False,
+                    "failure": "three-way coefficient mismatch",
+                    "tuple": _query_dict(lam, mu, gam, bad, phi, "all"),
+                    "counts": {m: table.get(bad, 0) for m, table in tables.items()},
+                    "checked": checked,
+                }
+    return None
 
 
 def _filling_groups(mu, gam, join, limit):

@@ -9,7 +9,8 @@ the value itself.  Permutations are tuples in one-line notation over
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from functools import lru_cache
+from itertools import accumulate, combinations_with_replacement
 from operator import le
 
 __all__ = [
@@ -35,7 +36,9 @@ __all__ = [
     "check_boundary",
     "all_flags",
     "under",
+    "close_flag",
     "read_off",
+    "close_groups",
     "parse_int_tuple",
 ]
 
@@ -242,6 +245,23 @@ def under(sigma, phi) -> bool:
     return all(map(le, sigma, phi))
 
 
+@lru_cache(maxsize=1024)
+def close_flag(sigma, n):
+    """The least flag at or above the least flag sigma, sigma at most
+    (n, ..., n): at each i < n the running maximum max(1, sigma_1, ...,
+    sigma_i), and n at i = n.  A flag phi is at least sigma exactly when it
+    is at least ``close_flag(sigma, n)``, so ``under`` reads the same with
+    either."""
+    return (*accumulate(sigma[:n - 1], max, initial=1), n)[1:] if n else ()
+
+
+def _merge(table, group):
+    """Add ``group``, a dict of counts or lists, into ``table`` key by key;
+    a list that ``table`` takes whole is the group's own, not a copy."""
+    for key, c in group.items():
+        table[key] = table[key] + c if key in table else c
+
+
 def read_off(groups, phi):
     """The table of the flag phi read off ``groups``, a dict from least flag
     to a table enumerated on a larger flag: the sum, key by key, of the
@@ -250,9 +270,20 @@ def read_off(groups, phi):
     table = {}
     for sigma, group in groups.items():
         if under(sigma, phi):
-            for key, c in group.items():
-                table[key] = table[key] + c if key in table else c
+            _merge(table, group)
     return {key: c for key, c in table.items() if c}
+
+
+def close_groups(groups, n):
+    """``groups``, a dict from least flag to a table, merged by closed least
+    flag (``close_flag``): each flag reads the same table off either.  The
+    closed keys are flags, and on the finite poset of flags the tables read
+    off them determine the merged groups (Moebius inversion), so two routes
+    agree on every flag exactly when their closed groups are equal."""
+    closed = {}
+    for sigma, group in groups.items():
+        _merge(closed.setdefault(close_flag(sigma, n), {}), group)
+    return closed
 
 
 def parse_int_tuple(text: str, n=None):

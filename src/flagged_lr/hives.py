@@ -56,10 +56,14 @@ psi and back, and looks its image up on that face.  ``hive-iso`` builds
 the entry on its own flag and hands it the skew points of its one nu
 (``_skew_rows``); ``verify`` builds it on the join of its flags (their
 entrywise maximum; the classical triangle for all flags), which is the
-only triangular polytope it compiles, and hands each flag the skew points
-of each nu that the flag reads off ``_skew_groups``.  The entry keeps
-nu_1, the top n rows of every image, each skew point's image and
-roundtrip, and the lifted points by least flag.
+only triangular polytope it compiles.  It checks every flag at once with
+the folded read ``_doubling_fold``: the skew points of each nu from
+``_skew_groups``, merged by closed least flag (``core.close_groups``),
+against the entry's lifted points folded the same way; a (mu, gam) that
+fails it is checked again flag by flag, each flag's skew points going to
+``_doubling_read``.  The entry keeps nu_1, the top n rows of every image,
+each skew point's image and roundtrip, and the lifted points by least
+flag.
 
 A flag's face, on both sides, is read off the points of a larger flag's
 face by their least flag (``_least_flag``): per column j, the least phi_j
@@ -110,6 +114,7 @@ from .core import (
     as_partition,
     check_boundary,
     contains,
+    close_flag,
     partial_sums,
     under,
     weight,
@@ -1099,21 +1104,36 @@ def psi_inverse(t: TriHive) -> SkewHive:
     return SkewHive(_psi_inverse_rows(t.rows))
 
 
+#: the result of ``_doubling_read``
+_Doubling = namedtuple("_Doubling", "tri_count skew_count roundtrip inside")
+
+
+def _image(entry, rows):
+    """The image under psi of a skew point's label rows and whether
+    psi_inverse gives the rows back, mapped the first time the entry meets
+    the point."""
+    nu1, head, images, _ = entry
+    if rows not in images:
+        image = _psi_rows(rows, head, nu1)
+        images[rows] = image, _psi_inverse_rows(image) == rows
+    return images[rows]
+
+
 def _doubling_read(entry, phi, skew):
     """The doubling check of the flag phi, from a ``_doubling_entry`` of
     its (lam, mu, gam, nu) built on a join of phi and the label rows of the
-    skew points, in any order: the number of points of the Kogan face of
-    the lifted flag, the number of skew points, whether psi_inverse undoes
-    psi on every skew point, and whether psi maps every skew point onto
-    that face, as ``(tri_count, skew_count, roundtrip, inside)``.
+    skew points, in any order, as a ``_Doubling``: the number of points of
+    the Kogan face of the lifted flag, the number of skew points, whether
+    psi_inverse undoes psi on every skew point, and whether psi maps every
+    skew point onto that face.
 
     The face is read off the entry's points: those whose least flag is at
-    most phi (``core.under``).  A skew point is mapped by psi and back only
-    the first time the entry meets it.  ``hive-iso`` builds the entry on
-    phi itself and hands it the points of ``_skew_rows``; ``verify`` builds
-    it on the join of its flags and hands it the skew points of the nu that
-    ``core.read_off`` reads off ``_skew_groups``."""
-    nu1, head, images, (least, counts) = entry
+    most phi (``core.under``).  ``hive-iso`` builds the entry on phi itself
+    and hands it the points of ``_skew_rows``; ``verify``, replaying a
+    (mu, gam) flag by flag, builds it on the join of its flags and hands it
+    the skew points of the nu that ``core.read_off`` reads off the closed
+    ``_skew_groups``."""
+    least, counts = entry.face
     tri_count, fit = 0, set()
     for flag, number in counts.items():
         if under(flag, phi):
@@ -1121,10 +1141,39 @@ def _doubling_read(entry, phi, skew):
             fit.add(flag)
     roundtrip, inside = True, True
     for rows in skew:
-        if rows not in images:
-            image = _psi_rows(rows, head, nu1)
-            images[rows] = image, _psi_inverse_rows(image) == rows
-        image, back = images[rows]
+        image, back = _image(entry, rows)
         roundtrip &= back
         inside &= least.get(image) in fit
-    return tri_count, len(skew), roundtrip, inside
+    return _Doubling(tri_count, len(skew), roundtrip, inside)
+
+
+def _doubling_fold(entry, skew):
+    """Whether ``_doubling_read`` passes on every flag at most the join the
+    entry was built on, decided at once from ``skew``, a dict from closed
+    least flag (``core.close_flag``) to the label rows of the skew points
+    of the entry's nu that have it.  It holds when the skew points and the
+    entry's lifted points have equal counts per closed least flag, every
+    skew point's image lies on the join's lifted face with a least flag at
+    most its source's closed one (closing a least flag does not change which
+    flags it is at most), and every roundtrip holds.  The counts are the
+    sums that each flag reads, folded back (Moebius inversion on the flags),
+    and the least flag of an image is at most every flag that its source
+    is, exactly when it is at most the least of them, the source's closed
+    one.  A failure here may be on a flag no caller asked for; ``verify``
+    then replays flag by flag."""
+    least, counts = entry.face
+    n = len(entry.head)
+    folded = {}
+    for flag, number in counts.items():
+        key = close_flag(flag, n)
+        folded[key] = folded.get(key, 0) + number
+    if {key: c for key, c in folded.items() if c} != {
+            key: len(points) for key, points in skew.items()}:
+        return False
+    for key, points in skew.items():
+        for rows in points:
+            image, back = _image(entry, rows)
+            flag = least.get(image)
+            if not back or flag is None or not under(flag, key):
+                return False
+    return True

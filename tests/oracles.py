@@ -646,7 +646,7 @@ def doubling_by_compiled_face(lam, mu, gam, nu, phi, skew, limit):
     head = hives._psi_head(gam, nu1)
     images = [hives._psi_rows(rows, head, nu1) for rows in skew]
     roundtrip = all(hives._psi_inverse_rows(t) == rows for t, rows in zip(images, skew))
-    return len(tri), len(skew), roundtrip, set(images) <= set(tri)
+    return hives._Doubling(len(tri), len(skew), roundtrip, set(images) <= set(tri))
 
 
 def scale_labels(rows, k: int):
@@ -963,7 +963,7 @@ def cross_check_per_tuple(n, max_mu, flags=None, limit=cli.DEFAULT_LIMIT, echo=N
                             skew = list(hives._skew_rows(lam, mu, gam, nu, phi, limit))
                             doubling = doubling_by_compiled_face(lam, mu, gam, nu, phi, skew,
                                                                  limit)
-                            tri_count, hive, roundtrip, inside = doubling
+                            hive = doubling.skew_count
                         else:
                             hive = hives._count_skew_hives(lam, mu, gam, nu, phi, limit)
                         got = {

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flagged_lr.cli as cli_mod
+import flagged_lr.core as core_mod
 import flagged_lr.hives as hives_mod
 import flagged_lr.tableaux as tableaux_mod
 from flagged_lr.burge import insertion_decomposition
@@ -33,10 +34,12 @@ from flagged_lr.core import (
     FlagError,
     ScaleExceededError,
     all_flags,
+    close_groups,
     contains,
     partitions_up_to,
     read_off,
     subpartitions,
+    under,
 )
 from flagged_lr.hives import (
     _count_skew_hives,
@@ -371,20 +374,21 @@ def test_cross_check_reports_failures_with_bundle(monkeypatch):
 
 
 def test_cross_check_counts_hives_once_and_reports_the_mismatch(monkeypatch):
-    # one read-off per (lam, mu, gam, phi) gives both the hive table and the
-    # skew points of the isomorphism check, so one hive too many shows as a
+    # one merge per (lam, mu, gam) gives both the hive table and the skew
+    # points of the isomorphism check, so one hive too many shows as a
     # three-way mismatch, not an iso failure
-    _reads_off("_skew_groups", _first_point_twice_per_nu)(monkeypatch)
+    _closes("_skew_groups", _first_point_twice_per_nu)(monkeypatch)
     report = cross_check(2, 1)
     assert not report["ok"]
     assert report["failure"] == "three-way coefficient mismatch"
     assert report["counts"]["hive"] == report["counts"]["tableau"] + 1
 
 
-def _first_point_twice_per_nu(real, groups, phi, boundary):
-    """The skew points of phi read off ``groups`` with the first point of
-    every nu listed twice."""
-    return {nu: points + points[:1] for nu, points in real(groups, phi).items()}
+def _first_point_twice_per_nu(real, groups, n, boundary, join):
+    """The skew points of ``groups`` merged by closed least flag with the
+    first point of every nu of each closed group listed twice."""
+    return {flag: {nu: points + points[:1] for nu, points in group.items()}
+            for flag, group in real(groups, n).items()}
 
 
 def _first_point_twice(real):
@@ -514,70 +518,83 @@ FLAGGED_QUAD = ((1, 0), (1, 0), (0, 0), (1, 2))
 def _replace_tri_points_at(monkeypatch, nu, quad=STAGGERED_QUAD, points=()):
     """The face of the lifted flag of ``quad`` at ``nu`` holds ``points``
     instead of its own: the compiled face that the oracle's
-    ``doubling_by_compiled_face`` enumerates yields them, and cross_check's
-    read-off of that flag reads the face of an entry built on the flag from
-    them in place of the join's, so each point whose least flag is at most
-    the flag's is on both faces."""
+    ``doubling_by_compiled_face`` enumerates yields them, and the entry
+    cross_check builds on the join for that (lam, mu, gam, nu) has its
+    lifted points rebuilt so that the flag of ``quad`` reads them and every
+    other flag its own face: the count per flag by Moebius inversion
+    (``_groups_reading``), and each point's least flag the first flag whose
+    face holds it."""
     lam, mu, gam, phi = quad
     real_doubling = oracles.doubling_by_compiled_face
-    real_entry, real_read = cli_mod._doubling_entry, cli_mod._doubling_read
-    # the entries cross_check builds on (lam, mu, gam, nu), by id
-    ours = {}
-
-    def yielding_points(call, *args):
-        # ``call`` with every lifted face enumerating ``points``
-        with monkeypatch.context() as m:
-            m.setattr(hives_mod, "_tri_polytope", lambda *_: SimpleNamespace(
-                enumerator=lambda *_: iter(points)))
-            return call(*args)
+    real_entry = cli_mod._doubling_entry
 
     def doubling(*args):
         if args[:5] == (lam, mu, gam, nu, phi):
-            return yielding_points(real_doubling, *args)
+            with monkeypatch.context() as m:
+                m.setattr(hives_mod, "_tri_polytope", lambda *_: SimpleNamespace(
+                    enumerator=lambda *_: iter(points)))
+                return real_doubling(*args)
         return real_doubling(*args)
 
     def building(*args):
         entry = real_entry(*args)
-        if args[:4] == (lam, mu, gam, nu):
-            ours[id(entry)] = entry
-        return entry
-
-    def read(entry, flag, skew):
-        if flag == phi and id(entry) in ours:
-            entry = entry._replace(face=yielding_points(
-                real_entry, lam, mu, gam, nu, phi, None).face)
-        return real_read(entry, flag, skew)
+        if args[:4] != (lam, mu, gam, nu):
+            return entry
+        least, _ = entry.face
+        faces = {flag: list(points) if flag == phi else
+                 [t for t, sigma in least.items() if under(sigma, flag)]
+                 for flag in all_flags(len(phi)) if under(flag, args[4])}
+        counts = _groups_reading({flag: {0: len(face)} for flag, face in faces.items()})
+        rebuilt = {}
+        for flag, face in faces.items():
+            for t in face:
+                rebuilt.setdefault(t, flag)
+        return entry._replace(face=(rebuilt, {
+            flag: counts.get(flag, {}).get(0, 0) for flag in faces}))
 
     monkeypatch.setattr(oracles, "doubling_by_compiled_face", doubling)
     monkeypatch.setattr(cli_mod, "_doubling_entry", building)
-    monkeypatch.setattr(cli_mod, "_doubling_read", read)
 
 
-def _reads_off(build, read):
-    """cross_check's read-off (``core.read_off``) of each flag's value from
+def _groups_reading(tables):
+    """The groups by flag off which each flag of ``tables`` reads its table
+    with ``core.read_off``, the flags listed with each after every flag
+    below it: Moebius inversion, one flag at a time."""
+    groups = {}
+    for phi, table in tables.items():
+        below = read_off(groups, phi)
+        diff = {k: table.get(k, 0) - below.get(k, 0) for k in {*table, *below}}
+        if any(diff.values()):
+            groups[phi] = {k: c for k, c in diff.items() if c}
+    return groups
+
+
+def _closes(build, close):
+    """cross_check's merge by closed least flag (``core.close_groups``) of
     the groups that ``build`` makes on the join, F's for
-    ``_filling_groups``, replaced by ``read(real, groups, phi, boundary)``:
-    ``real`` is the read-off in place before, and the boundary is
-    ``build``'s arguments less the join and the limit.  Every other
-    read-off stays."""
+    ``_filling_groups``, replaced by ``close(real, groups, n, boundary,
+    join)``: ``real`` is the merge in place before, and the boundary is
+    ``build``'s arguments less the join and the limit.  Every other merge
+    stays."""
     def apply(monkeypatch):
-        real_build, real_read = getattr(cli_mod, build), cli_mod.read_off
-        # the groups built, by id, each kept with its boundary
+        real_build, real_close = getattr(cli_mod, build), cli_mod.close_groups
+        # the groups built, by id, each kept with its boundary and join
         built = {}
 
         def building(*args):
             groups = real_build(*args)
             first = groups[0] if isinstance(groups, tuple) else groups
-            built[id(first)] = first, args[:-2]
+            built[id(first)] = first, args[:-2], args[-2]
             return groups
 
-        def reading(groups, phi):
+        def closing(groups, n):
             if id(groups) not in built:
-                return real_read(groups, phi)
-            return read(real_read, groups, phi, built[id(groups)][1])
+                return real_close(groups, n)
+            _, boundary, join = built[id(groups)]
+            return close(real_close, groups, n, boundary, join)
 
         monkeypatch.setattr(cli_mod, build, building)
-        monkeypatch.setattr(cli_mod, "read_off", reading)
+        monkeypatch.setattr(cli_mod, "close_groups", closing)
 
     return apply
 
@@ -585,19 +602,27 @@ def _reads_off(build, read):
 def _corrupt_flag_reads(core, build, corrupt, polynomial=False):
     """``corrupt(boundary, value)`` on one value of each flag, on both paths:
     the value of the per-flag ``core``, which the per-tuple loop calls, and
-    cross_check's read-off of it from the groups that ``build`` makes on
-    the join (``_reads_off``).  The boundary ends with the flag; a
-    ``polynomial`` is read off as its terms."""
-    def read(real, groups, phi, boundary):
-        value = real(groups, phi)
-        if polynomial:
-            return corrupt((*boundary, phi), IntPolynomial._from_terms(len(phi), value)).terms
-        return corrupt((*boundary, phi), value)
+    the value each flag at most the join reads off the closed groups that
+    cross_check merges from what ``build`` makes on the join (``_closes``),
+    which are rebuilt to read so (``_groups_reading``).  The boundary ends
+    with the flag; a ``polynomial`` is read off as its terms."""
+    def close(real, groups, n, boundary, join):
+        closed, tables = real(groups, n), {}
+        # all_flags is lexicographic, so each flag comes after those below it
+        for phi in all_flags(n):
+            if under(phi, join):
+                value = read_off(closed, phi)
+                if polynomial:
+                    value = corrupt((*boundary, phi), IntPolynomial._from_terms(n, value)).terms
+                else:
+                    value = corrupt((*boundary, phi), value)
+                tables[phi] = value
+        return _groups_reading(tables)
 
     def apply(monkeypatch):
         real_core = getattr(cli_mod, core)
         monkeypatch.setattr(cli_mod, core, lambda *args: corrupt(args[:-1], real_core(*args)))
-        _reads_off(build, read)(monkeypatch)
+        _closes(build, close)(monkeypatch)
 
     return apply
 
@@ -628,10 +653,10 @@ def _corrupt_hives(name, corrupt):
 
 def _one_extra_hive(monkeypatch):
     # the same corruption on both paths: the per-tuple loop reads its skew
-    # points from ``_skew_rows``, cross_check from each flag's read-off of
-    # the join's table (``hives._skew_groups``)
+    # points from ``_skew_rows``, cross_check from the closed groups of the
+    # join's table (``hives._skew_groups``)
     _corrupt_hives("_skew_rows", _first_point_twice)(monkeypatch)
-    _reads_off("_skew_groups", _first_point_twice_per_nu)(monkeypatch)
+    _closes("_skew_groups", _first_point_twice_per_nu)(monkeypatch)
 
 
 def _tri_early_tableau_late(monkeypatch):
@@ -800,35 +825,80 @@ def test_a_least_flag_fault_on_the_lifted_side_fails_hive_iso(monkeypatch, worke
 ])
 def test_the_join_read_off_equals_each_flags_own_cores(n, max_mu, flags, counts):
     # every (lam, mu, gam) and flag: what cross_check reads off the groups of
-    # the join by least flag is that flag's own F, word set, tableau table
-    # and Demazure table; counts are the pairs and those whose tableau
-    # table is smaller than the join's
+    # the join merged by closed least flag (``_Block``) is that flag's own F,
+    # word set, tableau table and Demazure table, and its hive counts are
+    # the tableau table; counts are the pairs and those whose tableau table
+    # is smaller than the join's
     flags = flags or all_flags(n)
     join = tuple(map(max, zip(*flags)))
     pairs = smaller = 0
     for mu in partitions_up_to(n, max_mu):
-        for gam in subpartitions(mu):
-            skew_schurs, fillings = cli_mod._filling_groups(mu, gam, join, None)
-            polys = {flag: IntPolynomial._from_terms(n, t) for flag, t in skew_schurs.items()}
-            tables = {lam: _table_groups(lam, mu, gam, join, None) for lam in subpartitions(mu)}
+        subs = subpartitions(mu)
+        for gam in subs:
+            block = cli_mod._Block(mu, gam, subs, join, None, lambda *_: [])
             for phi in flags:
                 skew_schur = flagged_skew_schur(mu, gam, phi)
-                assert IntPolynomial._from_terms(n, read_off(skew_schurs, phi)) == skew_schur
-                assert set(read_off(fillings, phi)) == tableau_word_set(mu, gam, phi)
-                for lam, groups in tables.items():
-                    table = read_off(groups, phi)
+                assert IntPolynomial._from_terms(n, read_off(block.skew_schurs, phi)) == (
+                    skew_schur)
+                assert set(read_off(block.fillings, phi)) == tableau_word_set(mu, gam, phi)
+                for lam in subs:
+                    tableau, skew, demazure = block.lam_tables(lam)
+                    table = read_off(tableau, phi)
                     assert table == _table_tableaux(lam, mu, gam, phi, None), (lam, mu, gam, phi)
-                    demazure = {flag: _antisymmetrize(lam, f) for flag, f in polys.items()}
+                    assert {nu: len(points) for nu, points in read_off(skew, phi).items()} == (
+                        table)
                     assert read_off(demazure, phi) == _antisymmetrize(lam, skew_schur)
                     pairs += 1
-                    smaller += sum(table.values()) < sum(read_off(groups, join).values())
+                    smaller += sum(table.values()) < sum(read_off(tableau, join).values())
     assert (pairs, smaller) == counts
 
 
+def _calls(monkeypatch, name):
+    """A list that grows by one at each call of ``cli``'s ``name``."""
+    calls, real = [], getattr(cli_mod, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli_mod, name, counted)
+    return calls
+
+
+def test_cross_check_decomposes_once_per_distinct_selection(monkeypatch):
+    # the 282 decompositions of cross_check(3, 4), one per (mu, gam, phi),
+    # select 133 distinct pairs of F's groups and the fillings' groups
+    calls = _calls(monkeypatch, "decompose")
+    assert cross_check(3, 4) == {"ok": True, "checked": {"tuples": 5394, "decompositions": 282}}
+    assert len(calls) == 133
+
+
+def _unmaxed_closure(sigma, n):
+    # each entry alone raised to 1, and n last: not a flag in general
+    return (*(max(1, s) for s in sigma[:n - 1]), n)[:n]
+
+
+@pytest.mark.parametrize("closure, replays", [(None, 0), (_unmaxed_closure, 6)],
+                         ids=["closed", "unmaxed"])
+def test_a_passing_grid_replays_no_block(monkeypatch, closure, replays):
+    # the closed tables of a passing (mu, gam) are equal, so no block of
+    # cross_check(3, 4) is replayed flag by flag; a closure without the
+    # running maximum reads each flag the same, but its keys are no flags,
+    # so equal read-offs leave unequal groups and blocks replay for nothing
+    if closure is not None:
+        monkeypatch.setattr(core_mod, "close_flag", closure)
+        monkeypatch.setattr(hives_mod, "close_flag", closure)
+    calls = _calls(monkeypatch, "_check_per_flag")
+    assert cross_check(3, 4) == {"ok": True, "checked": {"tuples": 5394, "decompositions": 282}}
+    assert len(calls) == replays
+
+
 def _flag_ignored_off_the_hives(monkeypatch):
-    # every read-off but that of the skew points takes the join's groups
-    monkeypatch.setattr(cli_mod, "read_off", lambda groups, phi: read_off(groups, (2, 2)))
-    _reads_off("_skew_groups", lambda real, groups, phi, boundary: read_off(groups, phi))(
+    # every merge but that of the skew points puts the join's groups under
+    # the least flag, so every flag reads them whole
+    monkeypatch.setattr(cli_mod, "close_groups", lambda groups, n: close_groups(
+        {(0,) * n: read_off(groups, (n,) * n)}, n))
+    _closes("_skew_groups", lambda real, groups, n, boundary, join: close_groups(groups, n))(
         monkeypatch)
 
 
@@ -1126,14 +1196,14 @@ def test_trusted_cores_equal_the_public_routes():
                             if not contains(nu, lam):
                                 continue
                             points = list(_skew_rows(*args, None))
-                            tri, skew, roundtrip, inside = doubling_by_compiled_face(
-                                *args, points, None)
+                            doubling = doubling_by_compiled_face(*args, points, None)
                             report = hive_iso_report(*args)
                             assert report["lifted"] == dict(zip(("lam", "mu", "nu", "phi"),
                                                                 map(list, lift_tilde(*args))))
-                            assert (skew, tri, roundtrip) == (
+                            assert (doubling.skew_count, doubling.tri_count,
+                                    doubling.roundtrip) == (
                                 report["skew_count"], report["tri_count"],
                                 report["roundtrip_identity"])
-                            assert report["ok"] and inside, args
+                            assert report["ok"] and doubling.inside, args
                             iso += 1
     assert (tables, tuples, iso) == (638, 1616, 1322)

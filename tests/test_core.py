@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 from flagged_lr.core import (
     FlagError,
     all_flags,
+    close_flag,
+    close_groups,
     as_partition,
     longest_element,
     parse_int_tuple,
@@ -126,6 +128,30 @@ def test_read_off_concatenates_point_lists_and_leaves_the_groups():
     assert groups == {(1, 2): {"nu": ["p"], "mu": ["q"]}, (2, 2): {"nu": ["r", "s"], "mu": []}}
     # an empty list is dropped
     assert read_off({(1, 2): {"nu": []}}, (2, 2)) == {}
+
+
+def test_close_flag_reads_every_flag_as_the_least_flag_does():
+    # every least flag sigma at most (n, ..., n), n <= 4, entries from 0
+    for n in range(5):
+        for sigma in product(range(n + 1), repeat=n):
+            closed = close_flag(sigma, n)
+            assert closed in all_flags(n) and under(sigma, closed)
+            for phi in all_flags(n):
+                assert under(sigma, phi) == under(closed, phi), (sigma, phi)
+    for phi in all_flags(3):
+        assert close_flag(phi, 3) == phi
+    assert close_flag((), 0) == ()
+    # a 0 entry closes to 1, and each entry to the running maximum
+    assert close_flag((0, 0, 3), 3) == (1, 1, 3)
+    assert close_flag((0, 2, 1, 0), 4) == (1, 2, 2, 4)
+
+
+def test_close_groups_merges_by_closed_least_flag():
+    groups = {(0, 2): {"a": 1}, (1, 2): {"a": 2, "b": 1}, (2, 0): {"b": 5}}
+    closed = close_groups(groups, 2)
+    assert closed == {(1, 2): {"a": 3, "b": 1}, (2, 2): {"b": 5}}
+    for phi in all_flags(2):
+        assert read_off(closed, phi) == read_off(groups, phi)
 
 
 def test_parse_int_tuple():

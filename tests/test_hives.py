@@ -818,8 +818,9 @@ def test_a_shared_doubling_entry_gives_each_flag_a_fresh_doubling():
                         fresh = {phi: doubling_by_compiled_face(lam, mu, gam, nu, phi,
                                                                 skew[phi], None)
                                  for phi in flags}
-                        for tri_count, skew_count, roundtrip, inside in fresh.values():
-                            assert tri_count == skew_count and roundtrip and inside
+                        for doubling in fresh.values():
+                            assert doubling.tri_count == doubling.skew_count
+                            assert doubling.roundtrip and doubling.inside
                         for subset in subsets:
                             join = tuple(map(max, zip(*subset)))
                             for order in (subset, subset[::-1]):
@@ -912,8 +913,8 @@ def test_a_join_point_yielded_twice_counts_twice(monkeypatch):
     skew = {phi: list(_skew_rows(lam, mu, gam, nu, phi, None)) for phi in flags}
     fresh = {phi: doubling_by_compiled_face(lam, mu, gam, nu, phi, skew[phi], None)
              for phi in flags}
-    for tri_count, skew_count, roundtrip, inside in fresh.values():
-        assert (tri_count, skew_count) == (1, 1)
+    for doubling in fresh.values():
+        assert (doubling.tri_count, doubling.skew_count) == (1, 1)
     real = hives_mod._tri_polytope
 
     def twice(big_n, phi):
@@ -926,8 +927,7 @@ def test_a_join_point_yielded_twice_counts_twice(monkeypatch):
     least, counts = entry.face
     assert len(least) == 1 and list(counts.values()) == [2]
     for phi in flags:
-        _, skew_count, roundtrip, inside = fresh[phi]
-        assert _doubling_read(entry, phi, skew[phi]) == (2, skew_count, roundtrip, inside)
+        assert _doubling_read(entry, phi, skew[phi]) == fresh[phi]._replace(tri_count=2)
 
 
 def test_tri_hive_examples():
