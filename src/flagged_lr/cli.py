@@ -37,20 +37,26 @@ of F, and the skew hives of every nu (``hives._skew_groups``); per (lam,
 mu, gam, nu) the lifted face, in the entry of the doubling check
 (``hives._doubling_entry``).  The groups are merged by closed least flag
 (``core.close_groups``), and a (mu, gam) is checked for every flag at
-once (``_check_closed``): its closed tableau, hive and Demazure tables
-equal, and the folded doubling check (``hives._doubling_fold``) of each
-nu that contains lam.  A (mu, gam) that fails is replayed flag by flag
-(``_check_per_flag``): each flag reads its own tables off the closed
-groups with ``core.read_off``, the skew hives' counts its hive table and
-their points per nu the doubling check of each nu that contains lam
-(``hives._doubling_read``).  The per-flag cores, and for the lifted face
-the compiled face of each flag in ``tests/oracles.py``, stay the oracles.
+once (``_check_closed``): the Demazure decomposition of every flag's
+fillings and its character identity, on the join's fillings
+(``crystal._decomposes_under_every_flag``), its closed tableau, hive and
+Demazure tables equal, and the folded doubling check
+(``hives._doubling_fold``) of each nu that contains lam.  A (mu, gam) that
+fails is replayed flag by flag (``_check_per_flag``): each flag decomposes
+its own fillings (``crystal.decompose``) and reads its own tables off the
+closed groups with ``core.read_off``, the skew hives' counts its hive
+table and their points per nu the doubling check of each nu that contains
+lam (``hives._doubling_read``).  The per-flag cores, and for the lifted
+face the compiled face of each flag in ``tests/oracles.py``, stay the
+oracles.
 ``cross_check`` judges the result by the same rule as ``hive_iso_report``
 (``_iso_ok``) and builds the full report from that result only for a tuple
 that fails.
 
 ``main`` parses the boundary once (``_parse_boundary``) and takes the exit
-status from the report once: 1 when its routes disagree or a check fails.
+status from the report once: 1 when its routes disagree or a check fails,
+a ``decompose`` that finds the fillings not string-closed or a component
+not one Demazure crystal included.
 An input error, a ceiling exceeded or an output file that cannot be
 written exits 2 with ``error: ...``, and the parser exits 2 on ``--n``,
 ``--max-mu`` or ``--limit`` below 0.
@@ -80,6 +86,7 @@ from .core import (
 )
 from .crystal import (
     _count_tableaux,
+    _decomposes_under_every_flag,
     _table_groups,
     _table_tableaux,
     crystal_graph_dot,
@@ -214,7 +221,12 @@ def decomposition_report(mu, gam, phi, limit=None):
     skew_schur = flagged_skew_schur(mu, gam, phi, limit)
     shape = SkewShape(mu, gam)
     words = {rows: _reading_word(rows) for rows in _tableau_rows(shape, phi)}
-    components = decompose(words.values(), n)
+    try:
+        components = decompose(words.values(), n)
+    except ValueError as exc:
+        # a failed crystal check on checked input, as in ``cross_check``
+        return {"mu": list(mu), "gam": list(gam), "phi": list(phi), "error": str(exc),
+                "ok": False}
     classes = _insertion_classes(shape, words)
     class_blocks = {
         frozenset(words[t.rows] for t in cls.members): cls for cls in classes
@@ -303,13 +315,17 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     filling or point (``_Block``).  A flag's table is the sum of the groups
     whose closed least flag is at most it, and on the poset of flags those
     sums determine the groups, so each (mu, gam) is checked for every flag
-    at once (``_check_closed``): the character identity of each flag, once
-    per distinct selection of groups; per lam the closed tableau, hive and
-    Demazure tables equal, group by group; per nu that contains lam the
-    folded doubling check (``hives._doubling_fold``).  A (mu, gam) that
-    fails there, or raises, is replayed flag by flag on the same
-    enumerations (``_check_per_flag``), which reads each flag's own tables
-    off the closed groups (``core.read_off``) and reports as before.
+    at once (``_check_closed``): the Demazure decomposition and character
+    identity of every flag at most the join, on the join's fillings, with
+    the key polynomials built once per call; per lam the closed tableau,
+    hive and Demazure tables equal, group by group; per nu that contains
+    lam the folded doubling check (``hives._doubling_fold``).  A (mu, gam)
+    that fails there, or raises, is replayed flag by flag on the same
+    enumerations (``_check_per_flag``), which decomposes each flag's
+    fillings once per distinct selection of groups, reads each flag's own
+    tables off the closed groups (``core.read_off``) and reports as before;
+    a decomposition that raises is reported as a failure of its (mu, gam,
+    phi).
 
     Every candidate nu counts as a checked tuple, flag by flag and in
     candidate order, and a failure is reported at the first failing tuple
@@ -325,6 +341,8 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     # the candidates of each (lam, weight), each marked when it contains lam
     marked = {}
     checked = {"tuples": 0, "decompositions": 0}
+    # the key polynomials of the components, by key weight, built once
+    keys = {}
     start = perf_counter()
 
     def candidates(lam, mu, gam):
@@ -349,7 +367,7 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
         for gam in subs:
             block = _Block(mu, gam, subs, join, limit, candidates)
             try:
-                passed = _check_closed(block, flags)
+                passed = _check_closed(block, keys)
             except (ScaleExceededError, ValueError):
                 # the replay raises it again, where the per-flag order does
                 passed = False
@@ -391,7 +409,8 @@ class _Block:
     def character_ok(self, phi):
         """Whether the components of phi's fillings (``crystal.decompose``)
         sum to phi's F, decided once per distinct pair of selections of
-        F's groups and the fillings' groups under phi."""
+        F's groups and the fillings' groups under phi.  Only the replay
+        (``_check_per_flag``) asks for it; raises as ``decompose`` does."""
         key = (frozenset(f for f in self.skew_schurs if under(f, phi)),
                frozenset(f for f in self.fillings if under(f, phi)))
         if key not in self.characters:
@@ -423,13 +442,17 @@ class _Block:
         return self.entries[lam, nu]
 
 
-def _check_closed(block, flags):
-    """Whether every flag passes on ``block``: each flag's character
-    identity, then per lam the closed tableau, hive and Demazure tables
-    equal, and for each candidate nu that contains lam the folded doubling
-    check (``hives._doubling_fold``) of its skew points by closed least
-    flag.  False may mean a failure on a flag that was not asked for."""
-    if not all(block.character_ok(phi) for phi in flags):
+def _check_closed(block, keys):
+    """Whether every flag at most the join passes on ``block``: the
+    Demazure decomposition of each flag's fillings and its character
+    identity, checked once on the join's fillings
+    (``crystal._decomposes_under_every_flag``, with ``keys``, the key
+    polynomials built so far), then per lam the closed tableau, hive and
+    Demazure tables equal, and for each candidate nu that contains lam the
+    folded doubling check (``hives._doubling_fold``) of its skew points by
+    closed least flag.  False may mean a failure on a flag that was not
+    asked for."""
+    if not _decomposes_under_every_flag(block.fillings, block.skew_schurs, len(block.mu), keys):
         return False
     for lam in block.subs:
         tableau, skew, demazure = block.lam_tables(lam)
@@ -448,19 +471,23 @@ def _check_closed(block, flags):
 
 
 def _check_per_flag(block, flags, checked, tally):
-    """``block`` checked one flag at a time, each reading its own tables
-    off the closed groups: the first failure in flag and candidate order
-    as ``cross_check`` reports it, or None when every flag passes, with
-    the decompositions and tuples checked added to ``checked``."""
+    """``block`` checked one flag at a time, each decomposing its own
+    fillings and reading its own tables off the closed groups: the first
+    failure in flag and candidate order as ``cross_check`` reports it, or
+    None when every flag passes, with the decompositions and tuples checked
+    added to ``checked``."""
     mu, gam = block.mu, block.gam
     for phi in flags:
-        if not block.character_ok(phi):
-            return {
-                "ok": False,
-                "failure": "decomposition character sum",
-                "tuple": {"mu": mu, "gam": gam, "phi": phi},
-                "checked": checked,
-            }
+        at = {"mu": mu, "gam": gam, "phi": phi}
+        try:
+            if not block.character_ok(phi):
+                return {"ok": False, "failure": "decomposition character sum", "tuple": at,
+                        "checked": checked}
+        except ValueError as exc:
+            # the fillings are not string-closed or a component is not one
+            # Demazure crystal: a failed check, not an input error
+            return {"ok": False, "failure": "decomposition error", "tuple": at,
+                    "error": str(exc), "checked": checked}
         checked["decompositions"] += 1
         for lam in block.subs:
             tableau, skew, demazure = block.lam_tables(lam)

@@ -5,11 +5,17 @@ through the reverse-row reading embedding.  The raising/lowering operators
 use the matched-bracket signature rule; the test suite checks them against
 the defining tensor-product recursion over a word census.
 
-``decompose`` makes one signature pass per word and index: it checks the
-string property and records each word's parent, its first non-null
-raising, and the heads of the Demazure components come from following the
-parents, each path walked once.  ``string_property_witness`` is the same
-pass.
+``decompose`` makes one signature pass per word (``_signature``), which
+finds for every index at once where e_i and f_i act: it checks the string
+property and records each word's parent, its first non-null raising, and
+the heads of the Demazure components come from following the parents, each
+path walked once; ``_component_key`` then checks that each component's
+character is one key polynomial.  ``string_property_witness`` is the same
+pass.  ``_decomposes_under_every_flag`` runs that pass once on the fillings
+of a join of flags, each word graded by its closed least flag
+(``core.close_flag``), and checks through it the decomposition of every
+flag at or below the join: the graded string property, each component cut
+at the joins of its flags, and the characters per closed least flag.
 
 The tableau route counts lambda-dominant flagged tableaux by a search over
 the cells in reading order that applies the lattice condition one letter
@@ -37,7 +43,9 @@ from .core import (
     check_boundary,
     contains,
     is_partition,
+    read_off,
     sort_descending,
+    under,
     weight,
 )
 from .polynomials import IntPolynomial, _key_order, expand_in_key, key_polynomial
@@ -231,27 +239,48 @@ class DemazureComponent:
     key: object = field(compare=False, repr=False)
 
 
-def _parents(words, n: int):
+def _signature(word, n: int):
+    """The signature rule of every index at once, in one left-to-right pass:
+    two lists indexed by i = 1..n-1, the position of the rightmost unmatched
+    i+1 (where e_i acts) and of the leftmost unmatched i (where f_i acts),
+    None where there is none.  A letter i is matched with a later unmatched
+    i+1, so the unmatched i's form a stack whose bottom is the leftmost."""
+    closes, firsts, depth = [None] * n, [None] * n, [0] * n
+    for p, v in enumerate(word):
+        if 1 < v <= n:
+            if depth[v - 1]:
+                depth[v - 1] -= 1
+            else:
+                closes[v - 1] = p
+        if 0 < v < n:
+            if not depth[v]:
+                firsts[v] = p
+            depth[v] += 1
+    return closes, [p if d else None for p, d in zip(firsts, depth)]
+
+
+def _parents(words, n: int, flags=None):
     """The parent of every word of a set: its first non-null raising e_i w
     (least i), or None when every raising kills it.
 
-    One signature pass per word and index also checks the string property:
-    the first (w, i), words in sorted order, at which e_i w is not null and
-    e_i w or f_i w lies outside the set raises StringPropertyError."""
+    One signature pass per word (``_signature``) also checks the string
+    property: the first (w, i), words in sorted order, at which e_i w is not
+    null and e_i w or f_i w lies outside the set raises StringPropertyError.
+    With ``flags``, a dict from every word to its closed least flag, e_i w
+    and f_i w must moreover have a flag at most w's (``core.under``), so
+    that the set of words at most any flag is string-closed."""
     parents = {}
     for w in sorted(words):
         parent = None
+        closes, opens = _signature(w, n)
         for i in range(1, n):
-            opens, closes = _unmatched(w, i)
-            if not closes:
+            p = closes[i]
+            if p is None:
                 continue
-            p = closes[-1]
             up = w[:p] + (i,) + w[p + 1 :]
-            if up not in words:
-                raise StringPropertyError((w, i))
-            if opens:
-                p = opens[0]
-                if w[:p] + (i + 1,) + w[p + 1 :] not in words:
+            q = opens[i]
+            for x in (up,) if q is None else (up, w[:q] + (i + 1,) + w[q + 1 :]):
+                if x not in words or flags is not None and not under(flags[x], flags[w]):
                     raise StringPropertyError((w, i))
             if parent is None:
                 parent = up
@@ -278,6 +307,34 @@ def _heads(parents):
     return heads
 
 
+def _component_key(head, ch, n: int, keys):
+    """The highest weight, key weight and key polynomial of the Demazure
+    component at ``head`` whose character is ch, the key polynomial taken
+    from ``keys``, a dict from key weight to key polynomial, or built into
+    it.  Raises ValueError when the head's weight is not a partition, ch is
+    not the key polynomial of its leading exponent alpha, or alpha does not
+    sort to the head's weight."""
+    hw = word_weight(head, n)
+    if not is_partition(hw):
+        raise ValueError(f"head {head} has non-partition weight {hw}")
+    # the key elimination of ch stops after one step exactly when ch is
+    # the key polynomial of its leading exponent
+    alpha = max(ch.terms, key=_key_order)
+    if alpha not in keys:
+        keys[alpha] = key_polynomial(alpha)
+    key = keys[alpha]
+    if ch != key:
+        raise ValueError(
+            f"component at head {head} is not a single key polynomial: "
+            f"{expand_in_key(ch)}"
+        )
+    if sort_descending(alpha) != hw:
+        raise ValueError(
+            f"key weight {alpha} does not sort to highest weight {hw}"
+        )
+    return hw, alpha, key
+
+
 def decompose(words, n: int):
     """Split a string-closed word set into its Demazure components.
 
@@ -288,28 +345,51 @@ def decompose(words, n: int):
     groups = {}
     for w, head in _heads(_parents(set(words), n)).items():
         groups.setdefault(head, set()).add(w)
-    components = []
+    components, keys = [], {}
     for head in sorted(groups):
         members = frozenset(groups[head])
-        hw = word_weight(head, n)
-        if not is_partition(hw):
-            raise ValueError(f"head {head} has non-partition weight {hw}")
-        ch = character(members, n)
-        # the key elimination of ch stops after one step exactly when ch is
-        # the key polynomial of its leading exponent
-        alpha = max(ch.terms, key=_key_order)
-        key = key_polynomial(alpha)
-        if ch != key:
-            raise ValueError(
-                f"component at head {head} is not a single key polynomial: "
-                f"{expand_in_key(ch)}"
-            )
-        if sort_descending(alpha) != hw:
-            raise ValueError(
-                f"key weight {alpha} does not sort to highest weight {hw}"
-            )
+        hw, alpha, key = _component_key(head, character(members, n), n, keys)
         components.append(DemazureComponent(head, members, hw, alpha, key))
     return components
+
+
+def _decomposes_under_every_flag(fillings, skew_schurs, n: int, keys):
+    """Whether, for every flag phi at most the join of the closed least
+    flags, ``decompose`` of the fillings under phi passes and its key
+    polynomials sum to phi's F, decided once on the join.  ``fillings`` and
+    ``skew_schurs`` are dicts from closed least flag to the words (``core.
+    close_groups``) and to F's terms; ``keys`` is ``_component_key``'s.
+
+    The words under phi are those whose flag is ``core.under`` phi.  Each
+    such set is string-closed exactly when e_i w and f_i w have a flag at
+    most w's wherever e_i w is not null (``_parents`` with ``flags``).  A
+    parent depends on its word alone, so phi's components are the join's,
+    each cut to the words under phi; a cut depends only on which of the
+    component's flags lie under phi, so the distinct cuts are those at the
+    joins of its flags, each of which must pass ``_component_key``.  Then
+    phi's key polynomials sum to the character of its words, and on the
+    poset of flags those characters equal F's for every phi exactly when
+    they do per closed flag (Moebius inversion).  Raises as ``decompose``
+    does where some phi's set fails it."""
+    flags = {w: flag for flag, group in fillings.items() for w in group}
+    # the character of the words by closed least flag, and of each
+    # component's words by closed least flag
+    characters, components = {}, {}
+    for w, head in _heads(_parents(flags, n, flags)).items():
+        flag, e = flags[w], word_weight(w, n)
+        for terms in (characters.setdefault(flag, {}),
+                      components.setdefault(head, {}).setdefault(flag, {})):
+            terms[e] = terms.get(e, 0) + 1
+    if characters != skew_schurs:
+        return False
+    for head, groups in components.items():
+        joins = set()
+        for flag in groups:
+            joins |= {tuple(map(max, flag, j)) for j in joins}
+            joins.add(flag)
+        for phi in joins:
+            _component_key(head, IntPolynomial._from_terms(n, read_off(groups, phi)), n, keys)
+    return True
 
 
 def character(words, n: int):

@@ -930,7 +930,8 @@ def cross_check_per_tuple(n, max_mu, flags=None, limit=cli.DEFAULT_LIMIT, echo=N
     lifted face (``doubling_by_compiled_face``) maps where nu contains lam,
     else from ``hives._count_skew_hives``, and the three counts are compared
     nu by nu, with F, the fillings and the tableau table of each flag its
-    own.  The shared cores are read through their modules, so a test that
+    own; a ``decompose`` that raises fails its (mu, gam, phi) with the
+    message.  The shared cores are read through their modules, so a test that
     patches one in ``flagged_lr.cli`` or ``flagged_lr.hives`` corrupts this
     loop, and ``cli.cross_check`` where it calls that core too."""
     flags = [validate_flag(f, n) for f in (flags or all_flags(n))]
@@ -944,7 +945,17 @@ def cross_check_per_tuple(n, max_mu, flags=None, limit=cli.DEFAULT_LIMIT, echo=N
         for gam in subpartitions(mu):
             for phi in flags:
                 skew_schur = cli.flagged_skew_schur(mu, gam, phi, limit)
-                components = cli.decompose(cli.tableau_word_set(mu, gam, phi, limit), n)
+                words = cli.tableau_word_set(mu, gam, phi, limit)
+                try:
+                    components = cli.decompose(words, n)
+                except ValueError as exc:
+                    return {
+                        "ok": False,
+                        "failure": "decomposition error",
+                        "tuple": {"mu": mu, "gam": gam, "phi": phi},
+                        "error": str(exc),
+                        "checked": checked,
+                    }
                 if not cli._character_sum_matches(components, skew_schur):
                     return {
                         "ok": False,

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import flagged_lr.cli as cli_mod
 import flagged_lr.core as core_mod
+import flagged_lr.crystal as crystal_mod
 import flagged_lr.hives as hives_mod
 import flagged_lr.tableaux as tableaux_mod
 from flagged_lr.burge import insertion_decomposition
@@ -28,6 +29,7 @@ from flagged_lr.crystal import (
     _table_groups,
     _table_tableaux,
     coefficient_by_tableaux,
+    raising,
     tableau_word_set,
 )
 from flagged_lr.core import (
@@ -65,7 +67,7 @@ from flagged_lr.polynomials import (
     coefficient_table_by_demazure,
     flagged_skew_schur,
 )
-from flagged_lr.tableaux import SkewShape, enumerate_tableaux
+from flagged_lr.tableaux import SkewShape, _reading_word, enumerate_tableaux, word_weight
 import oracles
 from oracles import (
     _nu_candidates,
@@ -866,11 +868,165 @@ def _calls(monkeypatch, name):
 
 
 def test_cross_check_decomposes_once_per_distinct_selection(monkeypatch):
-    # the 282 decompositions of cross_check(3, 4), one per (mu, gam, phi),
+    # a passing cross_check(3, 4) decomposes nothing: each (mu, gam) checks
+    # every flag's decomposition at once on the join's fillings, and builds
+    # 34 distinct key polynomials for the 129 cuts of components it checks
+    report = {"ok": True, "checked": {"tuples": 5394, "decompositions": 282}}
+    decompositions = _calls(monkeypatch, "decompose")
+    replays = _calls(monkeypatch, "_check_per_flag")
+    keys, real_key = [], crystal_mod.key_polynomial
+    monkeypatch.setattr(crystal_mod, "key_polynomial", lambda alpha: keys.append(alpha) or (
+        real_key(alpha)))
+    assert cross_check(3, 4) == report
+    assert (len(decompositions), len(replays), len(keys), len(set(keys))) == (0, 0, 34, 34)
+    # replayed flag by flag, its 282 decompositions, one per (mu, gam, phi),
     # select 133 distinct pairs of F's groups and the fillings' groups
-    calls = _calls(monkeypatch, "decompose")
-    assert cross_check(3, 4) == {"ok": True, "checked": {"tuples": 5394, "decompositions": 282}}
-    assert len(calls) == 133
+    monkeypatch.setattr(cli_mod, "_check_closed", lambda *_: False)
+    assert cross_check(3, 4) == report
+    assert (len(decompositions), len(replays)) == (133, 47)
+
+
+def _drop_the_filling_22_of_3_over_1(monkeypatch):
+    # the filling whose reading word is (2, 2) of 3,0,0/1,0,0 left out of the
+    # rows that cross_check's fillings and the decompose subcommand read,
+    # and of the word set of the per-tuple loop: f_1 of (2, 1) is missing
+    shape, word = SkewShape((3, 0, 0), (1, 0, 0)), (2, 2)
+    real_rows, real_words = cli_mod._tableau_rows, cli_mod.tableau_word_set
+    monkeypatch.setattr(cli_mod, "_tableau_rows", lambda s, *args: (
+        rows for rows in real_rows(s, *args)
+        if (s.outer, s.inner) != (shape.outer, shape.inner) or _reading_word(rows) != word))
+    monkeypatch.setattr(cli_mod, "tableau_word_set", lambda mu, gam, *args: (
+        real_words(mu, gam, *args) - ({word} if (mu, gam) == (shape.outer, shape.inner) else
+                                      set())))
+
+
+def test_a_failed_crystal_check_is_reported_at_its_flag(monkeypatch, capsys):
+    # a word set that is not string-closed fails verify, and decompose, with
+    # a report and exit status 1, not as an input error; cross_check reports
+    # it where the per-tuple loop does
+    _drop_the_filling_22_of_3_over_1(monkeypatch)
+    echo, oracle_echo = io.StringIO(), io.StringIO()
+    report = cross_check(3, 3, echo=echo)
+    assert report == cross_check_per_tuple(3, 3, echo=oracle_echo)
+    assert _without_rates(echo) == _without_rates(oracle_echo)
+    error = "string property fails at word (2, 1), i=1"
+    assert (report["failure"], report["tuple"], report["error"]) == (
+        "decomposition error", {"mu": (3, 0, 0), "gam": (1, 0, 0), "phi": (2, 2, 3)}, error)
+    assert main(["--n", "3", "--json", "verify", "--max-mu", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == error
+    assert main(["--n", "3", "--json", "decompose", "--mu", "3", "--gam", "1"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "mu": [3, 0, 0], "gam": [1, 0, 0], "phi": [3, 3, 3], "error": error, "ok": False}
+
+
+def _fault_free(block, n):
+    return block.fillings, block.skew_schurs
+
+
+def _word_dropped(block, n):
+    # the first word of the last closed group left out of the fillings
+    fillings = dict(block.fillings)
+    flag = max(fillings)
+    group = dict(fillings[flag])
+    del group[min(group)]
+    fillings[flag] = group
+    return fillings, block.skew_schurs
+
+
+def _moved(groups, flag, key, to):
+    """``groups``, dicts of counts by closed least flag, with one count of
+    ``key`` moved from the group of ``flag`` to that of ``to``."""
+    moved = {f: dict(group) for f, group in groups.items()}
+    moved[flag][key] -= 1
+    group = moved.setdefault(to, {})
+    group[key] = group.get(key, 0) + 1
+    return {f: {k: c for k, c in group.items() if c} for f, group in moved.items()
+            if any(group.values())}
+
+
+def _word_raised(block, n):
+    # e_i w, for the first word w with a non-null raising whose closed flag
+    # is below the join, moved with its monomial in F to the join, which is
+    # not at most w's flag: the fillings under w's flag hold w, not e_i w
+    flags = {w: flag for flag, group in block.fillings.items() for w in group}
+    for w in sorted(flags):
+        up = next((u for u in (raising(w, i) for i in range(1, n)) if u is not None), None)
+        if up is not None and flags[w] != block.join:
+            break
+    else:
+        return None
+    return (_moved(block.fillings, flags[up], up, block.join),
+            _moved(block.skew_schurs, flags[up], word_weight(up, n), block.join))
+
+
+def _monomial_added(block, n):
+    # F's first closed group one higher at its greatest exponent
+    skew_schurs = dict(block.skew_schurs)
+    flag = min(skew_schurs)
+    terms = dict(skew_schurs[flag])
+    terms[max(terms)] += 1
+    skew_schurs[flag] = terms
+    return block.fillings, skew_schurs
+
+
+def _monomial_raised(block, n):
+    # the greatest monomial of F's first closed group moved to the join, the
+    # fillings left: F of the join is unchanged, that of a flag under the
+    # first group's and not the join's loses the monomial
+    flag = min(block.skew_schurs)
+    if flag == block.join:
+        return None
+    return block.fillings, _moved(block.skew_schurs, flag, max(block.skew_schurs[flag]),
+                                  block.join)
+
+
+def _passes(check):
+    try:
+        return check()
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("n, max_mu, flags, counts", [
+    (0, 4, None, (1, 0, 0)),
+    (1, 4, None, (15, 0, 0)),
+    (2, 4, None, (36, 6, 36)),
+    (3, 4, None, (47, 35, 47)),
+    (3, 4, [(1, 2, 3), (2, 2, 3)], (47, 12, 47)),
+    (4, 3, None, (22, 15, 22)),
+])
+@pytest.mark.parametrize("fault", [_fault_free, _word_dropped, _word_raised, _monomial_added,
+                                   _monomial_raised],
+                         ids=["fault-free", "word-dropped", "word-raised", "monomial-added",
+                              "monomial-raised"])
+def test_the_join_decomposition_check_is_every_flags(n, max_mu, flags, counts, fault):
+    # every (mu, gam): the check of every flag's decomposition at once on
+    # the join's fillings (``crystal._decomposes_under_every_flag``) says
+    # what ``_Block.character_ok``, each flag's own ``decompose``, says of
+    # every flag at most the join, a raise failing either; with a fault in
+    # the fillings or F, both fail.  Counts are the (mu, gam), those with a
+    # raising to move and those whose F has a group below the join; the
+    # other faults apply to every (mu, gam)
+    flags = flags or all_flags(n)
+    join = tuple(map(max, zip(*flags)))
+    below = [phi for phi in all_flags(n) if under(phi, join)]
+    blocks = faulted = 0
+    for mu in partitions_up_to(n, max_mu):
+        subs = subpartitions(mu)
+        for gam in subs:
+            block = cli_mod._Block(mu, gam, subs, join, None, lambda *_: [])
+            blocks += 1
+            groups = fault(block, n)
+            if groups is None:
+                continue
+            faulted += 1
+            block.fillings, block.skew_schurs = groups
+            at_once = _passes(lambda: crystal_mod._decomposes_under_every_flag(
+                *groups, n, {}))
+            per_flag = _passes(lambda: all(block.character_ok(phi) for phi in below))
+            assert at_once == per_flag == (fault is _fault_free), (mu, gam)
+    assert (blocks, faulted) == (counts[0], {_word_raised: counts[1],
+                                             _monomial_raised: counts[2]}.get(fault, counts[0]))
 
 
 def _unmaxed_closure(sigma, n):

@@ -10,11 +10,13 @@ from flagged_lr.core import (
     contains,
     is_partition,
     partitions_up_to,
+    read_off,
     reduced_word,
     subpartitions,
 )
 from flagged_lr.crystal import (
     StringPropertyError,
+    _decomposes_under_every_flag,
     _table_tableaux,
     apply_operator,
     character,
@@ -215,6 +217,43 @@ def test_decompose_equals_the_raising_oracle_census():
         for c in comps:
             assert c.highest_weight == word_weight(c.head, n)
             assert character(c.members, n) == key_polynomial(c.key_weight)
+
+
+# the crystal B(2, 1, 0) of reading words, its head (1, 1, 2), split into
+# groups by closed least flag; every flag's F is its words' character
+B210 = {(1, 1, 2), (1, 1, 3), (2, 1, 2), (2, 1, 3), (2, 2, 3), (3, 1, 2), (3, 1, 3), (3, 2, 3)}
+
+
+@pytest.mark.parametrize("groups, failing, error", [
+    # the Demazure crystal at (1, 2, 3), but with (3, 1, 2) in place of
+    # (2, 1, 3), of the same weight: the characters are those of Demazure
+    # crystals, but f_2 of (3, 1, 2) lies above (1, 2, 3)
+    ({(1, 2, 3): {(1, 1, 2), (1, 1, 3), (2, 1, 2), (3, 1, 2), (2, 2, 3)}},
+     [(1, 2, 3), (1, 3, 3), (2, 2, 3), (2, 3, 3)], StringPropertyError),
+    # the Demazure crystals of s_1 and s_2 at the incomparable (1, 3, 3)
+    # and (2, 2, 3): each cut at a flag of the component is one, the cut at
+    # their join (2, 3, 3) their union, which is none
+    ({(1, 1, 3): {(1, 1, 2)}, (1, 3, 3): {(2, 1, 2)}, (2, 2, 3): {(1, 1, 3)}},
+     [(2, 3, 3)], ValueError),
+], ids=["graded-string-property", "cut-at-a-join"])
+def test_the_join_check_fails_where_a_flags_decompose_does(groups, failing, error):
+    # the rest of B(2, 1, 0) lies at (3, 3, 3), so the join's word set is
+    # B(2, 1, 0), one Demazure crystal, and every closed group's character
+    # is F's: each flag's own decompose fails at ``failing`` alone, and the
+    # check of every flag at once raises
+    groups = {**groups, (3, 3, 3): B210.difference(*groups.values())}
+    fillings = {flag: dict.fromkeys(words, 1) for flag, words in groups.items()}
+    skew_schurs = {flag: character(words, 3).terms for flag, words in groups.items()}
+    assert decompose(B210, 3)[0].key_weight == (0, 1, 2)
+    bad = []
+    for phi in all_flags(3):
+        try:
+            decompose(read_off(fillings, phi), 3)
+        except ValueError:
+            bad.append(phi)
+    assert bad == failing
+    with pytest.raises(error):
+        _decomposes_under_every_flag(fillings, skew_schurs, 3, {})
 
 
 def test_string_property_witness_equals_the_operator_oracle():
