@@ -29,26 +29,19 @@ Every flagged skew Schur polynomial F comes from the counting search
 flagged fillings once, as raw rows, for ``crystal.decompose`` and the
 insertion core ``burge._insertion_classes``.  ``cross_check`` builds its
 grid from partitions, checks its flags once and enumerates everything on
-the join of the flags, grouped by least flag (``_Block``).  Per (mu, gam) that is F,
-by the counting search, and the reading words of the fillings
-(``_filling_groups``); per (lam, mu, gam) the tableau table
-(``crystal._table_groups``), ``polynomials._antisymmetrize`` of each group
-of F, and the skew hives of every nu (``hives._skew_groups``); per (lam,
-mu, gam, nu) the lifted face, in the entry of the doubling check
-(``hives._doubling_entry``).  The groups are merged by closed least flag
-(``core.close_groups``), and a (mu, gam) is checked for every flag at
+the join of the flags, keyed by closed least flag (``_Block``), with an
+entry of the doubling check per (lam, mu, gam, nu)
+(``hives._doubling_entry``).  A (mu, gam) is checked for every flag at
 once (``_check_closed``): the Demazure decomposition of every flag's
 fillings and its character identity, on the join's fillings
-(``crystal._decomposes_under_every_flag``), its closed tableau, hive and
+(``crystal._decomposes_under_every_flag``), the closed tableau, hive and
 Demazure tables equal, and the folded doubling check
 (``hives._doubling_fold``) of each nu that contains lam.  A (mu, gam) that
 fails is replayed flag by flag (``_check_per_flag``): each flag decomposes
-its own fillings (``crystal.decompose``) and reads its own tables off the
-closed groups with ``core.read_off``, the skew hives' counts its hive
-table and their points per nu the doubling check of each nu that contains
-lam (``hives._doubling_read``).  The per-flag cores, and for the lifted
-face the compiled face of each flag in ``tests/oracles.py``, stay the
-oracles.
+its own fillings (``crystal.decompose``) and reads its tables, its skew
+points and its doubling check (``hives._doubling_read``) off the closed
+groups and the entries.  The per-flag cores, and for the lifted face the
+compiled face of each flag in ``tests/oracles.py``, stay the oracles.
 ``cross_check`` judges the result by the same rule as ``hive_iso_report``
 (``_iso_ok``) and builds the full report from that result only for a tuple
 that fails.
@@ -99,6 +92,7 @@ from .hives import (
     _doubling_fold,
     _doubling_read,
     _lift_input,
+    _lifted_face,
     _skew_groups,
     _skew_rows,
     _table_skew_hives,
@@ -274,7 +268,7 @@ def hive_iso_report(lam, mu, gam, nu, phi, limit=None):
     """Counts on both sides of the doubling map plus the exact roundtrip."""
     lam, mu, gam, nu, phi = _lift_input(lam, mu, gam, nu, phi)
     skew = list(_skew_rows(lam, mu, gam, nu, phi, limit))
-    entry = _doubling_entry(lam, mu, gam, nu, phi, limit)
+    entry = _doubling_entry(lam, mu, gam, nu, _lifted_face(phi), limit)
     return _iso_report(lam, mu, gam, nu, phi, _doubling_read(entry, phi, skew))
 
 
@@ -308,32 +302,37 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     decomposition character identity over every tuple at desk scale.
 
     The grid is made of partitions, so only the flags are checked, once;
-    the tuples go to the routes' cores.  Everything is enumerated on the
-    join of the flags (their entrywise maximum; the full flag for the
-    default flags), under the ``limit`` of the first flag that reaches it,
-    kept until the next gam and grouped by the closed least flag of each
+    the tuples go to the routes' cores.  ``flags`` None means every flag;
+    an empty list raises ValueError.  Everything is enumerated on the join
+    of the flags (their entrywise maximum), under the ``limit`` of the
+    first flag that reaches it, and keyed by the closed least flag of each
     filling or point (``_Block``).  A flag's table is the sum of the groups
-    whose closed least flag is at most it, and on the poset of flags those
-    sums determine the groups, so each (mu, gam) is checked for every flag
-    at once (``_check_closed``): the Demazure decomposition and character
-    identity of every flag at most the join, on the join's fillings, with
-    the key polynomials built once per call; per lam the closed tableau,
-    hive and Demazure tables equal, group by group; per nu that contains
-    lam the folded doubling check (``hives._doubling_fold``).  A (mu, gam)
-    that fails there, or raises, is replayed flag by flag on the same
-    enumerations (``_check_per_flag``), which decomposes each flag's
-    fillings once per distinct selection of groups, reads each flag's own
-    tables off the closed groups (``core.read_off``) and reports as before;
-    a decomposition that raises is reported as a failure of its (mu, gam,
+    at most it, and on the poset of flags those sums determine the groups,
+    so each (mu, gam) is checked for every flag at once
+    (``_check_closed``): the Demazure decomposition and character identity
+    of every flag at most the join, on the join's fillings, with the key
+    polynomials built once per call; per lam the closed tableau, hive and
+    Demazure tables equal; per nu that contains lam the folded doubling
+    check (``hives._doubling_fold``).  A (mu, gam) that fails there, or
+    raises, is replayed flag by flag (``_check_per_flag``), which
+    decomposes each flag's fillings once per distinct selection of groups,
+    reads each flag's own tables off the closed groups (``core.read_off``)
+    and reports as before; a decomposition that raises fails its (mu, gam,
     phi).
 
     Every candidate nu counts as a checked tuple, flag by flag and in
     candidate order, and a failure is reported at the first failing tuple
     in that order: on unequal tables, the first nu where they differ, after
-    the isomorphism checks of the candidates before it."""
-    flags = [validate_flag(f, n) for f in (flags or all_flags(n))]
-    # every flag's skew and lifted faces are read off those of their join
+    the isomorphism checks of the candidates before it.  ``checked`` also
+    counts, as ``"decompositions"``, the (mu, gam, phi) whose decomposition
+    was checked, not calls of ``decompose``: a passing ``cross_check(3,
+    4)`` counts 282 and calls it 0 times."""
+    if flags is not None and not flags:
+        raise ValueError("no flags to check")
+    flags = [validate_flag(f, n) for f in (all_flags(n) if flags is None else flags)]
+    # every flag's faces are read off those of their join, looked up once
     join = tuple(map(max, zip(*flags)))
+    lifted = _lifted_face(join)
     # the candidates for nu by weight; |lam| + |mu| - |gam| <= 2 * max_mu
     nu_candidates = {}
     for nu in partitions_up_to(n, 2 * max_mu):
@@ -365,7 +364,7 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
     for mu in partitions_up_to(n, max_mu):
         subs = subpartitions(mu)
         for gam in subs:
-            block = _Block(mu, gam, subs, join, limit, candidates)
+            block = _Block(mu, gam, subs, lifted, limit, candidates)
             try:
                 passed = _check_closed(block, keys)
             except (ScaleExceededError, ValueError):
@@ -384,22 +383,21 @@ def cross_check(n, max_mu, flags=None, limit=DEFAULT_LIMIT, echo=None):
 
 
 class _Block:
-    """The enumerations of one (mu, gam) of ``cross_check``, all on the
-    join of its flags and merged by closed least flag
-    (``core.close_groups``), so that a flag reads its own off them with
-    ``core.read_off``: F and the reading words of the fillings
-    (``_filling_groups``) at once, then, each the first time it is asked
-    for, per lam the tableau table (``crystal._table_groups``), the skew
-    hives of every nu (``hives._skew_groups``) and the Demazure table of
-    each group of F, and per (lam, nu) the entry of the doubling check
-    (``hives._doubling_entry``).  The check of every flag at once and the
-    per-flag replay share them, and the per-flag order of the replay is
-    the order the parts are enumerated in."""
+    """The enumerations of one (mu, gam) of ``cross_check`` on the join of
+    its flags, ``lifted.flag``, keyed by closed least flag for
+    ``core.read_off``: F and the fillings' reading words
+    (``_filling_groups``), merged by ``core.close_groups``, then, each the
+    first time it is asked for, per lam the tableau table
+    (``crystal._table_groups``), the hive counts and skew points of every nu
+    (``hives._skew_groups``), closed as they are counted, and the Demazure
+    table of each group of F.  The check at once and the replay share them,
+    enumerated in the replay's order; only the replay keeps doubling entries."""
 
-    def __init__(self, mu, gam, subs, join, limit, candidates):
-        self.mu, self.gam, self.subs, self.join, self.limit = mu, gam, subs, join, limit
+    def __init__(self, mu, gam, subs, lifted, limit, candidates):
+        self.mu, self.gam, self.subs, self.limit = mu, gam, subs, limit
+        self.lifted, self.join = lifted, lifted.flag
         n = len(mu)
-        skew_schurs, fillings = _filling_groups(mu, gam, join, limit)
+        skew_schurs, fillings = _filling_groups(mu, gam, self.join, limit)
         self.skew_schurs, self.fillings = close_groups(skew_schurs, n), close_groups(fillings, n)
         self.polys = {flag: IntPolynomial._from_terms(n, t) for flag, t in self.skew_schurs.items()}
         #: the candidates of each lam, in ``cross_check``'s ``marked``
@@ -421,23 +419,24 @@ class _Block:
         return self.characters[key]
 
     def lam_tables(self, lam):
-        """The tableau table, the skew points per nu and the Demazure
-        table of lam, each a dict from closed least flag to its group."""
+        """The tableau, hive and Demazure tables of lam, by closed least
+        flag, and its skew points by nu, then closed least flag."""
         if lam not in self.tables:
-            mu, gam, join, limit, n = self.mu, self.gam, self.join, self.limit, len(lam)
-            skew = close_groups(_skew_groups(lam, mu, gam, join, limit), n)
-            tableau = close_groups(_table_groups(lam, mu, gam, join, limit), n)
+            mu, gam, join, limit = self.mu, self.gam, self.join, self.limit
+            hive, points = _skew_groups(lam, mu, gam, join, limit)
+            tableau = _table_groups(lam, mu, gam, join, limit)
             demazure = {}
             for flag, f in self.polys.items():
                 table = _antisymmetrize(lam, f)
                 if table:
                     demazure[flag] = table
-            self.tables[lam] = tableau, skew, demazure
+            self.tables[lam] = tableau, hive, points, demazure
         return self.tables[lam]
 
     def entry(self, lam, nu):
+        """The doubling entry of (lam, nu), kept for the replay's flags."""
         if (lam, nu) not in self.entries:
-            self.entries[lam, nu] = _doubling_entry(lam, self.mu, self.gam, nu, self.join,
+            self.entries[lam, nu] = _doubling_entry(lam, self.mu, self.gam, nu, self.lifted,
                                                     self.limit)
         return self.entries[lam, nu]
 
@@ -448,24 +447,19 @@ def _check_closed(block, keys):
     identity, checked once on the join's fillings
     (``crystal._decomposes_under_every_flag``, with ``keys``, the key
     polynomials built so far), then per lam the closed tableau, hive and
-    Demazure tables equal, and for each candidate nu that contains lam the
-    folded doubling check (``hives._doubling_fold``) of its skew points by
-    closed least flag.  False may mean a failure on a flag that was not
-    asked for."""
-    if not _decomposes_under_every_flag(block.fillings, block.skew_schurs, len(block.mu), keys):
+    Demazure tables equal, and per candidate nu that contains lam the folded
+    doubling check (``hives._doubling_fold``) on an entry dropped once
+    folded.  False may mean a failure on a flag that was not asked for."""
+    mu, gam, lifted, limit = block.mu, block.gam, block.lifted, block.limit
+    if not _decomposes_under_every_flag(block.fillings, block.skew_schurs, len(mu), keys):
         return False
     for lam in block.subs:
-        tableau, skew, demazure = block.lam_tables(lam)
-        hive, points = {}, {}
-        for flag, group in skew.items():
-            hive[flag] = {}
-            for nu, rows in group.items():
-                hive[flag][nu] = len(rows)
-                points.setdefault(nu, {})[flag] = rows
+        tableau, hive, points, demazure = block.lam_tables(lam)
         if not tableau == hive == demazure:
             return False
         for nu, inside in block.candidates[lam]:
-            if inside and not _doubling_fold(block.entry(lam, nu), points.get(nu, {})):
+            if inside and not _doubling_fold(_doubling_entry(lam, mu, gam, nu, lifted, limit),
+                                             points.get(nu, {})):
                 return False
     return True
 
@@ -490,11 +484,10 @@ def _check_per_flag(block, flags, checked, tally):
                     "error": str(exc), "checked": checked}
         checked["decompositions"] += 1
         for lam in block.subs:
-            tableau, skew, demazure = block.lam_tables(lam)
-            skew = read_off(skew, phi)
+            tableau, hive, points, demazure = block.lam_tables(lam)
             tables = {
                 "tableau": read_off(tableau, phi),
-                "hive": {nu: len(points) for nu, points in skew.items()},
+                "hive": read_off(hive, phi),
                 "demazure": read_off(demazure, phi),
             }
             bad = None
@@ -504,7 +497,9 @@ def _check_per_flag(block, flags, checked, tally):
                 if nu == bad:
                     break
                 if inside:
-                    doubling = _doubling_read(block.entry(lam, nu), phi, skew.get(nu, ()))
+                    skew = [rows for key, group in points.get(nu, {}).items()
+                            if under(key, phi) for rows in group]
+                    doubling = _doubling_read(block.entry(lam, nu), phi, skew)
                     if not _iso_ok(doubling):
                         return {
                             "ok": False,
@@ -667,7 +662,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("hive-iso", help="doubling isomorphism check")
     _add_boundary_args(p)
 
-    p = add_parser("verify", help="cross-check harness over a grid")
+    p = add_parser("verify", help="cross-check harness over a grid", description=(
+        "Cross-check harness over a grid. Its report's decompositions count the (mu, gam, "
+        "phi) whose decomposition was checked, at once or flag by flag, not decompose calls."))
     p.add_argument("--max-mu", type=_nonnegative, default=4)
     p.add_argument(
         "--flags",

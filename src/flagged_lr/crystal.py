@@ -41,6 +41,7 @@ from itertools import product
 
 from .core import (
     check_boundary,
+    close_flag,
     contains,
     is_partition,
     read_off,
@@ -442,14 +443,15 @@ def _table_tableaux(lam, mu, gam, phi, limit):
 def _table_groups(lam, mu, gam, join, limit):
     """``_table_tableaux`` of a checked (lam, mu, gam), gam inside mu,
     under every flag at most ``join``, by one search on ``join``: a dict
-    from the least flag of a tableau (``tableaux._weight_search``) to the
-    table of the tableaux that have it.  The table under such a flag is the
-    sum of the groups whose least flag is at most it."""
-    total = weight(lam) + weight(mu) - weight(gam)
+    from the closed least flag of a tableau (``core.close_flag`` of its
+    least flag in ``tableaux._weight_search``), closed as the search's
+    counts are read, to the table of the tableaux that have it.  A flag's
+    table is the sum of the groups at most it (``core.read_off``)."""
+    n, total = len(mu), weight(lam) + weight(mu) - weight(gam)
     groups = {}
-    for (nu, flag), m in _weight_search(lam, mu, gam, join, (total,) * len(mu), limit,
-                                        True).items():
-        groups.setdefault(flag, {})[nu] = m
+    for (nu, flag), m in _weight_search(lam, mu, gam, join, (total,) * n, limit, True).items():
+        group = groups.setdefault(close_flag(flag, n), {})
+        group[nu] = group.get(nu, 0) + m
     return groups
 
 

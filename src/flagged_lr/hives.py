@@ -48,22 +48,20 @@ which gates the kernels against it.
 
 The doubling map psi and its inverse work on rows of labels; the public
 ``psi``/``psi_inverse`` wrap them in hive objects.  One isomorphism check
-serves ``flagged-lr hive-iso`` and ``verify``: an entry per (lam, mu, gam,
-nu) (``_doubling_entry``) enumerates the lifted face of a flag (the Kogan
-face of its lifted flag, ``_lifted_flag``), and ``_doubling_read`` reads
-off it the face of each flag at most that one, maps each skew point by
-psi and back, and looks its image up on that face.  ``hive-iso`` builds
-the entry on its own flag and hands it the skew points of its one nu
-(``_skew_rows``); ``verify`` builds it on the join of its flags (their
-entrywise maximum; the classical triangle for all flags), which is the
-only triangular polytope it compiles.  It checks every flag at once with
-the folded read ``_doubling_fold``: the skew points of each nu from
-``_skew_groups``, merged by closed least flag (``core.close_groups``),
-against the entry's lifted points folded the same way; a (mu, gam) that
-fails it is checked again flag by flag, each flag's skew points going to
-``_doubling_read``.  The entry keeps nu_1, the top n rows of every image,
-each skew point's image and roundtrip, and the lifted points by least
-flag.
+serves ``flagged-lr hive-iso`` and ``verify``.  An entry per (lam, mu,
+gam, nu) (``_doubling_entry``) enumerates the lifted face of a flag (the
+Kogan face of its lifted flag, looked up once as a ``_LiftedFace``) and
+keeps nu_1, the top n rows of every image, each skew point's image and
+roundtrip, each lifted point's least flag and the lifted points' count
+per closed least flag (``core.close_flag``), counted as they are yielded.
+``_doubling_read`` reads off it the face of each flag at most that one,
+maps each skew point by psi and back, and looks its image up on that
+face.  ``hive-iso`` builds the entry on its own flag, for the skew points
+of its one nu (``_skew_rows``).  ``verify`` builds it on the join of its
+flags (their entrywise maximum), the only triangular polytope it
+compiles, checks every flag at once with ``_doubling_fold`` against the
+skew points by closed least flag of ``_skew_groups``, and drops it; a
+(mu, gam) that fails is checked again flag by flag with ``_doubling_read``.
 
 A flag's face, on both sides, is read off the points of a larger flag's
 face by their least flag (``_least_flag``): per column j, the least phi_j
@@ -71,13 +69,10 @@ that the point's nonzero NE rhombi allow.  On the skew side that is the
 lowest row i with a nonzero NE_{ij}, since the flat region of phi is the
 rows below phi_j; on the lifted side it is that row less n - 1, for j <=
 n, since psi moves skew row i to row n + i.  A point of the larger face
-lies on the face of phi exactly when its least flag is at most phi
-(``core.under``).  So ``verify`` enumerates the table polytope of the join
-once per (lam, mu, gam), its points grouped by least flag and by the nu
-read off the right column (``_skew_groups``), for ``core.read_off``; the
-entry keeps each lifted point's least flag and the count per least flag,
-and ``_doubling_read`` selects by them.  The compiled faces of each flag,
-enumerated apart, are their test oracle in ``tests/oracles.py``.
+lies on the face of phi exactly when its least flag, or its closed least
+flag, is at most phi (``core.under``).  The compiled faces of each flag,
+enumerated apart, and the groups by raw least flag are the test oracles
+in ``tests/oracles.py``.
 
 Input is checked at the public functions and trusted below them.  Every
 public function that takes a flag requires one and checks its partitions
@@ -822,22 +817,27 @@ def _table_skew_hives(lam, mu, gam, phi, limit):
 def _skew_groups(lam, mu, gam, join, limit):
     """The skew hives of every nu of a checked boundary on the face of the
     flag ``join``, from one pass of the enumerator of
-    ``_skew_table_polytope``, as a dict from least flag (``_least_flag``)
-    to a dict from nu to label rows; ``limit`` counts the labels tried for
-    every nu together.  Each point's nu is read off its right column, as in
-    ``_table_skew_hives``, once per distinct column, so only the nonzero nu
-    appear.  ``core.read_off`` reads off it each flag at most ``join`` its
-    own table: per nu, the rows of ``_skew_rows`` in another order."""
+    ``_skew_table_polytope`` under ``limit``, each put under its nu, read
+    off its right column, and its closed least flag (``core.close_flag`` of
+    ``_least_flag``) as it is yielded: the hive counts by closed least flag,
+    off which ``core.read_off`` reads each flag at most ``join`` its table,
+    and the label rows by nu, then closed least flag, those under phi the
+    rows of ``_skew_rows`` in another order."""
     n = len(lam)
     poly = _skew_table_polytope(n, join)
-    columns, nus, groups = _flag_rhombi(n, False), {}, {}
+    columns, nus, points = _flag_rhombi(n, False), {}, {}
     for rows in poly.enumerator(_skew_table_runs(lam, mu, gam), limit):
         column = tuple([r[n] for r in rows])
         nu = nus.get(column)
         if nu is None:
             nu = nus[column] = tuple(b - a for a, b in zip(column, column[1:]))
-        groups.setdefault(_least_flag(rows, columns), {}).setdefault(nu, []).append(rows)
-    return groups
+            points[nu] = {}
+        points[nu].setdefault(close_flag(_least_flag(rows, columns), n), []).append(rows)
+    counts = {}
+    for nu, groups in points.items():
+        for key, group in groups.items():
+            counts.setdefault(key, {})[nu] = len(group)
+    return counts, points
 
 
 def enumerate_skew_hive_points(lam, mu, gam, nu, phi, limit=None):
@@ -1015,37 +1015,54 @@ def _least_flag(rows, columns):
     return tuple(least)
 
 
-def _lifted(lam, mu, gam, nu):
-    """The lifted boundary (lam~, mu~, nu~) of ``lift_tilde``."""
+def _lifted_runs(lam, mu, gam, nu):
+    """``_tri_runs`` of the lifted boundary of ``lift_tilde``, summed
+    straight from (lam, mu, gam, nu)."""
     n, nu1 = len(lam), nu[0] if nu else 0
-    return (nu1,) * n + lam, mu + (0,) * n, tuple([nu1 + g for g in gam]) + nu
+    left, right, a, b = [0], [0], 0, 0
+    for g in gam:
+        a, b = a + nu1, b + nu1 + g
+        left.append(a)
+        right.append(b)
+    for x, y in zip(lam, nu):
+        a, b = a + x, b + y
+        left.append(a)
+        right.append(b)
+    bottom = list(accumulate(mu, initial=a))
+    return left, right, bottom + bottom[-1:] * n
+
+
+#: the lifted face of a flag: the flag, the enumerator of its compiled
+#: triangle and the NE rhombi that give a point's least flag (``_flag_rhombi``)
+_LiftedFace = namedtuple("_LiftedFace", "flag enumerator columns")
+
+
+def _lifted_face(phi):
+    """The ``_LiftedFace`` of phi, looked up once for every entry on it."""
+    n = len(phi)
+    return _LiftedFace(phi, _tri_polytope(2 * n, _lifted_flag(phi)).enumerator,
+                       _flag_rhombi(n, True))
 
 
 _DoublingEntry = namedtuple("_DoublingEntry", "nu1 head images face")
 
 
-def _doubling_entry(lam, mu, gam, nu, join, limit):
+def _doubling_entry(lam, mu, gam, nu, lifted, limit):
     """The entry of the doubling check of (lam, mu, gam, nu), on input
-    that passed ``_lift_input``, for every flag at most ``join``: nu_1,
-    the head of the images under psi, a dict, empty at first, from a skew
-    point's label rows to its image and whether ``_psi_inverse_rows``
-    gives the rows back, and ``face``.  psi and psi_inverse read only the
-    rows, gam and nu_1, so one entry serves every flag.
-
-    ``face`` holds the points of the lifted face of ``join``, compiled and
-    enumerated here under ``limit`` on the triangular runs of the lifted
-    boundary (``_lifted``): a dict from each point's label rows to its
-    least flag (``_least_flag``), and a dict from each least flag to the
-    number of points yielded with it, so a point yielded twice counts
-    twice.  Each flag reads its own face off these points
-    (``_doubling_read``)."""
-    n = len(lam)
-    nu1 = nu[0] if nu else 0
-    runs = _tri_runs(*_lifted(lam, mu, gam, nu))
-    columns, least, counts = _flag_rhombi(n, True), {}, {}
-    for t in _tri_polytope(2 * n, _lifted_flag(join)).enumerator(runs, limit):
+    that passed ``_lift_input``, for every flag at most ``lifted.flag``
+    (psi reads only the rows, gam and nu_1): nu_1, the head of the images,
+    a dict, empty at first, from a skew point's label rows to its image and
+    roundtrip (``_image``), and ``face``: the points of ``lifted``, a
+    ``_LiftedFace``, enumerated here under ``limit``, as a dict from each
+    point's label rows to its least flag (``_least_flag``) and a dict from
+    each closed least flag (``core.close_flag``) to the number of points
+    yielded with it, so a point yielded twice counts twice."""
+    n, nu1 = len(lam), nu[0] if nu else 0
+    columns, least, counts = lifted.columns, {}, {}
+    for t in lifted.enumerator(_lifted_runs(lam, mu, gam, nu), limit):
         flag = least[t] = _least_flag(t, columns)
-        counts[flag] = counts.get(flag, 0) + 1
+        key = close_flag(flag, n)
+        counts[key] = counts.get(key, 0) + 1
     return _DoublingEntry(nu1, _psi_head(gam, nu1), {}, (least, counts))
 
 
@@ -1056,7 +1073,8 @@ def lift_tilde(lam, mu, gam, nu, phi):
     copies of 2n, which imposes no flatness beyond the image of the skew
     flat region."""
     lam, mu, gam, nu, phi = _lift_input(lam, mu, gam, nu, phi)
-    return (*_lifted(lam, mu, gam, nu), _lifted_flag(phi))
+    n, nu1 = len(lam), nu[0] if nu else 0
+    return (nu1,) * n + lam, mu + (0,) * n, tuple([nu1 + g for g in gam]) + nu, _lifted_flag(phi)
 
 
 @lru_cache(maxsize=256)
@@ -1073,9 +1091,8 @@ def _psi_rows(rows, head, nu1):
     shifted by n*nu_1, its last label repeated i more times."""
     n = len(rows) - 1
     shift = n * nu1
-    return head + tuple(
-        tuple([shift + x for x in r] + [shift + r[n]] * i) for i, r in enumerate(rows)
-    )
+    return head + tuple([tuple([shift + x for x in r] + [shift + r[n]] * i)
+                         for i, r in enumerate(rows)])
 
 
 def _psi_inverse_rows(t):
@@ -1083,7 +1100,7 @@ def _psi_inverse_rows(t):
     read off the image, whose node (1, 0) is nu_1."""
     n = (len(t) - 1) // 2
     shift = n * t[1][0] if n else 0
-    return tuple(tuple([x - shift for x in r[:n + 1]]) for r in t[n:])
+    return tuple([tuple([x - shift for x in r[:n + 1]]) for r in t[n:]])
 
 
 def psi(h: SkewHive) -> TriHive:
@@ -1120,55 +1137,38 @@ def _image(entry, rows):
 
 
 def _doubling_read(entry, phi, skew):
-    """The doubling check of the flag phi, from a ``_doubling_entry`` of
-    its (lam, mu, gam, nu) built on a join of phi and the label rows of the
-    skew points, in any order, as a ``_Doubling``: the number of points of
-    the Kogan face of the lifted flag, the number of skew points, whether
-    psi_inverse undoes psi on every skew point, and whether psi maps every
-    skew point onto that face.
-
-    The face is read off the entry's points: those whose least flag is at
-    most phi (``core.under``).  ``hive-iso`` builds the entry on phi itself
-    and hands it the points of ``_skew_rows``; ``verify``, replaying a
-    (mu, gam) flag by flag, builds it on the join of its flags and hands it
-    the skew points of the nu that ``core.read_off`` reads off the closed
-    ``_skew_groups``."""
+    """The doubling check of the flag phi, as a ``_Doubling``, from a
+    ``_doubling_entry`` of its (lam, mu, gam, nu) built on a join of phi
+    and the label rows of the skew points, in any order: the number of
+    points of the lifted face of phi, the entry's whose least flag, or
+    closed least flag for the counts, is at most phi (``core.under``), the
+    number of skew points, whether psi_inverse undoes psi on each, and
+    whether psi maps each onto that face.  ``hive-iso`` builds the entry on
+    phi, for the points of ``_skew_rows``; ``verify``'s replay on the join,
+    for the skew points under phi of ``_skew_groups``."""
     least, counts = entry.face
-    tri_count, fit = 0, set()
-    for flag, number in counts.items():
-        if under(flag, phi):
-            tri_count += number
-            fit.add(flag)
+    tri_count = sum(number for key, number in counts.items() if under(key, phi))
     roundtrip, inside = True, True
     for rows in skew:
         image, back = _image(entry, rows)
+        flag = least.get(image)
         roundtrip &= back
-        inside &= least.get(image) in fit
+        inside &= flag is not None and under(flag, phi)
     return _Doubling(tri_count, len(skew), roundtrip, inside)
 
 
 def _doubling_fold(entry, skew):
     """Whether ``_doubling_read`` passes on every flag at most the join the
     entry was built on, decided at once from ``skew``, a dict from closed
-    least flag (``core.close_flag``) to the label rows of the skew points
-    of the entry's nu that have it.  It holds when the skew points and the
-    entry's lifted points have equal counts per closed least flag, every
-    skew point's image lies on the join's lifted face with a least flag at
-    most its source's closed one (closing a least flag does not change which
-    flags it is at most), and every roundtrip holds.  The counts are the
-    sums that each flag reads, folded back (Moebius inversion on the flags),
-    and the least flag of an image is at most every flag that its source
-    is, exactly when it is at most the least of them, the source's closed
-    one.  A failure here may be on a flag no caller asked for; ``verify``
-    then replays flag by flag."""
+    least flag to the label rows of the skew points of the entry's nu: the
+    counts per closed least flag of the skew points and of the entry's
+    lifted points are equal (the sums each flag reads, folded back by
+    Moebius inversion on the flags), each image lies on the join's lifted
+    face with a least flag at most its source's closed one, the least flag
+    whose face holds the source, and each roundtrip holds.  A failure here
+    may be on a flag no caller asked for; ``verify`` then replays."""
     least, counts = entry.face
-    n = len(entry.head)
-    folded = {}
-    for flag, number in counts.items():
-        key = close_flag(flag, n)
-        folded[key] = folded.get(key, 0) + number
-    if {key: c for key, c in folded.items() if c} != {
-            key: len(points) for key, points in skew.items()}:
+    if counts != {key: len(points) for key, points in skew.items()}:
         return False
     for key, points in skew.items():
         for rows in points:

@@ -57,6 +57,7 @@ from flagged_lr.tableaux import (
     SkewShape,
     SkewTableau,
     _tableau_rows,
+    _weight_search,
     dominant_tableau,
     enumerate_tableaux,
     reading_word,
@@ -567,6 +568,35 @@ def coefficient_table_by_hives_per_nu(lam, mu, gam, phi, limit=None):
         if c:
             table[nu] = c
     return table
+
+
+def skew_groups_by_least_flag(lam, mu, gam, join, limit=None):
+    """Oracle for ``hives._skew_groups``: the skew hives of every nu on the
+    face of ``join``, off one pass of the enumerator of its table polytope,
+    as a dict from least flag (``hives._least_flag``) to a dict from nu to
+    label rows, closed nowhere.  ``core.close_groups`` of it is what the
+    library keys by closed least flag as it enumerates."""
+    n = len(lam)
+    poly = hives._skew_table_polytope(n, join)
+    columns, groups = hives._flag_rhombi(n, False), {}
+    for rows in poly.enumerator(hives._skew_table_runs(lam, mu, gam), limit):
+        column = [r[n] for r in rows]
+        nu = tuple(b - a for a, b in zip(column, column[1:]))
+        groups.setdefault(hives._least_flag(rows, columns), {}).setdefault(nu, []).append(rows)
+    return groups
+
+
+def table_groups_by_least_flag(lam, mu, gam, join, limit=None):
+    """Oracle for ``crystal._table_groups``: the tableau table of every flag
+    at most ``join`` off one search on ``join``, as a dict from the least
+    flag of ``tableaux._weight_search`` to the table of the tableaux that
+    have it, closed nowhere."""
+    total = weight(lam) + weight(mu) - weight(gam)
+    groups = {}
+    for (nu, flag), m in _weight_search(lam, mu, gam, join, (total,) * len(mu), limit,
+                                        True).items():
+        groups.setdefault(flag, {})[nu] = m
+    return groups
 
 
 # ---------------------------------------------------------------------------

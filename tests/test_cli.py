@@ -1,6 +1,7 @@
 import io
 import json
 import re
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -45,6 +46,10 @@ from flagged_lr.core import (
 )
 from flagged_lr.hives import (
     _count_skew_hives,
+    _doubling_entry,
+    _lifted_face,
+    _lifted_runs,
+    _skew_groups,
     _skew_rows,
     _tri_runs,
     check_skew_hive,
@@ -258,6 +263,16 @@ def test_verify_with_explicit_flags(capsys):
     assert json.loads(out)["ok"]
 
 
+def test_an_empty_flag_list_is_refused(capsys):
+    # no flags leave nothing to check, and are not read as every flag
+    for n in (0, 2):
+        with pytest.raises(ValueError, match="^no flags to check$"):
+            cross_check(n, 2, flags=[])
+    assert cross_check(2, 2, flags=None) == cross_check(2, 2, flags=all_flags(2))
+    assert main(["--n", "2", "verify", "--max-mu", "2", "--flags", ""]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_invalid_flag_is_an_error(capsys):
     code = main(
         ["--n", "2", "coeff", "--lam", "1,0", "--mu", "1,0", "--gam", "",
@@ -386,11 +401,14 @@ def test_cross_check_counts_hives_once_and_reports_the_mismatch(monkeypatch):
     assert report["counts"]["hive"] == report["counts"]["tableau"] + 1
 
 
-def _first_point_twice_per_nu(real, groups, n, boundary, join):
-    """The skew points of ``groups`` merged by closed least flag with the
-    first point of every nu of each closed group listed twice."""
-    return {flag: {nu: points + points[:1] for nu, points in group.items()}
-            for flag, group in real(groups, n).items()}
+def _first_point_twice_per_nu(closed, n, boundary, join):
+    """The hive counts and skew points of ``hives._skew_groups`` with the
+    first point of every nu of each closed group listed twice and counted
+    once more."""
+    counts, points = closed
+    return ({flag: {nu: c + 1 for nu, c in table.items()} for flag, table in counts.items()},
+            {nu: {flag: rows + rows[:1] for flag, rows in group.items()}
+             for nu, group in points.items()})
 
 
 def _first_point_twice(real):
@@ -543,16 +561,17 @@ def _replace_tri_points_at(monkeypatch, nu, quad=STAGGERED_QUAD, points=()):
         if args[:4] != (lam, mu, gam, nu):
             return entry
         least, _ = entry.face
+        # the entry is built on the lifted face of the join, args[4]
         faces = {flag: list(points) if flag == phi else
                  [t for t, sigma in least.items() if under(sigma, flag)]
-                 for flag in all_flags(len(phi)) if under(flag, args[4])}
+                 for flag in all_flags(len(phi)) if under(flag, args[4].flag)}
+        # flags are closed least flags, so the groups are the entry's counts
         counts = _groups_reading({flag: {0: len(face)} for flag, face in faces.items()})
         rebuilt = {}
         for flag, face in faces.items():
             for t in face:
                 rebuilt.setdefault(t, flag)
-        return entry._replace(face=(rebuilt, {
-            flag: counts.get(flag, {}).get(0, 0) for flag in faces}))
+        return entry._replace(face=(rebuilt, {flag: group[0] for flag, group in counts.items()}))
 
     monkeypatch.setattr(oracles, "doubling_by_compiled_face", doubling)
     monkeypatch.setattr(cli_mod, "_doubling_entry", building)
@@ -572,14 +591,19 @@ def _groups_reading(tables):
 
 
 def _closes(build, close):
-    """cross_check's merge by closed least flag (``core.close_groups``) of
-    the groups that ``build`` makes on the join, F's for
-    ``_filling_groups``, replaced by ``close(real, groups, n, boundary,
-    join)``: ``real`` is the merge in place before, and the boundary is
-    ``build``'s arguments less the join and the limit.  Every other merge
-    stays."""
+    """cross_check's groups by closed least flag of what ``build`` makes on
+    the join, F's for ``_filling_groups``, replaced by ``close(closed, n,
+    boundary, join)``: ``closed`` is what cross_check had, and the boundary
+    is ``build``'s arguments less the join and the limit.  The tableau
+    table (``_table_groups``) and the skew hives (``_skew_groups``) are
+    closed as they are enumerated, so their output is replaced; F is merged
+    by ``core.close_groups``, so that merge is, and every other stays."""
     def apply(monkeypatch):
         real_build, real_close = getattr(cli_mod, build), cli_mod.close_groups
+        if build != "_filling_groups":
+            monkeypatch.setattr(cli_mod, build, lambda *args: close(
+                real_build(*args), len(args[-2]), args[:-2], args[-2]))
+            return
         # the groups built, by id, each kept with its boundary and join
         built = {}
 
@@ -593,7 +617,7 @@ def _closes(build, close):
             if id(groups) not in built:
                 return real_close(groups, n)
             _, boundary, join = built[id(groups)]
-            return close(real_close, groups, n, boundary, join)
+            return close(real_close(groups, n), n, boundary, join)
 
         monkeypatch.setattr(cli_mod, build, building)
         monkeypatch.setattr(cli_mod, "close_groups", closing)
@@ -605,11 +629,11 @@ def _corrupt_flag_reads(core, build, corrupt, polynomial=False):
     """``corrupt(boundary, value)`` on one value of each flag, on both paths:
     the value of the per-flag ``core``, which the per-tuple loop calls, and
     the value each flag at most the join reads off the closed groups that
-    cross_check merges from what ``build`` makes on the join (``_closes``),
+    cross_check has of what ``build`` makes on the join (``_closes``),
     which are rebuilt to read so (``_groups_reading``).  The boundary ends
     with the flag; a ``polynomial`` is read off as its terms."""
-    def close(real, groups, n, boundary, join):
-        closed, tables = real(groups, n), {}
+    def close(closed, n, boundary, join):
+        tables = {}
         # all_flags is lexicographic, so each flag comes after those below it
         for phi in all_flags(n):
             if under(phi, join):
@@ -833,26 +857,86 @@ def test_the_join_read_off_equals_each_flags_own_cores(n, max_mu, flags, counts)
     # is smaller than the join's
     flags = flags or all_flags(n)
     join = tuple(map(max, zip(*flags)))
+    lifted = _lifted_face(join)
     pairs = smaller = 0
     for mu in partitions_up_to(n, max_mu):
         subs = subpartitions(mu)
         for gam in subs:
-            block = cli_mod._Block(mu, gam, subs, join, None, lambda *_: [])
+            block = cli_mod._Block(mu, gam, subs, lifted, None, lambda *_: [])
             for phi in flags:
                 skew_schur = flagged_skew_schur(mu, gam, phi)
                 assert IntPolynomial._from_terms(n, read_off(block.skew_schurs, phi)) == (
                     skew_schur)
                 assert set(read_off(block.fillings, phi)) == tableau_word_set(mu, gam, phi)
                 for lam in subs:
-                    tableau, skew, demazure = block.lam_tables(lam)
+                    tableau, hive, _, demazure = block.lam_tables(lam)
                     table = read_off(tableau, phi)
                     assert table == _table_tableaux(lam, mu, gam, phi, None), (lam, mu, gam, phi)
-                    assert {nu: len(points) for nu, points in read_off(skew, phi).items()} == (
-                        table)
+                    assert read_off(hive, phi) == table
                     assert read_off(demazure, phi) == _antisymmetrize(lam, skew_schur)
                     pairs += 1
                     smaller += sum(table.values()) < sum(read_off(tableau, join).values())
     assert (pairs, smaller) == counts
+
+
+@pytest.mark.parametrize("n, max_mu, flags, counts", [
+    (0, 4, None, (1, 0, 1, 1, 0)),
+    (1, 4, None, (55, 0, 55, 55, 0)),
+    (2, 4, None, (174, 34, 315, 358, 3)),
+    (3, 4, None, (239, 37, 575, 697, 5)),
+    (4, 3, None, (80, 3, 159, 196, 0)),
+    (3, 4, [(1, 2, 3), (2, 2, 3)], (239, 31, 440, 697, 3)),
+    (3, 4, [(2, 2, 3), (1, 3, 3)], (239, 31, 525, 697, 3)),
+])
+def test_the_groups_closed_at_source_are_the_closed_raw_groups(n, max_mu, flags, counts):
+    # every (lam, mu, gam) on the join of the flags: the tableau table
+    # (``crystal._table_groups``) and the hive counts and skew points
+    # (``hives._skew_groups``), closed as they are enumerated, are
+    # ``core.close_groups`` of the raw least-flag groups of the oracles; and
+    # for each nu that contains lam, the entry's lifted counts by closed
+    # least flag (``hives._doubling_entry``) are the raw ones closed, and the
+    # groups off which each flag at most the join reads the count of its own
+    # compiled face (``doubling_by_compiled_face``).  Counts are the (lam,
+    # mu, gam), those where closing merges raw tableau or skew groups, the
+    # skew points, the entries, and those where closing merges raw groups
+    flags = flags or all_flags(n)
+    join = tuple(map(max, zip(*flags)))
+    lifted = _lifted_face(join)
+    below = [phi for phi in all_flags(n) if under(phi, join)]
+    boundaries = merged = points = entries = merged_entries = 0
+    for mu in partitions_up_to(n, max_mu):
+        subs = subpartitions(mu)
+        for gam in subs:
+            for lam in subs:
+                raw_table = oracles.table_groups_by_least_flag(lam, mu, gam, join)
+                assert _table_groups(lam, mu, gam, join, None) == close_groups(raw_table, n)
+                raw_skew = oracles.skew_groups_by_least_flag(lam, mu, gam, join)
+                closed = close_groups(raw_skew, n)
+                hive, by_nu = _skew_groups(lam, mu, gam, join, None)
+                assert hive == {key: {nu: len(rows) for nu, rows in group.items()}
+                                for key, group in closed.items()}
+                assert {(nu, key): Counter(rows) for nu, group in by_nu.items()
+                        for key, rows in group.items()} == {
+                    (nu, key): Counter(rows) for key, group in closed.items()
+                    for nu, rows in group.items()}
+                boundaries += 1
+                merged += len(closed) < len(raw_skew) or len(close_groups(raw_table, n)) < len(
+                    raw_table)
+                points += sum(sum(group.values()) for group in hive.values())
+                for nu in oracles._nu_candidates(lam, mu, gam, n):
+                    if not contains(nu, lam):
+                        continue
+                    assert _lifted_runs(lam, mu, gam, nu) == tuple(
+                        _tri_runs(*lift_tilde(lam, mu, gam, nu, join)[:3]))
+                    least, lifted_counts = _doubling_entry(lam, mu, gam, nu, lifted, None).face
+                    raw = Counter(least.values())
+                    got = {key: {0: c} for key, c in lifted_counts.items()}
+                    assert got == close_groups({f: {0: c} for f, c in raw.items()}, n)
+                    assert got == _groups_reading({phi: {0: doubling_by_compiled_face(
+                        lam, mu, gam, nu, phi, (), None).tri_count} for phi in below})
+                    entries += 1
+                    merged_entries += len(lifted_counts) < len(raw)
+    assert (boundaries, merged, points, entries, merged_entries) == counts
 
 
 def _calls(monkeypatch, name):
@@ -1009,12 +1093,13 @@ def test_the_join_decomposition_check_is_every_flags(n, max_mu, flags, counts, f
     # other faults apply to every (mu, gam)
     flags = flags or all_flags(n)
     join = tuple(map(max, zip(*flags)))
+    lifted = _lifted_face(join)
     below = [phi for phi in all_flags(n) if under(phi, join)]
     blocks = faulted = 0
     for mu in partitions_up_to(n, max_mu):
         subs = subpartitions(mu)
         for gam in subs:
-            block = cli_mod._Block(mu, gam, subs, join, None, lambda *_: [])
+            block = cli_mod._Block(mu, gam, subs, lifted, None, lambda *_: [])
             blocks += 1
             groups = fault(block, n)
             if groups is None:
@@ -1042,20 +1127,24 @@ def test_a_passing_grid_replays_no_block(monkeypatch, closure, replays):
     # running maximum reads each flag the same, but its keys are no flags,
     # so equal read-offs leave unequal groups and blocks replay for nothing
     if closure is not None:
-        monkeypatch.setattr(core_mod, "close_flag", closure)
-        monkeypatch.setattr(hives_mod, "close_flag", closure)
+        # every closing site: F's and the fillings' merge, the tableau
+        # table, the skew hives and the doubling entry
+        for module in (core_mod, crystal_mod, hives_mod):
+            monkeypatch.setattr(module, "close_flag", closure)
     calls = _calls(monkeypatch, "_check_per_flag")
     assert cross_check(3, 4) == {"ok": True, "checked": {"tuples": 5394, "decompositions": 282}}
     assert len(calls) == replays
 
 
 def _flag_ignored_off_the_hives(monkeypatch):
-    # every merge but that of the skew points puts the join's groups under
-    # the least flag, so every flag reads them whole
-    monkeypatch.setattr(cli_mod, "close_groups", lambda groups, n: close_groups(
-        {(0,) * n: read_off(groups, (n,) * n)}, n))
-    _closes("_skew_groups", lambda real, groups, n, boundary, join: close_groups(groups, n))(
-        monkeypatch)
+    # every closing but that of the skew points, F's and the fillings' merge
+    # and the tableau table, puts the join's groups under the least flag, so
+    # every flag reads them whole
+    def whole(groups, n):
+        return close_groups({(0,) * n: read_off(groups, (n,) * n)}, n)
+
+    monkeypatch.setattr(cli_mod, "close_groups", whole)
+    _closes("_table_groups", lambda closed, n, boundary, join: whole(closed, n))(monkeypatch)
 
 
 @pytest.mark.parametrize("corrupt, failure, at", [

@@ -13,11 +13,13 @@ from flagged_lr.cli import ROUTES, run_coefficient
 from flagged_lr.core import (
     FlagError,
     all_flags,
+    close_flag,
     contains,
     partitions_up_to,
     read_off,
     scale,
     subpartitions,
+    under,
 )
 from flagged_lr.crystal import coefficient_by_tableaux, is_lambda_dominant
 from flagged_lr.hives import (
@@ -31,6 +33,7 @@ from flagged_lr.hives import (
     _doubling_read,
     _gt_polytope,
     _hive_table,
+    _lifted_face,
     _skew_edges,
     _skew_groups,
     _skew_polytope,
@@ -499,7 +502,9 @@ def test_grouped_table_points_equal_the_per_nu_enumeration_census():
     # right column, gives each candidate nu the points of its own polytope
     quads = tuples = points = 0
     for lam, mu, gam, phi in _grouped_quads():
-        grouped = read_off(_skew_groups(lam, mu, gam, phi, None), phi)
+        counts, by_nu = _skew_groups(lam, mu, gam, phi, None)
+        grouped = _points_under(by_nu, phi)
+        assert read_off(counts, phi) == {nu: len(rows) for nu, rows in grouped.items()}
         candidates = _nu_candidates(lam, mu, gam, len(mu))
         assert set(grouped) <= set(candidates), (lam, mu, gam, phi)
         assert all(grouped.values()), (lam, mu, gam, phi)
@@ -824,13 +829,15 @@ def test_a_shared_doubling_entry_gives_each_flag_a_fresh_doubling():
                         for subset in subsets:
                             join = tuple(map(max, zip(*subset)))
                             for order in (subset, subset[::-1]):
-                                entry = _doubling_entry(lam, mu, gam, nu, join, None)
+                                entry = _doubling_entry(lam, mu, gam, nu, _lifted_face(join),
+                                                        None)
                                 for phi in order:
                                     assert _doubling_read(entry, phi, skew[phi]) == fresh[phi]
                                 assert entry.images.keys() == set().union(
                                     *[skew[phi] for phi in subset])
                         if n == 3:
-                            small, full = [sum(_doubling_entry(lam, mu, gam, nu, join, None)
+                            small, full = [sum(_doubling_entry(lam, mu, gam, nu,
+                                                               _lifted_face(join), None)
                                                .face[1].values())
                                            for join in ((2, 2, 3), (3, 3, 3))]
                             smaller_joins += small < full
@@ -851,11 +858,19 @@ def _own_table(lam, mu, gam, phi):
     """The skew hives of every nu on the face of phi, off the enumeration of
     its own table polytope, as a dict from nu to the multiset of their
     label rows: every group of ``_skew_groups`` on phi merged, whatever its
-    least flag, so no least flag selects them."""
+    closed least flag, so no least flag selects them."""
+    _, points = _skew_groups(lam, mu, gam, phi, None)
+    return {nu: Counter(chain(*groups.values())) for nu, groups in points.items()}
+
+
+def _points_under(points, phi):
+    """The skew points of phi per nu, off the points of ``_skew_groups`` on
+    a larger flag: those whose closed least flag is at most phi."""
     table = {}
-    for group in _skew_groups(lam, mu, gam, phi, None).values():
-        for nu, rows in group.items():
-            table.setdefault(nu, Counter()).update(rows)
+    for nu, groups in points.items():
+        rows = [r for key, group in groups.items() if under(key, phi) for r in group]
+        if rows:
+            table[nu] = rows
     return table
 
 
@@ -873,11 +888,11 @@ def test_the_least_flag_read_off_equals_every_compiled_face_census():
                 for lam in subpartitions(mu):
                     for flags in _census_flags(n):
                         join = tuple(map(max, zip(*flags)))
-                        groups = _skew_groups(lam, mu, gam, join, None)
+                        _, by_nu = _skew_groups(lam, mu, gam, join, None)
                         whole = _own_table(lam, mu, gam, join)
                         for phi in flags:
                             own = _own_table(lam, mu, gam, phi)
-                            read = read_off(groups, phi)
+                            read = _points_under(by_nu, phi)
                             assert read.keys() == own.keys(), (lam, mu, gam, phi)
                             for nu, rows in own.items():
                                 assert Counter(read[nu]) == rows, (lam, mu, gam, nu, phi)
@@ -889,8 +904,9 @@ def test_the_least_flag_read_off_equals_every_compiled_face_census():
                         for nu in _nu_candidates(lam, mu, gam, n):
                             if not contains(nu, lam):
                                 continue
-                            least, counts = _doubling_entry(lam, mu, gam, nu, join, None).face
-                            assert Counter(least.values()) == counts
+                            least, counts = _doubling_entry(lam, mu, gam, nu, _lifted_face(join),
+                                                            None).face
+                            assert Counter(close_flag(f, n) for f in least.values()) == counts
                             for phi in flags:
                                 lifted = lift_tilde(lam, mu, gam, nu, phi)
                                 face = list(_tri_polytope(2 * n, lifted[3]).enumerator(
@@ -923,7 +939,7 @@ def test_a_join_point_yielded_twice_counts_twice(monkeypatch):
             t for t in poly.enumerator(runs, limit) for _ in "ab"])
 
     monkeypatch.setattr(hives_mod, "_tri_polytope", twice)
-    entry = _doubling_entry(lam, mu, gam, nu, (2, 2), None)
+    entry = _doubling_entry(lam, mu, gam, nu, _lifted_face((2, 2)), None)
     least, counts = entry.face
     assert len(least) == 1 and list(counts.values()) == [2]
     for phi in flags:
