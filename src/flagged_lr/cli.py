@@ -21,10 +21,11 @@ does on the join of its flags; its report reads the lifted boundary off
 the public ``hives.lift_tilde``, which checks it again.  Only
 ``crystal-graph``, whose word set takes row bounds, checks the flag in
 ``main``; ``--limit`` caps the letters its enumeration places.
-Every flagged skew Schur polynomial F comes from the counting search
-``tableaux._weight_search`` that the tableau route runs too: by
-``flagged_skew_schur``, the one behind ``table --method demazure``, or, in
-``cross_check``, by its groups on a join of flags.
+The flagged skew Schur polynomial F comes from horizontal strips
+(``flagged_skew_schur``), behind ``table --method demazure`` and
+``decompose``, and in ``cross_check`` from its groups on a join of flags,
+by the counting search ``tableaux._weight_search`` that the tableau route
+runs too (``polynomials._skew_schur_groups``).
 ``decomposition_report`` checks its boundary, builds F and enumerates the
 flagged fillings once, as raw rows, for ``crystal.decompose`` and the
 insertion core ``burge._insertion_classes``.  ``cross_check`` builds its
@@ -113,15 +114,17 @@ from .burge import _insertion_classes
 DEFAULT_LIMIT = 10**6
 LIMIT_HELP = (
     "enumeration ceiling per call (hive labels tried, tableau letters "
-    "placed, Demazure shapes expanded); a table by the tableau or the hive "
+    "placed, entries carried over strips to build F, Demazure shapes "
+    "expanded); a table by the tableau or the hive "
     "route is one call, so the ceiling caps the letters placed or the hive "
     "labels tried for every nu together; verify makes many calls, all on "
-    "the join of the flags: F and the fillings once per (mu, gam), the "
+    "the join of the flags: F and the fillings once per (mu, gam), each "
+    "by letters placed, the "
     "tableau table and the skew hives of every nu once per (lam, mu, gam) "
     "and the lifted face once per (lam, mu, gam, nu); a table by the "
-    "Demazure route and a decomposition cap the "
-    "letters placed to build F, a crystal graph those placed to enumerate "
-    "its fillings"
+    "Demazure route caps the entries carried to build F, a decomposition "
+    "caps those and, apart, the letters placed to enumerate its fillings, "
+    "and a crystal graph those letters"
 )
 
 #: the trusted core of each route, called on a checked boundary as
@@ -204,17 +207,17 @@ def decomposition_report(mu, gam, phi, limit=None):
     gam and the flag (``core.check_boundary``) before any crystal work.
 
     The flagged skew Schur polynomial F comes first, from
-    ``flagged_skew_schur``.  Each filling is a leaf of F's search, reached
-    by a letter of its own, so ``limit`` caps the report: one that F's
-    search does not exceed lists at most ``limit`` fillings.  The fillings
-    are then enumerated once, as raw rows, each read once: the reading words
-    give the components and match each class to one, and the rows go to the
-    insertion core (``burge._insertion_classes``)."""
+    ``flagged_skew_schur``, under ``limit``.  The fillings are then
+    enumerated once, as raw rows, under ``limit`` too, each read once: the
+    reading words give the components and match each class to one, and the
+    rows go to the insertion core (``burge._insertion_classes``).  Each
+    filling of a shape with a cell is reached by a letter of its own, so a
+    report lists at most ``limit`` fillings."""
     mu, gam, phi = check_boundary((mu, gam), phi)
     n = len(mu)
     skew_schur = flagged_skew_schur(mu, gam, phi, limit)
     shape = SkewShape(mu, gam)
-    words = {rows: _reading_word(rows) for rows in _tableau_rows(shape, phi)}
+    words = {rows: _reading_word(rows) for rows in _tableau_rows(shape, phi, limit)}
     try:
         components = decompose(words.values(), n)
     except ValueError as exc:

@@ -27,8 +27,9 @@ from the head lam, the weight of lambda's dominant tableau, which counts
 the tableaux per nu, the letter counts each ends with: the count caps each
 letter v at nu_v, and the table only at the weight of nu, which no letter
 reaches.  The same search, from a head deep enough that its lattice test
-never binds, builds the flagged skew Schur polynomial of the Demazure
-route.  The search charges ``limit`` one unit per letter placed, so the
+never binds, builds ``verify``'s flagged skew Schur polynomials by least
+flag; the Demazure route builds its own from horizontal strips.  The
+search charges ``limit`` one unit per letter placed, so the
 table's ceiling caps the letters placed for every nu together; on the
 worked example with the full flag the table needs 455, where its largest
 one-nu search needs 152.

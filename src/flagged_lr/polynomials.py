@@ -17,10 +17,8 @@ and ``delta = (n-1, ..., 0)``, and ``s_nu = a_{nu+delta} / a_delta``.
 ``coefficient_table_by_demazure`` checks the boundary
 (``core.check_boundary``) and runs its core ``_demazure_table``, which
 builds F and runs ``_antisymmetrize``.
-``flagged_skew_schur`` builds F by the one counting search over the
-flagged fillings (``tableaux._weight_search``), started from a head deep
-enough that its lattice test never binds; it counts them per weight as it
-places their letters and charges ``limit`` one unit per letter placed.
+``flagged_skew_schur`` builds F from horizontal strips, in one forward
+pass over the letters, apart from the tableau route's search.
 ``_antisymmetrize`` is one pass over the terms of F, in which
 ``c x^alpha`` adds ``sign * c`` to ``nu = sort(lam + alpha + delta) -
 delta``, sign being that of the sort into decreasing order, and nothing
@@ -30,13 +28,16 @@ which builds no F: it reads ``c_nu`` as the sum over the permutations w of
 ``sgn(w) F[w(nu + delta) - lam - delta]``, and counts each F[alpha] by
 chains of shapes from gam to mu, one horizontal strip of alpha_m boxes per
 letter m (``_strips``), in one pass over the letters that merges the
-permutations by the entries of nu + delta they have taken.
+permutations by the entries of nu + delta they have taken.  Both passes
+take a strip's rows from ``_row_ranges``.  Only ``verify``'s F, by least
+flag (``_skew_schur_groups``), comes from the tableau route's search.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import product
 
 from .core import (
     ScaleExceededError,
@@ -210,28 +211,86 @@ def flagged_skew_schur(mu, gam, row_bounds, limit=None) -> IntPolynomial:
 
     Equals the ordinary skew Schur polynomial when every bound is the
     ambient length.  mu, gam and the bounds must have one length.  The
-    terms come from ``tableaux._weight_search``, which counts the fillings
-    per weight as it places their letters; raises ScaleExceededError once
-    more than ``limit`` letters have been placed."""
-    shape = SkewShape(mu, gam)
-    if len(row_bounds) != shape.n_rows:
+    terms count the chains gam = s_0 < ... < s_n = mu, n the largest of
+    the rows and the bounds, in which s_m / s_{m-1} is a horizontal strip
+    of alpha_m boxes of the letter m.
+
+    One forward pass keeps a dict from s_m to a dict from (alpha_1, ...,
+    alpha_m), packed into one int a whole number of bytes per letter, to
+    its number of chains.  A step takes every strip of its letter at once,
+    a product of ``_row_ranges`` cut below by a floor: after the letter m,
+    row i reaches mu_i if phi_i <= m, else what row i + 1 reaches after the
+    letter m + 1, since a column takes increasing letters.  Past the floor
+    of the letter n - 1 every shape grows to mu by one strip of the letter
+    n, so that step keeps only its strips' sizes, counted.  Charges
+    ``limit`` one unit per entry carried over a strip or a size, and raises
+    ScaleExceededError once more than ``limit`` have been carried."""
+    skew = SkewShape(mu, gam)
+    if len(row_bounds) != skew.n_rows:
         raise ValueError("ambient lengths differ")
-    n = max(shape.n_rows, max(row_bounds, default=0))
-    if not shape.is_valid:
+    n = max(skew.n_rows, max(row_bounds, default=0))
+    if not skew.is_valid:
         return IntPolynomial.zero(n)
-    head, caps = _free_head(shape.size, n)
-    table = _weight_search(head, shape.outer, shape.inner, row_bounds, caps, limit)
-    terms = {tuple([c - h for c, h in zip(nu, head)]): m for nu, m in table.items()}
+    mu, gam, phi = skew.outer, skew.inner, row_bounds
+    if not n:
+        return IntPolynomial._from_terms(0, {(): 1})
+    top = weight(mu)
+    bits = 8 * max(1, (top - weight(gam)).bit_length() + 7 >> 3)
+    left = math.inf if limit is None else limit
+    floors = [list(mu)] * (n + 1)
+    for m in range(n - 1, -1, -1):
+        floors[m] = [b if f <= m else a for b, f, a in zip(mu, phi, floors[m + 1][1:] + [0])]
+    states = {gam: {0: 1}}
+    place = 1
+    for m in range(1, n - 1):
+        grows = [f >= m for f in phi]
+        grown = {}
+        for shape, weights in states.items():
+            ranges = _row_ranges(shape, mu, grows, floors[m])
+            if ranges is None:
+                continue
+            size = sum(shape)
+            for t in product(*ranges):
+                left -= len(weights)
+                if left < 0:
+                    raise ScaleExceededError("enumeration ceiling exceeded")
+                shift = (sum(t) - size) * place
+                into = grown.get(t)
+                if into is None:
+                    # the empty strip takes the weights dict itself: no
+                    # later strip of its shape changes it
+                    grown[t] = {w + shift: c for w, c in weights.items()} if shift else weights
+                else:
+                    for w, c in weights.items():
+                        w += shift
+                        into[w] = into.get(w, 0) + c
+        states = grown
+        place <<= bits
+    # the letter n - 1, or, when n = 1, the letter 0, which grows no row
+    grows = [0 < n - 1 <= f for f in phi]
+    last = 1 << bits * (n - 1)
+    packed = {}
+    for shape, weights in states.items():
+        ranges = _row_ranges(shape, mu, grows, floors[n - 1])
+        if ranges is None:
+            continue
+        sizes = {}
+        for total in map(sum, product(*ranges)):
+            sizes[total] = sizes.get(total, 0) + 1
+        left -= len(weights) * len(sizes)
+        if left < 0:
+            raise ScaleExceededError("enumeration ceiling exceeded")
+        for total, k in sizes.items():
+            shift = (total - sum(shape)) * place + (top - total) * last
+            for w, c in weights.items():
+                w += shift
+                packed[w] = packed.get(w, 0) + k * c
+    if bits == 8:
+        terms = {tuple(w.to_bytes(n, "little")): c for w, c in packed.items()}
+    else:
+        terms = {tuple([w >> k & (1 << bits) - 1 for k in range(0, bits * n, bits)]): c
+                 for w, c in packed.items()}
     return IntPolynomial._from_terms(n, terms)
-
-
-def _free_head(size, n):
-    """The head and caps of F's search on ``size`` cells: the head (s*n,
-    ..., 2s, s) with s one more than the cells.  A count starts s below the
-    one before it and grows by at most s - 1, so the lattice test of the
-    search never binds, and the caps sit above every count."""
-    s = size + 1
-    return tuple(range(s * n, 0, -s)), (s * (n + 1),) * n
 
 
 def _skew_schur_groups(mu, gam, join, limit):
@@ -239,10 +298,15 @@ def _skew_schur_groups(mu, gam, join, limit):
     every flag at most ``join``, by one search on ``join``: a dict from the
     least flag of a filling (``tableaux._weight_search``) to the terms of
     the fillings that have it.  The terms of F under such a flag are the
-    sum of the groups whose least flag is at most it."""
-    head, caps = _free_head(weight(mu) - weight(gam), len(mu))
+    sum of the groups whose least flag is at most it.  The search starts
+    from the head (s*n, ..., 2s, s), s one more than the cells: a count
+    starts s below the one before it and grows by at most s - 1, so the
+    lattice test never binds, and the caps s*(n+1) sit above every count."""
+    n, s = len(mu), weight(mu) - weight(gam) + 1
+    head = tuple(range(s * n, 0, -s))
     groups = {}
-    for (nu, flag), m in _weight_search(head, mu, gam, join, caps, limit, True).items():
+    for (nu, flag), m in _weight_search(head, mu, gam, join, (s * (n + 1),) * n, limit,
+                                        True).items():
         groups.setdefault(flag, {})[tuple([c - h for c, h in zip(nu, head)])] = m
     return groups
 
@@ -286,7 +350,7 @@ def coefficient_table_by_demazure(lam, mu, gam, phi):
 def _demazure_table(lam, mu, gam, phi, limit):
     """``coefficient_table_by_demazure`` on a checked boundary:
     ``_antisymmetrize`` of F.  Raises ScaleExceededError once building F
-    has placed more than ``limit`` letters."""
+    has carried more than ``limit`` entries."""
     return _antisymmetrize(lam, flagged_skew_schur(mu, gam, phi, limit))
 
 
@@ -340,62 +404,71 @@ def _signed_sum(lam, mu, gam, nu, phi, limit):
     left = math.inf if limit is None else limit
     states = {(0, gam): 1}
     for m in range(n):
+        # the flag's rows: those that grow by the letter m + 1, and, full
+        # from it on, those that it ends
+        grows = [f > m for f in phi]
+        floor = [b if f <= m + 1 else 0 for b, f in zip(mu, phi)]
         grown = {}
         for (taken, shape), c in states.items():
             if not c:
                 continue
+            ranges = _row_ranges(shape, mu, grows, floor)
+            # the totals of the strips lie between least and most
+            least, most = ((sum(r.start for r in ranges), sum(r.stop - 1 for r in ranges))
+                           if ranges else (1, 0))
+            size = sum(shape)
             for j in range(n):
                 if taken >> j & 1:
                     continue
-                size = top[j] - base[m]
-                if size < 0:
+                total = size + top[j] - base[m]
+                if total < size:
                     # top falls along j, so every later size is negative
                     break
                 left -= 1
                 if left < 0:
                     raise ScaleExceededError("enumeration ceiling exceeded")
-                for t in _strips(shape, mu, phi, m + 1, size):
-                    key = (taken | 1 << j, t)
-                    grown[key] = grown.get(key, 0) + c
+                if least <= total <= most:
+                    for t in _strips(ranges, total):
+                        key = (taken | 1 << j, t)
+                        grown[key] = grown.get(key, 0) + c
                 # a later j passes the untaken j: one inversion more
                 c = -c
         states = grown
     return states.get(((1 << n) - 1, mu), 0)
 
 
-def _strips(shape, mu, phi, letter, size):
-    """The shapes t inside mu such that t / shape is a horizontal strip of
-    ``size`` boxes filled with ``letter``: a row r grows only while
-    phi_r >= letter, and a row with phi_r = letter, its last letter, grows
-    to mu_r or the shape has no such t."""
-    lows, highs = [], []
+def _row_ranges(shape, mu, grows, floor):
+    """Per row r, the range of the lengths of row r of the shapes t inside
+    mu such that t / shape is a horizontal strip of one letter: at least
+    shape_r and floor_r, and at most shape_r, or, where ``grows_r`` (the
+    letter is at most phi_r), mu_r and row r - 1 of shape.  None when a
+    range is empty."""
+    ranges = []
     above = math.inf
-    for s, m, f in zip(shape, mu, phi):
-        cap = min(m, above)
+    for s, m, g, f in zip(shape, mu, grows, floor):
+        hi = (m if m < above else above) if g else s
+        lo = f if f > s else s
+        if lo > hi:
+            return None
+        ranges.append(range(lo, hi + 1))
         above = s
-        if f > letter:
-            lows.append(0)
-            highs.append(cap - s)
-        elif f == letter:
-            if cap < m:
-                return []
-            lows.append(m - s)
-            highs.append(m - s)
-        else:
-            # filled to mu_r at the letter phi_r
-            lows.append(0)
-            highs.append(0)
-    rest_lo, rest_hi = sum(lows), sum(highs)
-    if not rest_lo <= size <= rest_hi:
-        return []
-    partial = [((), size)]
-    for s, lo, hi in zip(shape, lows, highs):
+    return ranges
+
+
+def _strips(ranges, total):
+    """The shapes t of ``total`` boxes with t_r in ranges[r] for every row
+    r: from ``_row_ranges``, the strips of one letter and one size."""
+    rest_lo = sum(r.start for r in ranges)
+    rest_hi = sum(r.stop - 1 for r in ranges)
+    partial = [((), total)]
+    for r in ranges:
+        lo, hi = r.start, r.stop - 1
         # the rows after this one take between rest_lo and rest_hi boxes
         rest_lo -= lo
         rest_hi -= hi
         partial = [
-            (t + (s + d,), need - d)
+            (t + (a,), need - a)
             for t, need in partial
-            for d in range(max(lo, need - rest_hi), min(hi, need - rest_lo) + 1)
+            for a in range(max(lo, need - rest_hi), min(hi, need - rest_lo) + 1)
         ]
     return [t for t, _ in partial]

@@ -15,8 +15,9 @@ the letter counts and charges the ceiling.  The counts start at a head,
 and a letter goes in only while the reading word after the head stays a
 lattice word.  From lambda's weight that is the tableau route
 (``crystal``); from a head whose parts fall by more than the cells in
-every step the test never binds, and the counts less the head are the
-terms of the flagged skew Schur polynomial F (``polynomials``).
+every step the test never binds, and the counts less the head, keyed by
+least flag, are the terms of ``verify``'s flagged skew Schur polynomials
+(``polynomials._skew_schur_groups``).
 
 A straight tableau is held as its columns, each the bit set of its letters,
 while it is built: ``_column_insert`` inserts one letter, ``_bit_columns``
@@ -219,7 +220,7 @@ def _weight_search(head, mu, gam, phi, caps, limit, by_flag=False):
     the nu of the lambda-dominant tableaux (``crystal._count_tableaux``);
     with a head whose parts fall by more than the cells in every step, no
     count catches up with the one before it and the dict is F shifted by
-    the head (``polynomials.flagged_skew_schur``).
+    the head (``polynomials._skew_schur_groups``).
 
     With ``by_flag`` the dict is keyed by the counts and the *least flag*
     of the fillings: per row its greatest letter, held by its rightmost

@@ -305,14 +305,14 @@ def test_a_tableau_table_is_one_call_under_the_limit(capsys):
 
 
 def test_a_demazure_table_stops_at_the_limit(capsys):
-    # the worked example with the full flag: building F places 3,740 letters
+    # the worked example with the full flag: building F carries 905 entries
     boundary = ["--lam", "3,1,1,0", "--mu", "5,4,2,1", "--gam", "2,1,0,0",
                 "--phi", "4,4,4,4"]
-    code, out = run(capsys, "--n", "4", "--limit", "3740", "--json", "table",
+    code, out = run(capsys, "--n", "4", "--limit", "905", "--json", "table",
                     "--method", "demazure", *boundary)
     assert code == 0
     assert len(json.loads(out)["table"]) == 29
-    assert main(["--n", "4", "--limit", "3739", "table", "--method", "demazure", *boundary]) == 2
+    assert main(["--n", "4", "--limit", "904", "table", "--method", "demazure", *boundary]) == 2
     assert "ceiling" in capsys.readouterr().err
 
 
@@ -330,13 +330,13 @@ def test_a_hive_table_stops_at_the_limit(capsys):
 
 
 def test_a_decomposition_stops_at_the_limit(capsys):
-    # building F places 2,576 letters, where enumerating the fillings row
-    # by row places 3,830
+    # building F carries 365 entries, and enumerating the fillings row by
+    # row places 3,830 letters, as for the crystal graph of the shape
     boundary = ["--mu", "6,4,3,0", "--gam", "0,0,0,0", "--phi", "4,4,4,4"]
-    code, out = run(capsys, "--n", "4", "--limit", "2576", "--json", "decompose", *boundary)
+    code, out = run(capsys, "--n", "4", "--limit", "3830", "--json", "decompose", *boundary)
     assert code == 0
     assert json.loads(out)["ok"]
-    assert main(["--n", "4", "--limit", "2575", "decompose", *boundary]) == 2
+    assert main(["--n", "4", "--limit", "3829", "decompose", *boundary]) == 2
     assert "ceiling" in capsys.readouterr().err
 
 

@@ -13,7 +13,9 @@ from flagged_lr.core import (
     subpartitions,
     weight,
 )
-from flagged_lr.hives import count_skew_hive_points
+import flagged_lr.polynomials as polynomials_mod
+import flagged_lr.tableaux as tableaux_mod
+from flagged_lr.hives import _table_skew_hives, count_skew_hive_points
 from flagged_lr.polynomials import (
     IntPolynomial,
     _antisymmetrize,
@@ -161,22 +163,22 @@ def test_flagged_skew_schur_equals_the_rows_oracle_on_every_small_shape():
     assert (checked, nonzero) == (8524, 3121)
 
 
-def test_flagged_skew_schur_limit_caps_the_fillings():
-    # each filling is a leaf of the search, reached by a letter of its own,
-    # so a limit below the number of fillings raises; the census of the
-    # rows oracle, every shape with a cell and a filling
+def test_flagged_skew_schur_limit_caps_the_terms():
+    # each term of F is an entry carried over a strip of the letter n - 1,
+    # so a limit below the number of terms raises; the census of the rows
+    # oracle, every shape with a filling, the empty ones too
     checked = 0
     for n in (1, 2, 3):
         for mu in partitions_up_to(n, 4):
             for gam in partitions_up_to(n, 4):
                 for bounds in product(range(1, n + 2), repeat=n):
-                    fillings = sum(flagged_skew_schur_by_rows(mu, gam, bounds).terms.values())
-                    if sum(mu) == sum(gam) or not fillings:
+                    terms = len(flagged_skew_schur_by_rows(mu, gam, bounds).terms)
+                    if not terms:
                         continue
                     with pytest.raises(ScaleExceededError, match="ceiling"):
-                        flagged_skew_schur(mu, gam, bounds, fillings - 1)
+                        flagged_skew_schur(mu, gam, bounds, terms - 1)
                     checked += 1
-    assert checked == 2325
+    assert checked == 3120
 
 
 @st.composite
@@ -197,14 +199,51 @@ def test_flagged_skew_schur_equals_the_rows_oracle_at_n4(case):
     assert flagged_skew_schur(*case) == flagged_skew_schur_by_rows(*case)
 
 
-def test_flagged_skew_schur_limit_counts_the_letters_placed():
-    # the worked example's mu/gam places 3,740 letters with the full flag
-    # and 73 with the flag 2,2,3,4
-    for bounds, letters in (((4, 4, 4, 4), 3740), ((2, 2, 3, 4), 73)):
+def test_flagged_skew_schur_limit_counts_the_entries_carried():
+    # the worked example's mu/gam carries 905 entries with the full flag
+    # and 52 with the flag 2,2,3,4, where the search that built F placed
+    # 3,740 and 73 letters
+    for bounds, entries in (((4, 4, 4, 4), 905), ((2, 2, 3, 4), 52)):
         f = flagged_skew_schur((5, 4, 2, 1), (2, 1, 0, 0), bounds)
-        assert flagged_skew_schur((5, 4, 2, 1), (2, 1, 0, 0), bounds, letters) == f
+        assert flagged_skew_schur((5, 4, 2, 1), (2, 1, 0, 0), bounds, entries) == f
         with pytest.raises(ScaleExceededError, match="ceiling"):
-            flagged_skew_schur((5, 4, 2, 1), (2, 1, 0, 0), bounds, letters - 1)
+            flagged_skew_schur((5, 4, 2, 1), (2, 1, 0, 0), bounds, entries - 1)
+
+
+def test_the_demazure_route_runs_no_tableau_search(monkeypatch):
+    # F and the Demazure table come from horizontal strips alone: with the
+    # tableau route's search broken, both still answer the worked example
+    lam, mu, gam = (3, 1, 1, 0), (5, 4, 2, 1), (2, 1, 0, 0)
+    flags = ((2, 2, 3, 4), (4, 4, 4, 4))
+    skew_schurs = [flagged_skew_schur_by_rows(mu, gam, phi) for phi in flags]
+    tables = [_schur_table(lam, f) for f in skew_schurs]
+
+    def broken(*args):
+        raise AssertionError("the tableau route's search ran")
+
+    monkeypatch.setattr(tableaux_mod, "_weight_search", broken)
+    monkeypatch.setattr(polynomials_mod, "_weight_search", broken)
+    for phi, f, table in zip(flags, skew_schurs, tables):
+        assert flagged_skew_schur(mu, gam, phi) == f
+        assert coefficient_table_by_demazure(lam, mu, gam, phi) == table
+    assert tables[0][(7, 4, 2, 1)] == 3
+
+
+def test_the_demazure_table_equals_the_hive_table_on_the_n5_case_at_k2():
+    lam, mu, gam, _, phi = dilate(N5_CASE, 2)
+    table = coefficient_table_by_demazure(lam, mu, gam, phi)
+    assert table == _table_skew_hives(lam, mu, gam, phi, None)
+    assert (len(table), sum(table.values())) == (729, 128625)
+    assert table[(14, 12, 10, 8, 4)] == 1182
+
+
+def test_flagged_skew_schur_with_more_cells_than_a_byte_holds():
+    # the weights of 300 cells take two bytes a letter
+    f = flagged_skew_schur((300, 0), (0, 0), (2, 2))
+    assert f.terms == {(a, 300 - a): 1 for a in range(301)}
+    f = flagged_skew_schur((129, 128, 0), (1, 0, 0), (2, 2, 3))
+    assert f == flagged_skew_schur_by_rows((129, 128, 0), (1, 0, 0), (2, 2, 3))
+    assert f.terms == {(129, 127, 0): 1, (128, 128, 0): 2, (127, 129, 0): 1}
 
 
 def test_expand_in_schur_examples():
